@@ -179,8 +179,8 @@ def load_run_config(
     steps = int(steps_override if steps_override is not None else grid_d["steps"])
     if steps < 2:
         raise ConfigError("grid.steps must be at least 2")
-    if tau <= 0:
-        raise ConfigError("grid.tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ConfigError("grid.tau must be positive and finite")
     grid = TimeGrid.uniform(tau, steps)
 
     tol_d = data.get("tolerances", {})

@@ -33,6 +33,7 @@ from .linalg import (
     Tolerances,
     expm_skew_stack,
     frobenius,
+    ordered_products,
     skew_part,
 )
 from .sections import (
@@ -135,7 +136,7 @@ def k_path(section: SectionPath, spec: HamiltonianSpec) -> np.ndarray:
         raise ValueError(
             f"Hamiltonian dimension {hams.shape[1]} does not match frame dimension {frames.shape[1]}"
         )
-    k = -1j * np.einsum("tnj,tnm,tmk->tjk", frames.conj(), hams, frames)
+    k = -1j * (frames.conj().swapaxes(1, 2) @ (hams @ frames))
     return skew_part(k)
 
 
@@ -171,18 +172,15 @@ def solve_anandan(generators: GeneratorPath) -> np.ndarray:
     """Integrate dW/dt = (A + K) W with W(0) = identity.
 
     One unitary slice per step, generator averaged over the step endpoints
-    (midpoint rule, second order); later slices multiply on the left.
-    Returns W at every grid point.
+    (midpoint rule, second order); later slices multiply on the left. The
+    path is the forward prefix scan of the slices (log-depth tree, see
+    linalg.ordered_products). Returns W at every grid point.
     """
     gen = generators.a_mats + generators.k_mats
     slices = _midpoint_products(gen, generators.grid.times)
-    m = gen.shape[1]
     out = np.empty_like(gen)
-    out[0] = np.eye(m)
-    acc = out[0]
-    for k in range(slices.shape[0]):
-        acc = slices[k] @ acc
-        out[k + 1] = acc
+    out[0] = np.eye(gen.shape[1])
+    out[1:] = ordered_products(slices, "forward", cumulative=True)
     return out
 
 
@@ -195,21 +193,13 @@ def ordered_factor(
 
     forward solves dX/dt = m(t) X (later slices on the left), reverse solves
     dX/dt = X m(t) (later slices on the right); both start from the identity.
+    The midpoint slices are multiplied by pairwise tree reduction
+    (linalg.ordered_products), so roundoff grows as O(log n) in the steps.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[0] != len(grid):
         raise ValueError("generator path length does not match the grid")
-    slices = _midpoint_products(mats, grid.times)
-    acc = np.eye(mats.shape[1], dtype=complex)
-    if direction == "forward":
-        for k in range(slices.shape[0]):
-            acc = slices[k] @ acc
-    elif direction == "reverse":
-        for k in range(slices.shape[0]):
-            acc = acc @ slices[k]
-    else:
-        raise ValueError(f"unknown ordering direction: {direction!r}")
-    return acc
+    return ordered_products(_midpoint_products(mats, grid.times), direction)
 
 
 def yu_tong_factors(generators: GeneratorPath) -> tuple[np.ndarray, np.ndarray]:
@@ -351,7 +341,10 @@ def separability_report(
     generators = generator_path(section, schrodinger, spec)
     w_list = w_path(section, schrodinger, tol=tol)
     w_direct = w_list[-1]
-    w_final = solve_anandan(generators)[-1]
+    # only the endpoint of the Anandan solution is reported
+    w_final = ordered_products(
+        _midpoint_products(generators.a_mats + generators.k_mats, generators.grid.times)
+    )
     overlap = overlap_path(section)[-1]
 
     hol = ordered_factor(generators.a_mats, generators.grid, "forward")

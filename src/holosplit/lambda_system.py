@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import LambdaSystem
+from .dynamics import LambdaSystem, _require_finite
 from .linalg import DEFAULT_TOL
 from .sections import Fixed, PhaseAnchored, SectionRule
 
@@ -60,6 +60,7 @@ class LambdaParams:
     eta: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "omega0", "delta", "tau", "omega1", "omega2", "eta")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
         if self.tau <= 0:

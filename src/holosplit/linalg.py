@@ -20,6 +20,7 @@ __all__ = [
     "hermitian_part",
     "loewdin_orthonormalize",
     "min_eigenvalue_hermitian",
+    "ordered_products",
     "polar_decompose",
     "skew_part",
 ]
@@ -40,8 +41,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("structure_tol", "positivity_tol", "separation_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            # NaN fails every comparison, so it would silently disable a check
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -98,7 +100,10 @@ def expm_skew_stack(xs: np.ndarray) -> np.ndarray:
     """
     h = hermitian_part(1j * skew_part(xs))
     w, v = np.linalg.eigh(h)
-    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w), v.conj())
+    # scale v in place so no extra stack-sized temporary is allocated
+    vh = v.conj().swapaxes(-1, -2)
+    v *= np.exp(-1j * w)[..., None, :]
+    return v @ vh
 
 
 def polar_decompose(u) -> tuple[np.ndarray, np.ndarray]:
@@ -149,11 +154,68 @@ def loewdin_orthonormalize(frame: np.ndarray) -> np.ndarray:
     """Symmetric (Loewdin) orthonormalization of the columns of frame.
 
     Returns frame @ (frame^dag frame)^(-1/2). Unlike Gram-Schmidt this
-    treats all columns on the same footing.
+    treats all columns on the same footing. frame may be a single N x M
+    matrix or a stack (..., N, M), each orthonormalized on its own.
     """
-    g = frame.conj().T @ frame
-    w, v = np.linalg.eigh(hermitian_part(g))
+    frame_h = frame.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eigh(hermitian_part(frame_h @ frame))
     if w.min() <= 0.0:
         raise ValueError("frame is numerically rank deficient")
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    inv_sqrt = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return frame @ inv_sqrt
+
+
+def ordered_products(
+    slices: np.ndarray,
+    direction: str = "forward",
+    cumulative: bool = False,
+) -> np.ndarray:
+    """Time-ordered product of a stack (n, m, m) of slices, by pairwise
+    tree reduction (Blelloch 1990).
+
+    "forward" puts later slices on the left, s[n-1] ... s[1] s[0];
+    "reverse" puts them on the right, s[0] s[1] ... s[n-1]. Each level
+    multiplies adjacent pairs in one batched matmul, so the depth is
+    O(log n) and roundoff grows as O(log n) rather than O(n).
+
+    With cumulative=True the result is the stack of all n prefix products,
+    the k-th covering s[0] .. s[k], built by the same pairing in log depth
+    and O(n) matrix products. Otherwise it is the single full product; an
+    empty stack gives the identity.
+    """
+    slices = np.asarray(slices)
+    if direction == "forward":
+        def combine(later, earlier):
+            return later @ earlier
+    elif direction == "reverse":
+        def combine(later, earlier):
+            return earlier @ later
+    else:
+        raise ValueError(f"unknown ordering direction: {direction!r}")
+    if cumulative:
+        return _prefix_products(slices, combine)
+    if slices.shape[0] == 0:
+        return np.eye(slices.shape[-1], dtype=slices.dtype)
+    acc = slices
+    while acc.shape[0] > 1:
+        even = acc.shape[0] // 2 * 2
+        pairs = combine(acc[1:even:2], acc[0:even:2])
+        acc = np.concatenate([pairs, acc[even:]]) if even < acc.shape[0] else pairs
+    return acc[0].copy()
+
+
+def _prefix_products(slices: np.ndarray, combine) -> np.ndarray:
+    """Inclusive prefix products: pair adjacent slices, scan the pairs
+    recursively, then fill in the even positions from the odd ones."""
+    n = slices.shape[0]
+    out = np.empty_like(slices)
+    if n == 0:
+        return out
+    out[0] = slices[0]
+    if n == 1:
+        return out
+    even = n // 2 * 2
+    # out[2i+1] covers s[0] .. s[2i+1]
+    out[1::2] = _prefix_products(combine(slices[1:even:2], slices[0:even:2]), combine)
+    out[2::2] = combine(slices[2::2], out[1:n - 1:2])
+    return out

@@ -62,6 +62,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="steps"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tau(self, tmp_path, tau):
+        path = write_config(tmp_path / "c.json", grid={"tau": tau, "steps": 8})
+        with pytest.raises(ConfigError, match="grid.tau must be positive and finite"):
+            load_run_config(path)
+
     def test_overrides_apply(self, case_ii_config):
         cfg = load_run_config(case_ii_config, tau_override=1.0, steps_override=16)
         assert cfg.grid.tau == 1.0 and cfg.grid.steps == 16

@@ -10,13 +10,15 @@ from holosplit.dynamics import (
     Sampled,
     TimeGrid,
     dimension,
+    hamiltonian_path,
     projector_path,
     propagate_frame,
     restricted_generator,
     restricted_generator_path,
     sample_hamiltonian,
 )
-from holosplit.instances import cosine_drive, random_frame, random_hermitian
+from holosplit.instances import cosine_drive, random_frame, random_hermitian, refutation_instance
+from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.sections import u_matrix_path
 
 SQRT3 = np.sqrt(3.0)
@@ -32,6 +34,18 @@ class TestTimeGrid:
     def test_rejects_bad_grids(self, times):
         with pytest.raises(ValueError):
             TimeGrid(np.array(times))
+
+    @given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(1, 64))
+    def test_uniform_rejects_non_finite_tau(self, tau, steps):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            TimeGrid.uniform(tau, steps)
+
+    @given(st.sampled_from([np.nan, np.inf]), st.integers(1, 4))
+    def test_rejects_non_finite_times(self, bad, index):
+        times = np.linspace(0.0, 1.0, 5)
+        times[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            TimeGrid(times)
 
 
 class TestSampleHamiltonian:
@@ -73,6 +87,26 @@ class TestSampleHamiltonian:
         with pytest.raises(ValueError):
             LambdaSystem(omega0=1.0, delta=0.0, omega1=1.0, omega2=1.0)
 
+    @given(st.sampled_from(["omega0", "delta", "omega1", "omega2"]),
+           st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan)]))
+    def test_lambda_rejects_non_finite_field(self, name, bad):
+        fields = dict(omega0=1.0, delta=0.0, omega1=1.0, omega2=0.0)
+        fields[name] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            LambdaSystem(**fields)
+
+    @settings(deadline=None)
+    @given(st.sampled_from([np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)]),
+           st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.booleans())
+    def test_sampled_rejects_non_finite_samples(self, bad, t, i, j, fill_all):
+        samples = np.zeros((3, 2, 2), dtype=complex)
+        if fill_all:
+            samples[:] = bad
+        else:
+            samples[t, i, j] = bad
+        with pytest.raises(ValueError, match="samples contain non-finite"):
+            Sampled(TimeGrid.uniform(1.0, 2), samples)
+
 
 class TestPropagateFrame:
     def test_zero_hamiltonian_is_static(self):
@@ -96,6 +130,13 @@ class TestPropagateFrame:
         bad = np.ones((3, 2), dtype=complex)
         with pytest.raises(ValueError, match="orthonormal"):
             propagate_frame(Constant(np.zeros((3, 3))), bad, TimeGrid.uniform(1.0, 4))
+
+    @given(st.sampled_from([np.nan, np.inf, complex(0.0, np.nan)]), st.integers(0, 2))
+    def test_rejects_non_finite_start(self, bad, row):
+        psi0 = np.eye(3)[:, :1].astype(complex)
+        psi0[row, 0] = bad
+        with pytest.raises(ValueError, match="psi0 contains non-finite"):
+            propagate_frame(Constant(np.zeros((3, 3))), psi0, TimeGrid.uniform(1.0, 4))
 
     def test_rejects_dimension_mismatch(self):
         psi0 = np.eye(2).astype(complex)
@@ -139,6 +180,46 @@ class TestPropagateFrame:
         e1 = np.linalg.norm(endpoint(256) - ref)
         e2 = np.linalg.norm(endpoint(512) - ref)
         assert e1 / e2 == pytest.approx(4.0, rel=0.1)
+
+
+def per_step_loewdin_propagate(spec, psi0, grid):
+    """Reference: step one midpoint slice at a time and re-orthonormalize
+    symmetrically after every step."""
+    times = grid.times
+    hams = hamiltonian_path(spec, 0.5 * (times[:-1] + times[1:]))
+    w, v = np.linalg.eigh(hams)
+    phases = np.exp(-1j * w * np.diff(times)[:, None])
+    slices = np.einsum("tij,tj,tkj->tik", v, phases, v.conj())
+    out = [psi0]
+    for u in slices:
+        s = u @ out[-1]
+        g_w, g_v = np.linalg.eigh(s.conj().T @ s)
+        out.append(s @ (g_v / np.sqrt(g_w)) @ g_v.conj().T)
+    return np.array(out)
+
+
+class TestLoopFreePropagation:
+    @staticmethod
+    def _cases(steps):
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2, eta=np.pi / 3)
+        spec, psi0, _ = case_setup("iii", p)
+        yield spec, psi0, TimeGrid.uniform(p.tau, steps)
+        grid = TimeGrid.uniform(2.0, steps)
+        spec, psi0 = refutation_instance(7, grid)
+        yield spec, psi0, grid
+
+    def test_matches_per_step_loewdin_reference(self):
+        for spec, psi0, grid in self._cases(2**14):
+            path = propagate_frame(spec, psi0, grid)
+            ref = per_step_loewdin_propagate(spec, psi0, grid)
+            assert np.abs(path.frames - ref).max() <= 1e-12
+            np.testing.assert_array_equal(path.initial, psi0)
+
+    def test_orthonormal_to_roundoff_on_long_grids(self):
+        for spec, psi0, grid in self._cases(2**16):
+            f = propagate_frame(spec, psi0, grid).frames
+            grams = f.conj().swapaxes(1, 2) @ f
+            assert np.linalg.norm(grams - np.eye(f.shape[2]), axis=(1, 2)).max() <= 1e-13
 
 
 class TestProjectorPath:

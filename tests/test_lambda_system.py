@@ -38,6 +38,14 @@ def lambda_params(draw):
                         omega1=complex(w1), omega2=complex(w2))
 
 
+class TestParamValidation:
+    @given(st.sampled_from(["omega0", "delta", "tau", "omega1", "omega2", "eta"]),
+           st.sampled_from([np.nan, np.inf, -np.inf, complex(np.nan, 0.0)]))
+    def test_rejects_non_finite_field(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            params(**{name: bad})
+
+
 class TestLambdaHamiltonian:
     def test_single_transition_structure(self):
         h = lambda_hamiltonian(params(omega0=1.0, delta=0.0))

@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holosplit.linalg import (
+    Tolerances,
     commutator_norm,
     expm_skew,
     frobenius,
     loewdin_orthonormalize,
     min_eigenvalue_hermitian,
+    ordered_products,
     polar_decompose,
 )
 
@@ -178,8 +180,68 @@ class TestCommutatorNorm:
         assert commutator_norm(a, scale * np.eye(dim)) <= 1e-12 * max(1, abs(scale)) * frobenius(a)
 
 
+@given(st.sampled_from(["structure_tol", "positivity_tol", "separation_tol"]),
+       st.sampled_from([np.nan, -np.inf, -1e-12]))
+def test_tolerances_reject_nan_and_negative(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        Tolerances(**{name: bad})
+
+
 def test_loewdin_orthonormalizes():
     rng = np.random.default_rng(1)
     f = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     q = loewdin_orthonormalize(f)
     np.testing.assert_allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
+
+
+def test_loewdin_stack_matches_single_frames():
+    rng = np.random.default_rng(2)
+    stack = rng.standard_normal((6, 5, 3)) + 1j * rng.standard_normal((6, 5, 3))
+    q = loewdin_orthonormalize(stack)
+    for k in range(stack.shape[0]):
+        np.testing.assert_allclose(q[k], loewdin_orthonormalize(stack[k]), atol=1e-14)
+
+
+def test_loewdin_stack_rejects_rank_deficient_member():
+    stack = np.stack([np.eye(3)[:, :2], np.ones((3, 2))]).astype(complex)
+    with pytest.raises(ValueError, match="rank deficient"):
+        loewdin_orthonormalize(stack)
+
+
+def sequential_products(slices, direction):
+    """Reference: the left/right loop the tree reduction replaces."""
+    acc = np.eye(slices.shape[1], dtype=complex)
+    prefixes = []
+    for s in slices:
+        acc = s @ acc if direction == "forward" else acc @ s
+        prefixes.append(acc)
+    return np.array(prefixes)
+
+
+class TestOrderedProducts:
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 1024, 1025])
+    def test_matches_sequential_loop(self, n, direction):
+        rng = np.random.default_rng(n)
+        slices = np.array([expm_skew(random_skew(3, rng)) for _ in range(n)])
+        ref = sequential_products(slices, direction)
+        total = ordered_products(slices, direction)
+        prefixes = ordered_products(slices, direction, cumulative=True)
+        assert total.shape == (3, 3) and prefixes.shape == (n, 3, 3)
+        assert np.abs(total - ref[-1]).max() <= 1e-13
+        assert np.abs(prefixes - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_identity_slices_give_exact_identity(self, direction):
+        slices = np.broadcast_to(np.eye(4, dtype=complex), (37, 4, 4))
+        np.testing.assert_array_equal(ordered_products(slices, direction), np.eye(4))
+        np.testing.assert_array_equal(
+            ordered_products(slices, direction, cumulative=True), slices)
+
+    def test_empty_stack_gives_identity(self):
+        np.testing.assert_array_equal(
+            ordered_products(np.zeros((0, 2, 2), dtype=complex)), np.eye(2))
+
+    def test_rejects_unknown_direction(self):
+        with pytest.raises(ValueError, match="direction"):
+            ordered_products(np.zeros((2, 2, 2), dtype=complex), "sideways")
