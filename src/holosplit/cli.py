@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_run_config, report_to_json
-from .dynamics import FramePath, propagate_frame
+from .config import load_run_config, report_to_json
+from .dynamics import FramePath, TimeGrid, propagate_frame
 from .holonomy import (
     DecompositionReport,
     connection_path,
@@ -27,8 +27,8 @@ from .holonomy import (
 )
 from .instances import random_closed_gauge
 from .lambda_system import LambdaParams, case_i_analytic, case_ii_analytic, case_iii_analytic, case_setup
-from .linalg import frobenius
-from .sections import InPhaseViolation, SectionError, build_section, gauge_transform, overlap_path, w_path
+from .linalg import DEFAULT_TOL, frobenius
+from .sections import InPhaseViolation, build_section, gauge_transform, overlap_path, w_path
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -36,6 +36,9 @@ EXIT_IN_PHASE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
+# report matrices that a closed gauge V conjugates, M -> V(0)^dag M V(0)
+_GAUGE_COVARIANT = ("w_direct", "w_final", "holonomic_factor", "dynamical_factor",
+                    "g_factor", "d_factor", "time_evolution", "overlap")
 _DEMO_DEFAULTS = {"delta": 1.0, "omega0": np.sqrt(3.0), "eta": np.pi / 3, "tau": np.pi / 2}
 
 
@@ -44,21 +47,38 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _run_pipeline(cfg: RunConfig):
-    schrod = propagate_frame(cfg.spec, cfg.psi0, cfg.grid, tol=cfg.tolerances)
-    section = build_section(cfg.rule, schrod, cfg.spec, tol=cfg.tolerances)
-    report = separability_report(section, schrod, cfg.spec, cfg.tolerances)
-    return schrod, section, report
+# the failures a run can end in; ConfigError and SectionError are ValueErrors
+_RUN_ERRORS = (ValueError, InPhaseViolation)
+
+
+def _exit_code(exc: Exception, setup: str = "config error") -> int:
+    """Print a failed run's error and return its exit code: 2 for an
+    in-phase violation, 3 for a config, section or other input error."""
+    if isinstance(exc, InPhaseViolation):
+        return _fail(EXIT_IN_PHASE, f"in-phase violation: {exc}")
+    return _fail(EXIT_CONFIG, f"{setup}: {exc}")
+
+
+def _run_pipeline(spec, psi0, rule, grid, tol=DEFAULT_TOL, *, report=True):
+    """Schrodinger path, section and, when report is true, the separability
+    report (None otherwise)."""
+    schrod = propagate_frame(spec, psi0, grid, tol=tol)
+    section = build_section(rule, schrod, spec, tol=tol)
+    if not report:
+        return schrod, section, None
+    return schrod, section, separability_report(section, schrod, spec, tol)
+
+
+def _run_config(config_path: str, tau, steps, *, report=True):
+    cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
+    return (cfg, *_run_pipeline(cfg.spec, cfg.psi0, cfg.rule, cfg.grid, cfg.tolerances, report=report))
 
 
 def cmd_decompose(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
     try:
-        cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
-        _, _, report = _run_pipeline(cfg)
-    except (ConfigError, SectionError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, f"config error: {exc}")
-    except InPhaseViolation as exc:
-        return _fail(EXIT_IN_PHASE, f"in-phase violation: {exc}")
+        _, _, _, report = _run_config(config_path, tau, steps)
+    except _RUN_ERRORS as exc:
+        return _exit_code(exc)
     try:
         Path(out_path).write_text(json.dumps(report_to_json(report), indent=2) + "\n")
     except OSError as exc:
@@ -103,16 +123,9 @@ def cmd_demo(case: str, *, delta=None, omega0=None, eta=None, tau=None, steps=40
     try:
         p = LambdaParams(omega0=vals["omega0"], delta=vals["delta"], tau=vals["tau"], eta=vals["eta"])
         spec, psi0, rule = case_setup(case, p)
-        from .dynamics import TimeGrid
-
-        grid = TimeGrid.uniform(p.tau, int(steps))
-        schrod = propagate_frame(spec, psi0, grid)
-        section = build_section(rule, schrod, spec)
-        report = separability_report(section, schrod, spec)
-    except (SectionError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, f"demo setup failed: {exc}")
-    except InPhaseViolation as exc:
-        return _fail(EXIT_IN_PHASE, f"in-phase violation: {exc}")
+        _, _, report = _run_pipeline(spec, psi0, rule, TimeGrid.uniform(p.tau, int(steps)))
+    except _RUN_ERRORS as exc:
+        return _exit_code(exc, "demo setup failed")
 
     print(f"Lambda case ({case}): omega0={p.omega0:.6g} delta={p.delta:.6g} "
           f"tau={p.tau:.6g} eta={p.eta:.6g} steps={int(steps)}")
@@ -133,12 +146,9 @@ def cmd_demo(case: str, *, delta=None, omega0=None, eta=None, tau=None, steps=40
 
 def cmd_separability(config_path: str, *, tau=None, steps=None) -> int:
     try:
-        cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
-        _, _, report = _run_pipeline(cfg)
-    except (ConfigError, SectionError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, f"config error: {exc}")
-    except InPhaseViolation as exc:
-        return _fail(EXIT_IN_PHASE, f"in-phase violation: {exc}")
+        _, _, _, report = _run_config(config_path, tau, steps)
+    except _RUN_ERRORS as exc:
+        return _exit_code(exc)
     print(f"classification: {report.classification}")
     print(f"max_commutator: {report.max_commutator:.6e}")
     print(f"separation_residual: {report.separation_residual:.6e}")
@@ -146,56 +156,38 @@ def cmd_separability(config_path: str, *, tau=None, steps=None) -> int:
     return EXIT_OK if report.classification != "non_separable" else EXIT_VERDICT
 
 
-def _entry_columns(prefix: str, m: int) -> list[str]:
-    names = []
-    for j in range(1, m + 1):
-        for k in range(1, m + 1):
-            names += [f"{prefix}_{j}{k}_re", f"{prefix}_{j}{k}_im"]
-    return names
-
-
 def cmd_export(config_path: str, out_csv: str, *, tau=None, steps=None) -> int:
     try:
-        cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
-        schrod = propagate_frame(cfg.spec, cfg.psi0, cfg.grid, tol=cfg.tolerances)
-        section = build_section(cfg.rule, schrod, cfg.spec, tol=cfg.tolerances)
-        a_mats = connection_path(section)
-        k_mats = k_path(section, cfg.spec)
-        w_mats = w_path(section, schrod, tol=cfg.tolerances)
-        o_mats = overlap_path(section)
-    except (ConfigError, SectionError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, f"config error: {exc}")
-    except InPhaseViolation as exc:
-        return _fail(EXIT_IN_PHASE, f"in-phase violation: {exc}")
+        cfg, schrod, section, _ = _run_config(config_path, tau, steps, report=False)
+        mats = (connection_path(section), k_path(section, cfg.spec),
+                w_path(section, schrod, tol=cfg.tolerances), overlap_path(section))
+    except ValueError as exc:
+        return _exit_code(exc)
 
-    m = a_mats.shape[1]
-    header = ["t"]
-    for prefix in ("A", "K", "W", "O"):
-        header += _entry_columns(prefix, m)
+    times = cfg.grid.times
+    idx = range(1, mats[0].shape[1] + 1)
+    header = ["t"] + [f"{prefix}_{j}{k}_{part}" for prefix in "AKWO"
+                      for j in idx for k in idx for part in ("re", "im")]
+    # each (T, M, M) complex stack viewed as T rows of interleaved re, im
+    table = np.hstack([times[:, None]] + [
+        np.ascontiguousarray(m).reshape(times.size, -1).view(float) for m in mats
+    ])
     try:
         with open(out_csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i, t in enumerate(cfg.grid.times):
-                row = [repr(float(t))]
-                for mats in (a_mats, k_mats, w_mats, o_mats):
-                    for z in mats[i].reshape(-1):
-                        row += [repr(float(z.real)), repr(float(z.imag))]
-                writer.writerow(row)
+            writer.writerows(table.tolist())
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write CSV: {exc}")
-    print(f"wrote {len(cfg.grid.times)} rows to {out_csv}")
+    print(f"wrote {times.size} rows to {out_csv}")
     return EXIT_OK
 
 
 def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None, threshold: float = 1e-6) -> int:
     try:
-        cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
-        schrod, section, base = _run_pipeline(cfg)
-    except (ConfigError, SectionError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, f"config error: {exc}")
-    except InPhaseViolation as exc:
-        return _fail(EXIT_IN_PHASE, f"in-phase violation: {exc}")
+        cfg, schrod, section, base = _run_config(config_path, tau, steps)
+    except _RUN_ERRORS as exc:
+        return _exit_code(exc)
 
     if seed is None:
         seed = cfg.seed if cfg.seed is not None else 0
@@ -209,20 +201,10 @@ def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None,
     except InPhaseViolation as exc:
         return _fail(EXIT_IN_PHASE, f"in-phase violation after gauge transform: {exc}")
 
-    pairs = {
-        "w_direct": (moved.w_direct, base.w_direct),
-        "w_final": (moved.w_final, base.w_final),
-        "holonomic_factor": (moved.holonomic_factor, base.holonomic_factor),
-        "dynamical_factor": (moved.dynamical_factor, base.dynamical_factor),
-        "g_factor": (moved.g_factor, base.g_factor),
-        "d_factor": (moved.d_factor, base.d_factor),
-        "time_evolution": (moved.time_evolution, base.time_evolution),
-        "overlap": (moved.overlap, base.overlap),
-    }
     print(f"gauge seed: {seed}")
     worst = 0.0
-    for name, (got, ref) in pairs.items():
-        dev = frobenius(got - v0.conj().T @ ref @ v0)
+    for name in _GAUGE_COVARIANT:
+        dev = frobenius(getattr(moved, name) - v0.conj().T @ getattr(base, name) @ v0)
         worst = max(worst, dev)
         print(f"{name:<18} conjugation deviation {dev:.3e}")
     same_verdict = moved.classification == base.classification

@@ -36,19 +36,30 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _lambda_params(tau: float, fields: dict) -> LambdaParams:
+    try:
+        return LambdaParams(tau=tau, **fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
+def _complex_from_pairs(rows, ndim: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} is not a nested [re, im] array: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ConfigError(f"{what} must be a 2d array of [re, im] pairs")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ConfigError(f"{what} must be a {ndim}d array of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
+    return _complex_from_pairs(rows, 2, what)
 
 
 def _complex_from_json(v, what: str) -> complex:
@@ -82,19 +93,25 @@ class RunConfig:
     lambda_params: LambdaParams | None
 
 
-def load_sampled_hamiltonian(path: str | Path) -> Sampled:
-    """Read {"dimension", "times", "matrices"} from a JSON file."""
+def _read_matrix_file(path: str | Path, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a {"dimension", "times", "matrices"} JSON file into its times and
+    its (npoints, dimension, k) complex stack, parsed in one pass."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read sampled Hamiltonian {path}: {exc}") from exc
-    _take(data, {"dimension", "times", "matrices"}, {"dimension", "times", "matrices"},
-          f"sampled Hamiltonian {path}")
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    keys = {"dimension", "times", "matrices"}
+    _take(data, keys, keys, f"{what} {path}")
+    mats = _complex_from_pairs(data["matrices"], 3, f"{what} matrices")
     n = int(data["dimension"])
-    times = np.asarray(data["times"], dtype=float)
-    mats = np.stack([matrix_from_json(m, "Hamiltonian sample") for m in data["matrices"]])
-    if mats.shape[1:] != (n, n):
-        raise ConfigError(f"samples are not {n} x {n} matrices")
+    if mats.shape[1] != n:
+        raise ConfigError(f'{what} {path}: "dimension" is {n} but the matrices have {mats.shape[1]} rows')
+    return np.asarray(data["times"], dtype=float), mats
+
+
+def load_sampled_hamiltonian(path: str | Path) -> Sampled:
+    """Read {"dimension", "times", "matrices"} from a JSON file."""
+    times, mats = _read_matrix_file(path, "sampled Hamiltonian")
     try:
         return Sampled(TimeGrid(times), mats)
     except ValueError as exc:
@@ -111,16 +128,9 @@ def write_sampled_hamiltonian(path: str | Path, times: np.ndarray, samples: np.n
 
 
 def _load_custom_section(path: str | Path, grid: TimeGrid) -> FramePath:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read section file {path}: {exc}") from exc
-    _take(data, {"dimension", "times", "matrices"}, {"dimension", "times", "matrices"},
-          f"section file {path}")
-    times = np.asarray(data["times"], dtype=float)
+    times, frames = _read_matrix_file(path, "section file")
     if times.shape != grid.times.shape or not np.allclose(times, grid.times, atol=0, rtol=0):
         raise ConfigError("section file times do not match the run grid")
-    frames = np.stack([matrix_from_json(m, "section frame") for m in data["matrices"]])
     try:
         return FramePath(grid, frames)
     except ValueError as exc:
@@ -141,11 +151,7 @@ def _resolve_system(d: dict, where: str) -> tuple[HamiltonianSpec, dict | None]:
             "omega2": _complex_from_json(d.get("omega2", [0.0, 0.0]), "omega2"),
             "eta": float(d.get("eta", 0.0)),
         }
-        try:
-            spec = LambdaParams(tau=1.0, **fields).spec
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return spec, fields
+        return _lambda_params(1.0, fields).spec, fields
     if kind == "constant":
         _take(d, {"kind", "matrix"}, {"kind", "matrix"}, where)
         try:
@@ -192,7 +198,7 @@ def load_run_config(
         raise ConfigError(str(exc)) from exc
 
     spec, lam_fields = _resolve_system(data["system"], "config.system")
-    lam_params = None
+    lam_params = None if lam_fields is None else _lambda_params(tau, lam_fields)
 
     sub = data["subspace"]
     _take(sub, {"lambda_case", "matrix"}, set(), "config.subspace")
@@ -202,24 +208,15 @@ def load_run_config(
     _take(rule_d, {"rule", "frame", "path"}, {"rule"}, "config.section")
 
     if "lambda_case" in sub:
-        if lam_fields is None:
+        if lam_params is None:
             raise ConfigError("lambda_case subspace requires a lambda system")
         case = sub["lambda_case"]
         if case not in ("i", "ii", "iii"):
             raise ConfigError(f"unknown lambda case {case!r}")
-        try:
-            lam_params = LambdaParams(tau=tau, **lam_fields)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         _, psi0, default_rule = case_setup(case, lam_params)
     else:
         psi0 = matrix_from_json(sub["matrix"], "subspace frame")
         default_rule = None
-        if lam_fields is not None:
-            try:
-                lam_params = LambdaParams(tau=tau, **lam_fields)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
     if psi0.shape[0] != dimension(spec):
         raise ConfigError("subspace frame dimension does not match the system")
 

@@ -23,6 +23,7 @@ from .linalg import (
     frobenius,
     hermitian_part,
     loewdin_orthonormalize,
+    skew_part,
 )
 
 __all__ = [
@@ -36,9 +37,7 @@ __all__ = [
     "hamiltonian_path",
     "projector_path",
     "propagate_frame",
-    "restricted_generator",
     "restricted_generator_path",
-    "sample_hamiltonian",
 ]
 
 
@@ -182,11 +181,6 @@ def dimension(spec: HamiltonianSpec) -> int:
     raise TypeError(f"not a Hamiltonian spec: {type(spec).__name__}")
 
 
-def sample_hamiltonian(spec: HamiltonianSpec, t: float) -> np.ndarray:
-    """Hermitian H(t) for the given spec."""
-    return hamiltonian_path(spec, np.array([float(t)]))[0]
-
-
 def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
     """Stack of H(t) over the given times, shape (len(times), n, n)."""
     times = np.asarray(times, dtype=float)
@@ -293,24 +287,26 @@ def propagate_frame(
 
 
 def projector_path(path: FramePath) -> np.ndarray:
-    """Rank-M projectors S(t) S(t)^dag per grid point, shape (npoints, N, N)."""
+    """Rank-M projectors S(t) S(t)^dag per grid point, shape (npoints, N, N).
+
+    The pipeline never forms these; it compares subspaces with
+    linalg.subspace_gap at O(N M^2) per point."""
     f = path.frames
     return np.einsum("tnj,tmj->tnm", f, f.conj())
 
 
-def restricted_generator(spec: HamiltonianSpec, path: FramePath, k: int) -> np.ndarray:
-    """-i <psi_j(t_k)| H(t_k) |psi_l(t_k)>, the M x M generator of the
-    evolution restricted to the instantaneous subspace. Anti-Hermitian."""
-    npts = len(path.grid)
-    if not (-npts <= k < npts):
-        raise IndexError(f"grid index {k} out of range for {npts} points")
-    return restricted_generator_path(spec, path)[k]
+def _sandwich(hams: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """skew(-i F^dag H F) per grid point: the M x M generator of the
+    evolution restricted to the span of each frame. The skew projection is
+    exact; the Hermitian residual it removes is pure roundoff."""
+    if hams.shape[1] != frames.shape[1]:
+        raise ValueError(
+            f"Hamiltonian dimension {hams.shape[1]} does not match frame dimension {frames.shape[1]}"
+        )
+    return skew_part(-1j * (frames.conj().swapaxes(1, 2) @ (hams @ frames)))
 
 
 def restricted_generator_path(spec: HamiltonianSpec, path: FramePath) -> np.ndarray:
-    """Stack of restricted generators over the whole grid."""
-    hams = hamiltonian_path(spec, path.grid.times)
-    f = path.frames
-    gen = -1j * (f.conj().swapaxes(1, 2) @ (hams @ f))
-    # exact skew projection; the Hermitian residual is pure roundoff here
-    return (gen - gen.conj().swapaxes(1, 2)) / 2
+    """-i <psi_j(t)| H(t) |psi_l(t)> over the whole grid, shape (npoints, M, M);
+    anti-Hermitian."""
+    return _sandwich(hamiltonian_path(spec, path.grid.times), path.frames)

@@ -23,8 +23,8 @@ from .dynamics import (
     HamiltonianSpec,
     TimeGrid,
     _propagate,
+    _sandwich,
     hamiltonian_path,
-    projector_path,
     propagate_frame,
     restricted_generator_path,
 )
@@ -35,12 +35,12 @@ from .linalg import (
     frobenius,
     ordered_products,
     skew_part,
+    subspace_gap,
 )
 from .sections import (
     InPhaseViolation,
     SectionPath,
     overlap_path,
-    u_matrix_path,
     w_path,
 )
 
@@ -130,25 +130,20 @@ def connection_path(section: SectionPath) -> np.ndarray:
 
 def k_path(section: SectionPath, spec: HamiltonianSpec) -> np.ndarray:
     """K_jk(t) = -i <phi_j(t)|H(t)|phi_k(t)> per grid point."""
-    frames = section.path.frames
-    hams = hamiltonian_path(spec, section.path.grid.times)
-    if hams.shape[1] != frames.shape[1]:
-        raise ValueError(
-            f"Hamiltonian dimension {hams.shape[1]} does not match frame dimension {frames.shape[1]}"
-        )
-    k = -1j * (frames.conj().swapaxes(1, 2) @ (hams @ frames))
-    return skew_part(k)
+    return restricted_generator_path(spec, section.path)
 
 
 def generator_path(
     section: SectionPath, schrodinger: FramePath, spec: HamiltonianSpec
 ) -> GeneratorPath:
-    """Assemble A, K and F along the grid."""
+    """Assemble A, K and F along the section's grid; H is sampled once and
+    sandwiched between the section frames (K) and the Schrodinger frames (F)."""
+    hams = hamiltonian_path(spec, section.path.grid.times)
     return GeneratorPath(
         grid=section.path.grid,
         a_mats=connection_path(section),
-        k_mats=k_path(section, spec),
-        f_mats=restricted_generator_path(spec, schrodinger),
+        k_mats=_sandwich(hams, section.path.frames),
+        f_mats=_sandwich(hams, schrodinger.frames),
     )
 
 
@@ -305,8 +300,7 @@ def _classify(
     max_comm: float,
     tol: Tolerances,
 ) -> str:
-    projectors = projector_path(schrodinger)
-    drift = float(np.linalg.norm(projectors - projectors[0], axis=(1, 2)).max())
+    drift = float(subspace_gap(schrodinger.initial, schrodinger.frames).max())
     if drift <= tol.separation_tol:
         return "case_i"
     if float(np.linalg.norm(generators.k_mats, axis=(1, 2)).max()) <= tol.separation_tol:
@@ -339,20 +333,17 @@ def separability_report(
         )
 
     generators = generator_path(section, schrodinger, spec)
-    w_list = w_path(section, schrodinger, tol=tol)
-    w_direct = w_list[-1]
+    w_direct = w_path(section, schrodinger, tol=tol)[-1]
     # only the endpoint of the Anandan solution is reported
-    w_final = ordered_products(
-        _midpoint_products(generators.a_mats + generators.k_mats, generators.grid.times)
-    )
+    w_final = ordered_factor(generators.a_mats + generators.k_mats, generators.grid)
     overlap = overlap_path(section)[-1]
 
-    hol = ordered_factor(generators.a_mats, generators.grid, "forward")
-    dyn = ordered_factor(generators.k_mats, generators.grid, "forward")
+    # the holonomic factor T exp(int A) is the G of the product form
     g, d = yu_tong_factors(generators)
+    dyn = ordered_factor(generators.k_mats, generators.grid, "forward")
 
     max_comm = max_commutator_scan(generators.a_mats, generators.k_mats)
-    separation = frobenius(w_direct - hol @ dyn)
+    separation = frobenius(w_direct - g @ dyn)
     product = frobenius(w_direct - g @ d)
     classification = _classify(schrodinger, generators, max_comm, tol)
 
@@ -360,7 +351,7 @@ def separability_report(
         overlap=overlap,
         w_final=w_final,
         w_direct=w_direct,
-        holonomic_factor=hol,
+        holonomic_factor=g,
         dynamical_factor=dyn,
         g_factor=g,
         d_factor=d,

@@ -23,6 +23,7 @@ __all__ = [
     "ordered_products",
     "polar_decompose",
     "skew_part",
+    "subspace_gap",
 ]
 
 
@@ -74,6 +75,17 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def skew_part(a: np.ndarray) -> np.ndarray:
     return (a - a.conj().swapaxes(-1, -2)) / 2
+
+
+def subspace_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a a^dag - b b^dag||_F for orthonormal N x M frames of equal rank.
+
+    Computed as sqrt(2) ||b - a (a^dag b)||_F, which costs O(N M^2) per
+    frame and forms no N x N projector. a and b may be stacks (..., N, M)
+    that broadcast against each other; one gap per broadcast frame pair.
+    """
+    overlap = a.conj().swapaxes(-1, -2) @ b
+    return np.sqrt(2.0) * np.linalg.norm(b - a @ overlap, axis=(-2, -1))
 
 
 def expm_skew(x, *, structure_tol: float = DEFAULT_TOL.structure_tol) -> np.ndarray:

@@ -5,6 +5,10 @@ A section is a smooth choice of orthonormal frame spanning the same evolving
 subspace as the Schrodinger frame S(t), with L(0) = S(0). The overlap matrix
 O(0,t) = L(0)^dag L(t) and the unitary W(t) = L(t)^dag S(t) factor the
 subspace time-evolution matrix as U(t) = O(0,t) W(t).
+
+Subspace checks (a Fixed rule's drift, a Custom section's span, W's
+precondition) use the gap sqrt(2) ||b - a a^dag b||_F between orthonormal
+frames (linalg.subspace_gap); no N x N projector is formed.
 """
 
 from __future__ import annotations
@@ -13,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FramePath, HamiltonianSpec, projector_path
+from .dynamics import FramePath, HamiltonianSpec
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_complex_matrix,
     frobenius,
     hermitian_part,
+    subspace_gap,
 )
 
 __all__ = [
@@ -92,26 +97,13 @@ class SectionPath:
     min_intermediate_margin: float
 
 
-def _margins(frames: np.ndarray) -> tuple[float, float, float]:
-    l0 = frames[0]
-    overlaps = np.einsum("nj,tnk->tjk", l0.conj(), frames)
-    herm = hermitian_part(overlaps)
-    mins = np.linalg.eigvalsh(herm)[:, 0]
+def _section(path: FramePath, rule: SectionRule) -> SectionPath:
+    """Attach the in-phase diagnostics of the overlaps O(0, t) to a path."""
+    overlaps = u_matrix_path(path)
+    mins = np.linalg.eigvalsh(hermitian_part(overlaps))[:, 0]
     o_end = overlaps[-1]
     asym = frobenius(o_end - o_end.conj().T)
-    return float(mins[-1]), asym, float(mins.min())
-
-
-def _section_from_frames(frames: np.ndarray, grid, rule: SectionRule) -> SectionPath:
-    path = FramePath(grid, frames)
-    margin, asym, interior = _margins(path.frames)
-    return SectionPath(path, rule, margin, asym, interior)
-
-
-def _check_spanning(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> float:
-    pa = np.einsum("tnj,tmj->tnm", a, a.conj())
-    pb = np.einsum("tnj,tmj->tnm", b, b.conj())
-    return float(np.linalg.norm(pa - pb, axis=(1, 2)).max())
+    return SectionPath(path, rule, float(mins[-1]), asym, float(mins.min()))
 
 
 def build_section(
@@ -131,8 +123,7 @@ def build_section(
     npts = s.shape[0]
 
     if isinstance(rule, Fixed):
-        projectors = projector_path(schrodinger)
-        drift = float(np.linalg.norm(projectors - projectors[0], axis=(1, 2)).max())
+        drift = float(subspace_gap(schrodinger.initial, s).max())
         if drift > 10 * tol.structure_tol:
             raise SectionError(
                 f"fixed section requires a constant subspace; projector moved by {drift:.3e}"
@@ -146,7 +137,7 @@ def build_section(
             if frobenius(frame - schrodinger.initial) > 10 * tol.structure_tol:
                 raise SectionError("fixed frame must equal the initial Schrodinger frame")
         frames = np.broadcast_to(frame, (npts, *frame.shape)).copy()
-        return _section_from_frames(frames, schrodinger.grid, rule)
+        return _section(FramePath(schrodinger.grid, frames), rule)
 
     if isinstance(rule, PhaseAnchored):
         anchors = np.einsum("nj,tnj->tj", s[0].conj(), s)
@@ -159,7 +150,7 @@ def build_section(
         # exp(-i arg) is insensitive to the branch of arg, so no unwrap needed
         frames = s * np.exp(-1j * np.angle(anchors))[:, None, :]
         frames[0] = s[0]
-        return _section_from_frames(frames, schrodinger.grid, rule)
+        return _section(FramePath(schrodinger.grid, frames), rule)
 
     if isinstance(rule, Custom):
         path = rule.path
@@ -167,23 +158,21 @@ def build_section(
             raise SectionError("custom section grid differs from the evolution grid")
         if path.frames.shape != s.shape:
             raise SectionError("custom section shape does not match the evolution")
-        gap = _check_spanning(path.frames, s, tol)
+        gap = float(subspace_gap(path.frames, s).max())
         if gap > 10 * tol.structure_tol:
             raise SectionError(
                 f"custom section does not span the evolving subspace (gap {gap:.3e})"
             )
         if frobenius(path.initial - schrodinger.initial) > 10 * tol.structure_tol:
             raise SectionError("custom section must start at the Schrodinger frame")
-        margin, asym, interior = _margins(path.frames)
-        return SectionPath(path, rule, margin, asym, interior)
+        return _section(path, rule)
 
     raise TypeError(f"not a section rule: {type(rule).__name__}")
 
 
 def overlap_path(section: SectionPath) -> np.ndarray:
     """O(0, t_k) = L(0)^dag L(t_k) per grid point, shape (npoints, M, M)."""
-    frames = section.path.frames
-    return np.einsum("nj,tnk->tjk", frames[0].conj(), frames)
+    return u_matrix_path(section.path)
 
 
 def w_path(
@@ -195,16 +184,17 @@ def w_path(
     """W(t_k) = L(t_k)^dag S(t_k) per grid point; unitary, W(0) = identity."""
     if not np.array_equal(section.path.grid.times, schrodinger.grid.times):
         raise ValueError("section and Schrodinger paths use different grids")
-    gap = _check_spanning(section.path.frames, schrodinger.frames, tol)
+    gap = float(subspace_gap(section.path.frames, schrodinger.frames).max())
     if gap > 10 * tol.structure_tol:
         raise ValueError(f"section and Schrodinger frames span different subspaces ({gap:.3e})")
     return np.einsum("tnj,tnk->tjk", section.path.frames.conj(), schrodinger.frames)
 
 
-def u_matrix_path(schrodinger: FramePath) -> np.ndarray:
-    """Time-evolution matrices S(0)^dag S(t_k) in the initial frame."""
-    s = schrodinger.frames
-    return np.einsum("nj,tnk->tjk", s[0].conj(), s)
+def u_matrix_path(path: FramePath) -> np.ndarray:
+    """F(0)^dag F(t_k) per grid point of a frame path: the time-evolution
+    matrices for a Schrodinger path, the overlaps O(0, t_k) for a section."""
+    f = path.frames
+    return np.einsum("nj,tnk->tjk", f[0].conj(), f)
 
 
 def gauge_transform(
@@ -231,8 +221,8 @@ def gauge_transform(
         raise ValueError(f"gauge path is not unitary (residual {unit_res:.3e})")
     if frobenius(v[-1] - v[0]) > 10 * tol.structure_tol:
         raise ValueError("gauge path is not closed: V(tau) differs from V(0)")
-    new_frames = np.einsum("tnj,tjk->tnk", frames, v)
-    out = _section_from_frames(new_frames, section.path.grid, Custom(FramePath(section.path.grid, new_frames)))
+    path = FramePath(section.path.grid, np.einsum("tnj,tjk->tnk", frames, v))
+    out = _section(path, Custom(path))
     if out.in_phase_margin <= tol.positivity_tol:
         raise InPhaseViolation(
             f"transformed section violates the in-phase condition (margin {out.in_phase_margin:.3e})"

@@ -92,6 +92,27 @@ class TestConfigParsing:
         back = load_sampled_hamiltonian(f)
         np.testing.assert_allclose(back.samples, spec.samples, atol=0)
 
+    def test_custom_section_dimension_must_match_frames(self, tmp_path):
+        grid = TimeGrid.uniform(1.0, 8)
+        frames = np.broadcast_to(np.eye(3)[:, :2], (len(grid), 3, 2))
+        section = tmp_path / "section.json"
+        section.write_text(json.dumps({
+            "dimension": 99,
+            "times": grid.times.tolist(),
+            "matrices": [matrix_to_json(f) for f in frames],
+        }))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "system": {"kind": "constant", "matrix": matrix_to_json(np.diag([0.0, 1.0, 2.0]))},
+            "subspace": {"matrix": matrix_to_json(np.eye(3)[:, :2])},
+            "section": {"rule": "custom", "path": str(section)},
+            "grid": {"tau": 1.0, "steps": 8},
+        }))
+        with pytest.raises(ConfigError, match='"dimension" is 99'):
+            load_run_config(path)
+        section.write_text(section.read_text().replace('"dimension": 99', '"dimension": 3'))
+        assert load_run_config(path).rule.path.frames.shape == (9, 3, 2)
+
     def test_matrix_json_roundtrip(self):
         m = np.array([[1 + 2j, 0.5], [-1j, 3.0]])
         np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
@@ -224,6 +245,55 @@ class TestExport:
     def test_unwritable_path_is_io_error(self, case_ii_config, tmp_path):
         assert cmd_export(str(case_ii_config), str(tmp_path / "no" / "dir.csv"),
                           steps=64) == 4
+
+
+@pytest.fixture(scope="module")
+def refutation_9_config(tmp_path_factory):
+    """refutation_instance(9) with a phase-anchored section: its endpoint
+    in-phase margin is -1.56e-2, so every command that builds a report
+    stops with an in-phase violation."""
+    tmp = tmp_path_factory.mktemp("ref9")
+    spec, psi0 = refutation_instance(9)
+    ham = tmp / "ham.json"
+    write_sampled_hamiltonian(ham, spec.grid.times, spec.samples)
+    path = tmp / "c.json"
+    path.write_text(json.dumps({
+        "system": {"kind": "sampled", "path": str(ham)},
+        "subspace": {"matrix": matrix_to_json(psi0)},
+        "section": {"rule": "phase_anchored"},
+        "grid": {"tau": 2.0, "steps": 4096},
+    }))
+    return path
+
+
+class TestExitCodes:
+    COMMANDS = {
+        "decompose": lambda cfg, out: cmd_decompose(cfg, str(out / "r.json")),
+        "separability": lambda cfg, out: cmd_separability(cfg),
+        "export": lambda cfg, out: cmd_export(cfg, str(out / "t.csv")),
+        "gauge-check": lambda cfg, out: cmd_gauge_check(cfg, seed=0),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_missing_config_exits_three(self, command, tmp_path, capsys):
+        assert self.COMMANDS[command](str(tmp_path / "nope.json"), tmp_path) == 3
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+    @pytest.mark.parametrize("command, code", [
+        ("decompose", 2), ("separability", 2), ("export", 0), ("gauge-check", 2),
+    ])
+    def test_in_phase_violation(self, command, code, refutation_9_config, tmp_path, capsys):
+        # export builds no report, so the endpoint margin is never checked
+        assert self.COMMANDS[command](str(refutation_9_config), tmp_path) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("in-phase violation: in-phase margin -1.562e-02")
+        else:
+            assert err == ""
+
+    def test_demo_bad_parameter_exits_three(self, capsys):
+        assert cmd_demo("i", omega0=-1.0) == 3
+        assert "omega0 must be positive" in capsys.readouterr().err
 
 
 class TestGaugeCheck:

@@ -13,9 +13,7 @@ from holosplit.dynamics import (
     hamiltonian_path,
     projector_path,
     propagate_frame,
-    restricted_generator,
     restricted_generator_path,
-    sample_hamiltonian,
 )
 from holosplit.instances import cosine_drive, random_frame, random_hermitian, refutation_instance
 from holosplit.lambda_system import LambdaParams, case_setup
@@ -51,31 +49,31 @@ class TestTimeGrid:
 class TestSampleHamiltonian:
     def test_lambda_structure(self):
         spec = LambdaSystem(omega0=1.0, delta=0.0, omega1=1.0, omega2=0.0)
-        h = sample_hamiltonian(spec, 0.7)
+        h = hamiltonian_path(spec, [0.7])[0]
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 2] = expected[2, 0] = 1.0
         np.testing.assert_allclose(h, expected, atol=1e-15)
 
     def test_lambda_annihilates_dark_state(self):
         spec = LambdaSystem(omega0=2.0, delta=-0.3, omega1=0.6, omega2=0.8j)
-        h = sample_hamiltonian(spec, 0.0)
+        h = hamiltonian_path(spec, [0.0])[0]
         np.testing.assert_allclose(h @ spec.dark_state, 0.0, atol=1e-14)
 
     def test_constant_zero(self):
-        np.testing.assert_array_equal(sample_hamiltonian(Constant(np.zeros((2, 2))), 1.0),
+        np.testing.assert_array_equal(hamiltonian_path(Constant(np.zeros((2, 2))), [1.0])[0],
                                       np.zeros((2, 2)))
 
     def test_sampled_interpolates_constant(self):
         h0 = random_hermitian(3, np.random.default_rng(0))
         grid = TimeGrid.uniform(1.0, 2)
         spec = Sampled(grid, np.stack([h0, h0, h0]))
-        np.testing.assert_allclose(sample_hamiltonian(spec, 0.25), h0, atol=1e-15)
+        np.testing.assert_allclose(hamiltonian_path(spec, [0.25])[0], h0, atol=1e-15)
 
     def test_sampled_rejects_out_of_range(self):
         h0 = random_hermitian(2, np.random.default_rng(0))
         spec = Sampled(TimeGrid.uniform(1.0, 2), np.stack([h0, h0, h0]))
         with pytest.raises(ValueError, match="outside"):
-            sample_hamiltonian(spec, 1.5)
+            hamiltonian_path(spec, [1.5])
 
     def test_sampled_rejects_non_hermitian(self):
         bad = np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)
@@ -269,14 +267,14 @@ class TestRestrictedGenerator:
         spec = LambdaSystem(omega0=omega0, delta=delta)
         psi0 = np.stack([np.array([0, 0, 1]), spec.bright_state], axis=1).astype(complex)
         path = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 8))
-        f0 = restricted_generator(spec, path, 0)
+        f0 = restricted_generator_path(spec, path)[0]
         expected = -1j * np.array([[2 * delta, omega0], [omega0, 0.0]])
         np.testing.assert_allclose(f0, expected, atol=1e-12)
 
     def test_zero_hamiltonian(self):
         psi0 = np.eye(3)[:, :2].astype(complex)
         path = propagate_frame(Constant(np.zeros((3, 3))), psi0, TimeGrid.uniform(1.0, 8))
-        assert np.abs(restricted_generator(Constant(np.zeros((3, 3))), path, 3)).max() == 0.0
+        assert np.abs(restricted_generator_path(Constant(np.zeros((3, 3))), path)[3]).max() == 0.0
 
     def test_case_ii_frame_generator_vanishes(self):
         # dark state decouples and <b|H|b> = 0, so F(t) = 0 on {|d>, e^{-iHt}|b>}
@@ -285,12 +283,6 @@ class TestRestrictedGenerator:
         path = propagate_frame(spec, psi0, TimeGrid.uniform(np.pi / 2, 1024))
         f = restricted_generator_path(spec, path)
         assert np.abs(f).max() <= 1e-12
-
-    def test_index_out_of_range(self):
-        psi0 = np.eye(2).astype(complex)
-        path = propagate_frame(Constant(np.zeros((2, 2))), psi0, TimeGrid.uniform(1.0, 4))
-        with pytest.raises(IndexError):
-            restricted_generator(Constant(np.zeros((2, 2))), path, 99)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))

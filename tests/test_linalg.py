@@ -13,6 +13,7 @@ from holosplit.linalg import (
     min_eigenvalue_hermitian,
     ordered_products,
     polar_decompose,
+    subspace_gap,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -245,3 +246,50 @@ class TestOrderedProducts:
     def test_rejects_unknown_direction(self):
         with pytest.raises(ValueError, match="direction"):
             ordered_products(np.zeros((2, 2, 2), dtype=complex), "sideways")
+
+
+def random_frames(rng, shape, n, m):
+    z = rng.standard_normal((*shape, n, m)) + 1j * rng.standard_normal((*shape, n, m))
+    return np.linalg.qr(z)[0]
+
+
+def projector_gap(a, b):
+    """Reference: Frobenius distance of the N x N projector stacks."""
+    pa = a @ a.conj().swapaxes(-1, -2)
+    pb = b @ b.conj().swapaxes(-1, -2)
+    return np.linalg.norm(pa - pb, axis=(-2, -1))
+
+
+frame_dims = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+class TestSubspaceGap:
+    @settings(max_examples=50, deadline=None)
+    @given(frame_dims, st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_projector_formula(self, dims, npts, seed):
+        n, m = dims
+        rng = np.random.default_rng(seed)
+        a, b = random_frames(rng, (npts,), n, m), random_frames(rng, (npts,), n, m)
+        gap = subspace_gap(a, b)
+        assert gap.shape == (npts,)
+        assert np.abs(gap - projector_gap(a, b)).max() <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(frame_dims, st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_equal_span_pairs_vanish(self, dims, npts, seed):
+        n, m = dims
+        rng = np.random.default_rng(seed)
+        a = random_frames(rng, (npts,), n, m)
+        b = a @ random_frames(rng, (npts,), m, m)
+        assert subspace_gap(a, b).max() <= 1e-12
+        assert projector_gap(a, b).max() <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(frame_dims, st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_single_frame_broadcasts_over_stack(self, dims, npts, seed):
+        n, m = dims
+        rng = np.random.default_rng(seed)
+        a0, b = random_frames(rng, (), n, m), random_frames(rng, (npts,), n, m)
+        gap = subspace_gap(a0, b)
+        assert gap.shape == (npts,)
+        assert np.abs(gap - projector_gap(a0[None], b)).max() <= 1e-12

@@ -1,0 +1,29 @@
+"""Smoke tests: each script under scripts/ runs to completion."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_lambda_cases(capsys):
+    assert _load("run_lambda_cases").main() == 0
+    out = capsys.readouterr().out
+    for case in ("i", "ii", "iii"):
+        assert f"classification: case_{case}" in out
+
+
+def test_refutation_scan(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["refutation_scan.py", "--seeds", "4"])
+    assert _load("refutation_scan").main() == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [int(r.split()[0]) for r in rows] == [7, 8, 9, 10]
+    assert "section invalid" in rows[2]
