@@ -43,6 +43,14 @@ def _lambda_params(tau: float, fields: dict) -> LambdaParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _number(v, what: str, kind: type = float):
+    """kind(v), or a ConfigError naming the field when v is not a number."""
+    try:
+        return kind(v)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be a number, got {v!r}") from exc
+
+
 def matrix_to_json(m: np.ndarray) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
@@ -65,7 +73,7 @@ def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
 def _complex_from_json(v, what: str) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ConfigError(f"{what} must be a [re, im] pair")
-    return complex(float(v[0]), float(v[1]))
+    return complex(_number(v[0], what), _number(v[1], what))
 
 
 def _take(d: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -103,7 +111,7 @@ def _read_matrix_file(path: str | Path, what: str) -> tuple[np.ndarray, np.ndarr
     keys = {"dimension", "times", "matrices"}
     _take(data, keys, keys, f"{what} {path}")
     mats = _complex_from_pairs(data["matrices"], 3, f"{what} matrices")
-    n = int(data["dimension"])
+    n = _number(data["dimension"], f'{what} {path}: "dimension"', int)
     if mats.shape[1] != n:
         raise ConfigError(f'{what} {path}: "dimension" is {n} but the matrices have {mats.shape[1]} rows')
     return np.asarray(data["times"], dtype=float), mats
@@ -145,11 +153,11 @@ def _resolve_system(d: dict, where: str) -> tuple[HamiltonianSpec, dict | None]:
         _take(d, {"kind", "omega0", "delta", "omega1", "omega2", "eta"},
               {"kind", "omega0", "delta"}, where)
         fields = {
-            "omega0": float(d["omega0"]),
-            "delta": float(d["delta"]),
-            "omega1": _complex_from_json(d.get("omega1", [1.0, 0.0]), "omega1"),
-            "omega2": _complex_from_json(d.get("omega2", [0.0, 0.0]), "omega2"),
-            "eta": float(d.get("eta", 0.0)),
+            "omega0": _number(d["omega0"], f"{where}.omega0"),
+            "delta": _number(d["delta"], f"{where}.delta"),
+            "omega1": _complex_from_json(d.get("omega1", [1.0, 0.0]), f"{where}.omega1"),
+            "omega2": _complex_from_json(d.get("omega2", [0.0, 0.0]), f"{where}.omega2"),
+            "eta": _number(d.get("eta", 0.0), f"{where}.eta"),
         }
         return _lambda_params(1.0, fields).spec, fields
     if kind == "constant":
@@ -181,8 +189,9 @@ def load_run_config(
 
     grid_d = data["grid"]
     _take(grid_d, {"tau", "steps"}, {"tau", "steps"}, "config.grid")
-    tau = float(tau_override if tau_override is not None else grid_d["tau"])
-    steps = int(steps_override if steps_override is not None else grid_d["steps"])
+    tau = _number(tau_override if tau_override is not None else grid_d["tau"], "grid.tau")
+    steps = _number(steps_override if steps_override is not None else grid_d["steps"],
+                    "grid.steps", int)
     if steps < 2:
         raise ConfigError("grid.steps must be at least 2")
     if not 0 < tau < np.inf:
@@ -193,7 +202,7 @@ def load_run_config(
     _take(tol_d, {"structure_tol", "positivity_tol", "separation_tol"}, set(),
           "config.tolerances")
     try:
-        tolerances = Tolerances(**{k: float(v) for k, v in tol_d.items()})
+        tolerances = Tolerances(**{k: _number(v, f"tolerances.{k}") for k, v in tol_d.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -224,7 +233,7 @@ def load_run_config(
 
     seed = data.get("seed")
     if seed is not None:
-        seed = int(seed)
+        seed = _number(seed, "seed", int)
     return RunConfig(spec, psi0, rule, grid, tolerances, seed, lam_params)
 
 

@@ -8,7 +8,9 @@ which factors as W = G D with dG/dt = A G and dD/dt = D F (F the generator
 restricted to the Schrodinger frame); that product form is an identity and
 holds whether or not A and K commute. A genuine split into holonomic and
 dynamical forward-ordered factors additionally requires [A(t), K(t')] = 0
-for all pairs of times, which the report quantifies.
+for all pairs of times. An exact bound on that commutator over every pair of
+grid times decides the case_iii verdict; the report's max_commutator is the
+magnitude from a sampled scan of the pairs.
 """
 
 from __future__ import annotations
@@ -209,18 +211,15 @@ def yu_tong_factors(generators: GeneratorPath) -> tuple[np.ndarray, np.ndarray]:
     return g, d
 
 
-def max_commutator_scan(
-    a_mats: np.ndarray,
-    k_mats: np.ndarray,
-    limit: int = COMMUTATOR_SCAN_LIMIT,
-) -> float:
+def max_commutator_scan(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     """max over sampled (t, t') of ||[A(t), K(t')]||_F.
 
-    The scan subsamples each axis to at most `limit` points, always
-    including both endpoints.
+    The scan subsamples each axis to at most COMMUTATOR_SCAN_LIMIT points,
+    always including both endpoints. It only fills the reported magnitude;
+    the verdict comes from the exact bound over every grid pair.
     """
     npts = a_mats.shape[0]
-    idx = np.unique(np.linspace(0, npts - 1, min(limit, npts)).round().astype(int))
+    idx = np.unique(np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int))
     a = a_mats[idx]
     k = k_mats[idx]
     ak = np.einsum("imj,njk->inmk", a, k)
@@ -228,88 +227,37 @@ def max_commutator_scan(
     return float(np.linalg.norm(ak - ka, axis=(2, 3)).max())
 
 
-def _scalar_block_residual(mats: np.ndarray, bases: list[np.ndarray]) -> float:
-    """Distance of each matrix from the span of the block projectors.
+def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
+    """Upper bound on ||[A(t), K(t')]||_F over every pair of grid times.
 
-    bases holds orthonormal M x r column blocks; the projection of X onto
-    span{P_j} (Frobenius-orthogonal) replaces each block by its mean
-    eigenvalue, so the residual vanishes exactly for matrices of the form
-    sum_j c_j(t) P_j.
+    SVDs of the stacked (T, M^2) paths give A(t) = sum_i w_ti s_i U_i and
+    K(t') = sum_j x_t'j r_j V_j with Frobenius-orthonormal U_i, V_j, so by the
+    triangle inequality every commutator is at most
+    sum_ij (max_t |w_ti| s_i)(max_t' |x_t'j| r_j) ||[U_i, V_j]||_F. The bound
+    does not grow with T and is exactly zero when the two spans commute.
     """
-    approx = np.zeros_like(mats)
-    for b in bases:
-        r = b.shape[1]
-        coeff = np.einsum("ni,tnm,mi->t", b.conj(), mats, b) / r
-        p = b @ b.conj().T
-        approx += coeff[:, None, None] * p
-    return float(np.linalg.norm(mats - approx, axis=(1, 2)).max())
+
+    def expand(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        npts, m, _ = mats.shape
+        flat = mats.reshape(npts, m * m)
+        # the stack's right singular vectors are those of its R factor, an
+        # SVD of at most M^2 x M^2 whatever T is; flat @ vh^dag holds w s
+        vh = np.linalg.svd(np.linalg.qr(flat, mode="r"))[2]
+        return np.abs(flat @ vh.conj().T).max(axis=0), vh.reshape(-1, m, m)
+
+    ca, u = expand(a_mats)
+    ck, v = expand(k_mats)
+    comm = np.einsum("iab,jbc->ijac", u, v) - np.einsum("jab,ibc->ijac", v, u)
+    return float(ca @ np.linalg.norm(comm, axis=(2, 3)) @ ck)
 
 
-def _refine_blocks(bases: list[np.ndarray], refiner: np.ndarray, cluster_tol: float) -> list[np.ndarray]:
-    """Split each block along the eigenspaces of the refiner restricted to it."""
-    herm = 1j * refiner
-    out: list[np.ndarray] = []
-    for b in bases:
-        if b.shape[1] == 1:
-            out.append(b)
-            continue
-        restricted = b.conj().T @ herm @ b
-        w, v = np.linalg.eigh((restricted + restricted.conj().T) / 2)
-        start = 0
-        for i in range(1, w.size + 1):
-            if i == w.size or w[i] - w[start] > cluster_tol:
-                out.append(b @ v[:, start:i])
-                start = i
-    return out
-
-
-def _common_projector_family_fits(
-    a_mats: np.ndarray, k_mats: np.ndarray, tol: Tolerances
-) -> bool:
-    """Test whether A(t) and K(t) share one time-independent eigenprojector
-    family, i.e. both have the form -i sum_j c_j(t) P_j.
-
-    Candidate projectors are seeded from the time-averaged connection and
-    refined by the averaged dynamical matrix and a few samples of each path.
-    """
-    npts, m, _ = a_mats.shape
-    idx = np.unique(np.linspace(0, npts - 1, min(9, npts)).round().astype(int))
-    refiners = [a_mats.mean(axis=0), k_mats.mean(axis=0)]
-    refiners += [a_mats[i] for i in idx[1:-1:2]] + [k_mats[i] for i in idx[1:-1:2]]
-    scale = max(
-        1.0,
-        float(np.linalg.norm(a_mats, axis=(1, 2)).max()),
-        float(np.linalg.norm(k_mats, axis=(1, 2)).max()),
-    )
-    bases = [np.eye(m, dtype=complex)]
-    for ref in refiners:
-        bases = _refine_blocks(bases, ref, cluster_tol=1e-4 * scale)
-        if all(b.shape[1] == 1 for b in bases):
-            break
-    check = np.unique(np.linspace(0, npts - 1, min(33, npts)).round().astype(int))
-    worst = max(
-        _scalar_block_residual(a_mats[check], bases),
-        _scalar_block_residual(k_mats[check], bases),
-    )
-    return worst <= tol.separation_tol
-
-
-def _classify(
-    schrodinger: FramePath,
-    generators: GeneratorPath,
-    max_comm: float,
-    tol: Tolerances,
-) -> str:
+def _classify(schrodinger: FramePath, generators: GeneratorPath, tol: Tolerances) -> str:
     drift = float(subspace_gap(schrodinger.initial, schrodinger.frames).max())
     if drift <= tol.separation_tol:
         return "case_i"
     if float(np.linalg.norm(generators.k_mats, axis=(1, 2)).max()) <= tol.separation_tol:
         return "case_ii"
-    if _common_projector_family_fits(generators.a_mats, generators.k_mats, tol):
-        return "case_iii"
-    # cross-commutators can vanish even when the family detection is too
-    # conservative; the scan is the authoritative separability signal
-    if max_comm <= tol.separation_tol:
+    if _commutator_bound(generators.a_mats, generators.k_mats) <= tol.separation_tol:
         return "case_iii"
     return "non_separable"
 
@@ -321,7 +269,8 @@ def separability_report(
     tol: Tolerances = DEFAULT_TOL,
 ) -> DecompositionReport:
     """Full endpoint decomposition: overlap, W by two routes, all four
-    ordered factors, the commutator scan and the case classification.
+    ordered factors, the sampled commutator magnitude and the case
+    classification.
 
     Raises InPhaseViolation when the endpoint overlap fails positivity.
     """
@@ -345,7 +294,7 @@ def separability_report(
     max_comm = max_commutator_scan(generators.a_mats, generators.k_mats)
     separation = frobenius(w_direct - g @ dyn)
     product = frobenius(w_direct - g @ d)
-    classification = _classify(schrodinger, generators, max_comm, tol)
+    classification = _classify(schrodinger, generators, tol)
 
     return DecompositionReport(
         overlap=overlap,

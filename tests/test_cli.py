@@ -291,6 +291,46 @@ class TestExitCodes:
         else:
             assert err == ""
 
+    @pytest.mark.parametrize("keys, value, field", [
+        (("system", "omega0"), None, "system.omega0"),
+        (("system", "delta"), [1.0], "system.delta"),
+        (("system", "eta"), None, "system.eta"),
+        (("system", "omega1"), [None, 0.0], "system.omega1"),
+        (("system", "omega2"), [0.0, [1.0]], "system.omega2"),
+        (("grid", "tau"), [1.5], "grid.tau"),
+        (("grid", "steps"), None, "grid.steps"),
+        (("grid", "steps"), float("inf"), "grid.steps"),
+        (("tolerances", "structure_tol"), None, "tolerances.structure_tol"),
+        (("tolerances", "positivity_tol"), [1e-9], "tolerances.positivity_tol"),
+        (("tolerances", "separation_tol"), None, "tolerances.separation_tol"),
+        (("seed",), [7], "seed"),
+    ])
+    def test_wrong_typed_scalar_exits_three(self, keys, value, field, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", tolerances={})
+        cfg = json.loads(path.read_text())
+        *parents, last = keys
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        path.write_text(json.dumps(cfg))
+        assert cmd_separability(str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{field} must be a number" in err
+
+    @pytest.mark.parametrize("dimension", [None, [4]])
+    def test_wrong_typed_matrix_file_dimension_exits_three(self, dimension, tmp_path, capsys):
+        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        ham = tmp_path / "ham.json"
+        write_sampled_hamiltonian(ham, spec.grid.times, spec.samples)
+        ham.write_text(json.dumps({**json.loads(ham.read_text()), "dimension": dimension}))
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "sampled", "path": str(ham)},
+                            subspace={"matrix": matrix_to_json(psi0)},
+                            grid={"tau": 1.0, "steps": 8})
+        assert cmd_separability(str(path)) == 3
+        assert '"dimension" must be a number' in capsys.readouterr().err
+
     def test_demo_bad_parameter_exits_three(self, capsys):
         assert cmd_demo("i", omega0=-1.0) == 3
         assert "omega0 must be positive" in capsys.readouterr().err

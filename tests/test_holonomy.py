@@ -6,7 +6,10 @@ from hypothesis import strategies as st
 from conftest import run_case
 from holosplit.dynamics import Constant, TimeGrid, propagate_frame
 from holosplit.holonomy import (
+    COMMUTATOR_SCAN_LIMIT,
     GeneratorPath,
+    _classify,
+    _commutator_bound,
     connection_path,
     generator_path,
     k_path,
@@ -24,7 +27,7 @@ from holosplit.instances import (
     random_hermitian,
     refutation_instance,
 )
-from holosplit.linalg import Tolerances, expm_skew, frobenius
+from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius
 from holosplit.sections import InPhaseViolation, PhaseAnchored, build_section, w_path
 
 SQRT3 = np.sqrt(3.0)
@@ -281,6 +284,66 @@ class TestMaxCommutatorScan:
     def test_zero_for_commuting_paths(self, case_iii):
         gens = generator_path(case_iii.section, case_iii.schrod, case_iii.spec)
         assert max_commutator_scan(gens.a_mats, gens.k_mats) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def refutation_7_schrodinger():
+    """Schrodinger path of refutation_instance(7): 4097 points, moving subspace."""
+    spec, psi0 = refutation_instance(7)
+    return propagate_frame(spec, psi0, spec.grid)
+
+
+def diagonal_pair(times):
+    """A(t) and K(t), both diagonal with distinct time-dependent entries."""
+    a = np.zeros((times.size, 2, 2), dtype=complex)
+    k = np.zeros((times.size, 2, 2), dtype=complex)
+    a[:, 0, 0], a[:, 1, 1] = 1j * np.sin(times), -1j * np.cos(times)
+    k[:, 0, 0], k[:, 1, 1] = -1j * (1 + times), 1j * times**2
+    return a, k
+
+
+def random_skew_stack(rng, npts, m, rank):
+    """npts anti-Hermitian m x m matrices spanning `rank` random directions."""
+    basis = rng.normal(size=(rank, m, m)) + 1j * rng.normal(size=(rank, m, m))
+    basis = basis - basis.conj().swapaxes(1, 2)
+    return np.einsum("tr,rij->tij", rng.normal(size=(npts, rank)), basis)
+
+
+class TestCommutatorBound:
+    def test_blip_between_scan_samples_is_non_separable(self, refutation_7_schrodinger):
+        schrod = refutation_7_schrodinger
+        times = schrod.grid.times
+        a, k = diagonal_pair(times)
+        k[1000] += -1j * np.array([[0, 1], [1, 0]])
+        scanned = np.linspace(0, times.size - 1, COMMUTATOR_SCAN_LIMIT).round()
+        assert times.size == 4097 and 1000 not in scanned
+        # the sampled scan cannot see the blip; the bound over every pair can
+        assert max_commutator_scan(a, k) == 0.0
+        gens = GeneratorPath(schrod.grid, a, k, k)
+        assert _commutator_bound(a, k) > 1.0
+        assert _classify(schrod, gens, DEFAULT_TOL) == "non_separable"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([2, 3]))
+    def test_bound_dominates_every_pair(self, seed, npts, m):
+        rng = np.random.default_rng(seed)
+        a = random_skew_stack(rng, npts, m, int(rng.integers(1, m * m + 1)))
+        k = random_skew_stack(rng, npts, m, int(rng.integers(1, m * m + 1)))
+        pairs = a[:, None] @ k[None] - k[None] @ a[:, None]
+        brute = np.linalg.norm(pairs, axis=(2, 3)).max()
+        scale = np.linalg.norm(a, axis=(1, 2)).max() * np.linalg.norm(k, axis=(1, 2)).max()
+        assert _commutator_bound(a, k) >= brute - 1e-12 * scale
+
+    def test_commuting_family_in_rotated_basis(self, refutation_7_schrodinger):
+        schrod = refutation_7_schrodinger
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        a, k = diagonal_pair(schrod.grid.times)
+        a, k = q @ a @ q.conj().T, q @ k @ q.conj().T
+        scale = np.linalg.norm(a, axis=(1, 2)).max() * np.linalg.norm(k, axis=(1, 2)).max()
+        assert _commutator_bound(a, k) <= 1e-12 * scale
+        gens = GeneratorPath(schrod.grid, a, k, k)
+        assert _classify(schrod, gens, DEFAULT_TOL) == "case_iii"
 
 
 class TestTrivialShift:
