@@ -44,11 +44,20 @@ def _lambda_params(tau: float, fields: dict) -> LambdaParams:
 
 
 def _number(v, what: str, kind: type = float):
-    """kind(v), or a ConfigError naming the field when v is not a number."""
+    """v as a float or an int, or a ConfigError naming the field when v is not
+    a number (a boolean is not one) or, for an int field, has a fraction."""
+    if kind is int and isinstance(v, int) and not isinstance(v, bool):
+        return v  # exact, however large
     try:
-        return kind(v)
+        if isinstance(v, bool):
+            raise TypeError("a boolean is not a number")
+        x = float(v)
+        if kind is int and not x.is_integer():
+            raise ValueError("not an integral value")
+        return kind(x)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} must be a number, got {v!r}") from exc
+        integral = " with an integral value" if kind is int else ""
+        raise ConfigError(f"{what} must be a number{integral}, got {v!r}") from exc
 
 
 def matrix_to_json(m: np.ndarray) -> list:

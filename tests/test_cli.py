@@ -68,6 +68,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid.tau must be positive and finite"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("steps, seed", [(4096, 7), (4096.0, 7.0), (64, 2**70 + 1)])
+    def test_integral_numbers_accepted(self, tmp_path, steps, seed):
+        path = write_config(tmp_path / "c.json", grid={"tau": 1.0, "steps": steps}, seed=seed)
+        cfg = load_run_config(path)
+        assert cfg.grid.steps == steps and cfg.seed == seed
+        assert type(cfg.grid.steps) is int and type(cfg.seed) is int
+
     def test_overrides_apply(self, case_ii_config):
         cfg = load_run_config(case_ii_config, tau_override=1.0, steps_override=16)
         assert cfg.grid.tau == 1.0 and cfg.grid.steps == 16
@@ -304,6 +311,10 @@ class TestExitCodes:
         (("tolerances", "positivity_tol"), [1e-9], "tolerances.positivity_tol"),
         (("tolerances", "separation_tol"), None, "tolerances.separation_tol"),
         (("seed",), [7], "seed"),
+        (("grid", "steps"), 100.9, "grid.steps"),
+        (("grid", "steps"), True, "grid.steps"),
+        (("seed",), 7.5, "seed"),
+        (("seed",), True, "seed"),
     ])
     def test_wrong_typed_scalar_exits_three(self, keys, value, field, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", tolerances={})
@@ -318,7 +329,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{field} must be a number" in err
 
-    @pytest.mark.parametrize("dimension", [None, [4]])
+    @pytest.mark.parametrize("dimension", [None, [4], 4.5, True])
     def test_wrong_typed_matrix_file_dimension_exits_three(self, dimension, tmp_path, capsys):
         spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
         ham = tmp_path / "ham.json"

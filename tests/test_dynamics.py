@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from holosplit.dynamics import (
     LambdaSystem,
     Sampled,
     TimeGrid,
+    _taylor_march,
+    _taylor_plan,
     dimension,
     hamiltonian_path,
     projector_path,
@@ -164,20 +168,20 @@ class TestPropagateFrame:
         assert res.max() <= 1e-9
 
     def test_second_order_convergence(self):
-        rng = np.random.default_rng(11)
-        n = 4
-        h0, h1 = random_hermitian(n, rng), random_hermitian(n, rng)
-        psi0 = random_frame(n, 2, rng)
         tau = 2.0
 
-        def endpoint(steps):
+        def endpoint(h0, h1, psi0, steps):
             grid = TimeGrid.uniform(tau, steps)
             return propagate_frame(cosine_drive(h0, h1, grid), psi0, grid).final
 
-        ref = endpoint(256 * 16)
-        e1 = np.linalg.norm(endpoint(256) - ref)
-        e2 = np.linalg.norm(endpoint(512) - ref)
-        assert e1 / e2 == pytest.approx(4.0, rel=0.1)
+        # 4 x 2 steps eigh-built slices, 16 x 2 the Taylor action of exp(-i H dt)
+        for n in (4, 16):
+            rng = np.random.default_rng(11)
+            run = random_hermitian(n, rng), random_hermitian(n, rng), random_frame(n, 2, rng)
+            ref = endpoint(*run, 256 * 16)
+            e1 = np.linalg.norm(endpoint(*run, 256) - ref)
+            e2 = np.linalg.norm(endpoint(*run, 512) - ref)
+            assert e1 / e2 == pytest.approx(4.0, rel=0.1), f"{n} x 2"
 
 
 def per_step_loewdin_propagate(spec, psi0, grid):
@@ -205,6 +209,12 @@ class TestLoopFreePropagation:
         grid = TimeGrid.uniform(2.0, steps)
         spec, psi0 = refutation_instance(7, grid)
         yield spec, psi0, grid
+        # N = 12 >> M = 2 takes the Taylor-action path; H is sampled on a
+        # coarser grid than the propagation grid and interpolated between
+        rng = np.random.default_rng(2)
+        h0, h1 = random_hermitian(12, rng, 0.45), random_hermitian(12, rng, 0.45)
+        spec = cosine_drive(h0, h1, TimeGrid.uniform(2.0, 1024))
+        yield spec, random_frame(12, 2, rng), grid
 
     def test_matches_per_step_loewdin_reference(self):
         for spec, psi0, grid in self._cases(2**14):
@@ -218,6 +228,48 @@ class TestLoopFreePropagation:
             f = propagate_frame(spec, psi0, grid).frames
             grams = f.conj().swapaxes(1, 2) @ f
             assert np.linalg.norm(grams - np.eye(f.shape[2]), axis=(1, 2)).max() <= 1e-13
+
+
+class TestTaylorAction:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_matches_eigh_exponential(self, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(1, n))
+        theta = data.draw(st.floats(1e-6, 50.0))
+        h = random_hermitian(n, rng)
+        dt = theta / np.abs(h).sum(axis=0).max()
+        psi = random_frame(n, m, rng)
+        out = np.empty((2, n, m), dtype=complex)
+        out[0] = psi
+        _taylor_march(h[None], np.array([dt]), out)
+        w, v = np.linalg.eigh(h)
+        ref = (v * np.exp(-1j * w * dt)) @ v.conj().T @ psi
+        assert np.linalg.norm(out[1] - ref) <= 1e-12 * np.linalg.norm(psi)
+        np.testing.assert_array_equal(out[0], psi)
+
+    @pytest.mark.parametrize("theta, plan", [(0.0, (1, 1)), (0.5, (1, 14)), (0.51, (2, 12)),
+                                             (50.0, (100, 14))])
+    def test_plan_bounds_the_remainder(self, theta, plan):
+        s, p = _taylor_plan(theta)
+        assert (s, p) == plan
+        t = theta / s
+        assert t <= 0.5
+        assert t ** (p + 1) / math.factorial(p + 1) * math.exp(t) <= 2.0**-53
+        if p > 1:  # and p is the least such degree
+            assert t ** p / math.factorial(p) * math.exp(t) > 2.0**-53
+
+    def test_coarse_grid_matches_per_step_reference(self):
+        # 8 steps of ||H dt||_1 between 6 and 8.5, so each step takes 17 substeps
+        rng = np.random.default_rng(4)
+        grid = TimeGrid.uniform(4.0, 8)
+        spec = cosine_drive(random_hermitian(16, rng), random_hermitian(16, rng), grid)
+        psi0 = random_frame(16, 3, rng)
+        mids = 0.5 * (grid.times[:-1] + grid.times[1:])
+        norms = np.abs(hamiltonian_path(spec, mids)).sum(axis=1).max(axis=1) * np.diff(grid.times)
+        assert norms.min() > 1.0
+        path = propagate_frame(spec, psi0, grid)
+        assert np.abs(path.frames - per_step_loewdin_propagate(spec, psi0, grid)).max() <= 1e-12
 
 
 class TestProjectorPath:
