@@ -8,14 +8,12 @@ from .dynamics import (
     LambdaSystem,
     Sampled,
     TimeGrid,
-    projector_path,
     propagate_frame,
 )
 from .holonomy import (
     DecompositionReport,
     GeneratorPath,
     connection_path,
-    k_path,
     kw_wf_residual,
     ordered_factor,
     separability_report,
@@ -29,14 +27,11 @@ from .lambda_system import (
     case_ii_analytic,
     case_iii_analytic,
     case_setup,
-    eigensystem,
-    lambda_hamiltonian,
 )
 from .linalg import (
     Tolerances,
     commutator_norm,
     expm_skew,
-    min_eigenvalue_hermitian,
     polar_decompose,
 )
 from .sections import (
@@ -48,7 +43,6 @@ from .sections import (
     SectionPath,
     build_section,
     gauge_transform,
-    overlap_path,
     u_matrix_path,
     w_path,
 )
@@ -79,17 +73,11 @@ __all__ = [
     "case_setup",
     "commutator_norm",
     "connection_path",
-    "eigensystem",
     "expm_skew",
     "gauge_transform",
-    "k_path",
     "kw_wf_residual",
-    "lambda_hamiltonian",
-    "min_eigenvalue_hermitian",
     "ordered_factor",
-    "overlap_path",
     "polar_decompose",
-    "projector_path",
     "propagate_frame",
     "separability_report",
     "solve_anandan",

@@ -19,16 +19,11 @@ import numpy as np
 
 from .config import load_run_config, report_to_json
 from .dynamics import FramePath, TimeGrid, propagate_frame
-from .holonomy import (
-    DecompositionReport,
-    connection_path,
-    k_path,
-    separability_report,
-)
+from .holonomy import DecompositionReport, generator_path, separability_report
 from .instances import random_closed_gauge
 from .lambda_system import LambdaParams, case_i_analytic, case_ii_analytic, case_iii_analytic, case_setup
 from .linalg import DEFAULT_TOL, frobenius
-from .sections import InPhaseViolation, build_section, gauge_transform, overlap_path, w_path
+from .sections import InPhaseViolation, build_section, gauge_transform, u_matrix_path, w_path
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -159,8 +154,9 @@ def cmd_separability(config_path: str, *, tau=None, steps=None) -> int:
 def cmd_export(config_path: str, out_csv: str, *, tau=None, steps=None) -> int:
     try:
         cfg, schrod, section, _ = _run_config(config_path, tau, steps, report=False)
-        mats = (connection_path(section), k_path(section, cfg.spec),
-                w_path(section, schrod, tol=cfg.tolerances), overlap_path(section))
+        gens = generator_path(section, schrod, cfg.spec)
+        mats = (gens.a_mats, gens.k_mats, w_path(section, schrod, tol=cfg.tolerances),
+                u_matrix_path(section.path))
     except ValueError as exc:
         return _exit_code(exc)
 

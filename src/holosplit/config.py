@@ -7,14 +7,16 @@ keys are rejected at every level.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import Constant, FramePath, HamiltonianSpec, Sampled, TimeGrid, dimension
-from .holonomy import DecompositionReport
+from .holonomy import VERDICTS, DecompositionReport
 from .lambda_system import LambdaParams, case_setup
 from .linalg import Tolerances
 from .sections import Custom, Fixed, PhaseAnchored, SectionRule
@@ -266,46 +268,37 @@ def _resolve_rule(d: dict, grid: TimeGrid, default_rule: SectionRule | None) -> 
     raise ConfigError(f"unknown section rule {name!r}")
 
 
+# the report's fields and their types, read once from DecompositionReport;
+# tau and steps nest under "grid", which closes the JSON object
+_REPORT_TYPES = typing.get_type_hints(DecompositionReport)
+_GRID_KEYS = ("tau", "steps")
+_REPORT_KEYS = tuple(f.name for f in dataclasses.fields(DecompositionReport)
+                     if f.name not in _GRID_KEYS)
+
+
+def _report_value(v, kind: type, what: str):
+    if kind is np.ndarray:
+        return matrix_from_json(v, what)
+    if kind is str:
+        if v not in VERDICTS:
+            raise ConfigError(f"{what} must be one of {', '.join(VERDICTS)}, got {v!r}")
+        return v
+    return _number(v, what, kind)
+
+
 def report_to_json(report: DecompositionReport) -> dict:
-    return {
-        "overlap": matrix_to_json(report.overlap),
-        "w_final": matrix_to_json(report.w_final),
-        "w_direct": matrix_to_json(report.w_direct),
-        "holonomic_factor": matrix_to_json(report.holonomic_factor),
-        "dynamical_factor": matrix_to_json(report.dynamical_factor),
-        "g_factor": matrix_to_json(report.g_factor),
-        "d_factor": matrix_to_json(report.d_factor),
-        "max_commutator": float(report.max_commutator),
-        "separation_residual": float(report.separation_residual),
-        "product_residual": float(report.product_residual),
-        "classification": report.classification,
-        "time_evolution": matrix_to_json(report.time_evolution),
-        "in_phase_margin": float(report.in_phase_margin),
-        "grid": {"tau": float(report.tau), "steps": int(report.steps)},
-    }
+    def value(k: str):
+        v, kind = getattr(report, k), _REPORT_TYPES[k]
+        return matrix_to_json(v) if kind is np.ndarray else kind(v)
+
+    return {**{k: value(k) for k in _REPORT_KEYS}, "grid": {k: value(k) for k in _GRID_KEYS}}
 
 
 def report_from_json(data: dict) -> DecompositionReport:
-    keys = {
-        "overlap", "w_final", "w_direct", "holonomic_factor", "dynamical_factor",
-        "g_factor", "d_factor", "max_commutator", "separation_residual",
-        "product_residual", "classification", "time_evolution", "in_phase_margin",
-        "grid",
-    }
+    keys = {*_REPORT_KEYS, "grid"}
     _take(data, keys, keys, "report")
-    _take(data["grid"], {"tau", "steps"}, {"tau", "steps"}, "report.grid")
-    mats = {
-        k: matrix_from_json(data[k], k)
-        for k in ("overlap", "w_final", "w_direct", "holonomic_factor",
-                  "dynamical_factor", "g_factor", "d_factor", "time_evolution")
-    }
-    return DecompositionReport(
-        max_commutator=float(data["max_commutator"]),
-        separation_residual=float(data["separation_residual"]),
-        product_residual=float(data["product_residual"]),
-        classification=str(data["classification"]),
-        in_phase_margin=float(data["in_phase_margin"]),
-        tau=float(data["grid"]["tau"]),
-        steps=int(data["grid"]["steps"]),
-        **mats,
-    )
+    _take(data["grid"], set(_GRID_KEYS), set(_GRID_KEYS), "report.grid")
+    values = {k: _report_value(data[k], _REPORT_TYPES[k], f"report.{k}") for k in _REPORT_KEYS}
+    values.update({k: _report_value(data["grid"][k], _REPORT_TYPES[k], f"report.grid.{k}")
+                   for k in _GRID_KEYS})
+    return DecompositionReport(**values)

@@ -4,11 +4,12 @@ A frame is an N x M matrix of orthonormal columns spanning an M-dimensional
 subspace. Propagation applies exp(-i H(t_mid) dt) per step, with the
 Hamiltonian evaluated at the step midpoint (second-order accurate), by one of
 two kernels chosen from the frame's shape alone. Below N = 10 each step's
-N x N unitary is built in full from a batched eigh and multiplied onto the
-frame. From N = 10 on, the exponential acts on the N x M frame directly as a
-truncated Taylor series, whose degree and substep count are fixed once per
-run so the remainder stays below 2^-53 of the frame's norm; no N x N eigh or
-slice is formed. Both kernels give the same step to roundoff, so the frames
+N x N unitary comes in full from linalg.unitary_stack, the package's one
+exp(-i H dt) slice kernel, and is multiplied onto the frame. From N = 10 on,
+the exponential acts on the N x M frame directly as a truncated Taylor
+series, whose degree and substep count are fixed once per run so the
+remainder stays below 2^-53 of the frame's norm; no N x N eigh or slice is
+formed. Both kernels give the same step to roundoff, so the frames
 are stepped without correction and then orthonormalized symmetrically once,
 in one batched Loewdin pass over the whole path; orthonormality holds to
 roundoff at every grid point. Units: hbar = 1; times in s, frequencies in
@@ -30,6 +31,7 @@ from .linalg import (
     hermitian_part,
     loewdin_orthonormalize,
     skew_part,
+    unitary_stack,
 )
 
 __all__ = [
@@ -41,9 +43,7 @@ __all__ = [
     "TimeGrid",
     "dimension",
     "hamiltonian_path",
-    "projector_path",
     "propagate_frame",
-    "restricted_generator_path",
 ]
 
 
@@ -198,8 +198,15 @@ def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
             raise ValueError("requested time outside the sampled interval")
         hi = np.clip(np.searchsorted(tg, times, side="left"), 1, tg.size - 1)
         lo = hi - 1
-        w = (times - tg[lo]) / (tg[hi] - tg[lo])
-        return (1.0 - w)[:, None, None] * spec.samples[lo] + w[:, None, None] * spec.samples[hi]
+        w = ((times - tg[lo]) / (tg[hi] - tg[lo]))[:, None, None]
+        # (1 - w) s[lo] + w s[hi] in place: the fancy-indexed copies are the
+        # only stack-sized temporaries
+        out = spec.samples[lo]
+        out *= 1.0 - w
+        tmp = spec.samples[hi]
+        tmp *= w
+        out += tmp
+        return out
     raise TypeError(f"not a Hamiltonian spec: {type(spec).__name__}")
 
 
@@ -243,15 +250,6 @@ class FramePath:
         return self.frames[-1]
 
 
-def _midpoint_slices(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """Unitaries exp(-i H_k dt_k) from a stack of Hermitian matrices."""
-    w, v = np.linalg.eigh(hermitian_part(hams))
-    # scale v in place so no extra T x N x N temporary is allocated
-    vh = v.conj().swapaxes(-1, -2)
-    v *= np.exp(-1j * w * dts[:, None])[:, None, :]
-    return v @ vh
-
-
 # substep bound on ||B||_1 for the Taylor action; keeps every Taylor term of a
 # substep below 1 in norm, so the sum loses no digits to cancellation
 _TAYLOR_THETA = 0.5
@@ -291,18 +289,16 @@ def _taylor_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
                 np.add(start, prod, out=y)
 
 
-def _propagate(sample_fn, psi0: np.ndarray, grid: TimeGrid) -> FramePath:
-    times = grid.times
-    mids = 0.5 * (times[:-1] + times[1:])
-    dts = np.diff(times)
-    hams = sample_fn(mids)
-    out = np.empty((times.size, *psi0.shape), dtype=complex)
+def _propagate(hams: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> FramePath:
+    """Step psi0 over the grid with the stack of midpoint Hamiltonians."""
+    dts = np.diff(grid.times)
+    out = np.empty((grid.times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
     # measured crossover: the batched eigh wins below N = 10 whatever M is
     if psi0.shape[0] >= 10:
         _taylor_march(hams, dts, out)
     else:
-        slices = _midpoint_slices(hams, dts)
+        slices = unitary_stack(hams, dts)
         for k in range(dts.size):
             np.matmul(slices[k], out[k], out=out[k + 1])
     out[1:] = loewdin_orthonormalize(out[1:])
@@ -319,10 +315,10 @@ def propagate_frame(
     """Solve the Schrodinger equation for each column of psi0 over the grid.
 
     Each step applies exp(-i H(t_mid) dt) with H at the step midpoint, so the
-    scheme is second order in dt. For N < 10 the step unitary comes from an
-    eigh of H; for N >= 10 its action on the N x M frame comes from a
-    truncated Taylor series with remainder below 2^-53, which needs only
-    (N x N) @ (N x M) products. The two agree to roundoff. psi0 must have
+    scheme is second order in dt. For N < 10 the step unitary comes from
+    linalg.unitary_stack (an eigh of H); for N >= 10 its action on the N x M
+    frame comes from a truncated Taylor series with remainder below 2^-53,
+    which needs only (N x N) @ (N x M) products. The two agree to roundoff. psi0 must have
     orthonormal columns; the returned path starts at psi0 exactly and keeps
     orthonormality at every grid point.
     """
@@ -337,16 +333,8 @@ def propagate_frame(
     gram = psi0.conj().T @ psi0
     if frobenius(gram - np.eye(psi0.shape[1])) > 10 * tol.structure_tol:
         raise ValueError("psi0 columns are not orthonormal")
-    return _propagate(lambda ts: hamiltonian_path(spec, ts), psi0, grid)
-
-
-def projector_path(path: FramePath) -> np.ndarray:
-    """Rank-M projectors S(t) S(t)^dag per grid point, shape (npoints, N, N).
-
-    The pipeline never forms these; it compares subspaces with
-    linalg.subspace_gap at O(N M^2) per point."""
-    f = path.frames
-    return np.einsum("tnj,tmj->tnm", f, f.conj())
+    times = grid.times
+    return _propagate(hamiltonian_path(spec, 0.5 * (times[:-1] + times[1:])), psi0, grid)
 
 
 def _sandwich(hams: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -358,9 +346,3 @@ def _sandwich(hams: np.ndarray, frames: np.ndarray) -> np.ndarray:
             f"Hamiltonian dimension {hams.shape[1]} does not match frame dimension {frames.shape[1]}"
         )
     return skew_part(-1j * (frames.conj().swapaxes(1, 2) @ (hams @ frames)))
-
-
-def restricted_generator_path(spec: HamiltonianSpec, path: FramePath) -> np.ndarray:
-    """-i <psi_j(t)| H(t) |psi_l(t)> over the whole grid, shape (npoints, M, M);
-    anti-Hermitian."""
-    return _sandwich(hamiltonian_path(spec, path.grid.times), path.frames)

@@ -28,30 +28,23 @@ from .dynamics import (
     _sandwich,
     hamiltonian_path,
     propagate_frame,
-    restricted_generator_path,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    expm_skew_stack,
     frobenius,
     ordered_products,
     skew_part,
     subspace_gap,
+    unitary_stack,
 )
-from .sections import (
-    InPhaseViolation,
-    SectionPath,
-    overlap_path,
-    w_path,
-)
+from .sections import InPhaseViolation, SectionPath, w_path
 
 __all__ = [
     "DecompositionReport",
     "GeneratorPath",
     "connection_path",
     "generator_path",
-    "k_path",
     "kw_wf_residual",
     "max_commutator_scan",
     "ordered_factor",
@@ -62,6 +55,8 @@ __all__ = [
 ]
 
 COMMUTATOR_SCAN_LIMIT = 64
+# the values DecompositionReport.classification takes
+VERDICTS = ("case_i", "case_ii", "case_iii", "non_separable")
 
 
 @dataclass(frozen=True)
@@ -130,16 +125,12 @@ def connection_path(section: SectionPath) -> np.ndarray:
     return skew_part(a)
 
 
-def k_path(section: SectionPath, spec: HamiltonianSpec) -> np.ndarray:
-    """K_jk(t) = -i <phi_j(t)|H(t)|phi_k(t)> per grid point."""
-    return restricted_generator_path(spec, section.path)
-
-
 def generator_path(
     section: SectionPath, schrodinger: FramePath, spec: HamiltonianSpec
 ) -> GeneratorPath:
     """Assemble A, K and F along the section's grid; H is sampled once and
-    sandwiched between the section frames (K) and the Schrodinger frames (F)."""
+    sandwiched between the section frames (K) and the Schrodinger frames (F).
+    This is the only place K_jk(t) = -i <phi_j(t)|H(t)|phi_k(t)> is formed."""
     hams = hamiltonian_path(spec, section.path.grid.times)
     return GeneratorPath(
         grid=section.path.grid,
@@ -160,9 +151,10 @@ def kw_wf_residual(generators: GeneratorPath, w: np.ndarray) -> float:
 
 
 def _midpoint_products(mats: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(m_k dt_k) with m_k the step-averaged anti-Hermitian generator."""
     mids = 0.5 * (mats[:-1] + mats[1:])
-    dts = np.diff(times)
-    return expm_skew_stack(mids * dts[:, None, None])
+    mids *= 1j  # exactly Hermitian, and exp(-i (i m) dt) = exp(m dt)
+    return unitary_stack(mids, np.diff(times))
 
 
 def solve_anandan(generators: GeneratorPath) -> np.ndarray:
@@ -285,7 +277,9 @@ def separability_report(
     w_direct = w_path(section, schrodinger, tol=tol)[-1]
     # only the endpoint of the Anandan solution is reported
     w_final = ordered_factor(generators.a_mats + generators.k_mats, generators.grid)
-    overlap = overlap_path(section)[-1]
+    # u_matrix_path's einsum at the endpoint only; a plain @ would change
+    # the report's last bits
+    overlap = np.einsum("nj,nk->jk", section.path.initial.conj(), section.path.final)
 
     # the holonomic factor T exp(int A) is the G of the product form
     g, d = yu_tong_factors(generators)
@@ -334,14 +328,7 @@ def trivial_shift_check(
     rates = np.array([float(f_dot(t)) for t in mids])
 
     base = propagate_frame(spec, psi0, grid)
-    n = base.n
-    eye = np.eye(n)
-
-    def shifted(ts: np.ndarray) -> np.ndarray:
-        hams = hamiltonian_path(spec, ts)
-        rs = np.array([float(f_dot(t)) for t in ts])
-        return hams - rs[:, None, None] * eye
-
+    shifted = hamiltonian_path(spec, mids) - rates[:, None, None] * np.eye(base.n)
     shifted_path = _propagate(shifted, np.asarray(psi0, dtype=complex), grid)
 
     # accumulate f by the same midpoint quadrature the propagator applies,

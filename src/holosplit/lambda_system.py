@@ -36,7 +36,6 @@ __all__ = [
     "case_setup",
     "dark_bright_to_bare",
     "eigensystem",
-    "lambda_hamiltonian",
 ]
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -87,11 +86,6 @@ class LambdaParams:
     @property
     def spec(self) -> LambdaSystem:
         return LambdaSystem(self.omega0, self.delta, self.omega1, self.omega2)
-
-
-def lambda_hamiltonian(p: LambdaParams) -> np.ndarray:
-    """The 3 x 3 rotating-frame Hamiltonian; annihilates the dark state."""
-    return p.spec.matrix
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Dense complex linear algebra primitives used throughout the package.
 
 Matrices are plain numpy arrays with dtype complex128 and are never mutated.
-The Frobenius norm is the canonical matrix distance everywhere.
+The Frobenius norm is the canonical matrix distance everywhere. Every unitary
+slice exp(-i H dt), whether a propagation step or a factor of an ordered
+exponential, comes from the one batched eigh kernel unitary_stack.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ __all__ = [
     "frobenius",
     "hermitian_part",
     "loewdin_orthonormalize",
-    "min_eigenvalue_hermitian",
     "ordered_products",
     "polar_decompose",
     "skew_part",
     "subspace_gap",
+    "unitary_stack",
 ]
 
 
@@ -88,6 +90,20 @@ def subspace_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0) * np.linalg.norm(b - a @ overlap, axis=(-2, -1))
 
 
+def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """exp(-i H_k dt_k) for a stack (n, m, m) of Hermitian H_k and n steps dt_k.
+
+    The H_k must be exactly Hermitian: eigh reads only their lower triangle.
+    Each slice is V diag(exp(-i w dt)) V^dag from one batched eigh, so it is
+    unitary to roundoff.
+    """
+    w, v = np.linalg.eigh(hams)
+    # scale v in place so no extra stack-sized temporary is allocated
+    vh = v.conj().swapaxes(-1, -2)
+    v *= np.exp(-1j * w * dts[:, None])[:, None, :]
+    return v @ vh
+
+
 def expm_skew(x, *, structure_tol: float = DEFAULT_TOL.structure_tol) -> np.ndarray:
     """exp(x) for anti-Hermitian x, via unitary diagonalization of i*x.
 
@@ -100,22 +116,7 @@ def expm_skew(x, *, structure_tol: float = DEFAULT_TOL.structure_tol) -> np.ndar
     _require_square(x)
     if frobenius(x + x.conj().T) > structure_tol:
         raise ValueError("input is not anti-Hermitian within tolerance")
-    h = hermitian_part(1j * skew_part(x))
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def expm_skew_stack(xs: np.ndarray) -> np.ndarray:
-    """Batched exp() of a stack (..., n, n) of anti-Hermitian matrices.
-
-    No validation; internal fast path. Callers guarantee skewness.
-    """
-    h = hermitian_part(1j * skew_part(xs))
-    w, v = np.linalg.eigh(h)
-    # scale v in place so no extra stack-sized temporary is allocated
-    vh = v.conj().swapaxes(-1, -2)
-    v *= np.exp(-1j * w)[..., None, :]
-    return v @ vh
+    return unitary_stack(hermitian_part(1j * skew_part(x))[None], np.ones(1))[0]
 
 
 def polar_decompose(u) -> tuple[np.ndarray, np.ndarray]:
@@ -134,21 +135,6 @@ def polar_decompose(u) -> tuple[np.ndarray, np.ndarray]:
     p = hermitian_part((x * s) @ x.conj().T)
     q = x @ yh
     return p, q
-
-
-def min_eigenvalue_hermitian(
-    o, *, structure_tol: float = DEFAULT_TOL.structure_tol
-) -> float:
-    """Smallest eigenvalue of the Hermitian matrix o.
-
-    o is symmetrized as (o + o^dag)/2 before the eigenvalue solve; inputs
-    with Hermiticity residual above structure_tol are rejected.
-    """
-    o = as_complex_matrix(o)
-    _require_square(o)
-    if frobenius(o - o.conj().T) > structure_tol:
-        raise ValueError("input is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh(hermitian_part(o)).min())
 
 
 def commutator_norm(a, b) -> float:

@@ -37,7 +37,6 @@ __all__ = [
     "SectionRule",
     "build_section",
     "gauge_transform",
-    "overlap_path",
     "u_matrix_path",
     "w_path",
 ]
@@ -168,11 +167,6 @@ def build_section(
         return _section(path, rule)
 
     raise TypeError(f"not a section rule: {type(rule).__name__}")
-
-
-def overlap_path(section: SectionPath) -> np.ndarray:
-    """O(0, t_k) = L(0)^dag L(t_k) per grid point, shape (npoints, M, M)."""
-    return u_matrix_path(section.path)
 
 
 def w_path(

@@ -34,7 +34,6 @@ from holosplit.sections import (
     InPhaseViolation,
     SectionError,
     gauge_transform,
-    overlap_path,
     u_matrix_path,
     w_path,
 )
@@ -76,9 +75,8 @@ def test_criterion_2_case_ii_holonomy(case_ii):
     np.testing.assert_allclose(w_ref, np.diag([1.0, 1j]), atol=1e-15)
     w_dev = max(np.abs(rep.w_direct - w_ref).max(), np.abs(rep.w_final - w_ref).max())
     assert w_dev <= 1e-6
-    from holosplit.holonomy import k_path
-
-    k_max = np.linalg.norm(k_path(case_ii.section, case_ii.spec), axis=(1, 2)).max()
+    gens = generator_path(case_ii.section, case_ii.schrod, case_ii.spec)
+    k_max = np.linalg.norm(gens.k_mats, axis=(1, 2)).max()
     assert k_max <= 1e-8
     assert rep.classification == "case_ii"
     print(f"\n[PASS] criterion 2: case (ii) holonomy; O dev {o_dev:.2e}, "
@@ -135,7 +133,7 @@ def _structural_checks(label, spec, schrod, section, lines):
     assert w_unit <= 1e-9
 
     u = u_matrix_path(schrod)
-    o = overlap_path(section)
+    o = u_matrix_path(section.path)
     recon = np.linalg.norm(u - np.einsum("tij,tjk->tik", o, w), axis=(1, 2)).max()
     assert recon <= 1e-8
 

@@ -22,6 +22,7 @@ from holosplit.config import (
     write_sampled_hamiltonian,
 )
 from holosplit.dynamics import TimeGrid
+from holosplit.holonomy import DecompositionReport
 from holosplit.instances import refutation_instance
 
 SQRT3 = np.sqrt(3.0)
@@ -168,6 +169,28 @@ class TestDecompose:
         data = json.loads(out.read_text())
         report = report_from_json(data)
         assert report_to_json(report) == data
+
+    @pytest.mark.parametrize("where, key, value", [
+        (None, "max_commutator", None),
+        (None, "separation_residual", [1e-3]),
+        (None, "in_phase_margin", True),
+        ("grid", "steps", 100.9),
+        ("grid", "tau", None),
+        (None, "classification", 5),
+        (None, "classification", "case_iv"),
+    ])
+    def test_report_rejects_bad_scalar(self, where, key, value):
+        eye = np.eye(2, dtype=complex)
+        data = report_to_json(DecompositionReport(
+            overlap=eye, w_final=eye, w_direct=eye, holonomic_factor=eye,
+            dynamical_factor=eye, g_factor=eye, d_factor=eye, max_commutator=0.0,
+            separation_residual=0.0, product_residual=0.0, classification="case_i",
+            time_evolution=eye, in_phase_margin=1.0, tau=1.0, steps=100))
+        assert report_to_json(report_from_json(data)) == data
+        (data if where is None else data[where])[key] = value
+        field = key if where is None else f"{where}.{key}"
+        with pytest.raises(ConfigError, match=f"report.{field} must be"):
+            report_from_json(data)
 
 
 class TestDemo:

@@ -11,13 +11,12 @@ from holosplit.dynamics import (
     LambdaSystem,
     Sampled,
     TimeGrid,
+    _sandwich,
     _taylor_march,
     _taylor_plan,
     dimension,
     hamiltonian_path,
-    projector_path,
     propagate_frame,
-    restricted_generator_path,
 )
 from holosplit.instances import cosine_drive, random_frame, random_hermitian, refutation_instance
 from holosplit.lambda_system import LambdaParams, case_setup
@@ -184,6 +183,38 @@ class TestPropagateFrame:
             assert e1 / e2 == pytest.approx(4.0, rel=0.1), f"{n} x 2"
 
 
+class TestSampledInterpolation:
+    @staticmethod
+    def _spec_and_times(n, npts, nmids):
+        rng = np.random.default_rng(8)
+        grid = TimeGrid.uniform(2.0, npts - 1)
+        spec = cosine_drive(random_hermitian(n, rng), random_hermitian(n, rng), grid)
+        return spec, np.sort(rng.uniform(0.0, 2.0, nmids))
+
+    def test_bitwise_equal_to_the_interpolation_formula(self):
+        spec, times = self._spec_and_times(6, 33, 200)
+        tg = spec.grid.times
+        hi = np.clip(np.searchsorted(tg, times, side="left"), 1, tg.size - 1)
+        lo = hi - 1
+        w = (times - tg[lo]) / (tg[hi] - tg[lo])
+        ref = (1.0 - w)[:, None, None] * spec.samples[lo] + w[:, None, None] * spec.samples[hi]
+        np.testing.assert_array_equal(hamiltonian_path(spec, times), ref)
+        np.testing.assert_array_equal(hamiltonian_path(spec, tg), spec.samples)
+
+    def test_peak_memory_near_the_result(self):
+        import tracemalloc
+
+        spec, times = self._spec_and_times(64, 9, 512)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = hamiltonian_path(spec, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * out.nbytes
+
+
 def per_step_loewdin_propagate(spec, psi0, grid):
     """Reference: step one midpoint slice at a time and re-orthonormalize
     symmetrically after every step."""
@@ -272,21 +303,30 @@ class TestTaylorAction:
         assert np.abs(path.frames - per_step_loewdin_propagate(spec, psi0, grid)).max() <= 1e-12
 
 
+def projectors(path):
+    """Rank-M projectors S(t) S(t)^dag per grid point."""
+    return path.frames @ path.frames.conj().swapaxes(1, 2)
+
+
+def restricted_generator(spec, path):
+    """F(t) = -i S(t)^dag H(t) S(t) per grid point."""
+    return _sandwich(hamiltonian_path(spec, path.grid.times), path.frames)
+
+
 class TestProjectorPath:
     def test_case_i_projector_constant(self):
         spec = LambdaSystem(omega0=SQRT3, delta=1.0)
         psi0 = np.stack([np.array([0, 0, 1]), spec.bright_state], axis=1).astype(complex)
         path = propagate_frame(spec, psi0, TimeGrid.uniform(np.pi / 2, 512))
-        projectors = projector_path(path)
         d = spec.dark_state
         expected = np.eye(3) - np.outer(d, d.conj())
-        assert np.abs(projectors - expected).max() <= 1e-12
+        assert np.abs(projectors(path) - expected).max() <= 1e-12
 
     def test_static_projector_for_zero_hamiltonian(self):
         psi0 = np.eye(3)[:, :1].astype(complex)
         path = propagate_frame(Constant(np.zeros((3, 3))), psi0, TimeGrid.uniform(1.0, 8))
-        projectors = projector_path(path)
-        assert np.abs(projectors - projectors[0]).max() == 0.0
+        proj = projectors(path)
+        assert np.abs(proj - proj[0]).max() == 0.0
 
     def test_projector_equation_residual_second_order(self):
         # finite-difference dP/dt vs i[P, H]; halving dt should quarter it
@@ -300,13 +340,11 @@ class TestProjectorPath:
             grid = TimeGrid.uniform(tau, steps)
             spec = cosine_drive(h0, h1, grid)
             path = propagate_frame(spec, psi0, grid)
-            projectors = projector_path(path)
-            pdot = np.gradient(projectors, grid.times, axis=0, edge_order=2)
-            from holosplit.dynamics import hamiltonian_path
-
+            proj = projectors(path)
+            pdot = np.gradient(proj, grid.times, axis=0, edge_order=2)
             hams = hamiltonian_path(spec, grid.times)
-            comm = 1j * (np.einsum("tij,tjk->tik", projectors, hams)
-                         - np.einsum("tij,tjk->tik", hams, projectors))
+            comm = 1j * (np.einsum("tij,tjk->tik", proj, hams)
+                         - np.einsum("tij,tjk->tik", hams, proj))
             return np.linalg.norm(pdot - comm, axis=(1, 2)).max()
 
         r1, r2 = residual(128), residual(256)
@@ -319,21 +357,21 @@ class TestRestrictedGenerator:
         spec = LambdaSystem(omega0=omega0, delta=delta)
         psi0 = np.stack([np.array([0, 0, 1]), spec.bright_state], axis=1).astype(complex)
         path = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 8))
-        f0 = restricted_generator_path(spec, path)[0]
+        f0 = restricted_generator(spec, path)[0]
         expected = -1j * np.array([[2 * delta, omega0], [omega0, 0.0]])
         np.testing.assert_allclose(f0, expected, atol=1e-12)
 
     def test_zero_hamiltonian(self):
         psi0 = np.eye(3)[:, :2].astype(complex)
         path = propagate_frame(Constant(np.zeros((3, 3))), psi0, TimeGrid.uniform(1.0, 8))
-        assert np.abs(restricted_generator_path(Constant(np.zeros((3, 3))), path)[3]).max() == 0.0
+        assert np.abs(restricted_generator(Constant(np.zeros((3, 3))), path)[3]).max() == 0.0
 
     def test_case_ii_frame_generator_vanishes(self):
         # dark state decouples and <b|H|b> = 0, so F(t) = 0 on {|d>, e^{-iHt}|b>}
         spec = LambdaSystem(omega0=SQRT3, delta=1.0)
         psi0 = np.stack([spec.dark_state, spec.bright_state], axis=1)
         path = propagate_frame(spec, psi0, TimeGrid.uniform(np.pi / 2, 1024))
-        f = restricted_generator_path(spec, path)
+        f = restricted_generator(spec, path)
         assert np.abs(f).max() <= 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -344,7 +382,7 @@ class TestRestrictedGenerator:
         grid = TimeGrid.uniform(1.0, 32)
         spec = cosine_drive(random_hermitian(n, rng), random_hermitian(n, rng), grid)
         path = propagate_frame(spec, random_frame(n, 2, rng), grid)
-        f = restricted_generator_path(spec, path)
+        f = restricted_generator(spec, path)
         assert np.linalg.norm(f + f.conj().swapaxes(1, 2), axis=(1, 2)).max() <= 1e-9
 
 

@@ -12,7 +12,6 @@ from holosplit.holonomy import (
     _commutator_bound,
     connection_path,
     generator_path,
-    k_path,
     kw_wf_residual,
     max_commutator_scan,
     ordered_factor,
@@ -69,12 +68,17 @@ class TestConnectionPath:
             connection_path(sec)
 
 
+def k_mats(ns, spec=None):
+    """K(t) of a Lambda-case run, as generator_path forms it."""
+    return generator_path(ns.section, ns.schrod, ns.spec if spec is None else spec).k_mats
+
+
 class TestKPath:
     def test_case_ii_dynamical_matrix_vanishes(self, case_ii):
-        assert np.abs(k_path(case_ii.section, case_ii.spec)).max() <= 1e-12
+        assert np.abs(k_mats(case_ii)).max() <= 1e-12
 
     def test_case_iii_constant_value(self, case_iii):
-        k = k_path(case_iii.section, case_iii.spec)
+        k = k_mats(case_iii)
         expected = np.diag([0.0, -2j])
         assert np.abs(k - expected).max() <= 1e-12
 
@@ -83,11 +87,11 @@ class TestKPath:
         spec = Constant(np.zeros((3, 3)))
         s = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 16))
         sec = build_section(PhaseAnchored(), s, spec)
-        assert np.abs(k_path(sec, spec)).max() == 0.0
+        assert np.abs(generator_path(sec, s, spec).k_mats).max() == 0.0
 
     def test_rejects_dimension_mismatch(self, case_ii):
         with pytest.raises(ValueError, match="dimension"):
-            k_path(case_ii.section, Constant(np.zeros((2, 2))))
+            k_mats(case_ii, Constant(np.zeros((2, 2))))
 
 
 class TestKwWfIdentity:

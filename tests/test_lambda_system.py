@@ -12,7 +12,6 @@ from holosplit.lambda_system import (
     case_setup,
     dark_bright_to_bare,
     eigensystem,
-    lambda_hamiltonian,
 )
 from holosplit.linalg import commutator_norm
 from holosplit.sections import Fixed, PhaseAnchored
@@ -48,7 +47,7 @@ class TestParamValidation:
 
 class TestLambdaHamiltonian:
     def test_single_transition_structure(self):
-        h = lambda_hamiltonian(params(omega0=1.0, delta=0.0))
+        h = params(omega0=1.0, delta=0.0).spec.matrix
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 2] = expected[2, 0] = 1.0
         np.testing.assert_allclose(h, expected, atol=1e-15)
@@ -56,19 +55,19 @@ class TestLambdaHamiltonian:
     @settings(max_examples=40, deadline=None)
     @given(lambda_params())
     def test_dark_state_annihilated(self, p):
-        h = lambda_hamiltonian(p)
+        h = p.spec.matrix
         d = p.spec.dark_state
         assert np.abs(h @ d).max() <= 1e-12
 
     def test_eigenvalues(self):
-        h = lambda_hamiltonian(params())
+        h = params().spec.matrix
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(h)), [-1.0, 0.0, 3.0],
                                    atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(lambda_params())
     def test_spectrum_closed_form(self, p):
-        h = lambda_hamiltonian(p)
+        h = p.spec.matrix
         expected = np.sort([0.0, p.delta + p.phidot, p.delta - p.phidot])
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(h)), expected, atol=1e-11)
 
@@ -91,7 +90,7 @@ class TestEigensystem:
     @settings(max_examples=40, deadline=None)
     @given(lambda_params())
     def test_eigen_relation(self, p):
-        h = lambda_hamiltonian(p)
+        h = p.spec.matrix
         es = eigensystem(p)
         for i in range(3):
             v = es.vectors[:, i]
@@ -197,7 +196,7 @@ class TestPipelineAgreement:
         np.testing.assert_allclose(case_iii.report.w_direct, ref.w_final, atol=1e-6)
 
     def test_case_iii_generator_entries(self, case_iii):
-        from holosplit.holonomy import connection_path, k_path
+        from holosplit.holonomy import connection_path, generator_path
 
         ref = case_iii_analytic(case_iii.params)
         a = connection_path(case_iii.section)
@@ -206,7 +205,7 @@ class TestPipelineAgreement:
         expected = np.array([ref.a22(t) for t in times[sample]])
         # pointwise finite-difference floor peaks near the A22 extremum
         assert np.abs(a[sample, 1, 1] - expected).max() <= 1e-5
-        k = k_path(case_iii.section, case_iii.spec)
+        k = generator_path(case_iii.section, case_iii.schrod, case_iii.spec).k_mats
         assert np.abs(k[:, 1, 1] + 2j).max() <= 1e-12
 
 

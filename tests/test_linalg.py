@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from holosplit.dynamics import FramePath, TimeGrid, propagate_frame
 from holosplit.linalg import (
     Tolerances,
     commutator_norm,
     expm_skew,
     frobenius,
     loewdin_orthonormalize,
-    min_eigenvalue_hermitian,
     ordered_products,
     polar_decompose,
     subspace_gap,
+    unitary_stack,
 )
+from holosplit.sections import Custom, _section, build_section
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -101,9 +103,8 @@ class TestPolarDecompose:
         # left polar pair when O is positive definite
         from holosplit import (
             LambdaParams, case_setup, propagate_frame, build_section,
-            overlap_path, w_path, u_matrix_path,
+            w_path, u_matrix_path,
         )
-        from holosplit.dynamics import TimeGrid
 
         p = LambdaParams(omega0=np.sqrt(3), delta=1.0, tau=np.pi / 3)
         spec, psi0, rule = case_setup("ii", p)
@@ -111,7 +112,7 @@ class TestPolarDecompose:
         s = propagate_frame(spec, psi0, grid)
         sec = build_section(rule, s, spec)
         pos, uni = polar_decompose(u_matrix_path(s)[-1])
-        o_end = overlap_path(sec)[-1]
+        o_end = u_matrix_path(sec.path)[-1]
         w_end = w_path(sec, s)[-1]
         phi = p.phidot * p.tau
         ref = np.diag([1.0, np.sqrt(1 - np.sin(p.gamma) ** 2 * np.sin(phi) ** 2)])
@@ -134,27 +135,44 @@ class TestPolarDecompose:
         assert np.linalg.eigvalsh(p).min() >= -1e-10
 
 
+class TestUnitaryStack:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 10_000))
+    def test_matches_series_and_is_unitary(self, dim, count, seed):
+        rng = np.random.default_rng(seed)
+        hams = np.array([1j * random_skew(dim, rng) for _ in range(count)])
+        dts = rng.uniform(-2.0, 2.0, count)
+        got = unitary_stack(hams, dts)
+        for u, h, dt in zip(got, hams, dts):
+            np.testing.assert_allclose(u, expm_series(-1j * h * dt), atol=1e-12)
+            assert frobenius(u.conj().T @ u - np.eye(dim)) <= 1e-13
+
+
 class TestMinEigenvalueHermitian:
+    """The smallest eigenvalue of the Hermitian part of the endpoint overlap
+    O(0, tau), which sections._section reports as in_phase_margin."""
+
     def test_identity(self):
-        assert min_eigenvalue_hermitian(np.eye(2)) == pytest.approx(1.0)
+        grid = TimeGrid.uniform(1.0, 4)
+        frames = np.broadcast_to(np.eye(3)[:, :2], (len(grid), 3, 2)).astype(complex)
+        path = FramePath(grid, frames)
+        assert _section(path, Custom(path)).in_phase_margin == pytest.approx(1.0)
 
     def test_diagonal(self):
-        assert min_eigenvalue_hermitian(np.diag([1.0, 0.3])) == pytest.approx(0.3)
+        # O(0, tau) = diag(1, 0.3): the second column tilts towards |3>
+        end = np.zeros((3, 2), dtype=complex)
+        end[0, 0], end[1, 1], end[2, 1] = 1.0, 0.3, np.sqrt(1 - 0.3**2)
+        path = FramePath(TimeGrid.uniform(1.0, 1), np.stack([np.eye(3)[:, :2], end]))
+        assert _section(path, Custom(path)).in_phase_margin == pytest.approx(0.3)
 
     def test_case_ii_overlap_value(self):
         # overlap diag(1, sqrt(1 - 3/4)) at sin(gamma) = sqrt(3)/2, phi = pi/2
-        from holosplit import LambdaParams, case_setup, propagate_frame, build_section, overlap_path
-        from holosplit.dynamics import TimeGrid
+        from holosplit.lambda_system import LambdaParams, case_setup
 
         p = LambdaParams(omega0=np.sqrt(3), delta=1.0, tau=np.pi / 4)
         spec, psi0, rule = case_setup("ii", p)
         s = propagate_frame(spec, psi0, TimeGrid.uniform(p.tau, 1024))
-        o_end = overlap_path(build_section(rule, s, spec))[-1]
-        assert min_eigenvalue_hermitian(o_end) == pytest.approx(0.5, abs=1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            min_eigenvalue_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert build_section(rule, s, spec).in_phase_margin == pytest.approx(0.5, abs=1e-10)
 
 
 class TestCommutatorNorm:

@@ -19,7 +19,6 @@ from holosplit.sections import (
     SectionError,
     build_section,
     gauge_transform,
-    overlap_path,
     u_matrix_path,
     w_path,
 )
@@ -91,10 +90,10 @@ class TestBuildSection:
 
 class TestOverlapPath:
     def test_identity_at_zero(self, case_iii):
-        np.testing.assert_allclose(overlap_path(case_iii.section)[0], np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(u_matrix_path(case_iii.section.path)[0], np.eye(2), atol=1e-14)
 
     def test_case_ii_formula_along_path(self, case_ii):
-        o = overlap_path(case_ii.section)
+        o = u_matrix_path(case_ii.section.path)
         phi = case_ii.params.phidot * case_ii.grid.times
         ref = np.sqrt(1 - np.sin(case_ii.params.gamma) ** 2 * np.sin(phi) ** 2)
         assert np.abs(o[:, 1, 1] - ref).max() <= 1e-8
@@ -102,11 +101,11 @@ class TestOverlapPath:
         assert np.abs(o[:, 1, 0]).max() <= 1e-12
 
     def test_case_ii_cyclic_endpoint(self, case_ii):
-        assert np.abs(overlap_path(case_ii.section)[-1] - np.eye(2)).max() <= 1e-7
+        assert np.abs(u_matrix_path(case_ii.section.path)[-1] - np.eye(2)).max() <= 1e-7
 
     def test_anchored_diagonal_real_positive(self, case_ii, case_iii):
         for ns in (case_ii, case_iii):
-            o = overlap_path(ns.section)
+            o = u_matrix_path(ns.section.path)
             diags = np.stack([o[:, j, j] for j in range(o.shape[1])], axis=1)
             assert np.abs(diags.imag).max() <= 1e-12
             assert diags.real.min() > 0
@@ -140,7 +139,7 @@ class TestWPath:
             assert res.max() <= 1e-9
 
     def test_reconstructs_evolution_matrix(self, case_ii):
-        o = overlap_path(case_ii.section)
+        o = u_matrix_path(case_ii.section.path)
         w = w_path(case_ii.section, case_ii.schrod)
         u = u_matrix_path(case_ii.schrod)
         res = np.linalg.norm(u - np.einsum("tij,tjk->tik", o, w), axis=(1, 2))
@@ -151,6 +150,17 @@ class TestWPath:
         with pytest.raises(ValueError, match="grid"):
             w_path(case_ii.section, other)
 
+    def test_rejects_section_of_another_evolution(self, case_i, case_ii):
+        # same grid and shape, but case i's frame spans {|3>, |b>} and case
+        # ii's {|d>, |b>}: W and the report must refuse the pairing
+        from holosplit.holonomy import separability_report
+
+        assert np.array_equal(case_i.grid.times, case_ii.grid.times)
+        with pytest.raises(ValueError, match="span different subspaces"):
+            w_path(case_ii.section, case_i.schrod)
+        with pytest.raises(ValueError, match="span different subspaces"):
+            separability_report(case_ii.section, case_i.schrod, case_ii.spec)
+
 
 class TestGaugeTransform:
     def test_identity_gauge_is_noop(self, case_ii):
@@ -159,7 +169,7 @@ class TestGaugeTransform:
         assert np.abs(out.path.frames - case_ii.section.path.frames).max() == 0.0
 
     def test_constant_swap_conjugates_generators(self, case_iii):
-        from holosplit.holonomy import connection_path, k_path, ordered_factor
+        from holosplit.holonomy import connection_path, generator_path, ordered_factor
 
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         v = np.broadcast_to(swap, (len(case_iii.grid), 2, 2)).copy()
@@ -167,8 +177,8 @@ class TestGaugeTransform:
         a0 = connection_path(case_iii.section)
         a1 = connection_path(moved)
         assert np.abs(a1 - np.einsum("ij,tjk,kl->til", swap, a0, swap)).max() <= 1e-9
-        k0 = k_path(case_iii.section, case_iii.spec)
-        k1 = k_path(moved, case_iii.spec)
+        k0 = generator_path(case_iii.section, case_iii.schrod, case_iii.spec).k_mats
+        k1 = generator_path(moved, case_iii.schrod, case_iii.spec).k_mats
         assert np.abs(k1 - np.einsum("ij,tjk,kl->til", swap, k0, swap)).max() <= 1e-12
         hol0 = ordered_factor(a0, case_iii.grid)
         hol1 = ordered_factor(a1, case_iii.grid)
