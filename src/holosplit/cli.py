@@ -196,6 +196,8 @@ def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None,
         moved = separability_report(transformed, rotated, cfg.spec, cfg.tolerances)
     except InPhaseViolation as exc:
         return _fail(EXIT_IN_PHASE, f"in-phase violation after gauge transform: {exc}")
+    except ValueError as exc:
+        return _exit_code(exc, "gauge transform failed")
 
     print(f"gauge seed: {seed}")
     worst = 0.0

@@ -1,24 +1,29 @@
 """Time-dependent Hamiltonians and Schrodinger propagation of frames.
 
 A frame is an N x M matrix of orthonormal columns spanning an M-dimensional
-subspace. Propagation applies exp(-i H(t_mid) dt) per step, with the
-Hamiltonian evaluated at the step midpoint (second-order accurate), by one of
-two kernels chosen from the frame's shape alone. Below N = 10 each step's
-N x N unitary comes in full from linalg.unitary_stack, the package's one
-exp(-i H dt) slice kernel, and is multiplied onto the frame. From N = 10 on,
-the exponential acts on the N x M frame directly as a truncated Taylor
-series, whose degree and substep count are fixed once per run so the
-remainder stays below 2^-53 of the frame's norm; no N x N eigh or slice is
-formed. Both kernels give the same step to roundoff, so the frames
-are stepped without correction and then orthonormalized symmetrically once,
-in one batched Loewdin pass over the whole path; orthonormality holds to
-roundoff at every grid point. Units: hbar = 1; times in s, frequencies in
-rad/s, both dimensionless in code.
+subspace. The kernel is chosen from the spec type and the frame's shape
+alone. A time-independent H (a Constant or LambdaSystem spec) is
+diagonalized once, H = V diag(E) V^dag, and every frame is
+V exp(-i E t_k) V^dag psi0 at the grid's absolute times, exact up to
+roundoff on any grid. A Sampled H is stepped: each step applies
+exp(-i H(t_mid) dt), with the Hamiltonian evaluated at the step midpoint
+(second-order accurate). Below N = 10 each step's N x N unitary comes in
+full from linalg.unitary_stack, the package's one exp(-i H dt) slice kernel,
+and is multiplied onto the frame. From N = 10 on, the exponential acts on
+the N x M frame directly as a truncated Taylor series, whose degree and
+substep count are fixed once per run so the remainder stays below 2^-53 of
+the frame's norm; no N x N eigh or slice is formed. Both stepping kernels
+give the same step to roundoff. On every route the frames are computed
+without correction and then orthonormalized symmetrically once, in one
+batched Loewdin pass over the whole path; orthonormality holds to roundoff
+at every grid point. Units: hbar = 1; times in s, frequencies in rad/s,
+both dimensionless in code.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +86,10 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, tau: float, steps: int) -> "TimeGrid":
+        # a boolean is not a count, and a fractional count would be truncated
+        integral = isinstance(steps, numbers.Real) and float(steps).is_integer()
+        if isinstance(steps, bool) or not integral:
+            raise ValueError(f"steps must be an integral number, got {steps!r}")
         if steps < 1:
             raise ValueError("need at least one step")
         if not 0 < tau < np.inf:
@@ -289,6 +298,22 @@ def _taylor_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
                 np.add(start, prod, out=y)
 
 
+def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> FramePath:
+    """V exp(-i E t_k) V^dag psi0 at every grid time, from one eigh of H."""
+    w, v = np.linalg.eigh(ham)
+    times = grid.times
+    n, m = psi0.shape
+    # frame(t)_ij = sum_l exp(-i w_l t) v_il (v^dag psi0)_lj: one
+    # (T-1) x N by N x (N M) product
+    modes = v[:, :, None] * (v.conj().T @ psi0)[None, :, :]
+    out = np.empty((times.size, n, m), dtype=complex)
+    out[0] = psi0
+    phases = np.exp(-1j * np.outer(times[1:], w))
+    out[1:] = (phases @ modes.transpose(1, 0, 2).reshape(n, n * m)).reshape(-1, n, m)
+    out[1:] = loewdin_orthonormalize(out[1:])
+    return FramePath(grid, out)
+
+
 def _propagate(hams: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> FramePath:
     """Step psi0 over the grid with the stack of midpoint Hamiltonians."""
     dts = np.diff(grid.times)
@@ -314,13 +339,15 @@ def propagate_frame(
 ) -> FramePath:
     """Solve the Schrodinger equation for each column of psi0 over the grid.
 
-    Each step applies exp(-i H(t_mid) dt) with H at the step midpoint, so the
+    A Constant or LambdaSystem spec is solved exactly: one eigh of H gives
+    every frame as V exp(-i E t_k) V^dag psi0, on any grid. A Sampled spec
+    is stepped with exp(-i H(t_mid) dt), H at the step midpoint, so the
     scheme is second order in dt. For N < 10 the step unitary comes from
-    linalg.unitary_stack (an eigh of H); for N >= 10 its action on the N x M
-    frame comes from a truncated Taylor series with remainder below 2^-53,
-    which needs only (N x N) @ (N x M) products. The two agree to roundoff. psi0 must have
-    orthonormal columns; the returned path starts at psi0 exactly and keeps
-    orthonormality at every grid point.
+    linalg.unitary_stack; for N >= 10 its action on the N x M frame comes
+    from a truncated Taylor series with remainder below 2^-53, which needs
+    only (N x N) @ (N x M) products. The two agree to roundoff. psi0 must
+    have orthonormal columns; the returned path starts at psi0 exactly and
+    keeps orthonormality at every grid point.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 2:
@@ -333,6 +360,8 @@ def propagate_frame(
     gram = psi0.conj().T @ psi0
     if frobenius(gram - np.eye(psi0.shape[1])) > 10 * tol.structure_tol:
         raise ValueError("psi0 columns are not orthonormal")
+    if isinstance(spec, (Constant, LambdaSystem)):
+        return _propagate_constant(spec.matrix, psi0, grid)
     times = grid.times
     return _propagate(hamiltonian_path(spec, 0.5 * (times[:-1] + times[1:])), psi0, grid)
 

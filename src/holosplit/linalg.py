@@ -3,7 +3,11 @@
 Matrices are plain numpy arrays with dtype complex128 and are never mutated.
 The Frobenius norm is the canonical matrix distance everywhere. Every unitary
 slice exp(-i H dt), whether a propagation step or a factor of an ordered
-exponential, comes from the one batched eigh kernel unitary_stack.
+exponential, comes from the one kernel unitary_stack. The kernels pick their
+method from the array shape alone: a stack of 2 x 2 matrices, the shape of
+every M = 2 subspace quantity, takes closed forms (Cayley-Hamilton for the
+exponential, the 2 x 2 square-root formula for the Loewdin factor) that form
+no eigenvectors; any other size takes one batched eigh.
 """
 
 from __future__ import annotations
@@ -93,10 +97,15 @@ def subspace_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """exp(-i H_k dt_k) for a stack (n, m, m) of Hermitian H_k and n steps dt_k.
 
-    The H_k must be exactly Hermitian: eigh reads only their lower triangle.
-    Each slice is V diag(exp(-i w dt)) V^dag from one batched eigh, so it is
-    unitary to roundoff.
+    The H_k must be exactly Hermitian: only their diagonal and lower triangle
+    are read. For m = 2 each slice is the Cayley-Hamilton form
+    e^{-i tr(H) dt/2} (cos(theta) I - i dt (sin(theta)/theta) H0), with H0 the
+    traceless part of H and theta = dt ||H0||_2; diagonal and degenerate H
+    need no special case. Otherwise each slice is V diag(exp(-i w dt)) V^dag
+    from one batched eigh. Both are unitary to roundoff.
     """
+    if hams.shape[-1] == 2:
+        return _unitary_2x2(hams, dts)
     w, v = np.linalg.eigh(hams)
     # scale v in place so no extra stack-sized temporary is allocated
     vh = v.conj().swapaxes(-1, -2)
@@ -104,8 +113,27 @@ def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return v @ vh
 
 
+def _unitary_2x2(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
+    """unitary_stack for m = 2. H0 = H - tr(H)/2 I squares to
+    (theta/dt)^2 I, so the exponential series of -i H0 dt sums to
+    cos(theta) I - i dt (sin(theta)/theta) H0."""
+    d0, d1, low = hams[:, 0, 0].real, hams[:, 1, 1].real, hams[:, 1, 0]
+    half_gap = (d0 - d1) / 2
+    theta = dts * np.hypot(half_gap, np.abs(low))
+    phase = np.exp(-0.5j * (d0 + d1) * dts)
+    cos = phase * np.cos(theta)
+    # np.sinc(x) = sin(pi x)/(pi x), which is 1 at x = 0
+    cross = phase * (-1j * dts * np.sinc(theta / np.pi))
+    out = np.empty((hams.shape[0], 2, 2), dtype=complex)
+    out[:, 0, 0] = cos + cross * half_gap
+    out[:, 1, 1] = cos - cross * half_gap
+    out[:, 1, 0] = cross * low
+    out[:, 0, 1] = cross * low.conj()
+    return out
+
+
 def expm_skew(x, *, structure_tol: float = DEFAULT_TOL.structure_tol) -> np.ndarray:
-    """exp(x) for anti-Hermitian x, via unitary diagonalization of i*x.
+    """exp(x) for anti-Hermitian x, as unitary_stack of the Hermitian i*x.
 
     The result is unitary to roundoff, a property the holonomy identities
     downstream rely on. Inputs whose anti-Hermiticity residual exceeds
@@ -153,14 +181,46 @@ def loewdin_orthonormalize(frame: np.ndarray) -> np.ndarray:
 
     Returns frame @ (frame^dag frame)^(-1/2). Unlike Gram-Schmidt this
     treats all columns on the same footing. frame may be a single N x M
-    matrix or a stack (..., N, M), each orthonormalized on its own.
+    matrix or a stack (..., N, M), each orthonormalized on its own. For
+    M = 2 the inverse square root of the Gram matrix G comes from the closed
+    form sqrt(G) = (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G)); for
+    other M from one batched eigh of G. A frame whose G has a non-positive
+    determinant (M = 2) or eigenvalue is rejected as rank deficient.
     """
+    if frame.shape[-1] == 2:
+        return _loewdin_2(frame)
     frame_h = frame.conj().swapaxes(-1, -2)
     w, v = np.linalg.eigh(hermitian_part(frame_h @ frame))
     if w.min() <= 0.0:
         raise ValueError("frame is numerically rank deficient")
     inv_sqrt = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return frame @ inv_sqrt
+
+
+def _loewdin_2(frame: np.ndarray) -> np.ndarray:
+    """loewdin_orthonormalize for two columns c0, c1, column by column.
+
+    With G the Gram matrix and s = sqrt(det G), sqrt(G) = (G + s I) /
+    sqrt(tr G + 2 s) by Cayley-Hamilton, so G^(-1/2) = (adj(G) + s I) /
+    (s sqrt(tr G + 2 s)), where adj swaps the diagonal and negates the
+    off-diagonal entries.
+    """
+    c0, c1 = frame[..., 0], frame[..., 1]
+    g00 = np.einsum("...n,...n->...", c0.conj(), c0).real
+    g11 = np.einsum("...n,...n->...", c1.conj(), c1).real
+    g10 = np.einsum("...n,...n->...", c1.conj(), c0)
+    det = g00 * g11 - (g10.real**2 + g10.imag**2)
+    if det.min() <= 0.0:
+        raise ValueError("frame is numerically rank deficient")
+    s = np.sqrt(det)
+    scale = 1.0 / (s * np.sqrt(g00 + g11 + 2.0 * s))
+    x00 = ((g11 + s) * scale)[..., None]
+    x11 = ((g00 + s) * scale)[..., None]
+    x10 = (-g10 * scale)[..., None]
+    out = np.empty(frame.shape, dtype=complex)
+    out[..., 0] = c0 * x00 + c1 * x10
+    out[..., 1] = c0 * x10.conj() + c1 * x11
+    return out
 
 
 def ordered_products(

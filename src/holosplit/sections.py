@@ -96,10 +96,20 @@ class SectionPath:
     min_intermediate_margin: float
 
 
+def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix in a Hermitian stack (T, M, M):
+    for M = 2 the closed form (a + d)/2 - hypot((a - d)/2, |b|), otherwise
+    a batched eigvalsh."""
+    if herm.shape[-1] == 2:
+        a, d = herm[:, 0, 0].real, herm[:, 1, 1].real
+        return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(herm[:, 1, 0]))
+    return np.linalg.eigvalsh(herm)[:, 0]
+
+
 def _section(path: FramePath, rule: SectionRule) -> SectionPath:
     """Attach the in-phase diagnostics of the overlaps O(0, t) to a path."""
     overlaps = u_matrix_path(path)
-    mins = np.linalg.eigvalsh(hermitian_part(overlaps))[:, 0]
+    mins = _min_eigenvalues(hermitian_part(overlaps))
     o_end = overlaps[-1]
     asym = frobenius(o_end - o_end.conj().T)
     return SectionPath(path, rule, float(mins[-1]), asym, float(mins.min()))

@@ -371,6 +371,16 @@ class TestExitCodes:
 
 
 class TestGaugeCheck:
+    def test_bad_gauge_path_is_an_input_error(self, case_ii_config, monkeypatch, capsys):
+        # gauge_transform rejects a non-unitary V with a ValueError, which
+        # must exit 3 (input error), not 1 (negative verdict)
+        def doubled_identity(times, m, rng):
+            return np.broadcast_to(2.0 * np.eye(m, dtype=complex), (times.size, m, m)).copy()
+
+        monkeypatch.setattr("holosplit.cli.random_closed_gauge", doubled_identity)
+        assert cmd_gauge_check(str(case_ii_config), seed=1) == 3
+        assert capsys.readouterr().err.startswith("gauge transform failed: gauge path is not unitary")
+
     @pytest.mark.parametrize("case", ["i", "ii", "iii"])
     def test_lambda_cases_covariant(self, case, tmp_path, capsys):
         path = write_config(tmp_path / f"g{case}.json",

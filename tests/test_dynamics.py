@@ -11,6 +11,7 @@ from holosplit.dynamics import (
     LambdaSystem,
     Sampled,
     TimeGrid,
+    _propagate,
     _sandwich,
     _taylor_march,
     _taylor_plan,
@@ -35,6 +36,15 @@ class TestTimeGrid:
     def test_rejects_bad_grids(self, times):
         with pytest.raises(ValueError):
             TimeGrid(np.array(times))
+
+    @pytest.mark.parametrize("steps", [2.5, 1e-3, True, np.bool_(True), np.nan, "4", None])
+    def test_uniform_rejects_non_integral_steps(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            TimeGrid.uniform(1.0, steps)
+
+    @pytest.mark.parametrize("steps", [4096, 4096.0, np.int64(4096), np.float64(4096.0)])
+    def test_uniform_accepts_integral_steps(self, steps):
+        assert TimeGrid.uniform(1.0, steps).steps == 4096
 
     @given(st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(1, 64))
     def test_uniform_rejects_non_finite_tau(self, tau, steps):
@@ -259,6 +269,36 @@ class TestLoopFreePropagation:
             f = propagate_frame(spec, psi0, grid).frames
             grams = f.conj().swapaxes(1, 2) @ f
             assert np.linalg.norm(grams - np.eye(f.shape[2]), axis=(1, 2)).max() <= 1e-13
+
+
+class TestConstantPropagation:
+    """A time-independent H is propagated by one eigh; the stepped midpoint
+    route, exact per step for a constant H, is the reference."""
+
+    @staticmethod
+    def _runs():
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2, eta=np.pi / 3)
+        for case in ("i", "ii", "iii"):
+            spec, psi0, _ = case_setup(case, p)
+            yield f"lambda {case}", spec, psi0
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 4, 12):
+            for m in (1, 2):
+                yield f"{n} x {m}", Constant(random_hermitian(n, rng)), random_frame(n, m, rng)
+
+    @pytest.mark.parametrize("kind", ["uniform", "non_uniform"])
+    def test_matches_stepped_route(self, kind):
+        if kind == "uniform":
+            grid = TimeGrid.uniform(2.0, 1024)
+        else:
+            inner = np.random.default_rng(9).uniform(0.0, 2.0, 1023)
+            grid = TimeGrid(np.concatenate([[0.0], np.unique(inner), [2.0]]))
+        mids = 0.5 * (grid.times[:-1] + grid.times[1:])
+        for label, spec, psi0 in self._runs():
+            path = propagate_frame(spec, psi0, grid)
+            stepped = _propagate(hamiltonian_path(spec, mids), psi0, grid)
+            assert np.abs(path.frames - stepped.frames).max() <= 1e-11, label
+            np.testing.assert_array_equal(path.frames[0], psi0)
 
 
 class TestTaylorAction:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from holosplit.dynamics import FramePath, TimeGrid, propagate_frame
+from holosplit.instances import random_hermitian
 from holosplit.linalg import (
     Tolerances,
     commutator_norm,
@@ -16,7 +17,7 @@ from holosplit.linalg import (
     subspace_gap,
     unitary_stack,
 )
-from holosplit.sections import Custom, _section, build_section
+from holosplit.sections import Custom, _min_eigenvalues, _section, build_section
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -146,6 +147,110 @@ class TestUnitaryStack:
         for u, h, dt in zip(got, hams, dts):
             np.testing.assert_allclose(u, expm_series(-1j * h * dt), atol=1e-12)
             assert frobenius(u.conj().T @ u - np.eye(dim)) <= 1e-13
+
+
+def eigh_unitary_stack(hams, dts):
+    """Reference: V diag(exp(-i w dt)) V^dag from a batched eigh."""
+    w, v = np.linalg.eigh(hams)
+    return (v * np.exp(-1j * w * dts[:, None])[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def eigh_loewdin(frame):
+    """Reference: frame @ (frame^dag frame)^(-1/2) from a batched eigh."""
+    w, v = np.linalg.eigh(frame.conj().swapaxes(-1, -2) @ frame)
+    if w.min() <= 0.0:
+        raise ValueError("frame is numerically rank deficient")
+    return frame @ ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+@st.composite
+def hermitian_2x2_steps(draw):
+    """A stack of 2 x 2 Hermitian H (random, diagonal, scalar, zero or nearly
+    degenerate) and steps dt of either sign, with theta = |dt| times the
+    half-gap of the eigenvalues drawn log-uniformly from 1e-9 to 4 pi."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "diagonal", "scalar", "zero", "near"]),
+                          min_size=1, max_size=8))
+    hams, dts = [], []
+    for kind in kinds:
+        shift = rng.uniform(-3.0, 3.0) * np.eye(2)
+        if kind == "random":
+            h = random_hermitian(2, rng, 10 ** rng.uniform(-3.0, 2.0))
+        elif kind == "diagonal":
+            h = np.diag(rng.uniform(-5.0, 5.0, 2))
+        elif kind == "scalar":
+            h = shift
+        elif kind == "zero":
+            h = np.zeros((2, 2))
+        else:
+            h = shift + 10 ** rng.uniform(-8.0, -4.0) * random_hermitian(2, rng)
+        half_gap = np.hypot((h[0, 0] - h[1, 1]).real / 2, abs(h[1, 0]))
+        theta = 10 ** draw(st.floats(-9.0, np.log10(4 * np.pi)))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        hams.append(h)
+        dts.append(sign * theta / (half_gap if half_gap > 0 else 1.0))
+    return np.array(hams, dtype=complex), np.array(dts)
+
+
+@st.composite
+def two_column_frames(draw):
+    """A stack of N x 2 frames: near-orthonormal, or of full rank with column
+    norms in [1/2, 2], orthogonal or equal-norm columns included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, count = draw(st.integers(2, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["near", "general", "orthogonal", "equal_norms"]))
+    q = random_frames(rng, (count,), n, 2)
+    if kind == "near":
+        size = 10 ** draw(st.floats(-12.0, -3.0))
+        return q + size * (rng.standard_normal(q.shape) + 1j * rng.standard_normal(q.shape))
+    norms = np.exp(rng.uniform(np.log(0.5), np.log(2.0), (count, 1, 2)))
+    if kind == "equal_norms":
+        norms[..., 1] = norms[..., 0]
+    frames = q * norms
+    return frames if kind == "orthogonal" else frames @ random_frames(rng, (count,), 2, 2)
+
+
+class TestTwoByTwoClosedForms:
+    """The M = 2 closed forms against the eigh routes they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hermitian_2x2_steps())
+    def test_exponential_matches_eigh(self, stack):
+        hams, dts = stack
+        got = unitary_stack(hams, dts)
+        scale = 1.0 + np.abs(dts) * np.abs(np.linalg.eigvalsh(hams)).max(axis=1)
+        err = np.abs(got - eigh_unitary_stack(hams, dts)).max(axis=(1, 2))
+        assert (err <= 1e-13 * scale).all()
+        unitarity = np.linalg.norm(got.conj().swapaxes(1, 2) @ got - np.eye(2), axis=(1, 2))
+        assert unitarity.max() <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_column_frames())
+    def test_loewdin_matches_eigh(self, frames):
+        got = loewdin_orthonormalize(frames)
+        assert np.abs(got - eigh_loewdin(frames)).max() <= 1e-13
+        np.testing.assert_array_equal(loewdin_orthonormalize(frames[0]), got[0])
+        grams = got.conj().swapaxes(1, 2) @ got
+        assert np.linalg.norm(grams - np.eye(2), axis=(1, 2)).max() <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(hermitian_2x2_steps())
+    def test_min_eigenvalue_matches_eigvalsh(self, stack):
+        hams, _ = stack
+        err = np.abs(_min_eigenvalues(hams) - np.linalg.eigvalsh(hams)[:, 0])
+        assert (err <= 1e-13 * np.abs(hams).max(axis=(1, 2))).all()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("kind", ["zero", "repeated", "doubled"])
+    def test_rank_deficient_frames_raise(self, m, kind):
+        col = random_frames(np.random.default_rng(3), (), 4, 1)[:, 0] * 3.7
+        scales = {"zero": [1.0] + [0.0] * (m - 1), "repeated": [1.0] * m,
+                  "doubled": [2.0**j for j in range(m)]}[kind]
+        frame = np.column_stack([col * c for c in scales])
+        stack = np.stack([np.eye(4, m, dtype=complex), frame])
+        for route in (loewdin_orthonormalize, eigh_loewdin):
+            with pytest.raises(ValueError, match="rank deficient"):
+                route(stack)
 
 
 class TestMinEigenvalueHermitian:
