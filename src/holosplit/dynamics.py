@@ -7,17 +7,19 @@ diagonalized once, H = V diag(E) V^dag, and every frame is
 V exp(-i E t_k) V^dag psi0 at the grid's absolute times, exact up to
 roundoff on any grid. A Sampled H is stepped: each step applies
 exp(-i H(t_mid) dt), with the Hamiltonian evaluated at the step midpoint
-(second-order accurate). Below N = 10 each step's N x N unitary comes in
-full from linalg.unitary_stack, the package's one exp(-i H dt) slice kernel,
-and is multiplied onto the frame. From N = 10 on, the exponential acts on
-the N x M frame directly as a truncated Taylor series, whose degree and
-substep count are fixed once per run so the remainder stays below 2^-53 of
-the frame's norm; no N x N eigh or slice is formed. Both stepping kernels
-give the same step to roundoff. On every route the frames are computed
-without correction and then orthonormalized symmetrically once, in one
-batched Loewdin pass over the whole path; orthonormality holds to roundoff
-at every grid point. Units: hbar = 1; times in s, frequencies in rad/s,
-both dimensionless in code.
+(second-order accurate). The midpoint Hamiltonians are sampled in chunks of
+about 1 MiB and each chunk is stepped while it is still in cache, so no
+stack of H over the whole grid is formed. Below N = 10 each step's N x N
+unitary comes in full from linalg.unitary_stack, the package's one
+exp(-i H dt) slice kernel, and is multiplied onto the frame. From N = 10 on,
+the exponential acts on the N x M frame directly as a truncated Taylor
+series, whose degree and substep count are fixed once per chunk so the
+remainder stays below 2^-53 of the frame's norm; no N x N eigh or slice is
+formed. Both stepping kernels give the same step to roundoff. On every
+route the frames are computed without correction and then orthonormalized
+symmetrically once, in one batched Loewdin pass over the whole path;
+orthonormality holds to roundoff at every grid point. Units: hbar = 1;
+times in s, frequencies in rad/s, both dimensionless in code.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -196,15 +199,28 @@ def dimension(spec: HamiltonianSpec) -> int:
     raise TypeError(f"not a Hamiltonian spec: {type(spec).__name__}")
 
 
-def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
-    """Stack of H(t) over the given times, shape (len(times), n, n)."""
+def _checked_times(spec: HamiltonianSpec, times) -> np.ndarray:
+    """times as a float array, rejected unless it is 1-D, non-empty, finite
+    and, for a Sampled spec, inside the sampled interval."""
     times = np.asarray(times, dtype=float)
-    if isinstance(spec, (Constant, LambdaSystem)):
-        return np.broadcast_to(spec.matrix, (times.size, *spec.matrix.shape)).copy()
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"times must be a non-empty 1-D array, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("times contains non-finite values")
     if isinstance(spec, Sampled):
         tg = spec.grid.times
         if times.min() < tg[0] or times.max() > tg[-1]:
             raise ValueError("requested time outside the sampled interval")
+    return times
+
+
+def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
+    """Stack of H(t) over the given times, shape (len(times), n, n)."""
+    times = _checked_times(spec, times)
+    if isinstance(spec, (Constant, LambdaSystem)):
+        return np.broadcast_to(spec.matrix, (times.size, *spec.matrix.shape)).copy()
+    if isinstance(spec, Sampled):
+        tg = spec.grid.times
         hi = np.clip(np.searchsorted(tg, times, side="left"), 1, tg.size - 1)
         lo = hi - 1
         w = ((times - tg[lo]) / (tg[hi] - tg[lo]))[:, None, None]
@@ -259,6 +275,19 @@ class FramePath:
         return self.frames[-1]
 
 
+# bytes of (rows, n, n) complex Hamiltonians sampled and used at a time: a
+# chunk and its interpolation temporary stay in a 2-4 MiB L2 cache, and the
+# Python cost per chunk stays small against its work
+_CHUNK_BYTES = 2**20
+
+
+def _chunks(count: int, n: int) -> list[slice]:
+    """Consecutive slices covering range(count), each of about _CHUNK_BYTES
+    of n x n complex matrices (at least one row)."""
+    rows = max(1, _CHUNK_BYTES // (16 * n * n))
+    return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
+
+
 # substep bound on ||B||_1 for the Taylor action; keeps every Taylor term of a
 # substep below 1 in norm, so the sum loses no digits to cancellation
 _TAYLOR_THETA = 0.5
@@ -281,7 +310,7 @@ def _taylor_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
     the exponential on the N x M frame (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488 (2011)): s substeps of a degree-p polynomial in Horner
     form, each term one (N x N) @ (N x M) product, with s and p fixed once
-    from the largest ||H_k dt_k||_1."""
+    from the largest ||H_k dt_k||_1 of the given stack."""
     theta_max = float((np.abs(hams).sum(axis=1).max(axis=1) * dts).max())
     s, p = _taylor_plan(theta_max)
     prod, start = np.empty_like(out[0]), np.empty_like(out[0])
@@ -314,18 +343,26 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Fr
     return FramePath(grid, out)
 
 
-def _propagate(hams: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> FramePath:
-    """Step psi0 over the grid with the stack of midpoint Hamiltonians."""
+def _slice_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
+    """out[k+1] = exp(-i H_k dt_k) out[k] with the full N x N unitaries from
+    linalg.unitary_stack."""
+    slices = unitary_stack(hams, dts)
+    for k in range(dts.size):
+        np.matmul(slices[k], out[k], out=out[k + 1])
+
+
+def _propagate(
+    hams: Callable[[slice], np.ndarray], psi0: np.ndarray, grid: TimeGrid
+) -> FramePath:
+    """Step psi0 over the grid; hams(sl) returns the midpoint Hamiltonians of
+    the steps in sl, and is asked for one chunk of steps at a time."""
     dts = np.diff(grid.times)
     out = np.empty((grid.times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
     # measured crossover: the batched eigh wins below N = 10 whatever M is
-    if psi0.shape[0] >= 10:
-        _taylor_march(hams, dts, out)
-    else:
-        slices = unitary_stack(hams, dts)
-        for k in range(dts.size):
-            np.matmul(slices[k], out[k], out=out[k + 1])
+    march = _taylor_march if psi0.shape[0] >= 10 else _slice_march
+    for sl in _chunks(dts.size, psi0.shape[0]):
+        march(hams(sl), dts[sl], out[sl.start : sl.stop + 1])
     out[1:] = loewdin_orthonormalize(out[1:])
     return FramePath(grid, out)
 
@@ -345,13 +382,17 @@ def propagate_frame(
     scheme is second order in dt. For N < 10 the step unitary comes from
     linalg.unitary_stack; for N >= 10 its action on the N x M frame comes
     from a truncated Taylor series with remainder below 2^-53, which needs
-    only (N x N) @ (N x M) products. The two agree to roundoff. psi0 must
-    have orthonormal columns; the returned path starts at psi0 exactly and
-    keeps orthonormality at every grid point.
+    only (N x N) @ (N x M) products. The two agree to roundoff. H is taken
+    in chunks of about 1 MiB, and the Taylor degree and substep count are
+    fixed once per chunk from that chunk's largest ||H dt||_1. psi0 must
+    have at least one column and orthonormal columns; the returned path
+    starts at psi0 exactly and keeps orthonormality at every grid point.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 2:
         raise ValueError("psi0 must be an N x M matrix of column vectors")
+    if psi0.shape[1] == 0:
+        raise ValueError("psi0 has no columns; the subspace needs M >= 1")
     if not np.isfinite(psi0).all():
         raise ValueError("psi0 contains non-finite entries")
     n = dimension(spec)
@@ -363,7 +404,10 @@ def propagate_frame(
     if isinstance(spec, (Constant, LambdaSystem)):
         return _propagate_constant(spec.matrix, psi0, grid)
     times = grid.times
-    return _propagate(hamiltonian_path(spec, 0.5 * (times[:-1] + times[1:])), psi0, grid)
+    # checked whole here, so a grid leaving the sampled interval fails
+    # before the first step
+    mids = _checked_times(spec, 0.5 * (times[:-1] + times[1:]))
+    return _propagate(lambda sl: hamiltonian_path(spec, mids[sl]), psi0, grid)
 
 
 def _sandwich(hams: np.ndarray, frames: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .dynamics import (
     FramePath,
     HamiltonianSpec,
     TimeGrid,
+    _chunks,
     _propagate,
     _sandwich,
     hamiltonian_path,
@@ -128,15 +129,25 @@ def connection_path(section: SectionPath) -> np.ndarray:
 def generator_path(
     section: SectionPath, schrodinger: FramePath, spec: HamiltonianSpec
 ) -> GeneratorPath:
-    """Assemble A, K and F along the section's grid; H is sampled once and
-    sandwiched between the section frames (K) and the Schrodinger frames (F).
+    """Assemble A, K and F along the section's grid. H is sampled chunk by
+    chunk, never whole, and each chunk is sandwiched between the section
+    frames (K) and the Schrodinger frames (F) while it is in cache.
     This is the only place K_jk(t) = -i <phi_j(t)|H(t)|phi_k(t)> is formed."""
-    hams = hamiltonian_path(spec, section.path.grid.times)
+    sec, sch = section.path, schrodinger
+    times = sec.grid.times
+    if len(sch.grid) != times.size:
+        raise ValueError("Schrodinger path length does not match the section grid")
+    k_mats = np.empty((times.size, sec.m, sec.m), dtype=complex)
+    f_mats = np.empty((times.size, sch.m, sch.m), dtype=complex)
+    for sl in _chunks(times.size, sec.n):
+        hams = hamiltonian_path(spec, times[sl])
+        k_mats[sl] = _sandwich(hams, sec.frames[sl])
+        f_mats[sl] = _sandwich(hams, sch.frames[sl])
     return GeneratorPath(
-        grid=section.path.grid,
+        grid=sec.grid,
         a_mats=connection_path(section),
-        k_mats=_sandwich(hams, section.path.frames),
-        f_mats=_sandwich(hams, schrodinger.frames),
+        k_mats=k_mats,
+        f_mats=f_mats,
     )
 
 
@@ -328,8 +339,12 @@ def trivial_shift_check(
     rates = np.array([float(f_dot(t)) for t in mids])
 
     base = propagate_frame(spec, psi0, grid)
-    shifted = hamiltonian_path(spec, mids) - rates[:, None, None] * np.eye(base.n)
-    shifted_path = _propagate(shifted, np.asarray(psi0, dtype=complex), grid)
+    eye = np.eye(base.n)
+    shifted_path = _propagate(
+        lambda sl: hamiltonian_path(spec, mids[sl]) - rates[sl, None, None] * eye,
+        np.asarray(psi0, dtype=complex),
+        grid,
+    )
 
     # accumulate f by the same midpoint quadrature the propagator applies,
     # so the phase relation between the two paths is exact per step

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holosplit import dynamics
 from holosplit.dynamics import (
     Constant,
     FramePath,
     LambdaSystem,
     Sampled,
     TimeGrid,
+    _chunks,
     _propagate,
     _sandwich,
     _taylor_march,
@@ -21,6 +23,7 @@ from holosplit.dynamics import (
 )
 from holosplit.instances import cosine_drive, random_frame, random_hermitian, refutation_instance
 from holosplit.lambda_system import LambdaParams, case_setup
+from holosplit.linalg import loewdin_orthonormalize, unitary_stack
 from holosplit.sections import u_matrix_path
 
 SQRT3 = np.sqrt(3.0)
@@ -154,6 +157,11 @@ class TestPropagateFrame:
         with pytest.raises(ValueError, match="dimension"):
             propagate_frame(Constant(np.zeros((3, 3))), psi0, TimeGrid.uniform(1.0, 4))
 
+    def test_rejects_empty_frame(self):
+        # a 0 x 0 Gram matrix passes the orthonormality check
+        with pytest.raises(ValueError, match="psi0"):
+            propagate_frame(Constant(np.zeros((3, 3))), np.zeros((3, 0)), TimeGrid.uniform(1.0, 4))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 6), st.data())
     def test_orthonormality_preserved(self, n, data):
@@ -210,6 +218,19 @@ class TestSampledInterpolation:
         ref = (1.0 - w)[:, None, None] * spec.samples[lo] + w[:, None, None] * spec.samples[hi]
         np.testing.assert_array_equal(hamiltonian_path(spec, times), ref)
         np.testing.assert_array_equal(hamiltonian_path(spec, tg), spec.samples)
+
+    @pytest.mark.parametrize("times", [[np.nan], [0.5, np.inf], [], [[0.1, 0.2]]],
+                             ids=["nan", "inf", "empty", "2-d"])
+    @pytest.mark.parametrize("kind", ["constant", "lambda", "sampled"])
+    def test_rejects_malformed_times(self, kind, times):
+        if kind == "constant":
+            spec = Constant(np.eye(2))
+        elif kind == "lambda":
+            spec = LambdaSystem(omega0=1.0, delta=0.0)
+        else:
+            spec = self._spec_and_times(3, 5, 1)[0]
+        with pytest.raises(ValueError, match="times"):
+            hamiltonian_path(spec, times)
 
     def test_peak_memory_near_the_result(self):
         import tracemalloc
@@ -271,6 +292,74 @@ class TestLoopFreePropagation:
             assert np.linalg.norm(grams - np.eye(f.shape[2]), axis=(1, 2)).max() <= 1e-13
 
 
+def whole_stack_propagate(spec, psi0, grid):
+    """Reference: the midpoint Hamiltonians sampled as one stack and stepped
+    in one pass, so the Taylor plan comes from the whole run. Returns the
+    frames, the stack and the steps."""
+    times = grid.times
+    hams = hamiltonian_path(spec, 0.5 * (times[:-1] + times[1:]))
+    dts = np.diff(times)
+    out = np.empty((times.size, *psi0.shape), dtype=complex)
+    out[0] = psi0
+    if psi0.shape[0] >= 10:
+        _taylor_march(hams, dts, out)
+    else:
+        slices = unitary_stack(hams, dts)
+        for k in range(dts.size):
+            np.matmul(slices[k], out[k], out=out[k + 1])
+    out[1:] = loewdin_orthonormalize(out[1:])
+    return out, hams, dts
+
+
+class TestChunkedPropagation:
+    """A Sampled H is sampled and stepped one chunk of about 1 MiB at a time;
+    one pass over the whole midpoint stack is the reference."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 12, 64, 300])
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 8191, 8192, 8193])
+    def test_chunks_cover_the_range_in_order(self, n, count):
+        chunks = _chunks(count, n)
+        rows = chunks[0].stop - chunks[0].start
+        # about 1 MiB of complex n x n matrices, at least one
+        assert rows == min(count, max(1, 2**20 // (16 * n * n)))
+        assert [i for sl in chunks for i in range(sl.start, sl.stop)] == list(range(count))
+        assert all(sl.stop - sl.start == rows for sl in chunks[:-1])
+
+    @pytest.mark.parametrize("n", [4, 12, 64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("sampling", ["run_grid", "coarser"])
+    def test_matches_one_whole_stack_pass(self, n, extra, sampling):
+        rows = _chunks(10**6, n)[0].stop
+        grid = TimeGrid.uniform(1.5, 2 * rows + extra)
+        rng = np.random.default_rng(n)
+        h0, h1 = random_hermitian(n, rng, 0.45), random_hermitian(n, rng, 0.45)
+        psi0 = random_frame(n, 2, rng)
+        spec = cosine_drive(h0, h1, grid if sampling == "run_grid" else TimeGrid.uniform(1.5, 13))
+        frames = propagate_frame(spec, psi0, grid).frames
+        ref, hams, dts = whole_stack_propagate(spec, psi0, grid)
+        np.testing.assert_array_equal(frames[0], psi0)
+        theta = np.abs(hams).sum(axis=1).max(axis=1) * dts
+        plans = {_taylor_plan(float(theta[sl].max())) for sl in _chunks(dts.size, n)}
+        if n < 10 or plans == {_taylor_plan(float(theta.max()))}:
+            np.testing.assert_array_equal(frames, ref)
+        else:
+            assert np.abs(frames - ref).max() <= 1e-13
+
+    def test_grid_leaving_the_samples_fails_before_the_first_step(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        spec = cosine_drive(random_hermitian(12, rng), random_hermitian(12, rng),
+                            TimeGrid.uniform(1.0, 8))
+
+        def step(*args):
+            raise AssertionError("stepped before the grid was checked")
+
+        monkeypatch.setattr(dynamics, "_taylor_march", step)
+        # 455 steps a chunk: the first chunk lies inside [0, 1], the last ones
+        # beyond it
+        with pytest.raises(ValueError, match="outside"):
+            propagate_frame(spec, random_frame(12, 2, rng), TimeGrid.uniform(1.5, 2000))
+
+
 class TestConstantPropagation:
     """A time-independent H is propagated by one eigh; the stepped midpoint
     route, exact per step for a constant H, is the reference."""
@@ -296,7 +385,8 @@ class TestConstantPropagation:
         mids = 0.5 * (grid.times[:-1] + grid.times[1:])
         for label, spec, psi0 in self._runs():
             path = propagate_frame(spec, psi0, grid)
-            stepped = _propagate(hamiltonian_path(spec, mids), psi0, grid)
+            hams = hamiltonian_path(spec, mids)
+            stepped = _propagate(lambda sl: hams[sl], psi0, grid)
             assert np.abs(path.frames - stepped.frames).max() <= 1e-11, label
             np.testing.assert_array_equal(path.frames[0], psi0)
 

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_case
-from holosplit.dynamics import Constant, TimeGrid, propagate_frame
+from holosplit.dynamics import (
+    Constant,
+    TimeGrid,
+    _sandwich,
+    hamiltonian_path,
+    propagate_frame,
+)
 from holosplit.holonomy import (
     COMMUTATOR_SCAN_LIMIT,
     GeneratorPath,
@@ -92,6 +98,40 @@ class TestKPath:
     def test_rejects_dimension_mismatch(self, case_ii):
         with pytest.raises(ValueError, match="dimension"):
             k_mats(case_ii, Constant(np.zeros((2, 2))))
+
+    # 64 x 4 takes 16 grid points a chunk, 12 x 2 takes 455: three chunks each
+    @pytest.mark.parametrize("n, m, steps", [(64, 4, 33), (12, 2, 911), (3, 2, 40)])
+    def test_chunks_equal_one_whole_stack_sandwich(self, n, m, steps):
+        spec, schrod, section = random_pipeline(1, n, m, steps, scale=0.7 / np.sqrt(n))
+        gens = generator_path(section, schrod, spec)
+        hams = hamiltonian_path(spec, schrod.grid.times)
+        np.testing.assert_array_equal(gens.k_mats, _sandwich(hams, section.path.frames))
+        np.testing.assert_array_equal(gens.f_mats, _sandwich(hams, schrod.frames))
+
+    def test_rejects_schrodinger_path_of_another_length(self):
+        spec, schrod, section = random_pipeline(1, steps=32)
+        other = propagate_frame(spec, schrod.initial, TimeGrid.uniform(1.5, 16))
+        with pytest.raises(ValueError, match="length"):
+            generator_path(section, other, spec)
+
+    def test_pipeline_peak_below_one_hamiltonian_stack(self):
+        # 64 x 4 at 512 steps: a (512, 64, 64) complex stack of H is 33.5 MB
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        grid = TimeGrid.uniform(1.0, 512)
+        scale = 0.7 / 8
+        spec = cosine_drive(random_hermitian(64, rng, scale), random_hermitian(64, rng, scale), grid)
+        psi0 = random_frame(64, 4, rng)
+        tracemalloc.start()
+        try:
+            schrod = propagate_frame(spec, psi0, grid)
+            section = build_section(PhaseAnchored(), schrod, spec)
+            separability_report(section, schrod, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 64 * 64 * 16
 
 
 class TestKwWfIdentity:
@@ -368,3 +408,11 @@ class TestTrivialShift:
         grid = TimeGrid.uniform(2.0, 4096)
         res = trivial_shift_check(spec, psi0, lambda t: 0.3, grid)
         assert res <= 1e-7
+
+    def test_sampled_drive_over_several_chunks(self):
+        # 12 levels take 455 steps a chunk, so the shifted run has three
+        rng = np.random.default_rng(9)
+        grid = TimeGrid.uniform(2.0, 1000)
+        spec = cosine_drive(random_hermitian(12, rng, 0.3), random_hermitian(12, rng, 0.3), grid)
+        res = trivial_shift_check(spec, random_frame(12, 2, rng), lambda t: 0.5 + np.sin(t), grid)
+        assert res <= 1e-10
