@@ -5,7 +5,6 @@ from .dynamics import (
     Constant,
     FramePath,
     HamiltonianSpec,
-    LambdaSystem,
     Sampled,
     TimeGrid,
     propagate_frame,
@@ -59,7 +58,6 @@ __all__ = [
     "HamiltonianSpec",
     "InPhaseViolation",
     "LambdaParams",
-    "LambdaSystem",
     "PhaseAnchored",
     "Sampled",
     "SectionError",

@@ -180,6 +180,8 @@ def cmd_export(config_path: str, out_csv: str, *, tau=None, steps=None) -> int:
 
 
 def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None, threshold: float = 1e-6) -> int:
+    if seed is not None and seed < 0:
+        return _fail(EXIT_CONFIG, f"config error: --seed must be >= 0, got {seed}")
     try:
         cfg, schrod, section, base = _run_config(config_path, tau, steps)
     except _RUN_ERRORS as exc:

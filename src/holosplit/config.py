@@ -38,13 +38,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-def _lambda_params(tau: float, fields: dict) -> LambdaParams:
-    try:
-        return LambdaParams(tau=tau, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _number(v, what: str, kind: type = float):
     """v as a float or an int, or a ConfigError naming the field when v is not
     a number (a boolean is not one) or, for an int field, has a fraction."""
@@ -109,7 +102,6 @@ class RunConfig:
     grid: TimeGrid
     tolerances: Tolerances
     seed: int | None
-    lambda_params: LambdaParams | None
 
 
 def _read_matrix_file(path: str | Path, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +117,11 @@ def _read_matrix_file(path: str | Path, what: str) -> tuple[np.ndarray, np.ndarr
     n = _number(data["dimension"], f'{what} {path}: "dimension"', int)
     if mats.shape[1] != n:
         raise ConfigError(f'{what} {path}: "dimension" is {n} but the matrices have {mats.shape[1]} rows')
-    return np.asarray(data["times"], dtype=float), mats
+    try:
+        times = np.asarray(data["times"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f'{what} {path}: "times" must be an array of numbers: {exc}') from exc
+    return times, mats
 
 
 def load_sampled_hamiltonian(path: str | Path) -> Sampled:
@@ -156,7 +152,7 @@ def _load_custom_section(path: str | Path, grid: TimeGrid) -> FramePath:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_system(d: dict, where: str) -> tuple[HamiltonianSpec, dict | None]:
+def _resolve_system(d: dict, where: str, tau: float) -> tuple[HamiltonianSpec, LambdaParams | None]:
     _take(d, {"kind", "omega0", "delta", "omega1", "omega2", "eta", "matrix", "path"},
           {"kind"}, where)
     kind = d["kind"]
@@ -170,7 +166,11 @@ def _resolve_system(d: dict, where: str) -> tuple[HamiltonianSpec, dict | None]:
             "omega2": _complex_from_json(d.get("omega2", [0.0, 0.0]), f"{where}.omega2"),
             "eta": _number(d.get("eta", 0.0), f"{where}.eta"),
         }
-        return _lambda_params(1.0, fields).spec, fields
+        try:
+            params = LambdaParams(tau=tau, **fields)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return params.spec, params
     if kind == "constant":
         _take(d, {"kind", "matrix"}, {"kind", "matrix"}, where)
         try:
@@ -217,8 +217,7 @@ def load_run_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    spec, lam_fields = _resolve_system(data["system"], "config.system")
-    lam_params = None if lam_fields is None else _lambda_params(tau, lam_fields)
+    spec, lam_params = _resolve_system(data["system"], "config.system", tau)
 
     sub = data["subspace"]
     _take(sub, {"lambda_case", "matrix"}, set(), "config.subspace")
@@ -245,7 +244,9 @@ def load_run_config(
     seed = data.get("seed")
     if seed is not None:
         seed = _number(seed, "seed", int)
-    return RunConfig(spec, psi0, rule, grid, tolerances, seed, lam_params)
+        if seed < 0:
+            raise ConfigError(f"seed must be a number >= 0, got {seed!r}")
+    return RunConfig(spec, psi0, rule, grid, tolerances, seed)
 
 
 def _resolve_rule(d: dict, grid: TimeGrid, default_rule: SectionRule | None) -> SectionRule:

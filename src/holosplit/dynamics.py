@@ -1,25 +1,27 @@
 """Time-dependent Hamiltonians and Schrodinger propagation of frames.
 
 A frame is an N x M matrix of orthonormal columns spanning an M-dimensional
-subspace. The kernel is chosen from the spec type and the frame's shape
-alone. A time-independent H (a Constant or LambdaSystem spec) is
-diagonalized once, H = V diag(E) V^dag, and every frame is
-V exp(-i E t_k) V^dag psi0 at the grid's absolute times, exact up to
-roundoff on any grid. A Sampled H is stepped: each step applies
-exp(-i H(t_mid) dt), with the Hamiltonian evaluated at the step midpoint
-(second-order accurate). The midpoint Hamiltonians are sampled in chunks of
-about 1 MiB and each chunk is stepped while it is still in cache, so no
-stack of H over the whole grid is formed. Below N = 10 each step's N x N
-unitary comes in full from linalg.unitary_stack, the package's one
-exp(-i H dt) slice kernel, and is multiplied onto the frame. From N = 10 on,
-the exponential acts on the N x M frame directly as a truncated Taylor
-series, whose degree and substep count are fixed once per chunk so the
-remainder stays below 2^-53 of the frame's norm; no N x N eigh or slice is
-formed. Both stepping kernels give the same step to roundoff. On every
-route the frames are computed without correction and then orthonormalized
-symmetrically once, in one batched Loewdin pass over the whole path;
-orthonormality holds to roundoff at every grid point. Units: hbar = 1;
-times in s, frequencies in rad/s, both dimensionless in code.
+subspace. A Hamiltonian spec is a Constant H or a Sampled H(t); both store
+the Hermitian part of their input after one shared check, and the Lambda
+system of lambda_system is a Constant. The kernel is chosen from the spec
+type and the frame's shape alone. A Constant H is diagonalized once,
+H = V diag(E) V^dag, and every frame is V exp(-i E t_k) V^dag psi0 at the
+grid's absolute times, exact up to roundoff on any grid. A Sampled H is
+stepped: each step applies exp(-i H(t_mid) dt), with the Hamiltonian
+evaluated at the step midpoint (second-order accurate). The midpoint
+Hamiltonians are sampled in chunks of about 1 MiB and each chunk is stepped
+while it is still in cache, so no stack of H over the whole grid is formed.
+Below N = 10 each step's N x N unitary comes in full from
+linalg.unitary_stack, the package's one exp(-i H dt) slice kernel, and is
+multiplied onto the frame. From N = 10 on, the exponential acts on the N x M
+frame directly as a truncated Taylor series, whose degree and substep count
+are fixed once per chunk so the remainder stays below 2^-53 of the frame's
+norm; no N x N eigh or slice is formed. Both stepping kernels give the same
+step to roundoff. On every route the frames are computed without correction
+and then orthonormalized symmetrically once, in one batched Loewdin pass
+over the whole path; orthonormality holds to roundoff at every grid point.
+Units: hbar = 1; times in s, frequencies in rad/s, both dimensionless in
+code.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
     "Constant",
     "FramePath",
     "HamiltonianSpec",
-    "LambdaSystem",
     "Sampled",
     "TimeGrid",
     "dimension",
@@ -59,14 +60,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
-
-
-def _require_finite(obj, *names: str) -> None:
-    """Reject NaN or infinite scalar fields, naming the first offender."""
-    for name in names:
-        value = getattr(obj, name)
-        if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,19 @@ class TimeGrid:
         return self.times.size
 
 
+def _hermitian_samples(s: np.ndarray, structure_tol: float) -> np.ndarray:
+    """hermitian_part of a (T, n, n) stack, rejected unless every sample has
+    ||H - H^dag||_F <= structure_tol. Checked and built one chunk at a time,
+    so only the stack, the result and one chunk are held at once."""
+    out = np.empty_like(s)
+    for sl in _chunks(s.shape[0], s.shape[1]):
+        h = s[sl]
+        if np.linalg.norm(h - h.conj().swapaxes(1, 2), axis=(1, 2)).max() > structure_tol:
+            raise ValueError("Hamiltonian is not Hermitian within tolerance")
+        out[sl] = hermitian_part(h)
+    return out
+
+
 @dataclass(frozen=True)
 class Constant:
     """Time-independent Hamiltonian."""
@@ -122,46 +128,8 @@ class Constant:
         h = as_complex_matrix(self.matrix)
         if h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
-        if frobenius(h - h.conj().T) > self.structure_tol:
-            raise ValueError("Hamiltonian is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", _freeze(hermitian_part(h)))
-
-
-@dataclass(frozen=True)
-class LambdaSystem:
-    """Three-level Lambda Hamiltonian in the rotating frame.
-
-    H = omega0 (|3><b| + |b><3|) + 2 delta |3><3| on the fixed basis
-    {|1>,|2>,|3>}, with bright state |b> = conj(omega1)|1> + conj(omega2)|2>.
-    The laser parameters must satisfy |omega1|^2 + |omega2|^2 = 1.
-    """
-
-    omega0: float
-    delta: float
-    omega1: complex = 1.0
-    omega2: complex = 0.0
-
-    def __post_init__(self):
-        _require_finite(self, "omega0", "delta", "omega1", "omega2")
-        norm = abs(self.omega1) ** 2 + abs(self.omega2) ** 2
-        if abs(norm - 1.0) > DEFAULT_TOL.structure_tol:
-            raise ValueError("laser parameters must satisfy |w1|^2+|w2|^2 = 1")
-
-    @property
-    def bright_state(self) -> np.ndarray:
-        return np.array([np.conj(self.omega1), np.conj(self.omega2), 0.0], dtype=complex)
-
-    @property
-    def dark_state(self) -> np.ndarray:
-        return np.array([-self.omega2, self.omega1, 0.0], dtype=complex)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        b = self.bright_state
-        e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
-        h = self.omega0 * (np.outer(e3, b.conj()) + np.outer(b, e3.conj()))
-        h += 2.0 * self.delta * np.outer(e3, e3.conj())
-        return h
+        h = _hermitian_samples(h[None], self.structure_tol)[0]
+        object.__setattr__(self, "matrix", _freeze(h))
 
 
 @dataclass(frozen=True)
@@ -180,20 +148,15 @@ class Sampled:
             raise ValueError("sample count must equal grid point count")
         if not np.isfinite(s).all():
             raise ValueError("samples contain non-finite entries")
-        skew = s - s.conj().swapaxes(1, 2)
-        if np.linalg.norm(skew, axis=(1, 2)).max() > self.structure_tol:
-            raise ValueError("non-Hermitian sample in Hamiltonian data")
-        object.__setattr__(self, "samples", _freeze(hermitian_part(s)))
+        object.__setattr__(self, "samples", _freeze(_hermitian_samples(s, self.structure_tol)))
 
 
-HamiltonianSpec = Constant | LambdaSystem | Sampled
+HamiltonianSpec = Constant | Sampled
 
 
 def dimension(spec: HamiltonianSpec) -> int:
     if isinstance(spec, Constant):
         return spec.matrix.shape[0]
-    if isinstance(spec, LambdaSystem):
-        return 3
     if isinstance(spec, Sampled):
         return spec.samples.shape[1]
     raise TypeError(f"not a Hamiltonian spec: {type(spec).__name__}")
@@ -217,7 +180,7 @@ def _checked_times(spec: HamiltonianSpec, times) -> np.ndarray:
 def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
     """Stack of H(t) over the given times, shape (len(times), n, n)."""
     times = _checked_times(spec, times)
-    if isinstance(spec, (Constant, LambdaSystem)):
+    if isinstance(spec, Constant):
         return np.broadcast_to(spec.matrix, (times.size, *spec.matrix.shape)).copy()
     if isinstance(spec, Sampled):
         tg = spec.grid.times
@@ -376,10 +339,10 @@ def propagate_frame(
 ) -> FramePath:
     """Solve the Schrodinger equation for each column of psi0 over the grid.
 
-    A Constant or LambdaSystem spec is solved exactly: one eigh of H gives
-    every frame as V exp(-i E t_k) V^dag psi0, on any grid. A Sampled spec
-    is stepped with exp(-i H(t_mid) dt), H at the step midpoint, so the
-    scheme is second order in dt. For N < 10 the step unitary comes from
+    A Constant spec is solved exactly: one eigh of H gives every frame as
+    V exp(-i E t_k) V^dag psi0, on any grid. A Sampled spec is stepped with
+    exp(-i H(t_mid) dt), H at the step midpoint, so the scheme is second
+    order in dt. For N < 10 the step unitary comes from
     linalg.unitary_stack; for N >= 10 its action on the N x M frame comes
     from a truncated Taylor series with remainder below 2^-53, which needs
     only (N x N) @ (N x M) products. The two agree to roundoff. H is taken
@@ -401,7 +364,7 @@ def propagate_frame(
     gram = psi0.conj().T @ psi0
     if frobenius(gram - np.eye(psi0.shape[1])) > 10 * tol.structure_tol:
         raise ValueError("psi0 columns are not orthonormal")
-    if isinstance(spec, (Constant, LambdaSystem)):
+    if isinstance(spec, Constant):
         return _propagate_constant(spec.matrix, psi0, grid)
     times = grid.times
     # checked whole here, so a grid leaving the sampled interval fails

@@ -3,7 +3,8 @@
 Two transitions |1> <-> |3> and |2> <-> |3> are driven by a square pulse of
 Rabi amplitude omega0 and common detuning delta, giving the rotating-frame
 Hamiltonian H = omega0 (|3><b| + |b><3|) + 2 delta |3><3| with bright state
-|b> = conj(omega1)|1> + conj(omega2)|2>. The dark state |d> decouples. With
+|b> = conj(omega1)|1> + conj(omega2)|2>. The dark state |d> decouples.
+LambdaParams holds the pulse and builds H as a Constant spec. With
 gamma = atan2(omega0, delta) and precession angle phi_t = sqrt(delta^2 +
 omega0^2) t, three initial-frame choices realize the separable cases:
 
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import LambdaSystem, _require_finite
+from .dynamics import Constant
 from .linalg import DEFAULT_TOL
 from .sections import Fixed, PhaseAnchored, SectionRule
 
@@ -43,6 +44,17 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # internal resolution used to branch-continue arg() in the closed forms
 _ARG_SAMPLES = 4097
+
+_E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
+_E3.flags.writeable = False
+
+
+def _require_finite(obj, *names: str) -> None:
+    """Reject NaN or infinite scalar fields, naming the first offender."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +96,20 @@ class LambdaParams:
         return self.phidot * self.tau
 
     @property
-    def spec(self) -> LambdaSystem:
-        return LambdaSystem(self.omega0, self.delta, self.omega1, self.omega2)
+    def bright_state(self) -> np.ndarray:
+        return np.array([np.conj(self.omega1), np.conj(self.omega2), 0.0], dtype=complex)
+
+    @property
+    def dark_state(self) -> np.ndarray:
+        return np.array([-self.omega2, self.omega1, 0.0], dtype=complex)
+
+    @property
+    def spec(self) -> Constant:
+        """H = omega0 (|3><b| + |b><3|) + 2 delta |3><3| on {|1>,|2>,|3>}."""
+        b = self.bright_state
+        h = self.omega0 * (np.outer(_E3, b.conj()) + np.outer(b, _E3.conj()))
+        h += 2.0 * self.delta * np.outer(_E3, _E3.conj())
+        return Constant(h)
 
 
 @dataclass(frozen=True)
@@ -99,15 +123,12 @@ class LambdaEigensystem:
 def eigensystem(p: LambdaParams) -> LambdaEigensystem:
     """Exact eigensystem: E0 = 0 with the dark state, E1,2 = delta +- phidot
     with cos/sin(gamma/2) combinations of |3> and the bright state."""
-    spec = p.spec
-    b = spec.bright_state
-    d = spec.dark_state
-    e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
+    b = p.bright_state
     half = p.gamma / 2
-    v1 = np.cos(half) * e3 + np.sin(half) * b
-    v2 = -np.sin(half) * e3 + np.cos(half) * b
+    v1 = np.cos(half) * _E3 + np.sin(half) * b
+    v2 = -np.sin(half) * _E3 + np.cos(half) * b
     energies = np.array([0.0, p.delta + p.phidot, p.delta - p.phidot])
-    vectors = np.stack([d, v1, v2], axis=1)
+    vectors = np.stack([p.dark_state, v1, v2], axis=1)
     return LambdaEigensystem(p.gamma, p.phidot, energies, vectors)
 
 
@@ -196,15 +217,14 @@ def case_iii_analytic(p: LambdaParams) -> CaseIIIAnalytic:
     return CaseIIIAnalytic(a22, k22, g, hol, dyn, hol @ dyn)
 
 
-def case_setup(which: str, p: LambdaParams) -> tuple[LambdaSystem, np.ndarray, SectionRule]:
+def case_setup(which: str, p: LambdaParams) -> tuple[Constant, np.ndarray, SectionRule]:
     """Hamiltonian spec, initial 2-frame and matching section rule for one of
     the three separable cases."""
     spec = p.spec
-    b = spec.bright_state
-    d = spec.dark_state
-    e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
+    b = p.bright_state
+    d = p.dark_state
     if which == "i":
-        psi0 = np.stack([e3, b], axis=1)
+        psi0 = np.stack([_E3, b], axis=1)
         return spec, psi0, Fixed(psi0)
     if which == "ii":
         psi0 = np.stack([d, b], axis=1)
@@ -221,5 +241,4 @@ def dark_bright_to_bare(p: LambdaParams) -> np.ndarray:
     """Unitary basis change from the ordered frame {|d>, |b>} to the bare
     ground levels {|1>, |2>}; used to compose holonomies from pulses with
     different laser parameters."""
-    spec = p.spec
-    return np.stack([spec.dark_state[:2], spec.bright_state[:2]], axis=1)
+    return np.stack([p.dark_state[:2], p.bright_state[:2]], axis=1)

@@ -10,6 +10,7 @@ from holosplit.cli import (
     cmd_export,
     cmd_gauge_check,
     cmd_separability,
+    main,
 )
 from holosplit.config import (
     ConfigError,
@@ -338,6 +339,7 @@ class TestExitCodes:
         (("grid", "steps"), True, "grid.steps"),
         (("seed",), 7.5, "seed"),
         (("seed",), True, "seed"),
+        (("seed",), -3, "seed"),
     ])
     def test_wrong_typed_scalar_exits_three(self, keys, value, field, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", tolerances={})
@@ -352,18 +354,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{field} must be a number" in err
 
-    @pytest.mark.parametrize("dimension", [None, [4], 4.5, True])
-    def test_wrong_typed_matrix_file_dimension_exits_three(self, dimension, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value, expected", [
+        ("dimension", None, "must be a number"),
+        ("dimension", [4], "must be a number"),
+        ("dimension", 4.5, "must be a number"),
+        ("dimension", True, "must be a number"),
+        ("times", {"a": 1}, "must be an array of numbers"),
+        ("times", "abc", "must be an array of numbers"),
+        ("times", [0.0, "abc"], "must be an array of numbers"),
+    ], ids=["None", "dimension1", "4.5", "True", "times-object", "times-string", "times-entry"])
+    def test_wrong_typed_matrix_file_dimension_exits_three(self, key, value, expected, tmp_path, capsys):
         spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
         ham = tmp_path / "ham.json"
         write_sampled_hamiltonian(ham, spec.grid.times, spec.samples)
-        ham.write_text(json.dumps({**json.loads(ham.read_text()), "dimension": dimension}))
+        ham.write_text(json.dumps({**json.loads(ham.read_text()), key: value}))
         path = write_config(tmp_path / "c.json",
                             system={"kind": "sampled", "path": str(ham)},
                             subspace={"matrix": matrix_to_json(psi0)},
                             grid={"tau": 1.0, "steps": 8})
         assert cmd_separability(str(path)) == 3
-        assert '"dimension" must be a number' in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f'{ham}: "{key}" {expected}' in err
 
     def test_demo_bad_parameter_exits_three(self, capsys):
         assert cmd_demo("i", omega0=-1.0) == 3
@@ -380,6 +391,10 @@ class TestGaugeCheck:
         monkeypatch.setattr("holosplit.cli.random_closed_gauge", doubled_identity)
         assert cmd_gauge_check(str(case_ii_config), seed=1) == 3
         assert capsys.readouterr().err.startswith("gauge transform failed: gauge path is not unitary")
+
+    def test_negative_seed_option_exits_three(self, case_ii_config, capsys):
+        assert main(["gauge-check", "--config", str(case_ii_config), "--seed", "-1"]) == 3
+        assert capsys.readouterr().err.startswith("config error: --seed must be >= 0, got -1")
 
     @pytest.mark.parametrize("case", ["i", "ii", "iii"])
     def test_lambda_cases_covariant(self, case, tmp_path, capsys):

@@ -9,7 +9,6 @@ from holosplit import dynamics
 from holosplit.dynamics import (
     Constant,
     FramePath,
-    LambdaSystem,
     Sampled,
     TimeGrid,
     _chunks,
@@ -23,7 +22,7 @@ from holosplit.dynamics import (
 )
 from holosplit.instances import cosine_drive, random_frame, random_hermitian, refutation_instance
 from holosplit.lambda_system import LambdaParams, case_setup
-from holosplit.linalg import loewdin_orthonormalize, unitary_stack
+from holosplit.linalg import hermitian_part, loewdin_orthonormalize, unitary_stack
 from holosplit.sections import u_matrix_path
 
 SQRT3 = np.sqrt(3.0)
@@ -64,16 +63,16 @@ class TestTimeGrid:
 
 class TestSampleHamiltonian:
     def test_lambda_structure(self):
-        spec = LambdaSystem(omega0=1.0, delta=0.0, omega1=1.0, omega2=0.0)
+        spec = LambdaParams(omega0=1.0, delta=0.0, tau=1.0, omega1=1.0, omega2=0.0).spec
         h = hamiltonian_path(spec, [0.7])[0]
         expected = np.zeros((3, 3), dtype=complex)
         expected[0, 2] = expected[2, 0] = 1.0
         np.testing.assert_allclose(h, expected, atol=1e-15)
 
     def test_lambda_annihilates_dark_state(self):
-        spec = LambdaSystem(omega0=2.0, delta=-0.3, omega1=0.6, omega2=0.8j)
-        h = hamiltonian_path(spec, [0.0])[0]
-        np.testing.assert_allclose(h @ spec.dark_state, 0.0, atol=1e-14)
+        p = LambdaParams(omega0=2.0, delta=-0.3, tau=1.0, omega1=0.6, omega2=0.8j)
+        h = hamiltonian_path(p.spec, [0.0])[0]
+        np.testing.assert_allclose(h @ p.dark_state, 0.0, atol=1e-14)
 
     def test_constant_zero(self):
         np.testing.assert_array_equal(hamiltonian_path(Constant(np.zeros((2, 2))), [1.0])[0],
@@ -99,15 +98,15 @@ class TestSampleHamiltonian:
 
     def test_lambda_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            LambdaSystem(omega0=1.0, delta=0.0, omega1=1.0, omega2=1.0)
+            LambdaParams(omega0=1.0, delta=0.0, tau=1.0, omega1=1.0, omega2=1.0)
 
     @given(st.sampled_from(["omega0", "delta", "omega1", "omega2"]),
            st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan)]))
     def test_lambda_rejects_non_finite_field(self, name, bad):
-        fields = dict(omega0=1.0, delta=0.0, omega1=1.0, omega2=0.0)
+        fields = dict(omega0=1.0, delta=0.0, tau=1.0, omega1=1.0, omega2=0.0)
         fields[name] = bad
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            LambdaSystem(**fields)
+            LambdaParams(**fields)
 
     @settings(deadline=None)
     @given(st.sampled_from([np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)]),
@@ -122,6 +121,55 @@ class TestSampleHamiltonian:
             Sampled(TimeGrid.uniform(1.0, 2), samples)
 
 
+class TestHermitianCheck:
+    """Constant and Sampled share one Hermitian check, run one chunk of
+    about 1 MiB of samples at a time."""
+
+    @staticmethod
+    def _noisy_stack(npts, n, seed=0):
+        # Hermitian samples plus a skew part well inside structure_tol
+        rng = np.random.default_rng(seed)
+        h = np.stack([random_hermitian(n, rng) for _ in range(npts)])
+        skew = rng.standard_normal(h.shape) * 1e-14j
+        return h + skew
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_rejects_a_non_hermitian_sample_in_any_chunk(self, where):
+        npts, n = 40, 64
+        chunks = _chunks(npts, n)
+        assert len(chunks) >= 3
+        k = {"first": 0, "middle": chunks[1].start + 3, "last": npts - 1}[where]
+        samples = self._noisy_stack(npts, n)
+        samples[k, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Sampled(TimeGrid.uniform(1.0, npts - 1), samples)
+
+    def test_stores_the_hermitian_part_bitwise(self):
+        samples = self._noisy_stack(40, 64)
+        spec = Sampled(TimeGrid.uniform(1.0, 39), samples)
+        np.testing.assert_array_equal(spec.samples, hermitian_part(samples))
+        np.testing.assert_array_equal(Constant(samples[7]).matrix, hermitian_part(samples[7]))
+
+    def test_constant_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_peak_memory_near_the_samples(self):
+        import tracemalloc
+
+        grid = TimeGrid.uniform(1.0, 512)
+        samples = self._noisy_stack(513, 64)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            spec = Sampled(grid, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.samples.nbytes == samples.nbytes
+        assert peak <= 1.3 * samples.nbytes
+
+
 class TestPropagateFrame:
     def test_zero_hamiltonian_is_static(self):
         psi0 = np.eye(3)[:, :2].astype(complex)
@@ -129,15 +177,15 @@ class TestPropagateFrame:
         assert np.abs(path.frames - psi0).max() == 0.0
 
     def test_case_i_resonant_full_flip(self):
-        spec = LambdaSystem(omega0=1.0, delta=0.0)
-        psi0 = np.stack([np.array([0, 0, 1]), spec.bright_state], axis=1).astype(complex)
-        path = propagate_frame(spec, psi0, TimeGrid.uniform(np.pi, 4096))
+        p = LambdaParams(omega0=1.0, delta=0.0, tau=np.pi)
+        psi0 = np.stack([np.array([0, 0, 1]), p.bright_state], axis=1).astype(complex)
+        path = propagate_frame(p.spec, psi0, TimeGrid.uniform(np.pi, 4096))
         assert np.abs(path.final + psi0).max() <= 1e-8
 
     def test_case_i_detuned_quarter_turn(self):
-        spec = LambdaSystem(omega0=SQRT3, delta=1.0)
-        psi0 = np.stack([np.array([0, 0, 1]), spec.bright_state], axis=1).astype(complex)
-        path = propagate_frame(spec, psi0, TimeGrid.uniform(np.pi / 2, 4096))
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2)
+        psi0 = np.stack([np.array([0, 0, 1]), p.bright_state], axis=1).astype(complex)
+        path = propagate_frame(p.spec, psi0, TimeGrid.uniform(np.pi / 2, 4096))
         assert np.abs(path.final - 1j * psi0).max() <= 1e-7
 
     def test_rejects_non_orthonormal_start(self):
@@ -226,7 +274,7 @@ class TestSampledInterpolation:
         if kind == "constant":
             spec = Constant(np.eye(2))
         elif kind == "lambda":
-            spec = LambdaSystem(omega0=1.0, delta=0.0)
+            spec = LambdaParams(omega0=1.0, delta=0.0, tau=1.0).spec
         else:
             spec = self._spec_and_times(3, 5, 1)[0]
         with pytest.raises(ValueError, match="times"):
@@ -445,10 +493,10 @@ def restricted_generator(spec, path):
 
 class TestProjectorPath:
     def test_case_i_projector_constant(self):
-        spec = LambdaSystem(omega0=SQRT3, delta=1.0)
-        psi0 = np.stack([np.array([0, 0, 1]), spec.bright_state], axis=1).astype(complex)
-        path = propagate_frame(spec, psi0, TimeGrid.uniform(np.pi / 2, 512))
-        d = spec.dark_state
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2)
+        psi0 = np.stack([np.array([0, 0, 1]), p.bright_state], axis=1).astype(complex)
+        path = propagate_frame(p.spec, psi0, TimeGrid.uniform(np.pi / 2, 512))
+        d = p.dark_state
         expected = np.eye(3) - np.outer(d, d.conj())
         assert np.abs(projectors(path) - expected).max() <= 1e-12
 
@@ -484,8 +532,9 @@ class TestProjectorPath:
 class TestRestrictedGenerator:
     def test_case_i_matrix_elements(self):
         delta, omega0 = 1.0, SQRT3
-        spec = LambdaSystem(omega0=omega0, delta=delta)
-        psi0 = np.stack([np.array([0, 0, 1]), spec.bright_state], axis=1).astype(complex)
+        p = LambdaParams(omega0=omega0, delta=delta, tau=1.0)
+        spec = p.spec
+        psi0 = np.stack([np.array([0, 0, 1]), p.bright_state], axis=1).astype(complex)
         path = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 8))
         f0 = restricted_generator(spec, path)[0]
         expected = -1j * np.array([[2 * delta, omega0], [omega0, 0.0]])
@@ -498,8 +547,9 @@ class TestRestrictedGenerator:
 
     def test_case_ii_frame_generator_vanishes(self):
         # dark state decouples and <b|H|b> = 0, so F(t) = 0 on {|d>, e^{-iHt}|b>}
-        spec = LambdaSystem(omega0=SQRT3, delta=1.0)
-        psi0 = np.stack([spec.dark_state, spec.bright_state], axis=1)
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2)
+        spec = p.spec
+        psi0 = np.stack([p.dark_state, p.bright_state], axis=1)
         path = propagate_frame(spec, psi0, TimeGrid.uniform(np.pi / 2, 1024))
         f = restricted_generator(spec, path)
         assert np.abs(f).max() <= 1e-12
@@ -525,5 +575,5 @@ def test_frame_path_rejects_drifting_columns():
 
 
 def test_dimension_dispatch():
-    assert dimension(LambdaSystem(1.0, 0.0)) == 3
+    assert dimension(LambdaParams(1.0, 0.0, 1.0).spec) == 3
     assert dimension(Constant(np.zeros((5, 5)))) == 5

@@ -32,6 +32,7 @@ from holosplit.instances import (
     random_hermitian,
     refutation_instance,
 )
+from holosplit.lambda_system import LambdaParams
 from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius
 from holosplit.sections import InPhaseViolation, PhaseAnchored, build_section, w_path
 
@@ -272,12 +273,11 @@ class TestSeparabilityReport:
 
     def test_in_phase_violation_raises(self):
         # drive the bright column almost orthogonal to its start
-        from holosplit.dynamics import LambdaSystem
-
-        spec = LambdaSystem(omega0=1.0, delta=0.05)
-        psi0 = np.stack([spec.dark_state, spec.bright_state], axis=1)
         phidot = np.hypot(0.05, 1.0)
         tau = (np.pi / 2) / phidot  # phi_tau = pi/2: overlap ~ |cos gamma| ~ 0.05
+        p = LambdaParams(omega0=1.0, delta=0.05, tau=tau)
+        spec = p.spec
+        psi0 = np.stack([p.dark_state, p.bright_state], axis=1)
         grid = TimeGrid.uniform(tau, 512)
         schrod = propagate_frame(spec, psi0, grid)
         section = build_section(PhaseAnchored(), schrod, spec)

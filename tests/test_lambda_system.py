@@ -56,8 +56,22 @@ class TestLambdaHamiltonian:
     @given(lambda_params())
     def test_dark_state_annihilated(self, p):
         h = p.spec.matrix
-        d = p.spec.dark_state
+        d = p.dark_state
         assert np.abs(h @ d).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(lambda_params())
+    def test_spec_is_the_lambda_formula_exactly(self, p):
+        # H = omega0 (|3><b| + |b><3|) + 2 delta |3><3|, |b> = (w1*, w2*, 0)
+        expected = np.zeros((3, 3), dtype=complex)
+        expected[0, 2] = p.omega0 * np.conj(p.omega1)
+        expected[1, 2] = p.omega0 * np.conj(p.omega2)
+        expected[2, 0] = p.omega0 * p.omega1
+        expected[2, 1] = p.omega0 * p.omega2
+        expected[2, 2] = 2.0 * p.delta
+        h = p.spec.matrix
+        np.testing.assert_array_equal(h, expected)
+        assert np.array_equal(h, h.conj().T)
 
     def test_eigenvalues(self):
         h = params().spec.matrix
@@ -212,7 +226,7 @@ class TestPipelineAgreement:
 class TestDarkStateProtection:
     def test_first_column_stays_dark(self, case_ii, case_iii):
         for ns in (case_ii, case_iii):
-            d = ns.spec.dark_state
+            d = ns.params.dark_state
             dev = np.abs(ns.schrod.frames[:, :, 0] - d[None, :]).max()
             assert dev <= 1e-9
 

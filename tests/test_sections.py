@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_case
-from holosplit.dynamics import Constant, FramePath, LambdaSystem, TimeGrid, propagate_frame
+from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
 from holosplit.instances import (
     cosine_drive,
     random_frame,
     random_hermitian,
     random_nonabelian_loop,
 )
+from holosplit.lambda_system import LambdaParams
 from holosplit.linalg import frobenius
 from holosplit.sections import (
     Custom,
@@ -26,11 +27,11 @@ from holosplit.sections import (
 SQRT3 = np.sqrt(3.0)
 
 
-def analytic_case_ii_column(spec: LambdaSystem, t: float) -> np.ndarray:
+def analytic_case_ii_column(p: LambdaParams, t: float) -> np.ndarray:
     """Exact phase-anchored bright column: e^{-i arg<b|e^{-iHt}|b>} e^{-iHt}|b>."""
-    w, v = np.linalg.eigh(spec.matrix)
+    w, v = np.linalg.eigh(p.spec.matrix)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    b = spec.bright_state
+    b = p.bright_state
     evolved = u @ b
     return np.exp(-1j * np.angle(b.conj() @ evolved)) * evolved
 
@@ -55,7 +56,7 @@ class TestBuildSection:
         frames = case_ii.section.path.frames
         times = case_ii.grid.times
         for k in (1, 1024, 2048, 4096):
-            ref = analytic_case_ii_column(case_ii.spec, times[k])
+            ref = analytic_case_ii_column(case_ii.params, times[k])
             assert np.abs(frames[k][:, 1] - ref).max() <= 1e-8
 
     def test_phase_anchored_static_for_zero_hamiltonian(self):
@@ -68,8 +69,9 @@ class TestBuildSection:
 
     def test_phase_anchored_anchor_collapse(self):
         # resonant drive sends <b|e^{-iHt}|b> through zero at phi = pi/2
-        spec = LambdaSystem(omega0=1.0, delta=0.0)
-        psi0 = np.stack([spec.dark_state, spec.bright_state], axis=1)
+        p = LambdaParams(omega0=1.0, delta=0.0, tau=np.pi)
+        spec = p.spec
+        psi0 = np.stack([p.dark_state, p.bright_state], axis=1)
         s = propagate_frame(spec, psi0, TimeGrid.uniform(np.pi, 4096))
         with pytest.raises(SectionError, match="collapse"):
             build_section(PhaseAnchored(), s, spec)
