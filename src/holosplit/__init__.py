@@ -42,7 +42,6 @@ from .sections import (
     SectionPath,
     build_section,
     gauge_transform,
-    u_matrix_path,
     w_path,
 )
 
@@ -80,7 +79,6 @@ __all__ = [
     "separability_report",
     "solve_anandan",
     "trivial_shift_check",
-    "u_matrix_path",
     "w_path",
     "yu_tong_factors",
 ]

@@ -22,8 +22,8 @@ from .dynamics import FramePath, TimeGrid, propagate_frame
 from .holonomy import DecompositionReport, generator_path, separability_report
 from .instances import random_closed_gauge
 from .lambda_system import LambdaParams, case_i_analytic, case_ii_analytic, case_iii_analytic, case_setup
-from .linalg import DEFAULT_TOL, frobenius
-from .sections import InPhaseViolation, build_section, gauge_transform, u_matrix_path, w_path
+from .linalg import DEFAULT_TOL, frobenius, overlaps
+from .sections import InPhaseViolation, build_section, gauge_transform, w_path
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -156,7 +156,7 @@ def cmd_export(config_path: str, out_csv: str, *, tau=None, steps=None) -> int:
         cfg, schrod, section, _ = _run_config(config_path, tau, steps, report=False)
         gens = generator_path(section, schrod, cfg.spec)
         mats = (gens.a_mats, gens.k_mats, w_path(section, schrod, tol=cfg.tolerances),
-                u_matrix_path(section.path))
+                overlaps(section.path.initial, section.path.frames))
     except ValueError as exc:
         return _exit_code(exc)
 
@@ -194,7 +194,7 @@ def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None,
     v0 = vpath[0]
     try:
         transformed = gauge_transform(section, vpath, tol=cfg.tolerances)
-        rotated = FramePath(cfg.grid, np.einsum("tnj,jk->tnk", schrod.frames, v0))
+        rotated = FramePath(cfg.grid, schrod.frames @ v0)
         moved = separability_report(transformed, rotated, cfg.spec, cfg.tolerances)
     except InPhaseViolation as exc:
         return _fail(EXIT_IN_PHASE, f"in-phase violation after gauge transform: {exc}")

@@ -18,7 +18,7 @@ import numpy as np
 from .dynamics import Constant, FramePath, HamiltonianSpec, Sampled, TimeGrid, dimension
 from .holonomy import VERDICTS, DecompositionReport
 from .lambda_system import LambdaParams, case_setup
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOL, Tolerances
 from .sections import Custom, Fixed, PhaseAnchored, SectionRule
 
 __all__ = [
@@ -60,6 +60,14 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _holds_boolean(v) -> bool:
+    """Whether a parsed JSON value is or nests a true/false, which numpy
+    would read as the number 1 or 0."""
+    if isinstance(v, list):
+        return any(_holds_boolean(x) for x in v)
+    return isinstance(v, bool)
+
+
 def _complex_from_pairs(rows, ndim: int, what: str) -> np.ndarray:
     try:
         arr = np.asarray(rows, dtype=float)
@@ -71,6 +79,8 @@ def _complex_from_pairs(rows, ndim: int, what: str) -> np.ndarray:
 
 
 def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
+    if _holds_boolean(rows):
+        raise ConfigError(f"{what} must hold numbers, not booleans")
     return _complex_from_pairs(rows, 2, what)
 
 
@@ -108,11 +118,21 @@ def _read_matrix_file(path: str | Path, what: str) -> tuple[np.ndarray, np.ndarr
     """Read a {"dimension", "times", "matrices"} JSON file into its times and
     its (npoints, dimension, k) complex stack, parsed in one pass."""
     try:
-        data = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        data = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    # only a file that spells true or false is walked for booleans, so a
+    # file of numbers costs two substring searches, not a loop per entry;
+    # the text is dropped before the arrays are built
+    spells_boolean = "true" in text or "false" in text
+    del text
     keys = {"dimension", "times", "matrices"}
     _take(data, keys, keys, f"{what} {path}")
+    if spells_boolean:
+        for key in ("times", "matrices"):
+            if _holds_boolean(data[key]):
+                raise ConfigError(f'{what} {path}: "{key}" must hold numbers, not booleans')
     mats = _complex_from_pairs(data["matrices"], 3, f"{what} matrices")
     n = _number(data["dimension"], f'{what} {path}: "dimension"', int)
     if mats.shape[1] != n:
@@ -124,11 +144,14 @@ def _read_matrix_file(path: str | Path, what: str) -> tuple[np.ndarray, np.ndarr
     return times, mats
 
 
-def load_sampled_hamiltonian(path: str | Path) -> Sampled:
-    """Read {"dimension", "times", "matrices"} from a JSON file."""
+def load_sampled_hamiltonian(
+    path: str | Path, *, structure_tol: float = DEFAULT_TOL.structure_tol
+) -> Sampled:
+    """Read {"dimension", "times", "matrices"} from a JSON file; the samples
+    must be Hermitian within structure_tol."""
     times, mats = _read_matrix_file(path, "sampled Hamiltonian")
     try:
-        return Sampled(TimeGrid(times), mats)
+        return Sampled(TimeGrid(times), mats, structure_tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -142,17 +165,19 @@ def write_sampled_hamiltonian(path: str | Path, times: np.ndarray, samples: np.n
     Path(path).write_text(json.dumps(data))
 
 
-def _load_custom_section(path: str | Path, grid: TimeGrid) -> FramePath:
+def _load_custom_section(path: str | Path, grid: TimeGrid, structure_tol: float) -> FramePath:
     times, frames = _read_matrix_file(path, "section file")
     if times.shape != grid.times.shape or not np.allclose(times, grid.times, atol=0, rtol=0):
         raise ConfigError("section file times do not match the run grid")
     try:
-        return FramePath(grid, frames)
+        return FramePath(grid, frames, structure_tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_system(d: dict, where: str, tau: float) -> tuple[HamiltonianSpec, LambdaParams | None]:
+def _resolve_system(
+    d: dict, where: str, tau: float, structure_tol: float
+) -> tuple[HamiltonianSpec, LambdaParams | None]:
     _take(d, {"kind", "omega0", "delta", "omega1", "omega2", "eta", "matrix", "path"},
           {"kind"}, where)
     kind = d["kind"]
@@ -174,12 +199,12 @@ def _resolve_system(d: dict, where: str, tau: float) -> tuple[HamiltonianSpec, L
     if kind == "constant":
         _take(d, {"kind", "matrix"}, {"kind", "matrix"}, where)
         try:
-            return Constant(matrix_from_json(d["matrix"], "constant Hamiltonian")), None
+            return Constant(matrix_from_json(d["matrix"], "constant Hamiltonian"), structure_tol), None
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if kind == "sampled":
         _take(d, {"kind", "path"}, {"kind", "path"}, where)
-        return load_sampled_hamiltonian(d["path"]), None
+        return load_sampled_hamiltonian(d["path"], structure_tol=structure_tol), None
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
@@ -217,7 +242,9 @@ def load_run_config(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    spec, lam_params = _resolve_system(data["system"], "config.system", tau)
+    # the tolerances govern the checks on every file and matrix the config loads
+    spec, lam_params = _resolve_system(data["system"], "config.system", tau,
+                                       tolerances.structure_tol)
 
     sub = data["subspace"]
     _take(sub, {"lambda_case", "matrix"}, set(), "config.subspace")
@@ -239,7 +266,7 @@ def load_run_config(
     if psi0.shape[0] != dimension(spec):
         raise ConfigError("subspace frame dimension does not match the system")
 
-    rule = _resolve_rule(rule_d, grid, default_rule)
+    rule = _resolve_rule(rule_d, grid, default_rule, tolerances.structure_tol)
 
     seed = data.get("seed")
     if seed is not None:
@@ -249,7 +276,9 @@ def load_run_config(
     return RunConfig(spec, psi0, rule, grid, tolerances, seed)
 
 
-def _resolve_rule(d: dict, grid: TimeGrid, default_rule: SectionRule | None) -> SectionRule:
+def _resolve_rule(
+    d: dict, grid: TimeGrid, default_rule: SectionRule | None, structure_tol: float
+) -> SectionRule:
     name = d["rule"]
     if name == "fixed":
         _take(d, {"rule", "frame"}, {"rule"}, "config.section")
@@ -260,7 +289,7 @@ def _resolve_rule(d: dict, grid: TimeGrid, default_rule: SectionRule | None) -> 
         return PhaseAnchored()
     if name == "custom":
         _take(d, {"rule", "path"}, {"rule", "path"}, "config.section")
-        return Custom(_load_custom_section(d["path"], grid))
+        return Custom(_load_custom_section(d["path"], grid, structure_tol))
     if name == "auto":
         _take(d, {"rule"}, {"rule"}, "config.section")
         if default_rule is None:

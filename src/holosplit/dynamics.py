@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -40,7 +41,9 @@ from .linalg import (
     frobenius,
     hermitian_part,
     loewdin_orthonormalize,
+    overlaps,
     skew_part,
+    subspace_gap,
     unitary_stack,
 )
 
@@ -214,11 +217,9 @@ class FramePath:
             raise ValueError("frame count must equal grid point count")
         if not np.isfinite(f).all():
             raise ValueError("frame path contains non-finite entries")
-        grams = np.einsum("tnj,tnk->tjk", f.conj(), f)
-        eye = np.eye(f.shape[2])
-        drift = np.linalg.norm(grams - eye, axis=(1, 2)).max()
-        if drift > 10 * self.structure_tol:
-            raise ValueError(f"columns not orthonormal (residual {drift:.3e})")
+        residual = np.linalg.norm(overlaps(f, f) - np.eye(f.shape[2]), axis=(1, 2)).max()
+        if residual > 10 * self.structure_tol:
+            raise ValueError(f"columns not orthonormal (residual {residual:.3e})")
         object.__setattr__(self, "frames", _freeze(f))
 
     @property
@@ -236,6 +237,12 @@ class FramePath:
     @property
     def final(self) -> np.ndarray:
         return self.frames[-1]
+
+    @cached_property
+    def drift(self) -> float:
+        """max_t ||S(0) S(0)^dag - S(t) S(t)^dag||_F, how far the spanned
+        subspace moves; evaluated once per path, on first use."""
+        return float(subspace_gap(self.initial, self.frames).max())
 
 
 # bytes of (rows, n, n) complex Hamiltonians sampled and used at a time: a
@@ -297,7 +304,7 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Fr
     n, m = psi0.shape
     # frame(t)_ij = sum_l exp(-i w_l t) v_il (v^dag psi0)_lj: one
     # (T-1) x N by N x (N M) product
-    modes = v[:, :, None] * (v.conj().T @ psi0)[None, :, :]
+    modes = v[:, :, None] * overlaps(v, psi0)[None, :, :]
     out = np.empty((times.size, n, m), dtype=complex)
     out[0] = psi0
     phases = np.exp(-1j * np.outer(times[1:], w))
@@ -361,8 +368,7 @@ def propagate_frame(
     n = dimension(spec)
     if psi0.shape[0] != n:
         raise ValueError(f"psi0 has dimension {psi0.shape[0]}, spec has {n}")
-    gram = psi0.conj().T @ psi0
-    if frobenius(gram - np.eye(psi0.shape[1])) > 10 * tol.structure_tol:
+    if frobenius(overlaps(psi0, psi0) - np.eye(psi0.shape[1])) > 10 * tol.structure_tol:
         raise ValueError("psi0 columns are not orthonormal")
     if isinstance(spec, Constant):
         return _propagate_constant(spec.matrix, psi0, grid)
@@ -381,4 +387,4 @@ def _sandwich(hams: np.ndarray, frames: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"Hamiltonian dimension {hams.shape[1]} does not match frame dimension {frames.shape[1]}"
         )
-    return skew_part(-1j * (frames.conj().swapaxes(1, 2) @ (hams @ frames)))
+    return skew_part(-1j * overlaps(frames, hams @ frames))

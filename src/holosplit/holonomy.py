@@ -35,8 +35,8 @@ from .linalg import (
     Tolerances,
     frobenius,
     ordered_products,
+    overlaps,
     skew_part,
-    subspace_gap,
     unitary_stack,
 )
 from .sections import InPhaseViolation, SectionPath, w_path
@@ -122,8 +122,7 @@ def connection_path(section: SectionPath) -> np.ndarray:
         raise ValueError("connection needs a grid with at least 3 points")
     frames = section.path.frames
     dframes = np.gradient(frames, times, axis=0, edge_order=2)
-    a = np.einsum("tnj,tnk->tjk", dframes.conj(), frames)
-    return skew_part(a)
+    return skew_part(overlaps(dframes, frames))
 
 
 def generator_path(
@@ -156,9 +155,7 @@ def kw_wf_residual(generators: GeneratorPath, w: np.ndarray) -> float:
     w = np.asarray(w, dtype=complex)
     if w.shape != generators.k_mats.shape:
         raise ValueError("W path does not match the generator grid")
-    lhs = np.einsum("tij,tjk->tik", generators.k_mats, w)
-    rhs = np.einsum("tij,tjk->tik", w, generators.f_mats)
-    return float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max())
+    return float(np.linalg.norm(generators.k_mats @ w - w @ generators.f_mats, axis=(1, 2)).max())
 
 
 def _midpoint_products(mats: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -223,11 +220,9 @@ def max_commutator_scan(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     """
     npts = a_mats.shape[0]
     idx = np.unique(np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int))
-    a = a_mats[idx]
-    k = k_mats[idx]
-    ak = np.einsum("imj,njk->inmk", a, k)
-    ka = np.einsum("nmj,ijk->inmk", k, a)
-    return float(np.linalg.norm(ak - ka, axis=(2, 3)).max())
+    # every sampled pair (t, t') at once: a[:, None] @ k[None] is A(t) K(t')
+    a, k = a_mats[idx][:, None], k_mats[idx][None]
+    return float(np.linalg.norm(a @ k - k @ a, axis=(2, 3)).max())
 
 
 def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
@@ -250,13 +245,12 @@ def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
 
     ca, u = expand(a_mats)
     ck, v = expand(k_mats)
-    comm = np.einsum("iab,jbc->ijac", u, v) - np.einsum("jab,ibc->ijac", v, u)
+    comm = u[:, None] @ v[None] - v[None] @ u[:, None]
     return float(ca @ np.linalg.norm(comm, axis=(2, 3)) @ ck)
 
 
 def _classify(schrodinger: FramePath, generators: GeneratorPath, tol: Tolerances) -> str:
-    drift = float(subspace_gap(schrodinger.initial, schrodinger.frames).max())
-    if drift <= tol.separation_tol:
+    if schrodinger.drift <= tol.separation_tol:
         return "case_i"
     if float(np.linalg.norm(generators.k_mats, axis=(1, 2)).max()) <= tol.separation_tol:
         return "case_ii"
@@ -288,9 +282,7 @@ def separability_report(
     w_direct = w_path(section, schrodinger, tol=tol)[-1]
     # only the endpoint of the Anandan solution is reported
     w_final = ordered_factor(generators.a_mats + generators.k_mats, generators.grid)
-    # u_matrix_path's einsum at the endpoint only; a plain @ would change
-    # the report's last bits
-    overlap = np.einsum("nj,nk->jk", section.path.initial.conj(), section.path.final)
+    overlap = overlaps(section.path.initial, section.path.final)
 
     # the holonomic factor T exp(int A) is the G of the product form
     g, d = yu_tong_factors(generators)
@@ -350,5 +342,5 @@ def trivial_shift_check(
     # so the phase relation between the two paths is exact per step
     f = np.concatenate([[0.0], np.cumsum(rates * np.diff(times))])
     section_frames = base.frames * np.exp(1j * f)[:, None, None]
-    w = np.einsum("tnj,tnk->tjk", section_frames.conj(), shifted_path.frames)
+    w = overlaps(section_frames, shifted_path.frames)
     return float(np.linalg.norm(w - np.eye(w.shape[1]), axis=(1, 2)).max())

@@ -98,5 +98,5 @@ def random_nonabelian_loop(
     v0 = expm_skew(x0)
     s = np.sin(np.pi * times / times[-1]) ** 2
     w, v = np.linalg.eigh(1j * x1)
-    loops = np.einsum("ij,tj,kj->tik", v, np.exp(-1j * np.outer(s, w)), v.conj())
-    return np.einsum("ij,tjk->tik", v0, loops)
+    loops = (v * np.exp(-1j * np.outer(s, w))[:, None, :]) @ v.conj().T
+    return v0 @ loops

@@ -1,14 +1,16 @@
-"""Reference sections L(t), overlap matrices, the frame-change matrix W(t),
-and gauge transformations.
+"""Reference sections L(t), the frame-change matrix W(t), and gauge
+transformations.
 
 A section is a smooth choice of orthonormal frame spanning the same evolving
 subspace as the Schrodinger frame S(t), with L(0) = S(0). The overlap matrix
 O(0,t) = L(0)^dag L(t) and the unitary W(t) = L(t)^dag S(t) factor the
-subspace time-evolution matrix as U(t) = O(0,t) W(t).
+subspace time-evolution matrix as U(t) = O(0,t) W(t). Both, like the phase
+anchors <psi_j(0)|psi_j(t)>, are one linalg.overlaps call each.
 
 Subspace checks (a Fixed rule's drift, a Custom section's span, W's
 precondition) use the gap sqrt(2) ||b - a a^dag b||_F between orthonormal
-frames (linalg.subspace_gap); no N x N projector is formed.
+frames (linalg.subspace_gap); no N x N projector is formed. A Fixed rule
+reads the drift FramePath.drift, which a path evaluates at most once.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .linalg import (
     as_complex_matrix,
     frobenius,
     hermitian_part,
+    overlaps,
     subspace_gap,
 )
 
@@ -37,7 +40,6 @@ __all__ = [
     "SectionRule",
     "build_section",
     "gauge_transform",
-    "u_matrix_path",
     "w_path",
 ]
 
@@ -108,9 +110,9 @@ def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
 
 def _section(path: FramePath, rule: SectionRule) -> SectionPath:
     """Attach the in-phase diagnostics of the overlaps O(0, t) to a path."""
-    overlaps = u_matrix_path(path)
-    mins = _min_eigenvalues(hermitian_part(overlaps))
-    o_end = overlaps[-1]
+    o = overlaps(path.initial, path.frames)
+    mins = _min_eigenvalues(hermitian_part(o))
+    o_end = o[-1]
     asym = frobenius(o_end - o_end.conj().T)
     return SectionPath(path, rule, float(mins[-1]), asym, float(mins.min()))
 
@@ -132,7 +134,7 @@ def build_section(
     npts = s.shape[0]
 
     if isinstance(rule, Fixed):
-        drift = float(subspace_gap(schrodinger.initial, s).max())
+        drift = schrodinger.drift
         if drift > 10 * tol.structure_tol:
             raise SectionError(
                 f"fixed section requires a constant subspace; projector moved by {drift:.3e}"
@@ -149,7 +151,7 @@ def build_section(
         return _section(FramePath(schrodinger.grid, frames), rule)
 
     if isinstance(rule, PhaseAnchored):
-        anchors = np.einsum("nj,tnj->tj", s[0].conj(), s)
+        anchors = np.diagonal(overlaps(s[0], s), axis1=1, axis2=2)
         weakest = float(np.abs(anchors).min())
         if weakest <= tol.positivity_tol:
             raise SectionError(
@@ -191,14 +193,7 @@ def w_path(
     gap = float(subspace_gap(section.path.frames, schrodinger.frames).max())
     if gap > 10 * tol.structure_tol:
         raise ValueError(f"section and Schrodinger frames span different subspaces ({gap:.3e})")
-    return np.einsum("tnj,tnk->tjk", section.path.frames.conj(), schrodinger.frames)
-
-
-def u_matrix_path(path: FramePath) -> np.ndarray:
-    """F(0)^dag F(t_k) per grid point of a frame path: the time-evolution
-    matrices for a Schrodinger path, the overlaps O(0, t_k) for a section."""
-    f = path.frames
-    return np.einsum("nj,tnk->tjk", f[0].conj(), f)
+    return overlaps(section.path.frames, schrodinger.frames)
 
 
 def gauge_transform(
@@ -220,12 +215,12 @@ def gauge_transform(
     if v.shape != (npts, m, m):
         raise ValueError(f"gauge path must have shape ({npts}, {m}, {m})")
     eye = np.eye(m)
-    unit_res = float(np.linalg.norm(np.einsum("tij,tik->tjk", v.conj(), v) - eye, axis=(1, 2)).max())
+    unit_res = float(np.linalg.norm(overlaps(v, v) - eye, axis=(1, 2)).max())
     if unit_res > 10 * tol.structure_tol:
         raise ValueError(f"gauge path is not unitary (residual {unit_res:.3e})")
     if frobenius(v[-1] - v[0]) > 10 * tol.structure_tol:
         raise ValueError("gauge path is not closed: V(tau) differs from V(0)")
-    path = FramePath(section.path.grid, np.einsum("tnj,tjk->tnk", frames, v))
+    path = FramePath(section.path.grid, frames @ v, tol.structure_tol)
     out = _section(path, Custom(path))
     if out.in_phase_margin <= tol.positivity_tol:
         raise InPhaseViolation(

@@ -29,12 +29,11 @@ from holosplit.instances import (
     refutation_instance,
 )
 from holosplit.lambda_system import dark_bright_to_bare
-from holosplit.linalg import commutator_norm, frobenius
+from holosplit.linalg import commutator_norm, frobenius, overlaps
 from holosplit.sections import (
     InPhaseViolation,
     SectionError,
     gauge_transform,
-    u_matrix_path,
     w_path,
 )
 
@@ -132,8 +131,8 @@ def _structural_checks(label, spec, schrod, section, lines):
                             axis=(1, 2)).max()
     assert w_unit <= 1e-9
 
-    u = u_matrix_path(schrod)
-    o = u_matrix_path(section.path)
+    u = overlaps(schrod.initial, schrod.frames)
+    o = overlaps(section.path.initial, section.path.frames)
     recon = np.linalg.norm(u - np.einsum("tij,tjk->tik", o, w), axis=(1, 2)).max()
     assert recon <= 1e-8
 

@@ -22,7 +22,7 @@ from holosplit.config import (
     report_to_json,
     write_sampled_hamiltonian,
 )
-from holosplit.dynamics import TimeGrid
+from holosplit.dynamics import Constant, TimeGrid, propagate_frame
 from holosplit.holonomy import DecompositionReport
 from holosplit.instances import refutation_instance
 
@@ -122,9 +122,73 @@ class TestConfigParsing:
         section.write_text(section.read_text().replace('"dimension": 99', '"dimension": 3'))
         assert load_run_config(path).rule.path.frames.shape == (9, 3, 2)
 
+    def test_boolean_matrix_entry_rejected(self, tmp_path):
+        h = matrix_to_json(np.diag([0.0, 1.0, 2.0]))
+        h[0][0][0] = True
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "system": {"kind": "constant", "matrix": h},
+            "subspace": {"matrix": matrix_to_json(np.eye(3)[:, :2])},
+            "section": {"rule": "phase_anchored"},
+            "grid": {"tau": 1.0, "steps": 8},
+        }))
+        with pytest.raises(ConfigError, match="constant Hamiltonian must hold numbers, not booleans"):
+            load_run_config(path)
+
     def test_matrix_json_roundtrip(self):
         m = np.array([[1 + 2j, 0.5], [-1j, 3.0]])
         np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
+
+
+class TestConfigTolerances:
+    """The config's tolerances block governs the checks on the data it loads."""
+
+    @staticmethod
+    def decompose(config, tmp_path, structure_tol):
+        cfg = json.loads(config.read_text())
+        cfg["tolerances"] = {} if structure_tol is None else {"structure_tol": structure_tol}
+        config.write_text(json.dumps(cfg))
+        return cmd_decompose(str(config), str(tmp_path / "r.json"))
+
+    def test_sampled_file_checked_against_the_run_tolerance(self, tmp_path, capsys):
+        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        # anti-Hermitian part ||H - H^dag||_F = 4e-8 per sample
+        ham = tmp_path / "ham.json"
+        write_sampled_hamiltonian(ham, spec.grid.times, spec.samples + 1e-8j * np.eye(4))
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "sampled", "path": str(ham)},
+                            subspace={"matrix": matrix_to_json(psi0)},
+                            grid={"tau": 1.0, "steps": 8})
+        assert self.decompose(path, tmp_path, 1e-6) == 0
+        capsys.readouterr()
+        assert self.decompose(path, tmp_path, None) == 3
+        assert "Hamiltonian is not Hermitian within tolerance" in capsys.readouterr().err
+
+    def test_custom_section_checked_against_the_run_tolerance(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        h = 0.2 * (h + h.conj().T)  # weak enough to keep O(0, tau) in phase
+        psi0 = np.eye(3, dtype=complex)[:, :2]
+        grid = TimeGrid.uniform(1.0, 8)
+        # the Schrodinger frames scaled by 1 + 1e-8: orthonormal to 2.8e-8
+        frames = propagate_frame(Constant(h), psi0, grid).frames * (1 + 1e-8)
+        section = tmp_path / "section.json"
+        section.write_text(json.dumps({
+            "dimension": 3,
+            "times": grid.times.tolist(),
+            "matrices": [matrix_to_json(f) for f in frames],
+        }))
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "constant", "matrix": matrix_to_json(h)},
+                            subspace={"matrix": matrix_to_json(psi0)},
+                            section={"rule": "custom", "path": str(section)},
+                            grid={"tau": 1.0, "steps": 8})
+        assert self.decompose(path, tmp_path, 1e-6) == 0
+        # the gauge-transformed section is checked against the same tolerance
+        assert cmd_gauge_check(str(path), seed=1) == 0
+        capsys.readouterr()
+        assert self.decompose(path, tmp_path, None) == 3
+        assert "columns not orthonormal" in capsys.readouterr().err
 
 
 class TestDecompose:
@@ -362,7 +426,10 @@ class TestExitCodes:
         ("times", {"a": 1}, "must be an array of numbers"),
         ("times", "abc", "must be an array of numbers"),
         ("times", [0.0, "abc"], "must be an array of numbers"),
-    ], ids=["None", "dimension1", "4.5", "True", "times-object", "times-string", "times-entry"])
+        ("times", [0.0, True, 1.0], "must hold numbers, not booleans"),
+        ("matrices", [[[[True, 0.0]]]], "must hold numbers, not booleans"),
+    ], ids=["None", "dimension1", "4.5", "True", "times-object", "times-string", "times-entry",
+            "times-boolean", "matrices-boolean"])
     def test_wrong_typed_matrix_file_dimension_exits_three(self, key, value, expected, tmp_path, capsys):
         spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
         ham = tmp_path / "ham.json"
@@ -375,6 +442,29 @@ class TestExitCodes:
         assert cmd_separability(str(path)) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f'{ham}: "{key}" {expected}' in err
+
+    @pytest.mark.parametrize("key, index", [("times", (0,)), ("matrices", (0, 0, 0, 0))])
+    def test_boolean_in_own_matrix_file_exits_three(self, key, index, tmp_path, capsys):
+        # false at t = 0 and true for Re H_00(0) would read as the numbers 0
+        # and 1, which leave a valid file; the entry must still be rejected
+        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        ham = tmp_path / "ham.json"
+        write_sampled_hamiltonian(ham, spec.grid.times, spec.samples)
+        data = json.loads(ham.read_text())
+        *parents, last = index
+        node = data[key]
+        for i in parents:
+            node = node[i]
+        node[last] = key == "matrices"
+        ham.write_text(json.dumps(data))
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "sampled", "path": str(ham)},
+                            subspace={"matrix": matrix_to_json(psi0)},
+                            grid={"tau": 1.0, "steps": 8})
+        assert cmd_separability(str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f'{ham}: "{key}" must hold numbers, not booleans' in err
 
     def test_demo_bad_parameter_exits_three(self, capsys):
         assert cmd_demo("i", omega0=-1.0) == 3

@@ -22,8 +22,7 @@ from holosplit.dynamics import (
 )
 from holosplit.instances import cosine_drive, random_frame, random_hermitian, refutation_instance
 from holosplit.lambda_system import LambdaParams, case_setup
-from holosplit.linalg import hermitian_part, loewdin_orthonormalize, unitary_stack
-from holosplit.sections import u_matrix_path
+from holosplit.linalg import hermitian_part, loewdin_orthonormalize, overlaps, unitary_stack
 
 SQRT3 = np.sqrt(3.0)
 
@@ -228,7 +227,7 @@ class TestPropagateFrame:
         grid = TimeGrid.uniform(2.0, 256)
         spec = cosine_drive(random_hermitian(n, rng), random_hermitian(n, rng), grid)
         path = propagate_frame(spec, np.eye(n, dtype=complex), grid)
-        u = u_matrix_path(path)
+        u = overlaps(path.initial, path.frames)
         res = np.linalg.norm(np.einsum("tij,tik->tjk", u.conj(), u) - np.eye(n), axis=(1, 2))
         assert res.max() <= 1e-9
 

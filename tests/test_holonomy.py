@@ -32,8 +32,9 @@ from holosplit.instances import (
     random_hermitian,
     refutation_instance,
 )
-from holosplit.lambda_system import LambdaParams
-from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius
+from holosplit import linalg
+from holosplit.lambda_system import LambdaParams, case_setup
+from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius, overlaps
 from holosplit.sections import InPhaseViolation, PhaseAnchored, build_section, w_path
 
 SQRT3 = np.sqrt(3.0)
@@ -286,11 +287,29 @@ class TestSeparabilityReport:
             separability_report(section, schrod, spec, tight)
 
     def test_reconstruction_invariant(self, case_i, case_ii, case_iii):
-        from holosplit.sections import u_matrix_path
-
         for ns in (case_i, case_ii, case_iii):
-            u_end = u_matrix_path(ns.schrod)[-1]
+            u_end = overlaps(ns.schrod.initial, ns.schrod.frames)[-1]
             assert frobenius(ns.report.time_evolution - u_end) <= 1e-9
+
+    def test_fixed_run_evaluates_the_drift_once(self, monkeypatch):
+        # the Fixed precondition and the case_i verdict read one drift
+        # max_t ||S(0)S(0)^dag - S(t)S(t)^dag||, the only subspace gap taken
+        # of the single frame S(0) against the whole path
+        drifts = []
+
+        def counting_gap(a, b):
+            if np.ndim(a) == 2:
+                drifts.append(np.shape(b))
+            return linalg.subspace_gap(a, b)
+
+        for module in ("dynamics", "sections", "holonomy"):
+            monkeypatch.setattr(f"holosplit.{module}.subspace_gap", counting_gap, raising=False)
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2)
+        spec, psi0, rule = case_setup("i", p)
+        schrod = propagate_frame(spec, psi0, TimeGrid.uniform(p.tau, 512))
+        report = separability_report(build_section(rule, schrod, spec), schrod, spec)
+        assert report.classification == "case_i"
+        assert drifts == [(513, 3, 2)]
 
     def test_commutator_sufficiency(self, case_i, case_ii, case_iii):
         for ns in (case_i, case_ii, case_iii):

@@ -13,6 +13,7 @@ from holosplit.linalg import (
     frobenius,
     loewdin_orthonormalize,
     ordered_products,
+    overlaps,
     polar_decompose,
     subspace_gap,
     unitary_stack,
@@ -104,7 +105,7 @@ class TestPolarDecompose:
         # left polar pair when O is positive definite
         from holosplit import (
             LambdaParams, case_setup, propagate_frame, build_section,
-            w_path, u_matrix_path,
+            w_path,
         )
 
         p = LambdaParams(omega0=np.sqrt(3), delta=1.0, tau=np.pi / 3)
@@ -112,8 +113,8 @@ class TestPolarDecompose:
         grid = TimeGrid.uniform(p.tau, 2048)
         s = propagate_frame(spec, psi0, grid)
         sec = build_section(rule, s, spec)
-        pos, uni = polar_decompose(u_matrix_path(s)[-1])
-        o_end = u_matrix_path(sec.path)[-1]
+        pos, uni = polar_decompose(overlaps(s.initial, s.frames)[-1])
+        o_end = overlaps(sec.path.initial, sec.path.frames)[-1]
         w_end = w_path(sec, s)[-1]
         phi = p.phidot * p.tau
         ref = np.diag([1.0, np.sqrt(1 - np.sin(p.gamma) ** 2 * np.sin(phi) ** 2)])
@@ -416,3 +417,36 @@ class TestSubspaceGap:
         gap = subspace_gap(a0, b)
         assert gap.shape == (npts,)
         assert np.abs(gap - projector_gap(a0[None], b)).max() <= 1e-12
+
+
+class TestOverlaps:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 4), st.integers(1, 6),
+           st.sampled_from(["stacks", "frame_vs_stack", "stack_vs_frame"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_explicit_sum(self, n, m, k, npts, layout, seed):
+        rng = np.random.default_rng(seed)
+        lead_a = () if layout == "frame_vs_stack" else (npts,)
+        lead_b = () if layout == "stack_vs_frame" else (npts,)
+
+        def draw(shape):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return z * 10.0 ** rng.uniform(-3, 3)
+
+        a, b = draw((*lead_a, n, m)), draw((*lead_b, n, k))
+        got = overlaps(a, b)
+        assert got.shape == (npts, m, k)
+        # sum over n of conj(a_nj) b_nk, one term at a time
+        want = np.zeros((npts, m, k), dtype=complex)
+        for i in range(n):
+            want += a.conj()[..., i, :, None] * b[..., i, None, :]
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_rejects_unequal_row_counts(self, n):
+        # the row sum would silently drop the extra row of the taller frame
+        a, b = np.ones((5, n, 2)), np.ones((5, n + 1, 2))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="equal row counts"):
+                overlaps(x, y)

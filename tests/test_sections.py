@@ -12,7 +12,7 @@ from holosplit.instances import (
     random_nonabelian_loop,
 )
 from holosplit.lambda_system import LambdaParams
-from holosplit.linalg import frobenius
+from holosplit.linalg import frobenius, overlaps
 from holosplit.sections import (
     Custom,
     Fixed,
@@ -20,7 +20,6 @@ from holosplit.sections import (
     SectionError,
     build_section,
     gauge_transform,
-    u_matrix_path,
     w_path,
 )
 
@@ -92,10 +91,11 @@ class TestBuildSection:
 
 class TestOverlapPath:
     def test_identity_at_zero(self, case_iii):
-        np.testing.assert_allclose(u_matrix_path(case_iii.section.path)[0], np.eye(2), atol=1e-14)
+        path = case_iii.section.path
+        np.testing.assert_allclose(overlaps(path.initial, path.frames)[0], np.eye(2), atol=1e-14)
 
     def test_case_ii_formula_along_path(self, case_ii):
-        o = u_matrix_path(case_ii.section.path)
+        o = overlaps(case_ii.section.path.initial, case_ii.section.path.frames)
         phi = case_ii.params.phidot * case_ii.grid.times
         ref = np.sqrt(1 - np.sin(case_ii.params.gamma) ** 2 * np.sin(phi) ** 2)
         assert np.abs(o[:, 1, 1] - ref).max() <= 1e-8
@@ -103,11 +103,12 @@ class TestOverlapPath:
         assert np.abs(o[:, 1, 0]).max() <= 1e-12
 
     def test_case_ii_cyclic_endpoint(self, case_ii):
-        assert np.abs(u_matrix_path(case_ii.section.path)[-1] - np.eye(2)).max() <= 1e-7
+        path = case_ii.section.path
+        assert np.abs(overlaps(path.initial, path.frames)[-1] - np.eye(2)).max() <= 1e-7
 
     def test_anchored_diagonal_real_positive(self, case_ii, case_iii):
         for ns in (case_ii, case_iii):
-            o = u_matrix_path(ns.section.path)
+            o = overlaps(ns.section.path.initial, ns.section.path.frames)
             diags = np.stack([o[:, j, j] for j in range(o.shape[1])], axis=1)
             assert np.abs(diags.imag).max() <= 1e-12
             assert diags.real.min() > 0
@@ -141,9 +142,9 @@ class TestWPath:
             assert res.max() <= 1e-9
 
     def test_reconstructs_evolution_matrix(self, case_ii):
-        o = u_matrix_path(case_ii.section.path)
+        o = overlaps(case_ii.section.path.initial, case_ii.section.path.frames)
         w = w_path(case_ii.section, case_ii.schrod)
-        u = u_matrix_path(case_ii.schrod)
+        u = overlaps(case_ii.schrod.initial, case_ii.schrod.frames)
         res = np.linalg.norm(u - np.einsum("tij,tjk->tik", o, w), axis=(1, 2))
         assert res.max() <= 1e-9
 
