@@ -194,7 +194,7 @@ def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None,
     v0 = vpath[0]
     try:
         transformed = gauge_transform(section, vpath, tol=cfg.tolerances)
-        rotated = FramePath(cfg.grid, schrod.frames @ v0)
+        rotated = FramePath(cfg.grid, schrod.frames @ v0, cfg.tolerances.structure_tol)
         moved = separability_report(transformed, rotated, cfg.spec, cfg.tolerances)
     except InPhaseViolation as exc:
         return _fail(EXIT_IN_PHASE, f"in-phase violation after gauge transform: {exc}")

@@ -56,8 +56,10 @@ def _number(v, what: str, kind: type = float):
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """A complex array of any rank as nested lists of [re, im] float pairs."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    # a complex128 entry is its two float64 parts in memory, re then im
+    return m.view(float).reshape(*m.shape, 2).tolist()
 
 
 def _holds_boolean(v) -> bool:
@@ -159,8 +161,8 @@ def load_sampled_hamiltonian(
 def write_sampled_hamiltonian(path: str | Path, times: np.ndarray, samples: np.ndarray) -> None:
     data = {
         "dimension": int(np.asarray(samples).shape[1]),
-        "times": [float(t) for t in np.asarray(times)],
-        "matrices": [matrix_to_json(m) for m in np.asarray(samples)],
+        "times": np.asarray(times, dtype=float).tolist(),
+        "matrices": matrix_to_json(samples),
     }
     Path(path).write_text(json.dumps(data))
 
@@ -192,7 +194,7 @@ def _resolve_system(
             "eta": _number(d.get("eta", 0.0), f"{where}.eta"),
         }
         try:
-            params = LambdaParams(tau=tau, **fields)
+            params = LambdaParams(tau=tau, structure_tol=structure_tol, **fields)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return params.spec, params

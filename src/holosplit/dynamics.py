@@ -11,12 +11,13 @@ stepped: each step applies exp(-i H(t_mid) dt), with the Hamiltonian
 evaluated at the step midpoint (second-order accurate). The midpoint
 Hamiltonians are sampled in chunks of about 1 MiB and each chunk is stepped
 while it is still in cache, so no stack of H over the whole grid is formed.
-Below N = 10 each step's N x N unitary comes in full from
-linalg.unitary_stack, the package's one exp(-i H dt) slice kernel, and is
-multiplied onto the frame. From N = 10 on, the exponential acts on the N x M
-frame directly as a truncated Taylor series, whose degree and substep count
-are fixed once per chunk so the remainder stays below 2^-53 of the frame's
-norm; no N x N eigh or slice is formed. Both stepping kernels give the same
+Below N = 10 a chunk's frames are its first frame times the forward prefix
+products (linalg.ordered_products) of the full N x N step unitaries from
+linalg.unitary_stack, the package's one exp(-i H dt) slice kernel. From
+N = 10 on, the exponential acts on the N x M frame directly as a truncated
+Taylor series, whose degree and substep count are fixed once per chunk so
+the remainder stays below 2^-53 of the frame's norm; no N x N eigh or slice
+is formed. Both stepping kernels give the same
 step to roundoff. On every route the frames are computed without correction
 and then orthonormalized symmetrically once, in one batched Loewdin pass
 over the whole path; orthonormality holds to roundoff at every grid point.
@@ -41,6 +42,7 @@ from .linalg import (
     frobenius,
     hermitian_part,
     loewdin_orthonormalize,
+    ordered_products,
     overlaps,
     skew_part,
     subspace_gap,
@@ -297,7 +299,7 @@ def _taylor_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
                 np.add(start, prod, out=y)
 
 
-def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> FramePath:
+def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """V exp(-i E t_k) V^dag psi0 at every grid time, from one eigh of H."""
     w, v = np.linalg.eigh(ham)
     times = grid.times
@@ -310,20 +312,19 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> Fr
     phases = np.exp(-1j * np.outer(times[1:], w))
     out[1:] = (phases @ modes.transpose(1, 0, 2).reshape(n, n * m)).reshape(-1, n, m)
     out[1:] = loewdin_orthonormalize(out[1:])
-    return FramePath(grid, out)
+    return out
 
 
 def _slice_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
-    """out[k+1] = exp(-i H_k dt_k) out[k] with the full N x N unitaries from
-    linalg.unitary_stack."""
-    slices = unitary_stack(hams, dts)
-    for k in range(dts.size):
-        np.matmul(slices[k], out[k], out=out[k + 1])
+    """out[k+1] = exp(-i H_k dt_k) ... exp(-i H_0 dt_0) out[0]: the forward
+    prefix products of the full N x N unitaries from linalg.unitary_stack,
+    each applied to the frame out[0]."""
+    out[1:] = ordered_products(unitary_stack(hams, dts), "forward", cumulative=True) @ out[0]
 
 
 def _propagate(
     hams: Callable[[slice], np.ndarray], psi0: np.ndarray, grid: TimeGrid
-) -> FramePath:
+) -> np.ndarray:
     """Step psi0 over the grid; hams(sl) returns the midpoint Hamiltonians of
     the steps in sl, and is asked for one chunk of steps at a time."""
     dts = np.diff(grid.times)
@@ -334,7 +335,7 @@ def _propagate(
     for sl in _chunks(dts.size, psi0.shape[0]):
         march(hams(sl), dts[sl], out[sl.start : sl.stop + 1])
     out[1:] = loewdin_orthonormalize(out[1:])
-    return FramePath(grid, out)
+    return out
 
 
 def propagate_frame(
@@ -349,8 +350,9 @@ def propagate_frame(
     A Constant spec is solved exactly: one eigh of H gives every frame as
     V exp(-i E t_k) V^dag psi0, on any grid. A Sampled spec is stepped with
     exp(-i H(t_mid) dt), H at the step midpoint, so the scheme is second
-    order in dt. For N < 10 the step unitary comes from
-    linalg.unitary_stack; for N >= 10 its action on the N x M frame comes
+    order in dt. For N < 10 the step unitaries come from
+    linalg.unitary_stack and are multiplied up by the prefix products of
+    linalg.ordered_products; for N >= 10 their action on the N x M frame comes
     from a truncated Taylor series with remainder below 2^-53, which needs
     only (N x N) @ (N x M) products. The two agree to roundoff. H is taken
     in chunks of about 1 MiB, and the Taylor degree and substep count are
@@ -371,12 +373,13 @@ def propagate_frame(
     if frobenius(overlaps(psi0, psi0) - np.eye(psi0.shape[1])) > 10 * tol.structure_tol:
         raise ValueError("psi0 columns are not orthonormal")
     if isinstance(spec, Constant):
-        return _propagate_constant(spec.matrix, psi0, grid)
-    times = grid.times
-    # checked whole here, so a grid leaving the sampled interval fails
-    # before the first step
-    mids = _checked_times(spec, 0.5 * (times[:-1] + times[1:]))
-    return _propagate(lambda sl: hamiltonian_path(spec, mids[sl]), psi0, grid)
+        frames = _propagate_constant(spec.matrix, psi0, grid)
+    else:
+        # checked whole here, so a grid leaving the sampled interval fails
+        # before the first step
+        mids = _checked_times(spec, 0.5 * (grid.times[:-1] + grid.times[1:]))
+        frames = _propagate(lambda sl: hamiltonian_path(spec, mids[sl]), psi0, grid)
+    return FramePath(grid, frames, tol.structure_tol)
 
 
 def _sandwich(hams: np.ndarray, frames: np.ndarray) -> np.ndarray:

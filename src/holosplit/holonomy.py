@@ -11,6 +11,10 @@ dynamical forward-ordered factors additionally requires [A(t), K(t')] = 0
 for all pairs of times. An exact bound on that commutator over every pair of
 grid times decides the case_iii verdict; the report's max_commutator is the
 magnitude from a sampled scan of the pairs.
+
+Every ordered exponential here, the Anandan path and the four endpoint
+factors alike, is one ordered_factor call: its midpoint slices multiplied
+by the one pairing of linalg.ordered_products.
 """
 
 from __future__ import annotations
@@ -158,45 +162,42 @@ def kw_wf_residual(generators: GeneratorPath, w: np.ndarray) -> float:
     return float(np.linalg.norm(generators.k_mats @ w - w @ generators.f_mats, axis=(1, 2)).max())
 
 
-def _midpoint_products(mats: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(m_k dt_k) with m_k the step-averaged anti-Hermitian generator."""
-    mids = 0.5 * (mats[:-1] + mats[1:])
-    mids *= 1j  # exactly Hermitian, and exp(-i (i m) dt) = exp(m dt)
-    return unitary_stack(mids, np.diff(times))
-
-
 def solve_anandan(generators: GeneratorPath) -> np.ndarray:
-    """Integrate dW/dt = (A + K) W with W(0) = identity.
-
-    One unitary slice per step, generator averaged over the step endpoints
-    (midpoint rule, second order); later slices multiply on the left. The
-    path is the forward prefix scan of the slices (log-depth tree, see
-    linalg.ordered_products). Returns W at every grid point.
-    """
-    gen = generators.a_mats + generators.k_mats
-    slices = _midpoint_products(gen, generators.grid.times)
-    out = np.empty_like(gen)
-    out[0] = np.eye(gen.shape[1])
-    out[1:] = ordered_products(slices, "forward", cumulative=True)
-    return out
+    """Integrate dW/dt = (A + K) W with W(0) = identity; W at every grid
+    point, the cumulative forward ordered_factor of A + K."""
+    return ordered_factor(generators.a_mats + generators.k_mats, generators.grid, cumulative=True)
 
 
 def ordered_factor(
     mats: np.ndarray,
     grid: TimeGrid,
     direction: Literal["forward", "reverse"] = "forward",
+    *,
+    cumulative: bool = False,
 ) -> np.ndarray:
     """Time-ordered exponential of an anti-Hermitian generator path.
 
     forward solves dX/dt = m(t) X (later slices on the left), reverse solves
     dX/dt = X m(t) (later slices on the right); both start from the identity.
-    The midpoint slices are multiplied by pairwise tree reduction
-    (linalg.ordered_products), so roundoff grows as O(log n) in the steps.
+    There is one unitary slice exp(m_k dt_k) per step, with m_k the generator
+    averaged over the step endpoints (midpoint rule, second order), and the
+    slices are multiplied by the one pairing of linalg.ordered_products, so
+    roundoff grows as O(log n) in the steps. Returns X(tau), or with
+    cumulative=True X at every grid point, X(t0) the identity exactly; the
+    last of those is X(tau) bit for bit.
     """
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[0] != len(grid):
         raise ValueError("generator path length does not match the grid")
-    return ordered_products(_midpoint_products(mats, grid.times), direction)
+    mids = 0.5 * (mats[:-1] + mats[1:])
+    mids *= 1j  # exactly Hermitian, and exp(-i (i m) dt) = exp(m dt)
+    slices = unitary_stack(mids, np.diff(grid.times))
+    if not cumulative:
+        return ordered_products(slices, direction)
+    out = np.empty_like(mats)
+    out[0] = np.eye(mats.shape[1])
+    out[1:] = ordered_products(slices, direction, cumulative=True)
+    return out
 
 
 def yu_tong_factors(generators: GeneratorPath) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +281,7 @@ def separability_report(
 
     generators = generator_path(section, schrodinger, spec)
     w_direct = w_path(section, schrodinger, tol=tol)[-1]
-    # only the endpoint of the Anandan solution is reported
+    # the endpoint of solve_anandan, bit for bit
     w_final = ordered_factor(generators.a_mats + generators.k_mats, generators.grid)
     overlap = overlaps(section.path.initial, section.path.final)
 
@@ -332,7 +333,7 @@ def trivial_shift_check(
 
     base = propagate_frame(spec, psi0, grid)
     eye = np.eye(base.n)
-    shifted_path = _propagate(
+    shifted = _propagate(
         lambda sl: hamiltonian_path(spec, mids[sl]) - rates[sl, None, None] * eye,
         np.asarray(psi0, dtype=complex),
         grid,
@@ -342,5 +343,5 @@ def trivial_shift_check(
     # so the phase relation between the two paths is exact per step
     f = np.concatenate([[0.0], np.cumsum(rates * np.diff(times))])
     section_frames = base.frames * np.exp(1j * f)[:, None, None]
-    w = overlaps(section_frames, shifted_path.frames)
+    w = overlaps(section_frames, shifted)
     return float(np.linalg.norm(w - np.eye(w.shape[1]), axis=(1, 2)).max())

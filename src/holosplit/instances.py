@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import Sampled, TimeGrid
-from .linalg import expm_skew, hermitian_part
+from .linalg import expm_skew, hermitian_part, unitary_stack
 
 __all__ = [
     "cosine_drive",
@@ -97,6 +97,6 @@ def random_nonabelian_loop(
     x0, x1 = skew(strength), skew(strength)
     v0 = expm_skew(x0)
     s = np.sin(np.pi * times / times[-1]) ** 2
-    w, v = np.linalg.eigh(1j * x1)
-    loops = (v * np.exp(-1j * np.outer(s, w))[:, None, :]) @ v.conj().T
+    # exp(s x1) = exp(-i (i x1) s), and i x1 is exactly Hermitian
+    loops = unitary_stack(np.broadcast_to(1j * x1, (times.size, m, m)), s)
     return v0 @ loops

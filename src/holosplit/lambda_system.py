@@ -61,7 +61,8 @@ def _require_finite(obj, *names: str) -> None:
 class LambdaParams:
     """Pulse parameters: Rabi amplitude omega0 > 0 (rad/s), common detuning
     delta (rad/s), laser parameters (omega1, omega2) on the unit circle of
-    C^2, pulse duration tau > 0 (s), and the case-(iii) mixing angle eta."""
+    C^2 within structure_tol, pulse duration tau > 0 (s), and the
+    case-(iii) mixing angle eta."""
 
     omega0: float
     delta: float
@@ -69,6 +70,7 @@ class LambdaParams:
     omega1: complex = 1.0
     omega2: complex = 0.0
     eta: float = 0.0
+    structure_tol: float = DEFAULT_TOL.structure_tol
 
     def __post_init__(self):
         _require_finite(self, "omega0", "delta", "tau", "omega1", "omega2", "eta")
@@ -77,7 +79,7 @@ class LambdaParams:
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         norm = abs(self.omega1) ** 2 + abs(self.omega2) ** 2
-        if abs(norm - 1.0) > DEFAULT_TOL.structure_tol:
+        if abs(norm - 1.0) > self.structure_tol:
             raise ValueError("laser parameters must satisfy |w1|^2+|w2|^2 = 1")
         if not 0.0 <= self.eta <= np.pi:
             raise ValueError("eta must lie in [0, pi]")
@@ -109,7 +111,7 @@ class LambdaParams:
         b = self.bright_state
         h = self.omega0 * (np.outer(_E3, b.conj()) + np.outer(b, _E3.conj()))
         h += 2.0 * self.delta * np.outer(_E3, _E3.conj())
-        return Constant(h)
+        return Constant(h, self.structure_tol)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ The Frobenius norm is the canonical matrix distance everywhere. Every frame
 overlap F^dag G (Gram checks, W, O, the connection, the K/F sandwiches, the
 subspace gaps) comes from the one primitive overlaps, and every unitary
 slice exp(-i H dt), whether a propagation step or a factor of an ordered
-exponential, from the one kernel unitary_stack. The kernels pick their
-method from the array shape alone: a stack of 2 x 2 matrices, the shape of
-every M = 2 subspace quantity, takes closed forms (Cayley-Hamilton for the
-exponential, the 2 x 2 square-root formula for the Loewdin factor) that form
-no eigenvectors, and any other size one batched eigh; an overlap of frames
+exponential, from the one kernel unitary_stack. Every time-ordered product
+(the propagation steps below N = 10, the Anandan path and the four endpoint
+factors) is the one pairing of ordered_products, whose full product is its
+last prefix bit for bit. The kernels pick their method from the array shape
+alone: a stack of 2 x 2 matrices, the shape of every M = 2 subspace
+quantity, takes closed forms (Cayley-Hamilton for the exponential, the
+2 x 2 square-root formula for the Loewdin factor) that form no
+eigenvectors, and any other size one batched eigh; an overlap of frames
 with at most four rows is a sum of row outer products, of taller frames one
 batched matmul.
 """
@@ -250,52 +253,40 @@ def ordered_products(
     direction: str = "forward",
     cumulative: bool = False,
 ) -> np.ndarray:
-    """Time-ordered product of a stack (n, m, m) of slices, by pairwise
-    tree reduction (Blelloch 1990).
+    """Time-ordered product of a stack (n, m, m) of slices, by one recursive
+    pairing of adjacent slices (Blelloch 1990).
 
     "forward" puts later slices on the left, s[n-1] ... s[1] s[0];
     "reverse" puts them on the right, s[0] s[1] ... s[n-1]. Each level
     multiplies adjacent pairs in one batched matmul, so the depth is
     O(log n) and roundoff grows as O(log n) rather than O(n).
 
-    With cumulative=True the result is the stack of all n prefix products,
-    the k-th covering s[0] .. s[k], built by the same pairing in log depth
-    and O(n) matrix products. Otherwise it is the single full product; an
-    empty stack gives the identity.
+    The full product is the pairs' product with an odd last slice combined
+    on top; an empty stack gives the identity. With cumulative=True the
+    result is the stack of all n prefix products, the k-th covering
+    s[0] .. s[k], in O(n) matrix products: the odd positions are the pairs'
+    prefixes and the even ones are filled in from them, the last by that
+    same top combination, so the full product is the last prefix bit for bit.
     """
     slices = np.asarray(slices)
-    if direction == "forward":
-        def combine(later, earlier):
-            return later @ earlier
-    elif direction == "reverse":
-        def combine(later, earlier):
-            return earlier @ later
-    else:
+    if direction not in ("forward", "reverse"):
         raise ValueError(f"unknown ordering direction: {direction!r}")
-    if cumulative:
-        return _prefix_products(slices, combine)
-    if slices.shape[0] == 0:
-        return np.eye(slices.shape[-1], dtype=slices.dtype)
-    acc = slices
-    while acc.shape[0] > 1:
-        even = acc.shape[0] // 2 * 2
-        pairs = combine(acc[1:even:2], acc[0:even:2])
-        acc = np.concatenate([pairs, acc[even:]]) if even < acc.shape[0] else pairs
-    return acc[0].copy()
 
+    def combine(later, earlier):
+        return later @ earlier if direction == "forward" else earlier @ later
 
-def _prefix_products(slices: np.ndarray, combine) -> np.ndarray:
-    """Inclusive prefix products: pair adjacent slices, scan the pairs
-    recursively, then fill in the even positions from the odd ones."""
     n = slices.shape[0]
-    out = np.empty_like(slices)
-    if n == 0:
-        return out
-    out[0] = slices[0]
-    if n == 1:
-        return out
+    if cumulative and n < 2:
+        return slices.copy()
+    if n < 2:
+        return slices[0].copy() if n else np.eye(slices.shape[-1], dtype=slices.dtype)
     even = n // 2 * 2
+    inner = ordered_products(combine(slices[1:even:2], slices[0:even:2]), direction, cumulative)
+    if not cumulative:
+        return combine(slices[-1], inner) if even < n else inner
+    out = np.empty_like(slices)
+    out[0] = slices[0]
     # out[2i+1] covers s[0] .. s[2i+1]
-    out[1::2] = _prefix_products(combine(slices[1:even:2], slices[0:even:2]), combine)
+    out[1::2] = inner
     out[2::2] = combine(slices[2::2], out[1:n - 1:2])
     return out

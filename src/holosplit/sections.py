@@ -148,7 +148,7 @@ def build_section(
             if frobenius(frame - schrodinger.initial) > 10 * tol.structure_tol:
                 raise SectionError("fixed frame must equal the initial Schrodinger frame")
         frames = np.broadcast_to(frame, (npts, *frame.shape)).copy()
-        return _section(FramePath(schrodinger.grid, frames), rule)
+        return _section(FramePath(schrodinger.grid, frames, tol.structure_tol), rule)
 
     if isinstance(rule, PhaseAnchored):
         anchors = np.diagonal(overlaps(s[0], s), axis1=1, axis2=2)
@@ -161,7 +161,7 @@ def build_section(
         # exp(-i arg) is insensitive to the branch of arg, so no unwrap needed
         frames = s * np.exp(-1j * np.angle(anchors))[:, None, :]
         frames[0] = s[0]
-        return _section(FramePath(schrodinger.grid, frames), rule)
+        return _section(FramePath(schrodinger.grid, frames, tol.structure_tol), rule)
 
     if isinstance(rule, Custom):
         path = rule.path

@@ -101,6 +101,23 @@ class TestConfigParsing:
         back = load_sampled_hamiltonian(f)
         np.testing.assert_allclose(back.samples, spec.samples, atol=0)
 
+    @pytest.mark.parametrize("integral_times", [False, True])
+    def test_sampled_writer_bytes_match_the_per_entry_encoding(self, tmp_path, integral_times):
+        spec, _ = refutation_instance(7, TimeGrid.uniform(1.0, 8))
+        times = np.arange(9) if integral_times else spec.grid.times
+        samples = spec.samples.copy()
+        samples[0, 0, 1] = complex(-0.0, 5e-324)
+        samples[1, 2, 3] = complex(1e300, -0.0)
+        samples[8, 3, 3] = complex(2.2250738585072014e-309, -1e300)
+        path = tmp_path / "ham.json"
+        write_sampled_hamiltonian(path, times, samples)
+        assert path.read_text() == json.dumps({
+            "dimension": 4,
+            "times": [float(t) for t in times],
+            "matrices": [[[[float(z.real), float(z.imag)] for z in row] for row in m]
+                         for m in samples],
+        })
+
     def test_custom_section_dimension_must_match_frames(self, tmp_path):
         grid = TimeGrid.uniform(1.0, 8)
         frames = np.broadcast_to(np.eye(3)[:, :2], (len(grid), 3, 2))
@@ -189,6 +206,23 @@ class TestConfigTolerances:
         capsys.readouterr()
         assert self.decompose(path, tmp_path, None) == 3
         assert "columns not orthonormal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, rule", [("i", "fixed"), ("ii", "phase_anchored")])
+    def test_lambda_laser_normalization_checked_against_the_run_tolerance(
+        self, tmp_path, capsys, case, rule
+    ):
+        # |w1|^2 + |w2|^2 = 1 + 1.6e-9
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "lambda", "omega0": SQRT3, "delta": 1.0,
+                                    "omega1": [0.6, 0.0], "omega2": [0.8000000010, 0.0]},
+                            subspace={"lambda_case": case}, section={"rule": rule},
+                            grid={"tau": np.pi / 2, "steps": 64})
+        assert self.decompose(path, tmp_path, 1e-6) == 0
+        # the frames of the run carry the tolerance to the gauge check
+        assert cmd_gauge_check(str(path), seed=1) == 0
+        capsys.readouterr()
+        assert self.decompose(path, tmp_path, None) == 3
+        assert "|w1|^2+|w2|^2 = 1" in capsys.readouterr().err
 
 
 class TestDecompose:

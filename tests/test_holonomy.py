@@ -176,6 +176,17 @@ class TestSolveAnandan:
         expected = expm_skew(gens.k_mats[0] * case_i.grid.tau)
         np.testing.assert_allclose(w_end, expected, atol=1e-10)
 
+    def test_endpoint_is_the_report_w_final_bitwise(self, case_iii):
+        # 1000 steps, not a power of two, so the pairing has odd levels
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 1000))
+        schrod = propagate_frame(spec, psi0, spec.grid)
+        section = build_section(PhaseAnchored(), schrod, spec)
+        runs = [(case_iii.section, case_iii.schrod, case_iii.spec, case_iii.report),
+                (section, schrod, spec, separability_report(section, schrod, spec))]
+        for section, schrod, spec, report in runs:
+            gens = generator_path(section, schrod, spec)
+            np.testing.assert_array_equal(solve_anandan(gens)[-1], report.w_final)
+
     def test_ae_consistency_scaling(self):
         # |W_ae(tau) - W_direct(tau)| <= 50 dt^2 + 1e-9 on smooth instances
         for steps in (512, 1024):
@@ -192,6 +203,15 @@ class TestOrderedFactor:
         zeros = np.zeros((len(grid), 3, 3), dtype=complex)
         np.testing.assert_array_equal(ordered_factor(zeros, grid, "forward"), np.eye(3))
         np.testing.assert_array_equal(ordered_factor(zeros, grid, "reverse"), np.eye(3))
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    def test_cumulative_path_starts_at_identity_and_ends_at_the_factor(self, case_iii, direction):
+        gens = generator_path(case_iii.section, case_iii.schrod, case_iii.spec)
+        path = ordered_factor(gens.a_mats + gens.k_mats, case_iii.grid, direction, cumulative=True)
+        assert path.shape == gens.a_mats.shape
+        np.testing.assert_array_equal(path[0], np.eye(2))
+        np.testing.assert_array_equal(
+            path[-1], ordered_factor(gens.a_mats + gens.k_mats, case_iii.grid, direction))
 
     def test_commuting_family_order_independent(self):
         grid = TimeGrid.uniform(2.0, 128)

@@ -353,6 +353,8 @@ class TestOrderedProducts:
         total = ordered_products(slices, direction)
         prefixes = ordered_products(slices, direction, cumulative=True)
         assert total.shape == (3, 3) and prefixes.shape == (n, 3, 3)
+        # one pairing serves both: the full product is the last prefix
+        assert np.array_equal(total, prefixes[-1])
         assert np.abs(total - ref[-1]).max() <= 1e-13
         assert np.abs(prefixes - ref).max() <= 1e-13
 

@@ -12,7 +12,7 @@ from holosplit.instances import (
     random_nonabelian_loop,
 )
 from holosplit.lambda_system import LambdaParams
-from holosplit.linalg import frobenius, overlaps
+from holosplit.linalg import expm_skew, frobenius, overlaps
 from holosplit.sections import (
     Custom,
     Fixed,
@@ -229,6 +229,26 @@ class TestGaugeTransform:
         w_bar = w_path(moved, rotated)[-1]
         w_ref = w_path(ns.section, ns.schrod)[-1]
         assert frobenius(w_bar - v[0].conj().T @ w_ref @ v[0]) <= 1e-7
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_nonabelian_loop_is_closed_and_unitary(m):
+    times = np.linspace(0.0, 2.0, 257)
+    v = random_nonabelian_loop(times, m, np.random.default_rng(m))
+    # reference: exp(x0) exp(s x1) with the same draws, exp(s x1) by eigh
+    rng = np.random.default_rng(m)
+
+    def skew():
+        z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / 2
+        return 0.5 * (z - z.conj().T) / 2
+
+    x0, x1 = skew(), skew()
+    w, u = np.linalg.eigh(1j * x1)
+    s = np.sin(np.pi * times / times[-1]) ** 2
+    ref = expm_skew(x0) @ ((u * np.exp(-1j * np.outer(s, w))[:, None, :]) @ u.conj().T)
+    assert np.abs(v - ref).max() <= 1e-14
+    assert np.abs(v[-1] - v[0]).max() <= 1e-15
+    assert np.abs(overlaps(v, v) - np.eye(m)).max() <= 1e-14
 
 
 def test_w_unitarity_on_random_systems():
