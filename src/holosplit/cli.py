@@ -22,7 +22,7 @@ from .dynamics import FramePath, TimeGrid, propagate_frame
 from .holonomy import DecompositionReport, generator_path, separability_report
 from .instances import random_closed_gauge
 from .lambda_system import LambdaParams, case_i_analytic, case_ii_analytic, case_iii_analytic, case_setup
-from .linalg import DEFAULT_TOL, frobenius, overlaps
+from .linalg import DEFAULT_TOL, frobenius, overlaps, products
 from .sections import InPhaseViolation, build_section, gauge_transform, w_path
 
 EXIT_OK = 0
@@ -194,7 +194,7 @@ def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None,
     v0 = vpath[0]
     try:
         transformed = gauge_transform(section, vpath, tol=cfg.tolerances)
-        rotated = FramePath(cfg.grid, schrod.frames @ v0, cfg.tolerances.structure_tol)
+        rotated = FramePath(cfg.grid, products(schrod.frames, v0), cfg.tolerances.structure_tol)
         moved = separability_report(transformed, rotated, cfg.spec, cfg.tolerances)
     except InPhaseViolation as exc:
         return _fail(EXIT_IN_PHASE, f"in-phase violation after gauge transform: {exc}")

@@ -38,12 +38,14 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _require_tolerance,
     as_complex_matrix,
     frobenius,
     hermitian_part,
     loewdin_orthonormalize,
     ordered_products,
     overlaps,
+    products,
     skew_part,
     subspace_gap,
     unitary_stack,
@@ -130,6 +132,7 @@ class Constant:
     structure_tol: float = DEFAULT_TOL.structure_tol
 
     def __post_init__(self):
+        _require_tolerance("structure_tol", self.structure_tol)
         h = as_complex_matrix(self.matrix)
         if h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
@@ -146,6 +149,7 @@ class Sampled:
     structure_tol: float = DEFAULT_TOL.structure_tol
 
     def __post_init__(self):
+        _require_tolerance("structure_tol", self.structure_tol)
         s = np.asarray(self.samples, dtype=complex)
         if s.ndim != 3 or s.shape[1] != s.shape[2]:
             raise ValueError("samples must have shape (npoints, n, n)")
@@ -212,6 +216,7 @@ class FramePath:
     structure_tol: float = DEFAULT_TOL.structure_tol
 
     def __post_init__(self):
+        _require_tolerance("structure_tol", self.structure_tol)
         f = np.asarray(self.frames, dtype=complex)
         if f.ndim != 3:
             raise ValueError("frames must have shape (npoints, n, m)")
@@ -319,7 +324,7 @@ def _slice_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
     """out[k+1] = exp(-i H_k dt_k) ... exp(-i H_0 dt_0) out[0]: the forward
     prefix products of the full N x N unitaries from linalg.unitary_stack,
     each applied to the frame out[0]."""
-    out[1:] = ordered_products(unitary_stack(hams, dts), "forward", cumulative=True) @ out[0]
+    out[1:] = products(ordered_products(unitary_stack(hams, dts), "forward", cumulative=True), out[0])
 
 
 def _propagate(
@@ -390,4 +395,4 @@ def _sandwich(hams: np.ndarray, frames: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"Hamiltonian dimension {hams.shape[1]} does not match frame dimension {frames.shape[1]}"
         )
-    return skew_part(-1j * overlaps(frames, hams @ frames))
+    return skew_part(-1j * overlaps(frames, products(hams, frames)))

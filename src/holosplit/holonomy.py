@@ -40,6 +40,7 @@ from .linalg import (
     frobenius,
     ordered_products,
     overlaps,
+    products,
     skew_part,
     unitary_stack,
 )
@@ -159,7 +160,7 @@ def kw_wf_residual(generators: GeneratorPath, w: np.ndarray) -> float:
     w = np.asarray(w, dtype=complex)
     if w.shape != generators.k_mats.shape:
         raise ValueError("W path does not match the generator grid")
-    return float(np.linalg.norm(generators.k_mats @ w - w @ generators.f_mats, axis=(1, 2)).max())
+    return float(np.linalg.norm(products(generators.k_mats, w) - products(w, generators.f_mats), axis=(1, 2)).max())
 
 
 def solve_anandan(generators: GeneratorPath) -> np.ndarray:
@@ -221,9 +222,9 @@ def max_commutator_scan(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     """
     npts = a_mats.shape[0]
     idx = np.unique(np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int))
-    # every sampled pair (t, t') at once: a[:, None] @ k[None] is A(t) K(t')
+    # every sampled pair (t, t') at once: a[:, None] k[None] is A(t) K(t')
     a, k = a_mats[idx][:, None], k_mats[idx][None]
-    return float(np.linalg.norm(a @ k - k @ a, axis=(2, 3)).max())
+    return float(np.linalg.norm(products(a, k) - products(k, a), axis=(2, 3)).max())
 
 
 def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
@@ -246,7 +247,7 @@ def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
 
     ca, u = expand(a_mats)
     ck, v = expand(k_mats)
-    comm = u[:, None] @ v[None] - v[None] @ u[:, None]
+    comm = products(u[:, None], v[None]) - products(v[None], u[:, None])
     return float(ca @ np.linalg.norm(comm, axis=(2, 3)) @ ck)
 
 

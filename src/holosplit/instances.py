@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import Sampled, TimeGrid
-from .linalg import expm_skew, hermitian_part, unitary_stack
+from .linalg import expm_skew, hermitian_part, products, unitary_stack
 
 __all__ = [
     "cosine_drive",
@@ -99,4 +99,4 @@ def random_nonabelian_loop(
     s = np.sin(np.pi * times / times[-1]) ** 2
     # exp(s x1) = exp(-i (i x1) s), and i x1 is exactly Hermitian
     loops = unitary_stack(np.broadcast_to(1j * x1, (times.size, m, m)), s)
-    return v0 @ loops
+    return products(v0, loops)

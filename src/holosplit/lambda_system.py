@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import Constant
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, _require_tolerance
 from .sections import Fixed, PhaseAnchored, SectionRule
 
 __all__ = [
@@ -74,6 +74,7 @@ class LambdaParams:
 
     def __post_init__(self):
         _require_finite(self, "omega0", "delta", "tau", "omega1", "omega2", "eta")
+        _require_tolerance("structure_tol", self.structure_tol)
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
         if self.tau <= 0:

@@ -1,20 +1,20 @@
 """Dense complex linear algebra primitives used throughout the package.
 
 Matrices are plain numpy arrays with dtype complex128 and are never mutated.
-The Frobenius norm is the canonical matrix distance everywhere. Every frame
+The Frobenius norm is the canonical matrix distance everywhere. Every
+stacked product a @ b is one call of the primitive products, and every frame
 overlap F^dag G (Gram checks, W, O, the connection, the K/F sandwiches, the
-subspace gaps) comes from the one primitive overlaps, and every unitary
-slice exp(-i H dt), whether a propagation step or a factor of an ordered
-exponential, from the one kernel unitary_stack. Every time-ordered product
-(the propagation steps below N = 10, the Anandan path and the four endpoint
-factors) is the one pairing of ordered_products, whose full product is its
-last prefix bit for bit. The kernels pick their method from the array shape
-alone: a stack of 2 x 2 matrices, the shape of every M = 2 subspace
-quantity, takes closed forms (Cayley-Hamilton for the exponential, the
-2 x 2 square-root formula for the Loewdin factor) that form no
-eigenvectors, and any other size one batched eigh; an overlap of frames
-with at most four rows is a sum of row outer products, of taller frames one
-batched matmul.
+subspace gaps) one call of overlaps, which is products(F^dag, G). Every
+unitary slice exp(-i H dt) comes from the one kernel unitary_stack, and
+every time-ordered product (the propagation steps below N = 10, the Anandan
+path and the four endpoint factors) is the one pairing of ordered_products,
+whose full product is its last prefix bit for bit. The kernels pick their
+method from the array shape alone: a stack of 2 x 2 matrices, the shape of
+every M = 2 subspace quantity, takes closed forms (Cayley-Hamilton for the
+exponential, the 2 x 2 square-root formula for the Loewdin factor), any
+other size one batched eigh; an (r x k) @ (k x c) product with k <= 4 and
+r c <= 8 is summed entry by entry over the stack, any other one batched
+matmul, which makes one BLAS call per matrix.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "ordered_products",
     "overlaps",
     "polar_decompose",
+    "products",
     "skew_part",
     "subspace_gap",
     "unitary_stack",
@@ -56,9 +57,14 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("structure_tol", "positivity_tol", "separation_tol"):
-            # NaN fails every comparison, so it would silently disable a check
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+            _require_tolerance(name, getattr(self, name))
+
+
+def _require_tolerance(name: str, value: float) -> None:
+    """Reject a negative or NaN threshold; NaN fails every comparison, so it
+    would silently disable the check it guards."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -91,23 +97,39 @@ def skew_part(a: np.ndarray) -> np.ndarray:
     return (a - a.conj().swapaxes(-1, -2)) / 2
 
 
-def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^dag b over the last two axes: (..., N, M) and (..., N, K) give
-    (..., M, K), with the leading axes broadcast (one frame against a stack
-    gives one overlap per frame). Up to N = 4 rows it sums the row outer
-    products conj(a_n) b_n, measured up to 9x faster there than a matmul per
-    frame; taller frames take one batched matmul (faster for stacks from
-    N = 8 on)."""
-    n = a.shape[-2]
-    if n != b.shape[-2]:
-        raise ValueError(f"overlaps needs equal row counts, got shapes {a.shape} and {b.shape}")
-    if not 0 < n <= 4:
-        return a.conj().swapaxes(-1, -2) @ b
-    ac = a.conj()
-    out = ac[..., 0, :, None] * b[..., 0, None, :]
-    for i in range(1, n):
-        out += ac[..., i, :, None] * b[..., i, None, :]
+def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the last two axes, (..., r, k) @ (..., k, c) -> (..., r, c),
+    leading axes broadcast: for k <= 4 and r c <= 8 each entry is summed over
+    the whole stack at once, else one batched matmul. Entrywise/matmul time,
+    one BLAS thread, stacks of 2048 and 16384 (scripts/product_crossover.py):
+    0.10, 0.24 at (r, k, c) = (2, 2, 2); 0.20, 0.58 at (3, 3, 2); 0.36, 1.24
+    at (4, 4, 2); 0.76, 2.87 at (4, 4, 4). So the (4, 4, 2) route assumes
+    stacks of at most about 4096, the 4-level chunks of dynamics._CHUNK_BYTES."""
+    (r, k), c = a.shape[-2:], b.shape[-1]
+    if k != b.shape[-2]:
+        raise ValueError(f"products needs a matching inner dimension, got shapes {a.shape} and {b.shape}")
+    return _entrywise_products(a, b) if 0 < k <= 4 and r * c <= 8 else a @ b
+
+
+def _entrywise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    (r, k), c = a.shape[-2:], b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (r, c), np.result_type(a, b))
+    for i in range(r):
+        for j in range(c):
+            acc = a[..., i, 0] * b[..., 0, j]
+            for l in range(1, k):
+                acc += a[..., i, l] * b[..., l, j]
+            out[..., i, j] = acc
     return out
+
+
+def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^dag b over the last two axes, (..., N, M) and (..., N, K) giving
+    (..., M, K), leading axes broadcast: products(a^dag, b), which for N <= 4
+    and M K <= 8 is bit for bit the sum of the N row outer products."""
+    if a.shape[-2] != b.shape[-2]:
+        raise ValueError(f"overlaps needs equal row counts, got shapes {a.shape} and {b.shape}")
+    return products(a.conj().swapaxes(-1, -2), b)
 
 
 def subspace_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,7 +139,7 @@ def subspace_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     frame and forms no N x N projector. a and b may be stacks (..., N, M)
     that broadcast against each other; one gap per broadcast frame pair.
     """
-    return np.sqrt(2.0) * np.linalg.norm(b - a @ overlaps(a, b), axis=(-2, -1))
+    return np.sqrt(2.0) * np.linalg.norm(b - products(a, overlaps(a, b)), axis=(-2, -1))
 
 
 def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -136,7 +158,7 @@ def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     # scale v in place so no extra stack-sized temporary is allocated
     vh = v.conj().swapaxes(-1, -2)
     v *= np.exp(-1j * w * dts[:, None])[:, None, :]
-    return v @ vh
+    return products(v, vh)
 
 
 def _unitary_2x2(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -218,8 +240,8 @@ def loewdin_orthonormalize(frame: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(hermitian_part(overlaps(frame, frame)))
     if w.min() <= 0.0:
         raise ValueError("frame is numerically rank deficient")
-    inv_sqrt = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return frame @ inv_sqrt
+    inv_sqrt = products(v * (1.0 / np.sqrt(w))[..., None, :], v.conj().swapaxes(-1, -2))
+    return products(frame, inv_sqrt)
 
 
 def _loewdin_2(frame: np.ndarray) -> np.ndarray:
@@ -258,7 +280,7 @@ def ordered_products(
 
     "forward" puts later slices on the left, s[n-1] ... s[1] s[0];
     "reverse" puts them on the right, s[0] s[1] ... s[n-1]. Each level
-    multiplies adjacent pairs in one batched matmul, so the depth is
+    multiplies adjacent pairs in one products call, so the depth is
     O(log n) and roundoff grows as O(log n) rather than O(n).
 
     The full product is the pairs' product with an odd last slice combined
@@ -273,7 +295,7 @@ def ordered_products(
         raise ValueError(f"unknown ordering direction: {direction!r}")
 
     def combine(later, earlier):
-        return later @ earlier if direction == "forward" else earlier @ later
+        return products(later, earlier) if direction == "forward" else products(earlier, later)
 
     n = slices.shape[0]
     if cumulative and n < 2:

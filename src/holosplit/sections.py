@@ -27,6 +27,7 @@ from .linalg import (
     frobenius,
     hermitian_part,
     overlaps,
+    products,
     subspace_gap,
 )
 
@@ -220,7 +221,7 @@ def gauge_transform(
         raise ValueError(f"gauge path is not unitary (residual {unit_res:.3e})")
     if frobenius(v[-1] - v[0]) > 10 * tol.structure_tol:
         raise ValueError("gauge path is not closed: V(tau) differs from V(0)")
-    path = FramePath(section.path.grid, frames @ v, tol.structure_tol)
+    path = FramePath(section.path.grid, products(frames, v), tol.structure_tol)
     out = _section(path, Custom(path))
     if out.in_phase_margin <= tol.positivity_tol:
         raise InPhaseViolation(

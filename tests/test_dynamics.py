@@ -580,6 +580,20 @@ def test_frame_path_rejects_drifting_columns():
         FramePath(grid, frames)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("build", [
+    lambda tol: Constant(np.eye(2), tol),
+    lambda tol: Sampled(TimeGrid.uniform(1.0, 2), np.zeros((3, 2, 2)), tol),
+    lambda tol: FramePath(TimeGrid.uniform(1.0, 2), np.stack([np.eye(2)[:, :1]] * 3), tol),
+    lambda tol: LambdaParams(1.0, 0.0, 1.0, structure_tol=tol),
+], ids=["Constant", "Sampled", "FramePath", "LambdaParams"])
+def test_structure_tol_rejects_nan_and_negative(build, bad):
+    # NaN fails every comparison, so it would switch the constructor's check off
+    with pytest.raises(ValueError, match="structure_tol must be non-negative"):
+        build(bad)
+    build(0.0)
+
+
 def test_dimension_dispatch():
     assert dimension(LambdaParams(1.0, 0.0, 1.0).spec) == 3
     assert dimension(Constant(np.zeros((5, 5)))) == 5

@@ -15,6 +15,7 @@ from holosplit.linalg import (
     ordered_products,
     overlaps,
     polar_decompose,
+    products,
     subspace_gap,
     unitary_stack,
 )
@@ -452,3 +453,71 @@ class TestOverlaps:
         for x, y in ((a, b), (b, a)):
             with pytest.raises(ValueError, match="equal row counts"):
                 overlaps(x, y)
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def row_outer_sum_overlaps(a, b):
+    """The formula overlaps used for frames of at most four rows before it
+    became products(a^dag, b): the row outer products conj(a_n) b_n summed
+    one row at a time."""
+    ac = a.conj()
+    out = ac[..., 0, :, None] * b[..., 0, None, :]
+    for i in range(1, a.shape[-2]):
+        out += ac[..., i, :, None] * b[..., i, None, :]
+    return out
+
+
+class TestProducts:
+    # both sides of the rule: entrywise sums when k <= 4 and r c <= 8
+    @pytest.mark.parametrize("r, k, c", [(1, 1, 1), (2, 2, 2), (3, 2, 2), (3, 3, 2), (2, 4, 2),
+                                         (4, 4, 2), (4, 4, 4), (64, 4, 4)])
+    @pytest.mark.parametrize("count", [1, 9])
+    def test_matches_matmul(self, r, k, c, count):
+        rng = np.random.default_rng(100 * r + 10 * k + c)
+        a, b = 1e3 * random_complex(rng, (count, r, k)), 1e-2 * random_complex(rng, (count, k, c))
+        got = products(a, b)
+        assert got.shape == (count, r, c)
+        assert np.abs(got - a @ b).max() <= 1e-14 * np.abs(a).max() * np.abs(b).max()
+
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((3, 2), (5, 2, 2)),
+        ((5, 3, 2), (2, 2)),
+        ((3, 2), (2, 2)),
+        ((64, 1, 2, 2), (1, 64, 2, 2)),
+        ((0, 2, 2), (0, 2, 2)),
+        ((0, 2, 2), (2, 2)),
+    ], ids=["matrix-stack", "stack-matrix", "matrix-matrix", "outer-pairs", "empty",
+            "empty-matrix"])
+    def test_broadcasts_like_matmul(self, shape_a, shape_b):
+        rng = np.random.default_rng(3)
+        a, b = random_complex(rng, shape_a), random_complex(rng, shape_b)
+        got, want = products(a, b), a @ b
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if want.size:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(a).max() * np.abs(b).max()
+
+    def test_mixed_real_and_complex_operands(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((4, 2, 2)), random_complex(rng, (4, 2, 2))
+        for x, y in ((a, b), (b, a), (a, a)):
+            got = products(x, y)
+            assert got.dtype == (x @ y).dtype
+            np.testing.assert_allclose(got, x @ y, rtol=0, atol=1e-14 * np.abs(b).max() ** 2)
+
+    @pytest.mark.parametrize("shape_a, shape_b", [((5, 2, 3), (5, 2, 2)), ((5, 8, 5), (5, 4, 8))])
+    def test_rejects_mismatched_inner_dimension(self, shape_a, shape_b):
+        with pytest.raises(ValueError, match="matching inner dimension"):
+            products(np.ones(shape_a), np.ones(shape_b))
+
+    @pytest.mark.parametrize("layout", ["stacks", "frame_vs_stack", "stack_vs_frame"])
+    def test_overlaps_bit_identical_to_the_row_outer_sum(self, layout):
+        rng = np.random.default_rng(8)
+        lead_a = () if layout == "frame_vs_stack" else (6,)
+        lead_b = () if layout == "stack_vs_frame" else (6,)
+        for n in range(1, 5):
+            for m, k in [(m, k) for m in range(1, 5) for k in range(1, 5) if m * k <= 8]:
+                a, b = random_complex(rng, (*lead_a, n, m)), random_complex(rng, (*lead_b, n, k))
+                np.testing.assert_array_equal(overlaps(a, b), row_outer_sum_overlaps(a, b))

@@ -27,3 +27,15 @@ def test_refutation_scan(monkeypatch, capsys):
     rows = capsys.readouterr().out.splitlines()[1:]
     assert [int(r.split()[0]) for r in rows] == [7, 8, 9, 10]
     assert "section invalid" in rows[2]
+
+
+def test_product_crossover(monkeypatch, capsys):
+    # the script pins BLAS to one thread; restore the variables afterwards
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "argv", ["product_crossover.py", "--batches", "4", "--repeats", "1"])
+    module = _load("product_crossover")
+    assert module.main() == 0
+    rows = [r.replace(",", " ").split() for r in capsys.readouterr().out.splitlines()[1:]]
+    assert [tuple(int(x) for x in r[:3]) for r in rows] == list(module.SHAPES)
+    assert all(len(r) == 4 and float(r[3]) > 0 for r in rows)
