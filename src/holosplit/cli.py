@@ -10,7 +10,6 @@ violation, 3 config error, 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -31,7 +30,8 @@ EXIT_IN_PHASE = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
-# report matrices that a closed gauge V conjugates, M -> V(0)^dag M V(0)
+# report matrices that a closed gauge V constant in time (random_closed_gauge)
+# conjugates, M -> V(0)^dag M V(0); under a loop gauge T exp int K does not
 _GAUGE_COVARIANT = ("w_direct", "w_final", "holonomic_factor", "dynamical_factor",
                     "g_factor", "d_factor", "time_evolution", "overlap")
 _DEMO_DEFAULTS = {"delta": 1.0, "omega0": np.sqrt(3.0), "eta": np.pi / 3, "tau": np.pi / 2}
@@ -169,10 +169,10 @@ def cmd_export(config_path: str, out_csv: str, *, tau=None, steps=None) -> int:
         np.ascontiguousarray(m).reshape(times.size, -1).view(float) for m in mats
     ])
     try:
+        # the bytes csv.writer gives (float repr, \r\n line ends), in less time
         with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(table.tolist())
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write CSV: {exc}")
     print(f"wrote {times.size} rows to {out_csv}")

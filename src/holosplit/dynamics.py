@@ -8,26 +8,26 @@ type and the frame's shape alone. A Constant H is diagonalized once,
 H = V diag(E) V^dag, and every frame is V exp(-i E t_k) V^dag psi0 at the
 grid's absolute times, exact up to roundoff on any grid. A Sampled H is
 stepped: each step applies exp(-i H(t_mid) dt), with the Hamiltonian
-evaluated at the step midpoint (second-order accurate). The midpoint
-Hamiltonians are sampled in chunks of about 1 MiB and each chunk is stepped
-while it is still in cache, so no stack of H over the whole grid is formed.
-Below N = 10 a chunk's frames are its first frame times the forward prefix
-products (linalg.ordered_products) of the full N x N step unitaries from
+evaluated at the step midpoint (second-order accurate); H at sample times
+is a read-only view of the samples. The midpoint Hamiltonians are sampled in
+chunks of about 1 MiB and each chunk is stepped while it is still in cache,
+so no stack of H over the whole grid is formed. Below N = 20 a chunk's
+frames are its first frame times the forward prefix products
+(linalg.ordered_products) of the full N x N step unitaries from
 linalg.unitary_stack, the package's one exp(-i H dt) slice kernel. From
-N = 10 on, the exponential acts on the N x M frame directly as a truncated
+N = 20 on, the exponential acts on the N x M frame directly as a truncated
 Taylor series, whose degree and substep count are fixed once per chunk so
-the remainder stays below 2^-53 of the frame's norm; no N x N eigh or slice
-is formed. Both stepping kernels give the same
-step to roundoff. On every route the frames are computed without correction
-and then orthonormalized symmetrically once, in one batched Loewdin pass
-over the whole path; orthonormality holds to roundoff at every grid point.
+the remainder stays below 2^-53 of the frame's norm; no N x N slice is
+formed. Both stepping kernels give the same step to roundoff. On every
+route the frames are computed without correction and then orthonormalized
+symmetrically once, in one batched Loewdin pass over the whole path;
+orthonormality holds to roundoff at every grid point.
 Units: hbar = 1; times in s, frequencies in rad/s, both dimensionless in
 code.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _require_tolerance,
+    _taylor_plan,
     as_complex_matrix,
     frobenius,
     hermitian_part,
@@ -186,8 +187,18 @@ def _checked_times(spec: HamiltonianSpec, times) -> np.ndarray:
     return times
 
 
+def _rows(samples: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """samples[idx], a view when idx is one increasing arithmetic run."""
+    step = idx[1] - idx[0] if idx.size > 1 else 1
+    if step > 0 and (np.diff(idx) == step).all():
+        return samples[idx[0] : idx[-1] + 1 : step]
+    return samples[idx]
+
+
 def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
-    """Stack of H(t) over the given times, shape (len(times), n, n)."""
+    """Stack of H(t) over the given times, shape (len(times), n, n). For a
+    Sampled spec it is read-only, and at sample times whose indices form one
+    increasing arithmetic run it is a view of spec.samples."""
     times = _checked_times(spec, times)
     if isinstance(spec, Constant):
         return np.broadcast_to(spec.matrix, (times.size, *spec.matrix.shape)).copy()
@@ -195,14 +206,18 @@ def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
         tg = spec.grid.times
         hi = np.clip(np.searchsorted(tg, times, side="left"), 1, tg.size - 1)
         lo = hi - 1
-        w = ((times - tg[lo]) / (tg[hi] - tg[lo]))[:, None, None]
-        # (1 - w) s[lo] + w s[hi] in place: the fancy-indexed copies are the
-        # only stack-sized temporaries
-        out = spec.samples[lo]
-        out *= 1.0 - w
-        tmp = spec.samples[hi]
-        tmp *= w
-        out += tmp
+        w = (times - tg[lo]) / (tg[hi] - tg[lo])
+        if ((w == 0.0) | (w == 1.0)).all():
+            out = _rows(spec.samples, np.where(w == 0.0, lo, hi))
+        else:
+            # (1 - w) s[lo] + w s[hi] on the (re, im) views, s[hi] at w = 1; a
+            # gathered copy is scaled in place, so at most two stacks are held
+            out, tmp = (_rows(spec.samples, k).view(float) for k in (lo, hi))
+            w = w[:, None, None]
+            out = np.multiply(out, 1.0 - w, out=out if out.flags.writeable else None)
+            out += np.multiply(tmp, w, out=tmp if tmp.flags.writeable else None)
+            out = out.view(complex)
+        out.flags.writeable = False
         return out
     raise TypeError(f"not a Hamiltonian spec: {type(spec).__name__}")
 
@@ -265,23 +280,6 @@ def _chunks(count: int, n: int) -> list[slice]:
     return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
 
 
-# substep bound on ||B||_1 for the Taylor action; keeps every Taylor term of a
-# substep below 1 in norm, so the sum loses no digits to cancellation
-_TAYLOR_THETA = 0.5
-
-
-def _taylor_plan(theta_max: float) -> tuple[int, int]:
-    """Substeps s and degree p with theta = theta_max / s <= _TAYLOR_THETA and
-    the Taylor remainder theta^(p+1) / (p+1)! e^theta <= 2^-53."""
-    s = max(1, math.ceil(theta_max / _TAYLOR_THETA))
-    theta = theta_max / s
-    p, term = 1, theta * theta / 2
-    while term * math.exp(theta) > 2.0**-53:
-        p += 1
-        term *= theta / (p + 1)
-    return s, p
-
-
 def _taylor_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
     """out[k+1] = exp(-i H_k dt_k) out[k] by the truncated-Taylor action of
     the exponential on the N x M frame (Al-Mohy & Higham, SIAM J. Sci.
@@ -335,8 +333,9 @@ def _propagate(
     dts = np.diff(grid.times)
     out = np.empty((grid.times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
-    # measured crossover: the batched eigh wins below N = 10 whatever M is
-    march = _taylor_march if psi0.shape[0] >= 10 else _slice_march
+    # measured crossover (scripts/march_crossover.py): with Taylor slices,
+    # ||H dt||_1 <= 1/2, the slice kernel wins below N = 20 whatever M is
+    march = _taylor_march if psi0.shape[0] >= 20 else _slice_march
     for sl in _chunks(dts.size, psi0.shape[0]):
         march(hams(sl), dts[sl], out[sl.start : sl.stop + 1])
     out[1:] = loewdin_orthonormalize(out[1:])
@@ -355,15 +354,12 @@ def propagate_frame(
     A Constant spec is solved exactly: one eigh of H gives every frame as
     V exp(-i E t_k) V^dag psi0, on any grid. A Sampled spec is stepped with
     exp(-i H(t_mid) dt), H at the step midpoint, so the scheme is second
-    order in dt. For N < 10 the step unitaries come from
-    linalg.unitary_stack and are multiplied up by the prefix products of
-    linalg.ordered_products; for N >= 10 their action on the N x M frame comes
-    from a truncated Taylor series with remainder below 2^-53, which needs
-    only (N x N) @ (N x M) products. The two agree to roundoff. H is taken
-    in chunks of about 1 MiB, and the Taylor degree and substep count are
-    fixed once per chunk from that chunk's largest ||H dt||_1. psi0 must
-    have at least one column and orthonormal columns; the returned path
-    starts at psi0 exactly and keeps orthonormality at every grid point.
+    order in dt: below N = 20 by the prefix products of linalg.unitary_stack
+    slices, from N = 20 by a truncated Taylor action on the N x M frame with
+    remainder below 2^-53, planned once per chunk of about 1 MiB of H from
+    its largest ||H dt||_1; the two agree to roundoff. psi0 must have at
+    least one column and orthonormal columns; the returned path starts at
+    psi0 exactly and keeps orthonormality at every grid point.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 2:

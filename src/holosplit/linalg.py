@@ -6,19 +6,21 @@ stacked product a @ b is one call of the primitive products, and every frame
 overlap F^dag G (Gram checks, W, O, the connection, the K/F sandwiches, the
 subspace gaps) one call of overlaps, which is products(F^dag, G). Every
 unitary slice exp(-i H dt) comes from the one kernel unitary_stack, and
-every time-ordered product (the propagation steps below N = 10, the Anandan
+every time-ordered product (the propagation steps below N = 20, the Anandan
 path and the four endpoint factors) is the one pairing of ordered_products,
 whose full product is its last prefix bit for bit. The kernels pick their
-method from the array shape alone: a stack of 2 x 2 matrices, the shape of
-every M = 2 subspace quantity, takes closed forms (Cayley-Hamilton for the
-exponential, the 2 x 2 square-root formula for the Loewdin factor), any
-other size one batched eigh; an (r x k) @ (k x c) product with k <= 4 and
-r c <= 8 is summed entry by entry over the stack, any other one batched
-matmul, which makes one BLAS call per matrix.
+method from the array shape (and unitary_stack from the largest ||H dt||_1):
+a stack of 2 x 2 matrices, the shape of every M = 2 subspace quantity, takes
+closed forms (Cayley-Hamilton for the exponential, the 2 x 2 square-root
+formula for the Loewdin factor), other sizes one Taylor polynomial per slice
+up to ||H dt||_1 = 1/2, else one batched eigh; an (r x k) @ (k x c) product
+with k <= 4 and r c <= 8 is summed entry by entry over the stack, any other
+one batched matmul, which makes one BLAS call per matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,18 +144,50 @@ def subspace_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0) * np.linalg.norm(b - products(a, overlaps(a, b)), axis=(-2, -1))
 
 
+# bound on ||H dt||_1 for a Taylor (sub)step; keeps every Taylor term below 1
+# in norm, so the sum loses no digits to cancellation
+_TAYLOR_THETA = 0.5
+
+
+def _taylor_plan(theta_max: float) -> tuple[int, int]:
+    """Substeps s and degree p with theta = theta_max / s <= _TAYLOR_THETA and
+    the Taylor remainder theta^(p+1) / (p+1)! e^theta <= 2^-53."""
+    s = max(1, math.ceil(theta_max / _TAYLOR_THETA))
+    theta = theta_max / s
+    p, term = 1, theta * theta / 2
+    while term * math.exp(theta) > 2.0**-53:
+        p += 1
+        term *= theta / (p + 1)
+    return s, p
+
+
 def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """exp(-i H_k dt_k) for a stack (n, m, m) of Hermitian H_k and n steps dt_k.
 
-    The H_k must be exactly Hermitian: only their diagonal and lower triangle
-    are read. For m = 2 each slice is the Cayley-Hamilton form
-    e^{-i tr(H) dt/2} (cos(theta) I - i dt (sin(theta)/theta) H0), with H0 the
-    traceless part of H and theta = dt ||H0||_2; diagonal and degenerate H
-    need no special case. Otherwise each slice is V diag(exp(-i w dt)) V^dag
-    from one batched eigh. Both are unitary to roundoff.
+    The H_k must be exactly Hermitian. For m = 2 each slice is the
+    Cayley-Hamilton form e^{-i tr(H) dt/2} (cos(theta) I - i dt
+    (sin(theta)/theta) H0), H0 the traceless part of H and theta =
+    dt ||H0||_2, for any H. Other m take one Horner Taylor polynomial per
+    slice, its degree from _taylor_plan, if the largest |dt_k| ||H_k||_1 is
+    at most _TAYLOR_THETA (dt = 0 gives I exactly), else V diag(exp(-i w
+    dt)) V^dag from one batched eigh. Taylor reads every entry, the other two
+    the diagonal and lower triangle. All are unitary to roundoff.
     """
     if hams.shape[-1] == 2:
         return _unitary_2x2(hams, dts)
+    theta = float((np.abs(hams).sum(axis=-2).max(axis=-1) * np.abs(dts)).max(initial=0.0))
+    if theta <= _TAYLOR_THETA:
+        # U = I + c H (I + (c/2) H (... (I + (c/p) H))), c = -i dt
+        c = (-1j * dts)[:, None, None]
+        p = _taylor_plan(theta)[1]
+        diag = np.arange(hams.shape[-1])
+        out = hams * (c / p)
+        out[:, diag, diag] += 1.0
+        for j in range(p - 1, 0, -1):
+            out = products(hams, out)
+            out *= c / j
+            out[:, diag, diag] += 1.0
+        return out
     w, v = np.linalg.eigh(hams)
     # scale v in place so no extra stack-sized temporary is allocated
     vh = v.conj().swapaxes(-1, -2)

@@ -1,9 +1,11 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from holosplit import cli
 from holosplit.cli import (
     cmd_decompose,
     cmd_demo,
@@ -374,6 +376,30 @@ class TestExport:
     def test_unwritable_path_is_io_error(self, case_ii_config, tmp_path):
         assert cmd_export(str(case_ii_config), str(tmp_path / "no" / "dir.csv"),
                           steps=64) == 4
+
+    def test_bytes_match_the_csv_module(self, case_ii_config, tmp_path, monkeypatch):
+        # the O columns carry signed zeros, subnormals and large and
+        # non-finite floats; repr round-trips every float, so the parsed
+        # table is the one written, and csv.writer must give the same bytes
+        special = [-0.0, 1e-300, 1e16, 5e-324, -5e-324, 0.1, 1 / 3, np.inf, -np.inf, np.nan]
+
+        def fake_overlaps(a, b):
+            values = np.resize(special, 2 * b.shape[0] * a.shape[1] * b.shape[2])
+            return values.view(complex).reshape(b.shape[0], a.shape[1], b.shape[2])
+
+        monkeypatch.setattr(cli, "overlaps", fake_overlaps)
+        out = tmp_path / "t.csv"
+        assert cmd_export(str(case_ii_config), str(out), steps=16) == 0
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        table = [[float(x) for x in row] for row in rows]
+        o_values = [x for row in table for x in row[-8:]]
+        assert {repr(x) for x in o_values} == {repr(x) for x in special}
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(header)
+        writer.writerows(table)
+        assert out.read_bytes() == ref.getvalue().encode()
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,6 @@ from holosplit.dynamics import (
     _propagate,
     _sandwich,
     _taylor_march,
-    _taylor_plan,
     dimension,
     hamiltonian_path,
     propagate_frame,
@@ -23,6 +22,7 @@ from holosplit.dynamics import (
 from holosplit.instances import cosine_drive, random_frame, random_hermitian, refutation_instance
 from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.linalg import (
+    _taylor_plan,
     hermitian_part,
     loewdin_orthonormalize,
     ordered_products,
@@ -272,6 +272,37 @@ class TestSampledInterpolation:
         np.testing.assert_array_equal(hamiltonian_path(spec, times), ref)
         np.testing.assert_array_equal(hamiltonian_path(spec, tg), spec.samples)
 
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_sample_times_are_read_only_views(self, every):
+        spec, _ = self._spec_and_times(6, 33, 1)
+        out = hamiltonian_path(spec, spec.grid.times[::every])
+        assert out.tobytes() == spec.samples[::every].tobytes()
+        assert np.shares_memory(out, spec.samples)
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["midpoints", "mixed", "unsorted", "unsorted_nodes"])
+    def test_other_times_match_the_formula_bitwise(self, kind):
+        spec, times = self._spec_and_times(6, 33, 40)
+        tg = spec.grid.times
+        rng = np.random.default_rng(3)
+        if kind == "midpoints":
+            # s[lo] and s[hi] are read as views
+            times = 0.5 * (tg[:-1] + tg[1:])
+        elif kind == "mixed":
+            times = np.sort(np.concatenate([times, tg[::3]]))
+        elif kind == "unsorted":
+            times = rng.permutation(np.concatenate([times, tg[::3]]))
+        else:
+            times = rng.permutation(tg)
+        hi = np.clip(np.searchsorted(tg, times, side="left"), 1, tg.size - 1)
+        lo = hi - 1
+        w = (times - tg[lo]) / (tg[hi] - tg[lo])
+        ref = (1.0 - w)[:, None, None] * spec.samples[lo] + w[:, None, None] * spec.samples[hi]
+        out = hamiltonian_path(spec, times)
+        assert out.tobytes() == ref.tobytes()
+        assert not out.flags.writeable
+
     @pytest.mark.parametrize("times", [[np.nan], [0.5, np.inf], [], [[0.1, 0.2]]],
                              ids=["nan", "inf", "empty", "2-d"])
     @pytest.mark.parametrize("kind", ["constant", "lambda", "sampled"])
@@ -324,12 +355,12 @@ class TestLoopFreePropagation:
         grid = TimeGrid.uniform(2.0, steps)
         spec, psi0 = refutation_instance(7, grid)
         yield spec, psi0, grid
-        # N = 12 >> M = 2 takes the Taylor-action path; H is sampled on a
+        # N = 24 >> M = 2 takes the Taylor-action path; H is sampled on a
         # coarser grid than the propagation grid and interpolated between
         rng = np.random.default_rng(2)
-        h0, h1 = random_hermitian(12, rng, 0.45), random_hermitian(12, rng, 0.45)
+        h0, h1 = random_hermitian(24, rng, 0.45), random_hermitian(24, rng, 0.45)
         spec = cosine_drive(h0, h1, TimeGrid.uniform(2.0, 1024))
-        yield spec, random_frame(12, 2, rng), grid
+        yield spec, random_frame(24, 2, rng), grid
 
     def test_matches_per_step_loewdin_reference(self):
         for spec, psi0, grid in self._cases(2**14):
@@ -355,7 +386,7 @@ def whole_stack_propagate(spec, psi0, grid):
     dts = np.diff(times)
     out = np.empty((times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
-    if psi0.shape[0] >= 10:
+    if psi0.shape[0] >= 20:
         _taylor_march(hams, dts, out)
     else:
         out[1:] = ordered_products(unitary_stack(hams, dts), "forward", cumulative=True) @ psi0
@@ -392,26 +423,26 @@ class TestChunkedPropagation:
         np.testing.assert_array_equal(frames[0], psi0)
         theta = np.abs(hams).sum(axis=1).max(axis=1) * dts
         plans = {_taylor_plan(float(theta[sl].max())) for sl in _chunks(dts.size, n)}
-        # below N = 10 each chunk scans its own slices, which re-associates
+        # below N = 20 each chunk scans its own slices, which re-associates
         # the products at the chunk boundaries
-        if n >= 10 and plans == {_taylor_plan(float(theta.max()))}:
+        if n >= 20 and plans == {_taylor_plan(float(theta.max()))}:
             np.testing.assert_array_equal(frames, ref)
         else:
             assert np.abs(frames - ref).max() <= 1e-13
 
     def test_grid_leaving_the_samples_fails_before_the_first_step(self, monkeypatch):
         rng = np.random.default_rng(0)
-        spec = cosine_drive(random_hermitian(12, rng), random_hermitian(12, rng),
+        spec = cosine_drive(random_hermitian(24, rng), random_hermitian(24, rng),
                             TimeGrid.uniform(1.0, 8))
 
         def step(*args):
             raise AssertionError("stepped before the grid was checked")
 
         monkeypatch.setattr(dynamics, "_taylor_march", step)
-        # 455 steps a chunk: the first chunk lies inside [0, 1], the last ones
+        # 113 steps a chunk: the first chunk lies inside [0, 1], the last ones
         # beyond it
         with pytest.raises(ValueError, match="outside"):
-            propagate_frame(spec, random_frame(12, 2, rng), TimeGrid.uniform(1.5, 2000))
+            propagate_frame(spec, random_frame(24, 2, rng), TimeGrid.uniform(1.5, 2000))
 
 
 class TestConstantPropagation:
@@ -425,7 +456,7 @@ class TestConstantPropagation:
             spec, psi0, _ = case_setup(case, p)
             yield f"lambda {case}", spec, psi0
         rng = np.random.default_rng(6)
-        for n in (2, 3, 4, 12):
+        for n in (2, 3, 4, 12, 24):
             for m in (1, 2):
                 yield f"{n} x {m}", Constant(random_hermitian(n, rng)), random_frame(n, m, rng)
 

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from holosplit.dynamics import FramePath, TimeGrid, propagate_frame
 from holosplit.instances import random_hermitian
 from holosplit.linalg import (
+    _TAYLOR_THETA,
     Tolerances,
     commutator_norm,
     expm_skew,
@@ -163,6 +164,54 @@ def eigh_loewdin(frame):
     if w.min() <= 0.0:
         raise ValueError("frame is numerically rank deficient")
     return frame @ ((v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+@st.composite
+def hermitian_steps(draw):
+    """A stack of m x m Hermitian H, m not 2, and steps dt of either sign, with
+    theta = ||H dt||_1 drawn log-uniformly from 1e-9 to 2 _TAYLOR_THETA, so a
+    stack takes either route."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, count = draw(st.sampled_from([1, 3, 4, 5, 8])), draw(st.integers(1, 6))
+    hams = np.array([random_hermitian(m, rng, 10 ** rng.uniform(-3.0, 2.0)) for _ in range(count)])
+    theta = 10.0 ** np.array(draw(st.lists(st.floats(-9.0, np.log10(2 * _TAYLOR_THETA)),
+                                           min_size=count, max_size=count)))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=count, max_size=count)))
+    return hams, signs * theta / np.abs(hams).sum(axis=1).max(axis=1)
+
+
+class TestTaylorSlices:
+    """unitary_stack for m != 2: one Taylor polynomial per slice when every
+    ||H dt||_1 is at most _TAYLOR_THETA, one batched eigh otherwise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hermitian_steps())
+    def test_matches_eigh_and_is_unitary(self, stack):
+        hams, dts = stack
+        got = unitary_stack(hams, dts)
+        scale = 1.0 + np.abs(dts) * np.abs(np.linalg.eigvalsh(hams)).max(axis=1)
+        err = np.abs(got - eigh_unitary_stack(hams, dts)).max(axis=(1, 2))
+        assert (err <= 1e-14 * scale).all()
+        unitarity = np.linalg.norm(got.conj().swapaxes(1, 2) @ got - np.eye(hams.shape[-1]), axis=(1, 2))
+        assert unitarity.max() <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_one_slice_above_the_bound_sends_the_stack_to_eigh(self, m):
+        rng = np.random.default_rng(m)
+        hams = np.array([random_hermitian(m, rng) for _ in range(4)])
+        norms = np.abs(hams).sum(axis=1).max(axis=1)
+        dts = np.array([0.0, 1e-3, -0.3, 1.01 * _TAYLOR_THETA]) / norms
+        np.testing.assert_array_equal(unitary_stack(hams, dts), eigh_unitary_stack(hams, dts))
+        # below the bound the same slices are Taylor polynomials
+        taylor = unitary_stack(hams[:3], dts[:3])
+        assert np.abs(taylor - eigh_unitary_stack(hams[:3], dts[:3])).max() <= 1e-14
+        np.testing.assert_array_equal(taylor[0], np.eye(m))
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 8])
+    def test_zero_step_gives_the_identity_exactly(self, m):
+        rng = np.random.default_rng(m)
+        hams = np.array([random_hermitian(m, rng, 100.0) for _ in range(3)])
+        np.testing.assert_array_equal(unitary_stack(hams, np.zeros(3)), np.broadcast_to(np.eye(m), hams.shape))
 
 
 @st.composite

@@ -39,3 +39,16 @@ def test_product_crossover(monkeypatch, capsys):
     rows = [r.replace(",", " ").split() for r in capsys.readouterr().out.splitlines()[1:]]
     assert [tuple(int(x) for x in r[:3]) for r in rows] == list(module.SHAPES)
     assert all(len(r) == 4 and float(r[3]) > 0 for r in rows)
+
+
+def test_march_crossover(monkeypatch, capsys):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "argv", ["march_crossover.py", "--dims", "2", "4", "--steps", "16",
+                                      "--repeats", "1"])
+    module = _load("march_crossover")
+    assert module.main() == 0
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [2, 4]
+    # M = 4 does not fit in N = 2
+    assert rows[0][2] == "nan" and all(float(x) > 0 for x in rows[0][1:2] + rows[1][1:])
