@@ -3,8 +3,12 @@
 Subcommands: decompose (JSON report), demo (analytic vs numerical table for
 the Lambda cases), separability (classification summary), export (CSV
 trajectories of A, K, W and O), gauge-check (covariance under a random
-closed gauge). Exit codes: 0 success, 1 negative verdict, 2 in-phase
-violation, 3 config error, 4 output I/O failure.
+closed gauge). Every subcommand is one row of the command table in
+_build_parser: its name, help, cmd_* function and options, each option's
+dest a parameter of that function. An omitted option is not passed, so
+each default lives only in the cmd_* signature. Exit codes: 0 success, 1
+negative verdict, 2 in-phase violation, 3 config error, 4 output I/O
+failure.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ EXIT_IO = 4
 # conjugates, M -> V(0)^dag M V(0); under a loop gauge T exp int K does not
 _GAUGE_COVARIANT = ("w_direct", "w_final", "holonomic_factor", "dynamical_factor",
                     "g_factor", "d_factor", "time_evolution", "overlap")
-_DEMO_DEFAULTS = {"delta": 1.0, "omega0": np.sqrt(3.0), "eta": np.pi / 3, "tau": np.pi / 2}
+# largest conjugation deviation gauge-check accepts
+_GAUGE_THRESHOLD = 1e-6
 
 
 def _fail(code: int, message: str) -> int:
@@ -54,19 +59,16 @@ def _exit_code(exc: Exception, setup: str = "config error") -> int:
     return _fail(EXIT_CONFIG, f"{setup}: {exc}")
 
 
-def _run_pipeline(spec, psi0, rule, grid, tol=DEFAULT_TOL, *, report=True):
-    """Schrodinger path, section and, when report is true, the separability
-    report (None otherwise)."""
+def _run_pipeline(spec, psi0, rule, grid, tol=DEFAULT_TOL):
+    """Schrodinger path, section and separability report."""
     schrod = propagate_frame(spec, psi0, grid, tol=tol)
     section = build_section(rule, schrod, spec, tol=tol)
-    if not report:
-        return schrod, section, None
     return schrod, section, separability_report(section, schrod, spec, tol)
 
 
-def _run_config(config_path: str, tau, steps, *, report=True):
+def _run_config(config_path: str, tau, steps):
     cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
-    return (cfg, *_run_pipeline(cfg.spec, cfg.psi0, cfg.rule, cfg.grid, cfg.tolerances, report=report))
+    return (cfg, *_run_pipeline(cfg.spec, cfg.psi0, cfg.rule, cfg.grid, cfg.tolerances))
 
 
 def cmd_decompose(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
@@ -108,22 +110,18 @@ def _demo_lines(case: str, p: LambdaParams, report: DecompositionReport) -> list
     ]
 
 
-def cmd_demo(case: str, *, delta=None, omega0=None, eta=None, tau=None, steps=4096) -> int:
+def cmd_demo(case: str, *, delta=1.0, omega0=np.sqrt(3.0), eta=np.pi / 3, tau=np.pi / 2, steps=4096) -> int:
     if case not in ("i", "ii", "iii"):
         return _fail(EXIT_CONFIG, f"unknown case {case!r}; expected i, ii or iii")
-    vals = dict(_DEMO_DEFAULTS)
-    for name, v in (("delta", delta), ("omega0", omega0), ("eta", eta), ("tau", tau)):
-        if v is not None:
-            vals[name] = float(v)
     try:
-        p = LambdaParams(omega0=vals["omega0"], delta=vals["delta"], tau=vals["tau"], eta=vals["eta"])
+        p = LambdaParams(omega0=omega0, delta=delta, tau=tau, eta=eta)
         spec, psi0, rule = case_setup(case, p)
-        _, _, report = _run_pipeline(spec, psi0, rule, TimeGrid.uniform(p.tau, int(steps)))
+        _, _, report = _run_pipeline(spec, psi0, rule, TimeGrid.uniform(p.tau, steps))
     except _RUN_ERRORS as exc:
         return _exit_code(exc, "demo setup failed")
 
     print(f"Lambda case ({case}): omega0={p.omega0:.6g} delta={p.delta:.6g} "
-          f"tau={p.tau:.6g} eta={p.eta:.6g} steps={int(steps)}")
+          f"tau={p.tau:.6g} eta={p.eta:.6g} steps={steps}")
     print(f"{'quantity':<18} {'max |analytic - numerical|':>28}")
     worst = 0.0
     for name, ref, got in _demo_lines(case, p, report):
@@ -151,9 +149,11 @@ def cmd_separability(config_path: str, *, tau=None, steps=None) -> int:
     return EXIT_OK if report.classification != "non_separable" else EXIT_VERDICT
 
 
-def cmd_export(config_path: str, out_csv: str, *, tau=None, steps=None) -> int:
+def cmd_export(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
     try:
-        cfg, schrod, section, _ = _run_config(config_path, tau, steps, report=False)
+        cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
+        schrod = propagate_frame(cfg.spec, cfg.psi0, cfg.grid, tol=cfg.tolerances)
+        section = build_section(cfg.rule, schrod, cfg.spec, tol=cfg.tolerances)
         gens = generator_path(section, schrod, cfg.spec)
         mats = (gens.a_mats, gens.k_mats, w_path(section, schrod, tol=cfg.tolerances),
                 overlaps(section.path.initial, section.path.frames))
@@ -170,16 +170,16 @@ def cmd_export(config_path: str, out_csv: str, *, tau=None, steps=None) -> int:
     ])
     try:
         # the bytes csv.writer gives (float repr, \r\n line ends), in less time
-        with open(out_csv, "w", newline="") as fh:
+        with open(out_path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write CSV: {exc}")
-    print(f"wrote {times.size} rows to {out_csv}")
+    print(f"wrote {times.size} rows to {out_path}")
     return EXIT_OK
 
 
-def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None, threshold: float = 1e-6) -> int:
+def cmd_gauge_check(config_path: str, seed: int | None = None, *, tau=None, steps=None) -> int:
     if seed is not None and seed < 0:
         return _fail(EXIT_CONFIG, f"config error: --seed must be >= 0, got {seed}")
     try:
@@ -211,66 +211,48 @@ def cmd_gauge_check(config_path: str, seed: int | None, *, tau=None, steps=None,
     print(f"classification: {base.classification} -> {moved.classification} "
           f"({'unchanged' if same_verdict else 'CHANGED'})")
     print(f"max deviation: {worst:.3e}")
-    if worst <= threshold and same_verdict:
+    if worst <= _GAUGE_THRESHOLD and same_verdict:
         return EXIT_OK
     return _fail(EXIT_VERDICT, "gauge covariance violated; the pipeline is inconsistent")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per row of the command table. The table is built here,
+    on each call, so it holds the cmd_* functions the module holds then,
+    wrappers set on the module included."""
+    config = ("--config", {"dest": "config_path", "metavar": "CONFIG", "required": True})
+    out = ("--out", {"dest": "out_path", "metavar": "OUT", "required": True})
+    steps = ("--steps", {"type": int})
+    tau = ("--tau", {"type": float})
+    commands = (
+        ("decompose", "run a config and write the JSON report", cmd_decompose, (config, out, steps, tau)),
+        ("demo", "compare a Lambda case against its closed form", cmd_demo, (
+            ("--case", {"required": True, "choices": ["i", "ii", "iii"]}),
+            ("--delta", {"type": float}), ("--omega0", {"type": float}), ("--eta", {"type": float}),
+            tau, steps)),
+        ("separability", "classify and print the residuals", cmd_separability, (config, steps, tau)),
+        ("export", "write per-time A, K, W, O entries to CSV", cmd_export, (config, out, steps, tau)),
+        ("gauge-check", "verify covariance under a random closed gauge", cmd_gauge_check,
+         (config, ("--seed", {"type": int}), steps, tau)),
+    )
     parser = argparse.ArgumentParser(
         prog="holosplit",
         description="Subspace evolution and its holonomic/dynamical decomposition",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pd = sub.add_parser("decompose", help="run a config and write the JSON report")
-    pd.add_argument("--config", required=True)
-    pd.add_argument("--out", required=True)
-    pd.add_argument("--steps", type=int)
-    pd.add_argument("--tau", type=float)
-
-    pm = sub.add_parser("demo", help="compare a Lambda case against its closed form")
-    pm.add_argument("--case", required=True, choices=["i", "ii", "iii"])
-    pm.add_argument("--delta", type=float)
-    pm.add_argument("--omega0", type=float)
-    pm.add_argument("--eta", type=float)
-    pm.add_argument("--tau", type=float)
-    pm.add_argument("--steps", type=int, default=4096)
-
-    ps = sub.add_parser("separability", help="classify and print the residuals")
-    ps.add_argument("--config", required=True)
-    ps.add_argument("--steps", type=int)
-    ps.add_argument("--tau", type=float)
-
-    pe = sub.add_parser("export", help="write per-time A, K, W, O entries to CSV")
-    pe.add_argument("--config", required=True)
-    pe.add_argument("--out", required=True)
-    pe.add_argument("--steps", type=int)
-    pe.add_argument("--tau", type=float)
-
-    pg = sub.add_parser("gauge-check", help="verify covariance under a random closed gauge")
-    pg.add_argument("--config", required=True)
-    pg.add_argument("--seed", type=int)
-    pg.add_argument("--steps", type=int)
-    pg.add_argument("--tau", type=float)
-
+    for name, help_text, run, options in commands:
+        # an omitted option stays out of the namespace, so run's default applies
+        cmd = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        cmd.set_defaults(run=run)
+        for flag, kwargs in options:
+            cmd.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "decompose":
-        code = cmd_decompose(args.config, args.out, tau=args.tau, steps=args.steps)
-    elif args.command == "demo":
-        code = cmd_demo(args.case, delta=args.delta, omega0=args.omega0,
-                        eta=args.eta, tau=args.tau, steps=args.steps)
-    elif args.command == "separability":
-        code = cmd_separability(args.config, tau=args.tau, steps=args.steps)
-    elif args.command == "export":
-        code = cmd_export(args.config, args.out, tau=args.tau, steps=args.steps)
-    else:
-        code = cmd_gauge_check(args.config, args.seed, tau=args.tau, steps=args.steps)
-    return code
+    opts = vars(_build_parser().parse_args(argv))
+    del opts["command"]
+    return opts.pop("run")(**opts)
 
 
 if __name__ == "__main__":

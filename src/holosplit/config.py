@@ -177,22 +177,21 @@ def _load_custom_section(path: str | Path, grid: TimeGrid, structure_tol: float)
         raise ConfigError(str(exc)) from exc
 
 
+# a lambda system's LambdaParams fields and their readers; tau comes from
+# the grid and structure_tol from the tolerances, and an absent optional
+# key takes the LambdaParams default
+_LAMBDA_KEYS = {"omega0": _number, "delta": _number, "omega1": _complex_from_json,
+                "omega2": _complex_from_json, "eta": _number}
+
+
 def _resolve_system(
     d: dict, where: str, tau: float, structure_tol: float
 ) -> tuple[HamiltonianSpec, LambdaParams | None]:
-    _take(d, {"kind", "omega0", "delta", "omega1", "omega2", "eta", "matrix", "path"},
-          {"kind"}, where)
+    _take(d, {"kind", *_LAMBDA_KEYS, "matrix", "path"}, {"kind"}, where)
     kind = d["kind"]
     if kind == "lambda":
-        _take(d, {"kind", "omega0", "delta", "omega1", "omega2", "eta"},
-              {"kind", "omega0", "delta"}, where)
-        fields = {
-            "omega0": _number(d["omega0"], f"{where}.omega0"),
-            "delta": _number(d["delta"], f"{where}.delta"),
-            "omega1": _complex_from_json(d.get("omega1", [1.0, 0.0]), f"{where}.omega1"),
-            "omega2": _complex_from_json(d.get("omega2", [0.0, 0.0]), f"{where}.omega2"),
-            "eta": _number(d.get("eta", 0.0), f"{where}.eta"),
-        }
+        _take(d, {"kind", *_LAMBDA_KEYS}, {"kind", "omega0", "delta"}, where)
+        fields = {k: read(d[k], f"{where}.{k}") for k, read in _LAMBDA_KEYS.items() if k in d}
         try:
             params = LambdaParams(tau=tau, structure_tol=structure_tol, **fields)
         except ValueError as exc:
@@ -237,8 +236,7 @@ def load_run_config(
     grid = TimeGrid.uniform(tau, steps)
 
     tol_d = data.get("tolerances", {})
-    _take(tol_d, {"structure_tol", "positivity_tol", "separation_tol"}, set(),
-          "config.tolerances")
+    _take(tol_d, {f.name for f in dataclasses.fields(Tolerances)}, set(), "config.tolerances")
     try:
         tolerances = Tolerances(**{k: _number(v, f"tolerances.{k}") for k, v in tol_d.items()})
     except ValueError as exc:

@@ -18,10 +18,11 @@ linalg.unitary_stack, the package's one exp(-i H dt) slice kernel. From
 N = 20 on, the exponential acts on the N x M frame directly as a truncated
 Taylor series, whose degree and substep count are fixed once per chunk so
 the remainder stays below 2^-53 of the frame's norm; no N x N slice is
-formed. Both stepping kernels give the same step to roundoff. On every
-route the frames are computed without correction and then orthonormalized
-symmetrically once, in one batched Loewdin pass over the whole path;
-orthonormality holds to roundoff at every grid point.
+formed. Both stepping kernels give the same step to roundoff. On the
+stepped routes the frames are computed without correction and then
+orthonormalized symmetrically once, in one batched Loewdin pass over the
+whole path; the exact Constant route accumulates no drift and needs none.
+Orthonormality holds to roundoff at every grid point.
 Units: hbar = 1; times in s, frequencies in rad/s, both dimensionless in
 code.
 """
@@ -196,12 +197,13 @@ def _rows(samples: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
-    """Stack of H(t) over the given times, shape (len(times), n, n). For a
-    Sampled spec it is read-only, and at sample times whose indices form one
+    """Stack of H(t) over the given times, shape (len(times), n, n),
+    read-only for every spec. For a Constant spec it is a broadcast view of
+    spec.matrix; for a Sampled spec at sample times whose indices form one
     increasing arithmetic run it is a view of spec.samples."""
     times = _checked_times(spec, times)
     if isinstance(spec, Constant):
-        return np.broadcast_to(spec.matrix, (times.size, *spec.matrix.shape)).copy()
+        return np.broadcast_to(spec.matrix, (times.size, *spec.matrix.shape))
     if isinstance(spec, Sampled):
         tg = spec.grid.times
         hi = np.clip(np.searchsorted(tg, times, side="left"), 1, tg.size - 1)
@@ -314,7 +316,6 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> np
     out[0] = psi0
     phases = np.exp(-1j * np.outer(times[1:], w))
     out[1:] = (phases @ modes.transpose(1, 0, 2).reshape(n, n * m)).reshape(-1, n, m)
-    out[1:] = loewdin_orthonormalize(out[1:])
     return out
 
 
@@ -357,7 +358,8 @@ def propagate_frame(
     order in dt: below N = 20 by the prefix products of linalg.unitary_stack
     slices, from N = 20 by a truncated Taylor action on the N x M frame with
     remainder below 2^-53, planned once per chunk of about 1 MiB of H from
-    its largest ||H dt||_1; the two agree to roundoff. psi0 must have at
+    its largest ||H dt||_1; the two agree to roundoff, and their frames are
+    orthonormalized once, by one batched Loewdin pass. psi0 must have at
     least one column and orthonormal columns; the returned path starts at
     psi0 exactly and keeps orthonormality at every grid point.
     """

@@ -221,7 +221,9 @@ def max_commutator_scan(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     the verdict comes from the exact bound over every grid pair.
     """
     npts = a_mats.shape[0]
-    idx = np.unique(np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int))
+    # strictly increasing after rounding: the step is exactly 1 up to
+    # COMMUTATOR_SCAN_LIMIT points and above 1 beyond
+    idx = np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int)
     # every sampled pair (t, t') at once: a[:, None] k[None] is A(t) K(t')
     a, k = a_mats[idx][:, None], k_mats[idx][None]
     return float(np.linalg.norm(products(a, k) - products(k, a), axis=(2, 3)).max())

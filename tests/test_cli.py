@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 
@@ -321,6 +322,59 @@ class TestDemo:
 
     def test_demo_rejects_unknown_case(self, capsys):
         assert cmd_demo("iv") == 3
+
+    @pytest.mark.parametrize("steps", [100.5, True])
+    def test_demo_rejects_a_non_integral_step_count(self, steps, capsys):
+        assert cmd_demo("iii", steps=steps) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("demo setup failed: steps must be an integral number")
+
+
+class TestDispatch:
+    """main passes each parsed option to its cmd_* function by name, and an
+    omitted option is not passed, so the function's own default applies.
+    Each expected call is the one the hand-written dispatch made, with its
+    None stand-ins for demo's defaults resolved to the values it ran with."""
+
+    @pytest.mark.parametrize("argv, name, expected", [
+        # the command lines of the README
+        ("demo --case ii", "cmd_demo",
+         dict(case="ii", delta=1.0, omega0=SQRT3, eta=np.pi / 3, tau=np.pi / 2, steps=4096)),
+        ("demo --case i --delta 0 --omega0 1 --tau 3.141592653589793", "cmd_demo",
+         dict(case="i", delta=0.0, omega0=1.0, eta=np.pi / 3, tau=np.pi, steps=4096)),
+        ("decompose --config run.json --out report.json", "cmd_decompose",
+         dict(config_path="run.json", out_path="report.json", tau=None, steps=None)),
+        ("separability --config run.json", "cmd_separability",
+         dict(config_path="run.json", tau=None, steps=None)),
+        ("export --config run.json --out traj.csv", "cmd_export",
+         dict(config_path="run.json", out_path="traj.csv", tau=None, steps=None)),
+        ("gauge-check --config run.json --seed 3", "cmd_gauge_check",
+         dict(config_path="run.json", seed=3, tau=None, steps=None)),
+        # the grid overrides
+        ("demo --case iii --eta 0.5 --steps 100 --tau 2", "cmd_demo",
+         dict(case="iii", delta=1.0, omega0=SQRT3, eta=0.5, tau=2.0, steps=100)),
+        ("export --config c.json --out t.csv --steps 64 --tau 1.5", "cmd_export",
+         dict(config_path="c.json", out_path="t.csv", tau=1.5, steps=64)),
+        ("gauge-check --config c.json --tau 0.25", "cmd_gauge_check",
+         dict(config_path="c.json", seed=None, tau=0.25, steps=None)),
+    ])
+    def test_options_reach_the_command(self, argv, name, expected, monkeypatch):
+        # the command is replaced on the module, as a tracer replaces it; the
+        # replacement must be the one main runs
+        signature = inspect.signature(getattr(cli, name))
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs))
+            return 17
+
+        monkeypatch.setattr(cli, name, record)
+        assert main(argv.split()) == 17
+        (bound,) = calls
+        bound.apply_defaults()
+        assert bound.arguments == expected
+        for key in ("steps", "seed"):
+            assert bound.arguments.get(key) is None or type(bound.arguments[key]) is int
 
 
 class TestSeparability:

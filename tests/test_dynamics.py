@@ -475,6 +475,39 @@ class TestConstantPropagation:
             assert np.abs(path.frames - stepped).max() <= 1e-11, label
             np.testing.assert_array_equal(path.frames[0], psi0)
 
+    def test_exact_route_is_orthonormal_without_loewdin(self, monkeypatch):
+        # V exp(-i E t) V^dag psi0 builds up no drift over the steps, so the
+        # exact route takes no orthonormalization pass
+        calls = []
+        monkeypatch.setattr(dynamics, "loewdin_orthonormalize", lambda f: calls.append(f) or f)
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2, eta=np.pi / 3)
+        spec, psi0, _ = case_setup("iii", p)
+        rng = np.random.default_rng(14)
+        runs = {"lambda iii": (spec, psi0),
+                "24 x 2": (Constant(random_hermitian(24, rng)), random_frame(24, 2, rng))}
+        grid = TimeGrid.uniform(np.pi / 2, 16384)
+        for label, (spec, psi0) in runs.items():
+            frames = propagate_frame(spec, psi0, grid).frames
+            residual = np.linalg.norm(overlaps(frames, frames) - np.eye(2), axis=(1, 2)).max()
+            assert residual <= 1e-14, label
+        assert calls == []
+
+    def test_hamiltonian_path_is_a_read_only_view(self):
+        spec = Constant(random_hermitian(3, np.random.default_rng(2)))
+        out = hamiltonian_path(spec, np.linspace(0.0, 1.0, 5))
+        assert out.shape == (5, 3, 3) and not out.flags.writeable
+        assert np.shares_memory(out, spec.matrix)
+        np.testing.assert_array_equal(out, np.broadcast_to(spec.matrix, out.shape))
+
+    def test_generators_from_the_view_match_a_copy_bitwise(self):
+        # both product routes: entrywise for Lambda (3 x 3 @ 3 x 2), matmul
+        # for 24 levels
+        grid = TimeGrid.uniform(1.0, 300)
+        for label, spec, psi0 in self._runs():
+            frames = propagate_frame(spec, psi0, grid).frames
+            view = hamiltonian_path(spec, grid.times)
+            np.testing.assert_array_equal(_sandwich(view, frames), _sandwich(view.copy(), frames), label)
+
 
 class TestTaylorAction:
     @settings(max_examples=60, deadline=None)

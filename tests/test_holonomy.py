@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_case
+from holosplit.config import matrix_to_json, write_sampled_hamiltonian
 from holosplit.dynamics import (
     Constant,
     TimeGrid,
@@ -32,7 +39,7 @@ from holosplit.instances import (
     random_hermitian,
     refutation_instance,
 )
-from holosplit import linalg
+from holosplit import holonomy, linalg
 from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius, overlaps
 from holosplit.sections import InPhaseViolation, PhaseAnchored, build_section, w_path
@@ -367,6 +374,53 @@ class TestMaxCommutatorScan:
     def test_zero_for_commuting_paths(self, case_iii):
         gens = generator_path(case_iii.section, case_iii.schrod, case_iii.spec)
         assert max_commutator_scan(gens.a_mats, gens.k_mats) <= 1e-12
+
+    def test_scan_indices_strictly_increasing(self, monkeypatch):
+        # with A(t) = t the first product's left operand lists the scanned t
+        scanned = []
+
+        def record(a, k):
+            scanned.append(a[:, 0, 0, 0].real.astype(int))
+            return linalg.products(a, k)
+
+        monkeypatch.setattr(holonomy, "products", record)
+        for npts in range(2, 5000):
+            scanned.clear()
+            t = np.arange(npts, dtype=complex)[:, None, None]
+            max_commutator_scan(t, t)
+            idx = scanned[0]
+            assert idx.size == min(COMMUTATOR_SCAN_LIMIT, npts), npts
+            assert idx[0] == 0 and idx[-1] == npts - 1, npts
+            assert (np.diff(idx) > 0).all(), npts
+
+    @pytest.mark.parametrize("npts", [1, 2, 63, 64, 65, 300, 4097])
+    def test_matches_the_deduplicated_scan_bitwise(self, npts):
+        rng = np.random.default_rng(npts)
+        a, k = random_skew_stack(rng, npts, 2, 3), random_skew_stack(rng, npts, 2, 3)
+        idx = np.unique(np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int))
+        sa, sk = a[idx][:, None], k[idx][None]
+        ref = float(np.linalg.norm(linalg.products(sa, sk) - linalg.products(sk, sa), axis=(2, 3)).max())
+        assert max_commutator_scan(a, k) == ref
+
+    def test_a_decompose_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique imports numpy.ma on its first call in a process
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 256))
+        write_sampled_hamiltonian(tmp_path / "ham.json", spec.grid.times, spec.samples)
+        (tmp_path / "c.json").write_text(json.dumps({
+            "system": {"kind": "sampled", "path": str(tmp_path / "ham.json")},
+            "subspace": {"matrix": matrix_to_json(psi0)},
+            "section": {"rule": "phase_anchored"},
+            "grid": {"tau": 2.0, "steps": 256},
+        }))
+        script = ("import sys; from holosplit.cli import main; "
+                  f"code = main(['decompose', '--config', {str(tmp_path / 'c.json')!r}, "
+                  f"'--out', {str(tmp_path / 'r.json')!r}]); "
+                  "print(code, 'numpy.ma' in sys.modules)")
+        src = str(Path(holonomy.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.fixture(scope="module")
