@@ -2,7 +2,11 @@
 
 Complex numbers serialize as [re, im] pairs and matrices as row-major nested
 arrays, so every artifact is plain JSON. Config parsing is strict: unknown
-keys are rejected at every level.
+keys are rejected at every level, and a string, boolean or null is not a
+number. A config's relative file paths are taken from the config's own
+directory. The matrix files it names (a sampled Hamiltonian, a custom
+section) are parsed with orjson, which holds them to RFC 8259: a NaN or
+Infinity literal, or a number beyond the float range, is refused there.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .dynamics import Constant, FramePath, HamiltonianSpec, Sampled, TimeGrid, dimension
 from .holonomy import VERDICTS, DecompositionReport
@@ -40,12 +45,13 @@ class ConfigError(ValueError):
 
 def _number(v, what: str, kind: type = float):
     """v as a float or an int, or a ConfigError naming the field when v is not
-    a number (a boolean is not one) or, for an int field, has a fraction."""
+    a number (a boolean or a string is not one) or, for an int field, has a
+    fraction."""
     if kind is int and isinstance(v, int) and not isinstance(v, bool):
         return v  # exact, however large
     try:
-        if isinstance(v, bool):
-            raise TypeError("a boolean is not a number")
+        if isinstance(v, (bool, str)):
+            raise TypeError(f"a {type(v).__name__} is not a number")
         x = float(v)
         if kind is int and not x.is_integer():
             raise ValueError("not an integral value")
@@ -70,14 +76,27 @@ def _holds_boolean(v) -> bool:
     return isinstance(v, bool)
 
 
-def _complex_from_pairs(rows, ndim: int, what: str) -> np.ndarray:
+def _real_array(rows, what: str) -> np.ndarray:
+    """rows as a float array. numpy infers the dtype, and only an integer or
+    float one is taken, so a string or null entry is refused, not read as
+    1.5 or NaN; a boolean mixed with numbers still reads as 1 or 0, which
+    _holds_boolean catches."""
     try:
-        arr = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} is not a nested [re, im] array: {exc}") from exc
+        arr = np.asarray(rows)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "fiu":
+        raise ConfigError(f"{what} must be an array of numbers, got {arr.dtype} entries")
+    return arr.astype(float, copy=False)
+
+
+def _complex_from_pairs(rows, ndim: int, what: str) -> np.ndarray:
+    arr = _real_array(rows, what)
     if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         raise ConfigError(f"{what} must be a {ndim}d array of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    # the pairs viewed as complex128, so each part is read bit for bit;
+    # re + 1j * im would turn a negative zero into a positive one
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
@@ -90,6 +109,14 @@ def _complex_from_json(v, what: str) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ConfigError(f"{what} must be a [re, im] pair")
     return complex(_number(v[0], what), _number(v[1], what))
+
+
+def _file_path(v, base: Path, what: str) -> Path:
+    """A config's file path; a relative one is taken from base, the config
+    file's directory, not from the working directory."""
+    if not isinstance(v, str):
+        raise ConfigError(f"{what} must be a string, got {v!r}")
+    return base / v
 
 
 def _take(d: dict, allowed: set[str], required: set[str], where: str) -> None:
@@ -116,34 +143,32 @@ class RunConfig:
     seed: int | None
 
 
-def _read_matrix_file(path: str | Path, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _read_matrix_file(path: Path, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a {"dimension", "times", "matrices"} JSON file into its times and
     its (npoints, dimension, k) complex stack, parsed in one pass."""
     try:
-        text = Path(path).read_text()
-        data = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = path.read_bytes()
+        # orjson also refuses bytes that are not UTF-8 and the literals NaN
+        # and Infinity, which RFC 8259 leaves out of JSON
+        data = orjson.loads(raw)
+    except (OSError, orjson.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     # only a file that spells true or false is walked for booleans, so a
     # file of numbers costs two substring searches, not a loop per entry;
-    # the text is dropped before the arrays are built
-    spells_boolean = "true" in text or "false" in text
-    del text
+    # the bytes are dropped before the arrays are built
+    spells_boolean = b"true" in raw or b"false" in raw
+    del raw
     keys = {"dimension", "times", "matrices"}
     _take(data, keys, keys, f"{what} {path}")
     if spells_boolean:
         for key in ("times", "matrices"):
             if _holds_boolean(data[key]):
                 raise ConfigError(f'{what} {path}: "{key}" must hold numbers, not booleans')
-    mats = _complex_from_pairs(data["matrices"], 3, f"{what} matrices")
+    mats = _complex_from_pairs(data["matrices"], 3, f'{what} {path}: "matrices"')
     n = _number(data["dimension"], f'{what} {path}: "dimension"', int)
     if mats.shape[1] != n:
         raise ConfigError(f'{what} {path}: "dimension" is {n} but the matrices have {mats.shape[1]} rows')
-    try:
-        times = np.asarray(data["times"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'{what} {path}: "times" must be an array of numbers: {exc}') from exc
-    return times, mats
+    return _real_array(data["times"], f'{what} {path}: "times"'), mats
 
 
 def load_sampled_hamiltonian(
@@ -151,7 +176,7 @@ def load_sampled_hamiltonian(
 ) -> Sampled:
     """Read {"dimension", "times", "matrices"} from a JSON file; the samples
     must be Hermitian within structure_tol."""
-    times, mats = _read_matrix_file(path, "sampled Hamiltonian")
+    times, mats = _read_matrix_file(Path(path), "sampled Hamiltonian")
     try:
         return Sampled(TimeGrid(times), mats, structure_tol)
     except ValueError as exc:
@@ -164,10 +189,12 @@ def write_sampled_hamiltonian(path: str | Path, times: np.ndarray, samples: np.n
         "times": np.asarray(times, dtype=float).tolist(),
         "matrices": matrix_to_json(samples),
     }
-    Path(path).write_text(json.dumps(data))
+    # a NaN or infinity raises here rather than write a literal that the
+    # reader refuses
+    Path(path).write_text(json.dumps(data, allow_nan=False))
 
 
-def _load_custom_section(path: str | Path, grid: TimeGrid, structure_tol: float) -> FramePath:
+def _load_custom_section(path: Path, grid: TimeGrid, structure_tol: float) -> FramePath:
     times, frames = _read_matrix_file(path, "section file")
     if times.shape != grid.times.shape or not np.allclose(times, grid.times, atol=0, rtol=0):
         raise ConfigError("section file times do not match the run grid")
@@ -185,7 +212,7 @@ _LAMBDA_KEYS = {"omega0": _number, "delta": _number, "omega1": _complex_from_jso
 
 
 def _resolve_system(
-    d: dict, where: str, tau: float, structure_tol: float
+    d: dict, where: str, tau: float, structure_tol: float, base: Path
 ) -> tuple[HamiltonianSpec, LambdaParams | None]:
     _take(d, {"kind", *_LAMBDA_KEYS, "matrix", "path"}, {"kind"}, where)
     kind = d["kind"]
@@ -205,7 +232,8 @@ def _resolve_system(
             raise ConfigError(str(exc)) from exc
     if kind == "sampled":
         _take(d, {"kind", "path"}, {"kind", "path"}, where)
-        return load_sampled_hamiltonian(d["path"], structure_tol=structure_tol), None
+        path = _file_path(d["path"], base, f"{where}.path")
+        return load_sampled_hamiltonian(path, structure_tol=structure_tol), None
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
@@ -216,10 +244,13 @@ def load_run_config(
     steps_override: int | None = None,
 ) -> RunConfig:
     """Parse and resolve a run configuration file."""
+    # the stdlib parser, not orjson: a config may hold an exact integer
+    # beyond 2**64 (a seed), which orjson would read as a float
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    base = Path(path).parent
 
     _take(data, {"system", "subspace", "section", "grid", "tolerances", "seed"},
           {"system", "subspace", "section", "grid"}, "config")
@@ -244,7 +275,7 @@ def load_run_config(
 
     # the tolerances govern the checks on every file and matrix the config loads
     spec, lam_params = _resolve_system(data["system"], "config.system", tau,
-                                       tolerances.structure_tol)
+                                       tolerances.structure_tol, base)
 
     sub = data["subspace"]
     _take(sub, {"lambda_case", "matrix"}, set(), "config.subspace")
@@ -266,7 +297,7 @@ def load_run_config(
     if psi0.shape[0] != dimension(spec):
         raise ConfigError("subspace frame dimension does not match the system")
 
-    rule = _resolve_rule(rule_d, grid, default_rule, tolerances.structure_tol)
+    rule = _resolve_rule(rule_d, grid, default_rule, tolerances.structure_tol, base)
 
     seed = data.get("seed")
     if seed is not None:
@@ -277,7 +308,7 @@ def load_run_config(
 
 
 def _resolve_rule(
-    d: dict, grid: TimeGrid, default_rule: SectionRule | None, structure_tol: float
+    d: dict, grid: TimeGrid, default_rule: SectionRule | None, structure_tol: float, base: Path
 ) -> SectionRule:
     name = d["rule"]
     if name == "fixed":
@@ -289,7 +320,8 @@ def _resolve_rule(
         return PhaseAnchored()
     if name == "custom":
         _take(d, {"rule", "path"}, {"rule", "path"}, "config.section")
-        return Custom(_load_custom_section(d["path"], grid, structure_tol))
+        path = _file_path(d["path"], base, "config.section.path")
+        return Custom(_load_custom_section(path, grid, structure_tol))
     if name == "auto":
         _take(d, {"rule"}, {"rule"}, "config.section")
         if default_rule is None:

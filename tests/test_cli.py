@@ -2,11 +2,14 @@ import csv
 import inspect
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from holosplit import cli
+from holosplit import cli, config
 from holosplit.cli import (
     cmd_decompose,
     cmd_demo,
@@ -30,6 +33,14 @@ from holosplit.holonomy import DecompositionReport
 from holosplit.instances import refutation_instance
 
 SQRT3 = np.sqrt(3.0)
+
+# finite float64 values from random bit patterns, and from Hypothesis' float
+# strategy, which favours signed zeros, subnormals and the largest values
+FINITE_FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+    .filter(math.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def write_config(path, **overrides):
@@ -104,6 +115,19 @@ class TestConfigParsing:
         back = load_sampled_hamiltonian(f)
         np.testing.assert_allclose(back.samples, spec.samples, atol=0)
 
+    @pytest.mark.parametrize("where", ["times", "samples"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_sampled_writer_refuses_non_finite_values(self, tmp_path, where, value):
+        # json.dumps would write a NaN or Infinity literal, which no RFC 8259
+        # reader (the matrix-file reader included) accepts
+        times, samples = np.linspace(0.0, 1.0, 3), np.zeros((3, 2, 2), dtype=complex)
+        if where == "times":
+            times[1] = value
+        else:
+            samples[2, 0, 1] = complex(0.0, value)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            write_sampled_hamiltonian(tmp_path / "ham.json", times, samples)
+
     @pytest.mark.parametrize("integral_times", [False, True])
     def test_sampled_writer_bytes_match_the_per_entry_encoding(self, tmp_path, integral_times):
         spec, _ = refutation_instance(7, TimeGrid.uniform(1.0, 8))
@@ -158,6 +182,51 @@ class TestConfigParsing:
     def test_matrix_json_roundtrip(self):
         m = np.array([[1 + 2j, 0.5], [-1j, 3.0]])
         np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(FINITE_FLOAT64, min_size=1, max_size=40),
+           n=st.integers(1, 3), k=st.integers(1, 2))
+    @example(values=[0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 0.30000000000000004, 1.2345678901234567e-89],
+             n=2, k=2)
+    def test_matrix_file_reads_back_every_float_bit_for_bit(self, tmp_path_factory, values, n, k):
+        # three time points; the times and the samples cycle through the values
+        flat = np.resize(np.array(values), 3 * (1 + 2 * n * k))
+        times, samples = flat[:3], flat[3:].view(complex).reshape(3, n, k)
+        path = tmp_path_factory.mktemp("roundtrip") / "ham.json"
+        write_sampled_hamiltonian(path, times, samples)
+        back_times, back = config._read_matrix_file(path, "sampled Hamiltonian")
+        np.testing.assert_array_equal(back_times.view(np.int64), times.view(np.int64))
+        np.testing.assert_array_equal(back.view(np.int64), samples.view(np.int64))
+
+    def test_relative_paths_are_taken_from_the_config_directory(self, tmp_path, monkeypatch):
+        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        folder = tmp_path / "cfg"
+        folder.mkdir()
+        write_sampled_hamiltonian(folder / "ham.json", spec.grid.times, spec.samples)
+        frames = propagate_frame(spec, psi0, spec.grid).frames
+        (folder / "section.json").write_text(json.dumps({
+            "dimension": 4, "times": spec.grid.times.tolist(), "matrices": matrix_to_json(frames),
+        }))
+        write_config(folder / "c.json",
+                     system={"kind": "sampled", "path": "ham.json"},
+                     subspace={"matrix": matrix_to_json(psi0)},
+                     section={"rule": "custom", "path": "section.json"},
+                     grid={"tau": 1.0, "steps": 8})
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        cfg = load_run_config("../cfg/c.json")
+        np.testing.assert_array_equal(cfg.spec.samples, spec.samples)
+        np.testing.assert_array_equal(cfg.rule.path.frames, frames)
+
+    @pytest.mark.parametrize("where", ["system", "section"])
+    def test_file_path_must_be_a_string(self, tmp_path, where):
+        overrides = ({"system": {"kind": "sampled", "path": 7}} if where == "system"
+                     else {"section": {"rule": "custom", "path": ["s.json"]}})
+        path = write_config(tmp_path / "c.json", **overrides)
+        with pytest.raises(ConfigError, match=f"config.{where}.path must be a string"):
+            load_run_config(path)
 
 
 class TestConfigTolerances:
@@ -476,6 +545,19 @@ def refutation_9_config(tmp_path_factory):
 
 
 class TestExitCodes:
+    @staticmethod
+    def sampled_config(tmp_path):
+        """An 8-step refutation_instance(3) file, ham.json, and a config
+        c.json that runs it."""
+        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        ham = tmp_path / "ham.json"
+        write_sampled_hamiltonian(ham, spec.grid.times, spec.samples)
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "sampled", "path": str(ham)},
+                            subspace={"matrix": matrix_to_json(psi0)},
+                            grid={"tau": 1.0, "steps": 8})
+        return ham, path
+
     COMMANDS = {
         "decompose": lambda cfg, out: cmd_decompose(cfg, str(out / "r.json")),
         "separability": lambda cfg, out: cmd_separability(cfg),
@@ -518,6 +600,12 @@ class TestExitCodes:
         (("seed",), 7.5, "seed"),
         (("seed",), True, "seed"),
         (("seed",), -3, "seed"),
+        (("grid", "tau"), "1.5", "grid.tau"),
+        (("grid", "steps"), "4", "grid.steps"),
+        (("seed",), "7", "seed"),
+        (("system", "omega0"), "1.7", "system.omega0"),
+        (("system", "omega1"), ["1.0", 0.0], "system.omega1"),
+        (("tolerances", "structure_tol"), "1e-10", "tolerances.structure_tol"),
     ])
     def test_wrong_typed_scalar_exits_three(self, keys, value, field, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", tolerances={})
@@ -537,22 +625,23 @@ class TestExitCodes:
         ("dimension", [4], "must be a number"),
         ("dimension", 4.5, "must be a number"),
         ("dimension", True, "must be a number"),
+        ("dimension", "4", "must be a number"),
         ("times", {"a": 1}, "must be an array of numbers"),
         ("times", "abc", "must be an array of numbers"),
         ("times", [0.0, "abc"], "must be an array of numbers"),
+        ("times", [0.0, "1.5"], "must be an array of numbers"),
+        ("times", [0.0, None], "must be an array of numbers"),
         ("times", [0.0, True, 1.0], "must hold numbers, not booleans"),
         ("matrices", [[[[True, 0.0]]]], "must hold numbers, not booleans"),
-    ], ids=["None", "dimension1", "4.5", "True", "times-object", "times-string", "times-entry",
-            "times-boolean", "matrices-boolean"])
+        ("matrices", [[[["1.5", 0.0]]]], "must be an array of numbers"),
+        ("matrices", [[[[None, 0.0]]]], "must be an array of numbers"),
+        ("matrices", [[[[0.0, 0.0]], [[0.0]]]], "must be an array of numbers"),
+    ], ids=["None", "dimension1", "4.5", "True", "dimension-string", "times-object",
+            "times-string", "times-entry", "times-string-number", "times-null", "times-boolean",
+            "matrices-boolean", "matrices-string-number", "matrices-null", "matrices-ragged"])
     def test_wrong_typed_matrix_file_dimension_exits_three(self, key, value, expected, tmp_path, capsys):
-        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
-        ham = tmp_path / "ham.json"
-        write_sampled_hamiltonian(ham, spec.grid.times, spec.samples)
+        ham, path = self.sampled_config(tmp_path)
         ham.write_text(json.dumps({**json.loads(ham.read_text()), key: value}))
-        path = write_config(tmp_path / "c.json",
-                            system={"kind": "sampled", "path": str(ham)},
-                            subspace={"matrix": matrix_to_json(psi0)},
-                            grid={"tau": 1.0, "steps": 8})
         assert cmd_separability(str(path)) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f'{ham}: "{key}" {expected}' in err
@@ -561,9 +650,7 @@ class TestExitCodes:
     def test_boolean_in_own_matrix_file_exits_three(self, key, index, tmp_path, capsys):
         # false at t = 0 and true for Re H_00(0) would read as the numbers 0
         # and 1, which leave a valid file; the entry must still be rejected
-        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
-        ham = tmp_path / "ham.json"
-        write_sampled_hamiltonian(ham, spec.grid.times, spec.samples)
+        ham, path = self.sampled_config(tmp_path)
         data = json.loads(ham.read_text())
         *parents, last = index
         node = data[key]
@@ -571,14 +658,32 @@ class TestExitCodes:
             node = node[i]
         node[last] = key == "matrices"
         ham.write_text(json.dumps(data))
-        path = write_config(tmp_path / "c.json",
-                            system={"kind": "sampled", "path": str(ham)},
-                            subspace={"matrix": matrix_to_json(psi0)},
-                            grid={"tau": 1.0, "steps": 8})
         assert cmd_separability(str(path)) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert f'{ham}: "{key}" must hold numbers, not booleans' in err
+
+    @pytest.mark.parametrize("key", ["times", "matrices"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_rfc_number_in_matrix_file_exits_three(self, key, literal, tmp_path, capsys):
+        ham, path = self.sampled_config(tmp_path)
+        data = json.loads(ham.read_text())
+        if key == "times":
+            data["times"][3] = "@"
+        else:
+            data["matrices"][3][1][2][0] = "@"
+        ham.write_text(json.dumps(data).replace('"@"', literal))
+        assert cmd_separability(str(path)) == 3
+        assert capsys.readouterr().err.startswith(f"config error: cannot read sampled Hamiltonian {ham}: ")
+
+    @pytest.mark.parametrize("bad", ["config", "matrix file"])
+    def test_input_that_is_not_utf8_names_its_file(self, bad, tmp_path, capsys):
+        ham, path = self.sampled_config(tmp_path)
+        target = path if bad == "config" else ham
+        target.write_bytes(target.read_bytes().replace(b'{"', b'{"\xff', 1))
+        assert cmd_separability(str(path)) == 3
+        what = "config" if bad == "config" else "sampled Hamiltonian"
+        assert capsys.readouterr().err.startswith(f"config error: cannot read {what} {target}: ")
 
     def test_demo_bad_parameter_exits_three(self, capsys):
         assert cmd_demo("i", omega0=-1.0) == 3
