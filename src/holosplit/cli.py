@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import load_run_config, report_to_json
-from .dynamics import FramePath, TimeGrid, propagate_frame
+from .dynamics import TimeGrid, propagate_frame
 from .holonomy import DecompositionReport, generator_path, separability_report
 from .instances import random_closed_gauge
 from .lambda_system import LambdaParams, case_i_analytic, case_ii_analytic, case_iii_analytic, case_setup
-from .linalg import DEFAULT_TOL, frobenius, overlaps, products
+from .linalg import DEFAULT_TOL, frobenius
 from .sections import InPhaseViolation, build_section, gauge_transform, w_path
 
 EXIT_OK = 0
@@ -86,10 +86,8 @@ def cmd_decompose(config_path: str, out_path: str, *, tau=None, steps=None) -> i
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
-    rows = []
-    for row in np.atleast_2d(m):
-        rows.append("[" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row) + "]")
-    return " ".join(rows)
+    return " ".join("[" + ", ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row) + "]"
+                    for row in np.atleast_2d(m))
 
 
 def _demo_lines(case: str, p: LambdaParams, report: DecompositionReport) -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -155,8 +153,7 @@ def cmd_export(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
         schrod = propagate_frame(cfg.spec, cfg.psi0, cfg.grid, tol=cfg.tolerances)
         section = build_section(cfg.rule, schrod, cfg.spec, tol=cfg.tolerances)
         gens = generator_path(section, schrod, cfg.spec)
-        mats = (gens.a_mats, gens.k_mats, w_path(section, schrod, tol=cfg.tolerances),
-                overlaps(section.path.initial, section.path.frames))
+        mats = (gens.a_mats, gens.k_mats, w_path(section, schrod, tol=cfg.tolerances), section.overlap)
     except ValueError as exc:
         return _exit_code(exc)
 
@@ -193,9 +190,9 @@ def cmd_gauge_check(config_path: str, seed: int | None = None, *, tau=None, step
     vpath = random_closed_gauge(cfg.grid.times, cfg.psi0.shape[1], rng)
     v0 = vpath[0]
     try:
+        # the transformed section pairs with the Schrodinger frames S(t) V(0)
         transformed = gauge_transform(section, vpath, tol=cfg.tolerances)
-        rotated = FramePath(cfg.grid, products(schrod.frames, v0), cfg.tolerances.structure_tol)
-        moved = separability_report(transformed, rotated, cfg.spec, cfg.tolerances)
+        moved = separability_report(transformed, schrod, cfg.spec, cfg.tolerances)
     except InPhaseViolation as exc:
         return _fail(EXIT_IN_PHASE, f"in-phase violation after gauge transform: {exc}")
     except ValueError as exc:

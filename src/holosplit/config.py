@@ -180,28 +180,31 @@ def load_sampled_hamiltonian(
     try:
         return Sampled(TimeGrid(times), mats, structure_tol)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"sampled Hamiltonian {path}: {exc}") from exc
 
 
 def write_sampled_hamiltonian(path: str | Path, times: np.ndarray, samples: np.ndarray) -> None:
-    data = {
-        "dimension": int(np.asarray(samples).shape[1]),
-        "times": np.asarray(times, dtype=float).tolist(),
-        "matrices": matrix_to_json(samples),
-    }
-    # a NaN or infinity raises here rather than write a literal that the
-    # reader refuses
-    Path(path).write_text(json.dumps(data, allow_nan=False))
+    """Write {"dimension", "times", "matrices"} as compact orjson JSON from
+    float views of the arrays; every float reads back bit for bit."""
+    times, samples = np.ascontiguousarray(times, float), np.ascontiguousarray(samples, complex)
+    # orjson writes a NaN or infinity as null, which the reader refuses
+    for what, values in (("times", times), ("samples", samples)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"sampled Hamiltonian {path}: {what} hold a NaN or infinity. "
+                             "Out of range float values are not JSON compliant")
+    data = {"dimension": samples.shape[1], "times": times,
+            "matrices": samples.view(float).reshape(*samples.shape, 2)}
+    Path(path).write_bytes(orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 def _load_custom_section(path: Path, grid: TimeGrid, structure_tol: float) -> FramePath:
     times, frames = _read_matrix_file(path, "section file")
     if times.shape != grid.times.shape or not np.allclose(times, grid.times, atol=0, rtol=0):
-        raise ConfigError("section file times do not match the run grid")
+        raise ConfigError(f"section file {path}: times do not match the run grid")
     try:
         return FramePath(grid, frames, structure_tol)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"section file {path}: {exc}") from exc
 
 
 # a lambda system's LambdaParams fields and their readers; tau comes from

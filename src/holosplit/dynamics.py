@@ -3,26 +3,12 @@
 A frame is an N x M matrix of orthonormal columns spanning an M-dimensional
 subspace. A Hamiltonian spec is a Constant H or a Sampled H(t); both store
 the Hermitian part of their input after one shared check, and the Lambda
-system of lambda_system is a Constant. The kernel is chosen from the spec
-type and the frame's shape alone. A Constant H is diagonalized once,
-H = V diag(E) V^dag, and every frame is V exp(-i E t_k) V^dag psi0 at the
-grid's absolute times, exact up to roundoff on any grid. A Sampled H is
-stepped: each step applies exp(-i H(t_mid) dt), with the Hamiltonian
-evaluated at the step midpoint (second-order accurate); H at sample times
-is a read-only view of the samples. The midpoint Hamiltonians are sampled in
-chunks of about 1 MiB and each chunk is stepped while it is still in cache,
-so no stack of H over the whole grid is formed. Below N = 20 a chunk's
-frames are its first frame times the forward prefix products
-(linalg.ordered_products) of the full N x N step unitaries from
-linalg.unitary_stack, the package's one exp(-i H dt) slice kernel. From
-N = 20 on, the exponential acts on the N x M frame directly as a truncated
-Taylor series, whose degree and substep count are fixed once per chunk so
-the remainder stays below 2^-53 of the frame's norm; no N x N slice is
-formed. Both stepping kernels give the same step to roundoff. On the
-stepped routes the frames are computed without correction and then
-orthonormalized symmetrically once, in one batched Loewdin pass over the
-whole path; the exact Constant route accumulates no drift and needs none.
-Orthonormality holds to roundoff at every grid point.
+system of lambda_system is a Constant. H at sample times is a read-only
+view of the samples, and H is sampled in chunks of about 1 MiB that are
+used while they are in cache, so no stack of H over the whole grid is
+formed. propagate_frame picks its kernel from the spec type and the frame's
+shape alone: exact for a Constant H, a second-order midpoint step for a
+Sampled one, orthonormal to roundoff at every grid point either way.
 Units: hbar = 1; times in s, frequencies in rad/s, both dimensionless in
 code.
 """
@@ -79,7 +65,9 @@ class TimeGrid:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 2:
+        if t.ndim != 1:
+            raise ValueError(f"time grid must be a 1-D array, got shape {t.shape}")
+        if t.size < 2:
             raise ValueError("time grid needs at least 2 points")
         if not np.isfinite(t).all():
             raise ValueError("time grid contains non-finite times")

@@ -12,9 +12,11 @@ for all pairs of times. An exact bound on that commutator over every pair of
 grid times decides the case_iii verdict; the report's max_commutator is the
 magnitude from a sampled scan of the pairs.
 
-Every ordered exponential here, the Anandan path and the four endpoint
-factors alike, is one ordered_factor call: its midpoint slices multiplied
-by the one pairing of linalg.ordered_products.
+With the section held as L = S V (sections), every generator is an M x M
+path formed once: F = -i S^dag H S is the one sandwich of H, K is V^dag F V,
+and A is the finite-difference connection taken from the section's step
+overlaps L_j^dag L_k. Every ordered exponential, the Anandan path and the
+four endpoint factors alike, is one ordered_factor call.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .linalg import (
     skew_part,
     unitary_stack,
 )
-from .sections import InPhaseViolation, SectionPath, w_path
+from .sections import Fixed, InPhaseViolation, SectionPath, _check_evolution
 
 __all__ = [
     "DecompositionReport",
@@ -76,16 +78,13 @@ class GeneratorPath:
     f_mats: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        npts = len(self.grid)
         for name in ("a_mats", "k_mats", "f_mats"):
             mats = np.asarray(getattr(self, name), dtype=complex)
             if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
                 raise ValueError(f"{name} must be a stack of square matrices")
-            if mats.shape[0] != npts:
+            if mats.shape[0] != len(self.grid):
                 raise ValueError(f"{name} length does not match the grid")
-            skew_res = np.linalg.norm(
-                mats + mats.conj().swapaxes(1, 2), axis=(1, 2)
-            ).max()
+            skew_res = np.linalg.norm(mats + mats.conj().swapaxes(1, 2), axis=(1, 2)).max()
             if skew_res > 10 * DEFAULT_TOL.structure_tol:
                 raise ValueError(f"{name} is not anti-Hermitian (residual {skew_res:.3e})")
             object.__setattr__(self, name, mats)
@@ -119,40 +118,48 @@ class DecompositionReport:
 
 
 def connection_path(section: SectionPath) -> np.ndarray:
-    """A_jk(t) = <dphi_j/dt|phi_k> per grid point, from second-order finite
-    differences of the section columns (one-sided at the endpoints),
-    projected exactly anti-Hermitian."""
-    times = section.path.grid.times
-    if times.size < 3:
+    """A_jk(t) = <dphi_j/dt|phi_k> per grid point: np.gradient's second-order
+    difference of the section frames (edge_order=2 at the ends), with its
+    weights on any grid, taken from the M x M step overlaps L_j^dag L_k =
+    V_j^dag R^dag S_j^dag S_k R V_k; the j = k term is real times the
+    identity and drops out of the anti-Hermitian part. A Fixed section is
+    constant, so its connection is exactly zero."""
+    s, times = section.schrodinger.frames, section.schrodinger.grid.times
+    n = times.size
+    if n < 3:
         raise ValueError("connection needs a grid with at least 3 points")
-    frames = section.path.frames
-    dframes = np.gradient(frames, times, axis=0, edge_order=2)
-    return skew_part(overlaps(dframes, frames))
+    if isinstance(section.rule, Fixed) and section.rotation is None:
+        return np.zeros_like(section.v)
+    v = section.v if section.rotation is None else products(section.rotation, section.v)
+    # z holds skew(L_j^dag L_k) for every step (k, k + 1), then for (0, 2)
+    # and (n - 3, n - 1); skew(X^dag) = -skew(X)
+    j, k = np.append(np.arange(n - 1), [0, n - 3]), np.append(np.arange(1, n), [2, n - 1])
+    steps = np.concatenate([overlaps(s[:-1], s[1:]), overlaps(s[[0, n - 3]], s[[2, n - 1]])])
+    z = skew_part(products(overlaps(v[j], steps), v[k]))
+    h = np.diff(times)
+    h1, h2 = h[:-1, None, None], h[1:, None, None]
+    a = np.empty_like(z[:n])
+    a[1:-1] = -h2 / (h1 * (h1 + h2)) * z[: n - 2] - h1 / (h2 * (h1 + h2)) * z[1 : n - 1]
+    a[0] = -(h[0] + h[1]) / (h[0] * h[1]) * z[0] + h[0] / (h[1] * (h[0] + h[1])) * z[n - 1]
+    a[-1] = h[-1] / (h[-2] * (h[-2] + h[-1])) * z[n] - (h[-2] + h[-1]) / (h[-2] * h[-1]) * z[n - 2]
+    return a
 
 
-def generator_path(
-    section: SectionPath, schrodinger: FramePath, spec: HamiltonianSpec
-) -> GeneratorPath:
-    """Assemble A, K and F along the section's grid. H is sampled chunk by
-    chunk, never whole, and each chunk is sandwiched between the section
-    frames (K) and the Schrodinger frames (F) while it is in cache.
-    This is the only place K_jk(t) = -i <phi_j(t)|H(t)|phi_k(t)> is formed."""
-    sec, sch = section.path, schrodinger
-    times = sec.grid.times
-    if len(sch.grid) != times.size:
-        raise ValueError("Schrodinger path length does not match the section grid")
-    k_mats = np.empty((times.size, sec.m, sec.m), dtype=complex)
+def generator_path(section: SectionPath, schrodinger: FramePath, spec: HamiltonianSpec) -> GeneratorPath:
+    """Assemble A, K and F along the section's grid. F is the one sandwich
+    of H: H is sampled chunk by chunk, never whole, and each chunk is
+    sandwiched between the Schrodinger frames while it is in cache (then
+    rotated to the pairing S R). K is V^dag F V per grid point."""
+    sch = section.schrodinger
+    _check_evolution(section, schrodinger, sch.structure_tol)
+    times = sch.grid.times
     f_mats = np.empty((times.size, sch.m, sch.m), dtype=complex)
-    for sl in _chunks(times.size, sec.n):
-        hams = hamiltonian_path(spec, times[sl])
-        k_mats[sl] = _sandwich(hams, sec.frames[sl])
-        f_mats[sl] = _sandwich(hams, sch.frames[sl])
-    return GeneratorPath(
-        grid=sec.grid,
-        a_mats=connection_path(section),
-        k_mats=k_mats,
-        f_mats=f_mats,
-    )
+    for sl in _chunks(times.size, sch.n):
+        f_mats[sl] = _sandwich(hamiltonian_path(spec, times[sl]), sch.frames[sl])
+    if section.rotation is not None:
+        f_mats = skew_part(products(overlaps(section.rotation, f_mats), section.rotation))
+    k_mats = skew_part(products(overlaps(section.v, f_mats), section.v))
+    return GeneratorPath(sch.grid, connection_path(section), k_mats, f_mats)
 
 
 def kw_wf_residual(generators: GeneratorPath, w: np.ndarray) -> float:
@@ -263,56 +270,42 @@ def _classify(schrodinger: FramePath, generators: GeneratorPath, tol: Tolerances
     return "non_separable"
 
 
-def separability_report(
-    section: SectionPath,
-    schrodinger: FramePath,
-    spec: HamiltonianSpec,
-    tol: Tolerances = DEFAULT_TOL,
-) -> DecompositionReport:
+def separability_report(section: SectionPath, schrodinger: FramePath, spec: HamiltonianSpec,
+                        tol: Tolerances = DEFAULT_TOL) -> DecompositionReport:
     """Full endpoint decomposition: overlap, W by two routes, all four
     ordered factors, the sampled commutator magnitude and the case
     classification.
 
     Raises InPhaseViolation when the endpoint overlap fails positivity.
     """
-    if not np.array_equal(section.path.grid.times, schrodinger.grid.times):
-        raise ValueError("section and Schrodinger paths use different grids")
     if section.in_phase_margin <= tol.positivity_tol:
         raise InPhaseViolation(
             f"in-phase margin {section.in_phase_margin:.3e} is not positive"
         )
 
+    # generator_path checks that schrodinger is the section's own evolution
     generators = generator_path(section, schrodinger, spec)
-    w_direct = w_path(section, schrodinger, tol=tol)[-1]
-    # the endpoint of solve_anandan, bit for bit
-    w_final = ordered_factor(generators.a_mats + generators.k_mats, generators.grid)
-    overlap = overlaps(section.path.initial, section.path.final)
-
+    w_direct, overlap = section.v[-1].conj().T, section.overlap[-1].copy()
     # the holonomic factor T exp(int A) is the G of the product form
     g, d = yu_tong_factors(generators)
     dyn = ordered_factor(generators.k_mats, generators.grid, "forward")
-
-    max_comm = max_commutator_scan(generators.a_mats, generators.k_mats)
-    separation = frobenius(w_direct - g @ dyn)
-    product = frobenius(w_direct - g @ d)
-    classification = _classify(schrodinger, generators, tol)
-
     return DecompositionReport(
         overlap=overlap,
-        w_final=w_final,
+        # the endpoint of solve_anandan, bit for bit
+        w_final=ordered_factor(generators.a_mats + generators.k_mats, generators.grid),
         w_direct=w_direct,
         holonomic_factor=g,
         dynamical_factor=dyn,
         g_factor=g,
         d_factor=d,
-        max_commutator=max_comm,
-        separation_residual=separation,
-        product_residual=product,
-        classification=classification,
+        max_commutator=max_commutator_scan(generators.a_mats, generators.k_mats),
+        separation_residual=frobenius(w_direct - g @ dyn),
+        product_residual=frobenius(w_direct - g @ d),
+        classification=_classify(section.schrodinger, generators, tol),
         time_evolution=overlap @ w_direct,
         in_phase_margin=section.in_phase_margin,
-        tau=section.path.grid.tau,
-        steps=section.path.grid.steps,
+        tau=section.schrodinger.grid.tau,
+        steps=section.schrodinger.grid.steps,
     )
 
 
@@ -343,8 +336,8 @@ def trivial_shift_check(
     )
 
     # accumulate f by the same midpoint quadrature the propagator applies,
-    # so the phase relation between the two paths is exact per step
+    # so the phase relation between the two paths is exact per step; the
+    # section is V = exp(i f) I on the base frames, so W = V^dag S^dag S_shifted
     f = np.concatenate([[0.0], np.cumsum(rates * np.diff(times))])
-    section_frames = base.frames * np.exp(1j * f)[:, None, None]
-    w = overlaps(section_frames, shifted)
+    w = overlaps(base.frames, shifted) * np.exp(-1j * f)[:, None, None]
     return float(np.linalg.norm(w - np.eye(w.shape[1]), axis=(1, 2)).max())

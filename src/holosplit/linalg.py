@@ -2,20 +2,15 @@
 
 Matrices are plain numpy arrays with dtype complex128 and are never mutated.
 The Frobenius norm is the canonical matrix distance everywhere. Every
-stacked product a @ b is one call of the primitive products, and every frame
-overlap F^dag G (Gram checks, W, O, the connection, the K/F sandwiches, the
-subspace gaps) one call of overlaps, which is products(F^dag, G). Every
-unitary slice exp(-i H dt) comes from the one kernel unitary_stack, and
-every time-ordered product (the propagation steps below N = 20, the Anandan
-path and the four endpoint factors) is the one pairing of ordered_products,
-whose full product is its last prefix bit for bit. The kernels pick their
-method from the array shape (and unitary_stack from the largest ||H dt||_1):
-a stack of 2 x 2 matrices, the shape of every M = 2 subspace quantity, takes
-closed forms (Cayley-Hamilton for the exponential, the 2 x 2 square-root
-formula for the Loewdin factor), other sizes one Taylor polynomial per slice
-up to ||H dt||_1 = 1/2, else one batched eigh; an (r x k) @ (k x c) product
-with k <= 4 and r c <= 8 is summed entry by entry over the stack, any other
-one batched matmul, which makes one BLAS call per matrix.
+stacked product a @ b is one call of products, every frame overlap F^dag G
+(Gram checks, U = S(0)^dag S(t), the step overlaps of a section, the F
+sandwich, the subspace gaps) one call of overlaps = products(F^dag, G),
+every unitary slice exp(-i H dt) one call of unitary_stack, and every
+time-ordered product (the propagation steps below N = 20, the Anandan path
+and the four endpoint factors) the one pairing of ordered_products. Each
+kernel picks its method from the array shape (and unitary_stack from the
+largest ||H dt||_1) alone; a stack of 2 x 2 matrices, the shape of every
+M = 2 subspace quantity, takes closed forms.
 """
 
 from __future__ import annotations

@@ -2,20 +2,19 @@
 transformations.
 
 A section is a smooth choice of orthonormal frame spanning the same evolving
-subspace as the Schrodinger frame S(t), with L(0) = S(0). The overlap matrix
-O(0,t) = L(0)^dag L(t) and the unitary W(t) = L(t)^dag S(t) factor the
-subspace time-evolution matrix as U(t) = O(0,t) W(t). Both, like the phase
-anchors <psi_j(0)|psi_j(t)>, are one linalg.overlaps call each.
-
-Subspace checks (a Fixed rule's drift, a Custom section's span, W's
-precondition) use the gap sqrt(2) ||b - a a^dag b||_F between orthonormal
-frames (linalg.subspace_gap); no N x N projector is formed. A Fixed rule
-reads the drift FramePath.drift, which a path evaluates at most once.
+subspace as the Schrodinger frame S(t), with L(0) = S(0), so it is
+L(t) = S(t) V(t) with V(t) an M x M unitary path and V(0) = I. A SectionPath
+holds V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t), which
+each rule forms from the Schrodinger overlaps it already takes; W(t) =
+L(t)^dag S(t) is V(t)^dag, so U = O W. Subspace checks use the gap
+sqrt(2) ||b - a a^dag b||_F between orthonormal frames (linalg.subspace_gap).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -83,20 +82,33 @@ SectionRule = Fixed | PhaseAnchored | Custom
 
 @dataclass(frozen=True)
 class SectionPath:
-    """A constructed section together with its in-phase diagnostics.
+    """A section L(t) = S(t) R V(t) on the Schrodinger path S it was built
+    on, held as M x M paths, with its in-phase diagnostics.
 
-    in_phase_margin is the smallest eigenvalue of the Hermitian part of the
-    endpoint overlap O(0,tau); overlap_asymmetry is the Frobenius norm of
-    O(0,tau) - O(0,tau)^dag (zero for the Lambda-case sections, where O is
-    Hermitian); min_intermediate_margin tracks the same eigenvalue bound
-    over all interior grid points (reported, never enforced).
+    v is V(t), unitary with V(0) = I. rotation is the constant unitary R by
+    which a gauge transform moved L(0) (None, the identity, for every rule);
+    the section pairs with the frames S(t) R, so W = V^dag. overlap is
+    O(0,t) = L(0)^dag L(t) per grid point. in_phase_margin is the smallest
+    eigenvalue of the Hermitian part of O(0,tau); overlap_asymmetry is the
+    Frobenius norm of O(0,tau) - O(0,tau)^dag (zero for the Lambda-case
+    sections, where O is Hermitian); min_intermediate_margin tracks the same
+    eigenvalue bound over all interior grid points (reported, never
+    enforced). The N x M frames L(t) are formed on the first read of path.
     """
 
-    path: FramePath
+    schrodinger: FramePath
+    v: np.ndarray = field(repr=False)
+    overlap: np.ndarray = field(repr=False)
     rule: SectionRule
     in_phase_margin: float
     overlap_asymmetry: float
     min_intermediate_margin: float
+    rotation: np.ndarray | None = field(repr=False)
+    _frames: Callable[[], FramePath] = field(repr=False, compare=False)
+
+    @cached_property
+    def path(self) -> FramePath:
+        return self._frames()
 
 
 def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
@@ -109,30 +121,31 @@ def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(herm)[:, 0]
 
 
-def _section(path: FramePath, rule: SectionRule) -> SectionPath:
-    """Attach the in-phase diagnostics of the overlaps O(0, t) to a path."""
-    o = overlaps(path.initial, path.frames)
+def _section(schrodinger: FramePath, rule: SectionRule, v: np.ndarray, o: np.ndarray,
+             frames: Callable[[], FramePath], rotation: np.ndarray | None = None) -> SectionPath:
+    """A SectionPath with V(0) = I exactly, read-only V and O, and the
+    in-phase diagnostics of O(0, t)."""
+    v[0] = np.eye(v.shape[-1])
+    v.flags.writeable = o.flags.writeable = False
     mins = _min_eigenvalues(hermitian_part(o))
-    o_end = o[-1]
-    asym = frobenius(o_end - o_end.conj().T)
-    return SectionPath(path, rule, float(mins[-1]), asym, float(mins.min()))
+    asym = frobenius(o[-1] - o[-1].conj().T)
+    return SectionPath(schrodinger, v, o, rule, float(mins[-1]), asym, float(mins.min()),
+                       rotation, frames)
 
 
-def build_section(
-    rule: SectionRule,
-    schrodinger: FramePath,
-    spec: HamiltonianSpec | None = None,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SectionPath:
-    """Construct the section L(t) prescribed by rule for the given evolution.
+def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSpec | None = None, *,
+                  tol: Tolerances = DEFAULT_TOL) -> SectionPath:
+    """Construct the section L(t) = S(t) V(t) prescribed by rule for the
+    given evolution: V = S^dag L0 for a Fixed rule, diag(exp(-i arg
+    <psi_j(0)|psi_j(t)>)) for PhaseAnchored, S^dag L for Custom.
 
     Raises SectionError when the rule's precondition fails: a Fixed rule on a
     moving subspace, a PhaseAnchored rule whose anchor overlap collapses, or
     a Custom path that does not span the Schrodinger subspace.
     """
     s = schrodinger.frames
-    npts = s.shape[0]
+    npts, m = s.shape[0], s.shape[2]
+    grid, structure_tol = schrodinger.grid, tol.structure_tol
 
     if isinstance(rule, Fixed):
         drift = schrodinger.drift
@@ -148,11 +161,13 @@ def build_section(
                 raise SectionError("fixed frame shape does not match the evolution")
             if frobenius(frame - schrodinger.initial) > 10 * tol.structure_tol:
                 raise SectionError("fixed frame must equal the initial Schrodinger frame")
-        frames = np.broadcast_to(frame, (npts, *frame.shape)).copy()
-        return _section(FramePath(schrodinger.grid, frames, tol.structure_tol), rule)
+        gram = np.broadcast_to(overlaps(frame, frame), (npts, m, m)).copy()
+        return _section(schrodinger, rule, overlaps(s, frame), gram, lambda: FramePath(
+            grid, np.broadcast_to(frame, (npts, *frame.shape)), structure_tol))
 
     if isinstance(rule, PhaseAnchored):
-        anchors = np.diagonal(overlaps(s[0], s), axis1=1, axis2=2)
+        u = overlaps(s[0], s)
+        anchors = np.diagonal(u, axis1=1, axis2=2)
         weakest = float(np.abs(anchors).min())
         if weakest <= tol.positivity_tol:
             raise SectionError(
@@ -160,9 +175,10 @@ def build_section(
                 "section is singular for this evolution"
             )
         # exp(-i arg) is insensitive to the branch of arg, so no unwrap needed
-        frames = s * np.exp(-1j * np.angle(anchors))[:, None, :]
-        frames[0] = s[0]
-        return _section(FramePath(schrodinger.grid, frames, tol.structure_tol), rule)
+        phases = np.exp(-1j * np.angle(anchors))
+        phases[0] = 1.0
+        return _section(schrodinger, rule, phases[:, :, None] * np.eye(m), u * phases[:, None, :],
+                        lambda: FramePath(grid, s * phases[:, None, :], structure_tol))
 
     if isinstance(rule, Custom):
         path = rule.path
@@ -177,52 +193,58 @@ def build_section(
             )
         if frobenius(path.initial - schrodinger.initial) > 10 * tol.structure_tol:
             raise SectionError("custom section must start at the Schrodinger frame")
-        return _section(path, rule)
+        return _section(schrodinger, rule, overlaps(s, path.frames),
+                        overlaps(path.initial, path.frames), lambda: path)
 
     raise TypeError(f"not a section rule: {type(rule).__name__}")
 
 
-def w_path(
-    section: SectionPath,
-    schrodinger: FramePath,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """W(t_k) = L(t_k)^dag S(t_k) per grid point; unitary, W(0) = identity."""
-    if not np.array_equal(section.path.grid.times, schrodinger.grid.times):
-        raise ValueError("section and Schrodinger paths use different grids")
-    gap = float(subspace_gap(section.path.frames, schrodinger.frames).max())
-    if gap > 10 * tol.structure_tol:
+def _check_evolution(section: SectionPath, schrodinger: FramePath, structure_tol: float) -> None:
+    """Refuse a path other than the section's own Schrodinger path unless it
+    has the same grid and spans the same subspace at every grid time."""
+    if schrodinger is section.schrodinger:
+        return
+    times, other = section.schrodinger.grid.times, schrodinger.grid.times
+    if not np.array_equal(times, other):
+        raise ValueError(f"section and Schrodinger paths use different grids (lengths {times.size}, {other.size})")
+    gap = float(subspace_gap(section.schrodinger.frames, schrodinger.frames).max())
+    if gap > 10 * structure_tol:
         raise ValueError(f"section and Schrodinger frames span different subspaces ({gap:.3e})")
-    return overlaps(section.path.frames, schrodinger.frames)
 
 
-def gauge_transform(
-    section: SectionPath,
-    vpath: np.ndarray,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SectionPath:
+def w_path(section: SectionPath, schrodinger: FramePath, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """W(t_k) = L(t_k)^dag S(t_k) R = V(t_k)^dag per grid point; unitary,
+    W(0) = identity. schrodinger must be the evolution the section was
+    built on (checked when it is not the section's own path object)."""
+    _check_evolution(section, schrodinger, tol.structure_tol)
+    return np.ascontiguousarray(section.v.conj().swapaxes(1, 2))
+
+
+def gauge_transform(section: SectionPath, vpath: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> SectionPath:
     """Change of section frame phi_k -> sum_j phi_j V_jk(t) per grid point.
 
     vpath must be a stack of unitaries, smooth along the grid, closed at the
-    endpoint (V(tau) = V(0)). When V(0) is not the identity the transformed
-    section pairs with the Schrodinger path rotated by V(0), i.e. frames
-    S(t) V(0), which restores the L(0) = S(0) initial condition.
+    endpoint (V(tau) = V(0)). The transformed section pairs with the
+    Schrodinger frames rotated by V(0), which restores L(0) = S(0): its
+    rotation is the section's times V(0), its path V(0)^dag V_section(t) V(t).
     """
-    v = np.asarray(vpath, dtype=complex)
-    frames = section.path.frames
-    npts, _, m = frames.shape
-    if v.shape != (npts, m, m):
+    g = np.asarray(vpath, dtype=complex)
+    npts, m = section.v.shape[:2]
+    if g.shape != (npts, m, m):
         raise ValueError(f"gauge path must have shape ({npts}, {m}, {m})")
     eye = np.eye(m)
-    unit_res = float(np.linalg.norm(overlaps(v, v) - eye, axis=(1, 2)).max())
+    unit_res = float(np.linalg.norm(overlaps(g, g) - eye, axis=(1, 2)).max())
     if unit_res > 10 * tol.structure_tol:
         raise ValueError(f"gauge path is not unitary (residual {unit_res:.3e})")
-    if frobenius(v[-1] - v[0]) > 10 * tol.structure_tol:
+    if frobenius(g[-1] - g[0]) > 10 * tol.structure_tol:
         raise ValueError("gauge path is not closed: V(tau) differs from V(0)")
-    path = FramePath(section.path.grid, products(frames, v), tol.structure_tol)
-    out = _section(path, Custom(path))
+    g0 = g[0]
+    out = _section(
+        section.schrodinger, section.rule, products(overlaps(g0, section.v), g),
+        products(overlaps(g0, section.overlap), g),
+        lambda: FramePath(section.schrodinger.grid, products(section.path.frames, g), tol.structure_tol),
+        g0 if section.rotation is None else section.rotation @ g0,
+    )
     if out.in_phase_margin <= tol.positivity_tol:
         raise InPhaseViolation(
             f"transformed section violates the in-phase condition (margin {out.in_phase_margin:.3e})"

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import inspect
 import io
 import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from holosplit.config import (
 from holosplit.dynamics import Constant, TimeGrid, propagate_frame
 from holosplit.holonomy import DecompositionReport
 from holosplit.instances import refutation_instance
+from holosplit.linalg import hermitian_part
 
 SQRT3 = np.sqrt(3.0)
 
@@ -138,12 +141,65 @@ class TestConfigParsing:
         samples[8, 3, 3] = complex(2.2250738585072014e-309, -1e300)
         path = tmp_path / "ham.json"
         write_sampled_hamiltonian(path, times, samples)
-        assert path.read_text() == json.dumps({
+        per_entry = {
             "dimension": 4,
             "times": [float(t) for t in times],
             "matrices": [[[[float(z.real), float(z.imag)] for z in row] for row in m]
                          for m in samples],
-        })
+        }
+        # orjson's compact bytes, from the float view as from Python floats
+        assert path.read_bytes() == orjson.dumps(per_entry)
+        assert json.loads(path.read_text()) == per_entry
+
+    def test_sampled_writer_round_trip_keeps_signed_zeros(self, tmp_path):
+        times = np.array([0.0, 0.5, 1.0])
+        samples = np.zeros((3, 2, 2), dtype=complex)
+        samples[:, 0, 0] = [complex(-0.0, 0.0), 1.0, 2.0]
+        samples[:, 0, 1] = samples[:, 1, 0] = complex(0.25, -0.0)
+        path = tmp_path / "ham.json"
+        write_sampled_hamiltonian(path, times, samples)
+        # the file holds every part bit for bit, signed zeros included;
+        # Sampled then stores the Hermitian part of what it read
+        _, mats = config._read_matrix_file(path, "sampled Hamiltonian")
+        np.testing.assert_array_equal(mats.view(np.int64), samples.view(np.int64))
+        back = load_sampled_hamiltonian(path)
+        np.testing.assert_array_equal(back.grid.times, times)
+        np.testing.assert_array_equal(back.samples.view(np.int64), hermitian_part(samples).view(np.int64))
+        samples[1, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=f"sampled Hamiltonian {path}: samples hold a NaN"):
+            write_sampled_hamiltonian(path, times, samples)
+
+    @pytest.mark.parametrize("times, message", [
+        ([], "time grid needs at least 2 points"),
+        (5, r"time grid must be a 1-D array, got shape \(\)"),
+        ([[0.0, 1.0]], r"time grid must be a 1-D array, got shape \(1, 2\)"),
+        ([1.0, 0.0], "time grid must start at 0"),
+    ])
+    def test_sampled_file_errors_name_the_file(self, tmp_path, times, message):
+        path = tmp_path / "ham.json"
+        path.write_text(json.dumps({"dimension": 1, "times": times,
+                                    "matrices": [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]}))
+        with pytest.raises(ConfigError, match=f"^sampled Hamiltonian {path}: {message}"):
+            load_sampled_hamiltonian(path)
+
+    def test_non_hermitian_file_names_the_file(self, tmp_path):
+        samples = np.zeros((2, 2, 2), dtype=complex)
+        samples[:, 0, 1] = 1.0
+        path = tmp_path / "ham.json"
+        write_sampled_hamiltonian(path, [0.0, 1.0], samples)
+        with pytest.raises(ConfigError, match=f"^sampled Hamiltonian {path}: Hamiltonian is not Hermitian"):
+            load_sampled_hamiltonian(path)
+
+    def test_section_file_errors_name_the_file(self, tmp_path):
+        grid = TimeGrid.uniform(1.0, 2)
+        section = tmp_path / "section.json"
+        frames = np.ones((3, 2, 1), dtype=complex)  # columns of norm sqrt 2
+        section.write_text(json.dumps({"dimension": 2, "times": grid.times.tolist(),
+                                       "matrices": matrix_to_json(frames)}))
+        with pytest.raises(ConfigError, match=f"^section file {section}: columns not orthonormal"):
+            config._load_custom_section(section, grid, 1e-10)
+        with pytest.raises(ConfigError, match=f"^section file {section}: times do not match"):
+            config._load_custom_section(section, TimeGrid.uniform(1.0, 3), 1e-10)
 
     def test_custom_section_dimension_must_match_frames(self, tmp_path):
         grid = TimeGrid.uniform(1.0, 8)
@@ -506,11 +562,14 @@ class TestExport:
         # table is the one written, and csv.writer must give the same bytes
         special = [-0.0, 1e-300, 1e16, 5e-324, -5e-324, 0.1, 1 / 3, np.inf, -np.inf, np.nan]
 
-        def fake_overlaps(a, b):
-            values = np.resize(special, 2 * b.shape[0] * a.shape[1] * b.shape[2])
-            return values.view(complex).reshape(b.shape[0], a.shape[1], b.shape[2])
+        build = cli.build_section
 
-        monkeypatch.setattr(cli, "overlaps", fake_overlaps)
+        def special_overlap(*args, **kwargs):
+            section = build(*args, **kwargs)
+            values = np.resize(special, 2 * section.overlap.size)
+            return dataclasses.replace(section, overlap=values.view(complex).reshape(section.overlap.shape))
+
+        monkeypatch.setattr(cli, "build_section", special_overlap)
         out = tmp_path / "t.csv"
         assert cmd_export(str(case_ii_config), str(out), steps=16) == 0
         with open(out, newline="") as fh:

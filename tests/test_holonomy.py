@@ -39,9 +39,9 @@ from holosplit.instances import (
     random_hermitian,
     refutation_instance,
 )
-from holosplit import holonomy, linalg
+from holosplit import cli, dynamics, holonomy, linalg, sections
 from holosplit.lambda_system import LambdaParams, case_setup
-from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius, overlaps
+from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius, overlaps, products, skew_part
 from holosplit.sections import InPhaseViolation, PhaseAnchored, build_section, w_path
 
 SQRT3 = np.sqrt(3.0)
@@ -114,8 +114,14 @@ class TestKPath:
         spec, schrod, section = random_pipeline(1, n, m, steps, scale=0.7 / np.sqrt(n))
         gens = generator_path(section, schrod, spec)
         hams = hamiltonian_path(spec, schrod.grid.times)
-        np.testing.assert_array_equal(gens.k_mats, _sandwich(hams, section.path.frames))
+        # F is the one sandwich of H, over the Schrodinger frames
         np.testing.assert_array_equal(gens.f_mats, _sandwich(hams, schrod.frames))
+        # K = V^dag F V, made exactly anti-Hermitian like every generator
+        v = section.v
+        np.testing.assert_array_equal(gens.k_mats, skew_part(products(overlaps(v, gens.f_mats), v)))
+        # K agrees with the sandwich over the section frames L = S V to
+        # roundoff: at most 1.7e-16 on these runs, entries <= 0.4
+        assert np.abs(gens.k_mats - _sandwich(hams, section.path.frames)).max() <= 1e-15
 
     def test_rejects_schrodinger_path_of_another_length(self):
         spec, schrod, section = random_pipeline(1, steps=32)
@@ -421,6 +427,71 @@ class TestMaxCommutatorScan:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                              check=True, timeout=120)
         assert out.stdout.splitlines()[-1] == "0 False"
+
+
+class TestDecomposeWork:
+    """A decompose samples H once per chunk of the propagation and once per
+    chunk of the F sandwich, and forms no N x M section frames."""
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        calls = []
+        real = hamiltonian_path
+
+        def counting(spec, times):
+            calls.append(len(times))
+            return real(spec, times)
+
+        def no_frames(section):
+            raise AssertionError("the N x M section frames were formed")
+
+        monkeypatch.setattr(dynamics, "hamiltonian_path", counting)
+        monkeypatch.setattr(holonomy, "hamiltonian_path", counting)
+        monkeypatch.setattr(sections.SectionPath, "path", property(no_frames))
+        return calls
+
+    @pytest.mark.parametrize("n, m, steps", [(64, 4, 64), (4, 2, 256)])
+    def test_library_decompose(self, sampled, n, m, steps):
+        rng = np.random.default_rng(2)
+        grid = TimeGrid.uniform(1.0, steps)
+        spec = cosine_drive(random_hermitian(n, rng, 0.7 / np.sqrt(n)),
+                            random_hermitian(n, rng, 0.7 / np.sqrt(n)), grid)
+        schrod = propagate_frame(spec, random_frame(n, m, rng), grid)
+        report = separability_report(build_section(PhaseAnchored(), schrod, spec), schrod, spec)
+        assert report.classification == "non_separable"
+        # 64 x 4 takes 16 rows a chunk: 4 chunks of steps, 5 of grid points
+        expected = len(dynamics._chunks(steps, n)) + len(dynamics._chunks(steps + 1, n))
+        assert len(sampled) == expected
+        assert sum(sampled) == 2 * steps + 1
+
+    def test_lambda_decompose(self, sampled):
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2)
+        for case in ("i", "ii", "iii"):
+            sampled.clear()
+            spec, psi0, rule = case_setup(case, p)
+            grid = TimeGrid.uniform(p.tau, 256)
+            schrod = propagate_frame(spec, psi0, grid)
+            separability_report(build_section(rule, schrod, spec), schrod, spec)
+            # the exact Constant route samples no H; F takes one chunk
+            assert sampled == [257]
+
+    def test_commands(self, sampled, tmp_path):
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 256))
+        write_sampled_hamiltonian(tmp_path / "ham.json", spec.grid.times, spec.samples)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "system": {"kind": "sampled", "path": str(tmp_path / "ham.json")},
+            "subspace": {"matrix": matrix_to_json(psi0)},
+            "section": {"rule": "phase_anchored"},
+            "grid": {"tau": 2.0, "steps": 256},
+        }))
+        argvs = (["decompose", "--out", str(tmp_path / "r.json")], ["separability"],
+                 ["export", "--out", str(tmp_path / "t.csv")], ["gauge-check"])
+        # one propagation chunk and one F chunk per report; gauge-check builds two
+        for argv, reports in zip(argvs, (1, 1, 1, 2)):
+            sampled.clear()
+            assert cli.main([argv[0], "--config", str(config), *argv[1:]]) in (0, 1)
+            assert sampled == [256] + [257] * reports
 
 
 @pytest.fixture(scope="module")

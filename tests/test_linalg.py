@@ -20,7 +20,7 @@ from holosplit.linalg import (
     subspace_gap,
     unitary_stack,
 )
-from holosplit.sections import Custom, _min_eigenvalues, _section, build_section
+from holosplit.sections import Custom, _min_eigenvalues, build_section
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -306,20 +306,21 @@ class TestTwoByTwoClosedForms:
 
 class TestMinEigenvalueHermitian:
     """The smallest eigenvalue of the Hermitian part of the endpoint overlap
-    O(0, tau), which sections._section reports as in_phase_margin."""
+    O(0, tau), which a section reports as in_phase_margin; a Custom section
+    built on its own frames has V = I and O(0, t) = L(0)^dag L(t)."""
 
     def test_identity(self):
         grid = TimeGrid.uniform(1.0, 4)
         frames = np.broadcast_to(np.eye(3)[:, :2], (len(grid), 3, 2)).astype(complex)
         path = FramePath(grid, frames)
-        assert _section(path, Custom(path)).in_phase_margin == pytest.approx(1.0)
+        assert build_section(Custom(path), path).in_phase_margin == pytest.approx(1.0)
 
     def test_diagonal(self):
         # O(0, tau) = diag(1, 0.3): the second column tilts towards |3>
         end = np.zeros((3, 2), dtype=complex)
         end[0, 0], end[1, 1], end[2, 1] = 1.0, 0.3, np.sqrt(1 - 0.3**2)
         path = FramePath(TimeGrid.uniform(1.0, 1), np.stack([np.eye(3)[:, :2], end]))
-        assert _section(path, Custom(path)).in_phase_margin == pytest.approx(0.3)
+        assert build_section(Custom(path), path).in_phase_margin == pytest.approx(0.3)
 
     def test_case_ii_overlap_value(self):
         # overlap diag(1, sqrt(1 - 3/4)) at sin(gamma) = sqrt(3)/2, phi = pi/2

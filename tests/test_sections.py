@@ -1,18 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import run_case
+from holosplit.config import _load_custom_section, matrix_to_json
 from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
 from holosplit.instances import (
     cosine_drive,
+    random_closed_gauge,
     random_frame,
     random_hermitian,
     random_nonabelian_loop,
+    refutation_instance,
 )
 from holosplit.lambda_system import LambdaParams
-from holosplit.linalg import expm_skew, frobenius, overlaps
+from holosplit.linalg import expm_skew, frobenius, overlaps, products
 from holosplit.sections import (
     Custom,
     Fixed,
@@ -229,6 +234,84 @@ class TestGaugeTransform:
         w_bar = w_path(moved, rotated)[-1]
         w_ref = w_path(ns.section, ns.schrod)[-1]
         assert frobenius(w_bar - v[0].conj().T @ w_ref @ v[0]) <= 1e-7
+
+
+def _phase_anchored_frames(s):
+    """The phase-anchored frames as an N x M stack, built directly: each
+    Schrodinger column times exp(-i arg anchor)."""
+    anchors = np.diagonal(overlaps(s[0], s), axis1=1, axis2=2)
+    frames = s * np.exp(-1j * np.angle(anchors))[:, None, :]
+    frames[0] = s[0]
+    return frames
+
+
+def _custom_from_file(tmp_path, schrod, frames):
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps({"dimension": frames.shape[1], "times": schrod.grid.times.tolist(),
+                                "matrices": matrix_to_json(frames)}))
+    return Custom(_load_custom_section(path, schrod.grid, 1e-10))
+
+
+@pytest.fixture(scope="module")
+def v_path_runs(tmp_path_factory):
+    """(label, section, the N x M frames the section stands for): every rule,
+    a frame file, and a random closed gauge on each Lambda case."""
+    tmp_path = tmp_path_factory.mktemp("v_path")
+    runs = []
+    for case in ("i", "ii", "iii"):
+        ns = run_case(case)
+        s = ns.schrod.frames
+        frames = np.broadcast_to(s[0], s.shape) if case == "i" else _phase_anchored_frames(s)
+        runs.append((f"lambda {case}", ns.section, frames))
+        g = random_closed_gauge(ns.grid.times, 2, np.random.default_rng(0))
+        runs.append((f"lambda {case} gauged", gauge_transform(ns.section, g), products(frames, g)))
+    spec, psi0 = refutation_instance(7)
+    schrod = propagate_frame(spec, psi0, spec.grid)
+    frames = _phase_anchored_frames(schrod.frames)
+    runs.append(("refutation 7", build_section(PhaseAnchored(), schrod, spec), frames))
+    rule = _custom_from_file(tmp_path, schrod, frames)
+    runs.append(("custom file", build_section(rule, schrod, spec), frames))
+    return runs
+
+
+class TestVPath:
+    """A section is held as V(t) with L = S R V; the frames, W and O all
+    follow from V to roundoff (at most 2e-15 on these runs)."""
+
+    def test_v_is_unitary_and_starts_at_the_identity(self, v_path_runs):
+        for label, sec, _ in v_path_runs:
+            v = sec.v
+            assert np.abs(overlaps(v, v) - np.eye(2)).max() <= 1e-14, label
+            np.testing.assert_array_equal(v[0], np.eye(2), label)
+
+    def test_s_v_is_the_section_frames(self, v_path_runs):
+        for label, sec, frames in v_path_runs:
+            s = sec.schrodinger.frames
+            rs = s if sec.rotation is None else products(s, sec.rotation)
+            assert np.abs(products(rs, sec.v) - frames).max() <= 1e-14, label
+            assert np.abs(sec.path.frames - frames).max() <= 1e-14, label
+
+    def test_w_is_v_dagger(self, v_path_runs):
+        for label, sec, _ in v_path_runs:
+            w = w_path(sec, sec.schrodinger)
+            np.testing.assert_array_equal(w, sec.v.conj().swapaxes(1, 2), label)
+
+    def test_o_is_u_v(self, v_path_runs):
+        for label, sec, frames in v_path_runs:
+            s = sec.schrodinger.frames
+            rs = s if sec.rotation is None else products(s, sec.rotation)
+            u = overlaps(rs[0], rs)
+            assert np.abs(sec.overlap - products(u, sec.v)).max() <= 1e-14, label
+            assert np.abs(sec.overlap - overlaps(frames[0], frames)).max() <= 1e-14, label
+
+    def test_gauge_composes_on_the_m_by_m_path(self, case_iii):
+        g = random_closed_gauge(case_iii.grid.times, 2, np.random.default_rng(5))
+        moved = gauge_transform(case_iii.section, g)
+        np.testing.assert_array_equal(moved.rotation, g[0])
+        np.testing.assert_array_equal(moved.v[1:], products(overlaps(g[0], case_iii.section.v), g)[1:])
+        twice = gauge_transform(moved, g)
+        np.testing.assert_array_equal(twice.rotation, g[0] @ g[0])
+        assert np.abs(twice.path.frames - products(moved.path.frames, g)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
