@@ -7,12 +7,20 @@ number. A config's relative file paths are taken from the config's own
 directory. The matrix files it names (a sampled Hamiltonian, a custom
 section) are parsed with orjson, which holds them to RFC 8259: a NaN or
 Infinity literal, or a number beyond the float range, is refused there.
+
+A matrix file whose "matrices" array is regular, as the writer's are, is
+read by a flat route: its inner brackets are blanked, so orjson returns the
+numbers as one flat list, and the bracket skeleton is checked against the
+shape before it is applied. The general reader, which builds the nested
+lists, decides every other file and names every error; both give the same
+arrays bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,21 +153,111 @@ class RunConfig:
 
 def _read_matrix_file(path: Path, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a {"dimension", "times", "matrices"} JSON file into its times and
-    its (npoints, dimension, k) complex stack, parsed in one pass."""
+    its (npoints, dimension, k) complex stack. The flat route is tried
+    first; a file it does not take goes, unchanged, to the general reader,
+    which decides every other file and names every error."""
     try:
         raw = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    arrays = _flat_matrix_file(raw)
+    return arrays if arrays is not None else _nested_matrix_file(raw, path, what)
+
+
+_MATRIX_KEYS = {"dimension", "times", "matrices"}
+_JSON_SPACE = b" \t\n\r"
+# the "matrices" key up to its array's "[", and the first "]]]]" after it
+_MATRICES_OPEN = re.compile(rb'"matrices"[ \t\n\r]*:[ \t\n\r]*\[')
+_MATRICES_CLOSE = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\][ \t\n\r]*\]")
+# every byte a JSON number may hold, as one mark
+_NUMBER_MARK = bytes.maketrans(b"0123456789.eE+-", b"0" * 15)
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _regular_skeleton(npoints: int, n: int, k: int) -> bytes:
+    """The brackets and commas of an (npoints, n, k) array of [re, im]
+    pairs, numbers and whitespace left out."""
+    row = b"[" + b",".join([b"[,]"] * k) + b"]"
+    matrix = b"[" + b",".join([row] * n) + b"]"
+    return b"[" + b",".join([matrix] * npoints) + b"]"
+
+
+def _flat_matrix_file(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The general reader's arrays without its nested lists, or None when
+    the file is not one this route can prove regular.
+
+    The "matrices" span runs from its "[" to the first "]]]]". Outside it
+    the file holds only its three keys' quotes and no true or false; inside
+    it, a number never follows a "]" or precedes a "[". With the span's inner
+    brackets blanked, orjson validates the whole file and returns the
+    numbers as one flat list; the span's skeleton must then be the regular
+    one for the parsed dimension, len(times) and number count. A file that
+    passes parses, with its brackets, to the same numbers in that shape."""
+    head = _MATRICES_OPEN.search(raw)
+    tail = head and _MATRICES_CLOSE.search(raw, head.end())
+    if tail is None:
+        return None
+    start, end = head.end() - 1, tail.end()
+    outside = raw[:start] + raw[end:]
+    if outside.count(b'"') != 6 or b"true" in outside or b"false" in outside:
+        return None
+    marks = np.frombuffer(raw[start:end].translate(_NUMBER_MARK, _JSON_SPACE), np.uint8)
+    numbers = marks == ord("0")
+    # one scratch mask, filled in place, for "]" then number and number then "["
+    misplaced = marks[:-1] == ord("]")
+    misplaced &= numbers[1:]
+    if misplaced.any():
+        return None
+    np.equal(marks[1:], ord("["), out=misplaced)
+    misplaced &= numbers[:-1]
+    if misplaced.any():
+        return None
+    del misplaced
+    skeleton = marks[np.logical_not(numbers, out=numbers)].tobytes()
+    del marks, numbers
+    # blanked in slices, so the copy is the only buffer the size of the file
+    blanked = bytearray(raw)
+    for i in range(start + 1, end - 1, 1 << 16):
+        j = min(i + (1 << 16), end - 1)
+        blanked[i:j] = blanked[i:j].translate(_BLANK_BRACKETS)
+    try:
+        data = orjson.loads(blanked)
+    except orjson.JSONDecodeError:
+        return None
+    del blanked
+    if not (isinstance(data, dict) and data.keys() == _MATRIX_KEYS):
+        return None
+    values, times, n = data["matrices"], data["times"], data["dimension"]
+    if not (isinstance(values, list) and isinstance(times, list) and times
+            and type(n) is int and n > 0):
+        return None
+    k, rest = divmod(len(values), 2 * n * len(times))
+    if rest or not k or skeleton != _regular_skeleton(len(times), n, k):
+        return None
+    try:
+        values, times = np.array(values), np.array(times)
+    except (ValueError, OverflowError):
+        return None
+    if values.dtype.kind not in "fiu" or times.dtype.kind not in "fiu":
+        return None
+    # the pairs viewed as complex128, as in _complex_from_pairs
+    mats = values.astype(float, copy=False).reshape(len(times), n, k, 2).view(complex)[..., 0]
+    return times.astype(float, copy=False), mats
+
+
+def _nested_matrix_file(raw: bytes, path: Path, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The general reader: parse the file into nested lists in one pass and
+    check it field by field, naming the file and the field in each error."""
+    try:
         # orjson also refuses bytes that are not UTF-8 and the literals NaN
         # and Infinity, which RFC 8259 leaves out of JSON
         data = orjson.loads(raw)
-    except (OSError, orjson.JSONDecodeError) as exc:
+    except orjson.JSONDecodeError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     # only a file that spells true or false is walked for booleans, so a
-    # file of numbers costs two substring searches, not a loop per entry;
-    # the bytes are dropped before the arrays are built
+    # file of numbers costs two substring searches, not a loop per entry
     spells_boolean = b"true" in raw or b"false" in raw
-    del raw
-    keys = {"dimension", "times", "matrices"}
-    _take(data, keys, keys, f"{what} {path}")
+    _take(data, _MATRIX_KEYS, _MATRIX_KEYS, f"{what} {path}")
     if spells_boolean:
         for key in ("times", "matrices"):
             if _holds_boolean(data[key]):

@@ -86,12 +86,19 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _halved(s: np.ndarray) -> np.ndarray:
+    """s / 2 in place, one float part at a time: a complex division by 2,
+    or a complex times 0.5, turns some -0.0 real parts into +0.0."""
+    s.view(s.real.dtype)[...] *= 0.5
+    return s
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    return _halved(np.add(a, a.conj().swapaxes(-1, -2), order="C"))
 
 
 def skew_part(a: np.ndarray) -> np.ndarray:
-    return (a - a.conj().swapaxes(-1, -2)) / 2
+    return _halved(np.subtract(a, a.conj().swapaxes(-1, -2), order="C"))
 
 
 def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -285,6 +285,144 @@ class TestConfigParsing:
             load_run_config(path)
 
 
+# the bytes a random edit of a matrix file may write
+EDIT_BYTES = b'[],0123456789.eE+- \n"a{}:tnu\\'
+
+
+class TestMatrixFileRoutes:
+    """_read_matrix_file tries the flat route first; every file must read as
+    the general reader (_nested_matrix_file) reads it."""
+
+    @staticmethod
+    def outcome(read, *args):
+        """What a reader gives: its arrays, or its ConfigError text."""
+        try:
+            return read(*args)
+        except ConfigError as exc:
+            return str(exc)
+
+    def assert_read_as_the_general_reader(self, path):
+        want = self.outcome(config._nested_matrix_file, path.read_bytes(), path, "sampled Hamiltonian")
+        got = self.outcome(config._read_matrix_file, path, "sampled Hamiltonian")
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.strides) == (w.dtype, w.shape, w.strides)
+            assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_every_file_reads_as_the_general_reader(self, tmp_path_factory, data):
+        npoints, n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        source = data.draw(st.sampled_from(["writer", "json", "shuffled"]))
+        size = npoints * (1 + 2 * n * k)
+        entries = st.one_of(st.integers(-2**70, 2**70), FINITE_FLOAT64) if source == "shuffled" else FINITE_FLOAT64
+        values = data.draw(st.lists(entries, min_size=size, max_size=size))
+        path = tmp_path_factory.mktemp("routes") / "ham.json"
+        if source == "writer":
+            floats = np.array(values, dtype=float)
+            write_sampled_hamiltonian(path, floats[:npoints], floats[npoints:].view(complex).reshape(npoints, n, k))
+        else:
+            keys = ["dimension", "times", "matrices"]
+            if source == "shuffled":
+                keys = data.draw(st.permutations(keys))
+            fields = {"dimension": n, "times": values[:npoints],
+                      "matrices": np.array(values[npoints:], dtype=object).reshape(npoints, n, k, 2).tolist()}
+            indent = data.draw(st.sampled_from([None, 0, 1, 2, "\t"]))
+            path.write_text(json.dumps({key: fields[key] for key in keys}, indent=indent))
+        raw = bytearray(path.read_bytes())
+        edits = data.draw(st.lists(st.tuples(st.sampled_from("rid"), st.integers(0, len(raw)),
+                                             st.sampled_from(EDIT_BYTES)), max_size=4))
+        for op, at, byte in edits:
+            at = min(at, len(raw) - 1)
+            if op == "r":
+                raw[at] = byte
+            elif op == "i":
+                raw.insert(at, byte)
+            else:
+                del raw[at]
+        path.write_bytes(raw)
+        self.assert_read_as_the_general_reader(path)
+
+    @pytest.mark.parametrize("matrices, flat", [
+        # a number after a "]" or before a "[", around a skeleton that is the
+        # regular one: the flat route must refuse what the general reader does
+        ("[[[[0,]0]],[[[1,0]]]]", False),
+        ("[[[[0,0]]],0[[[,0]]]]", False),
+        ("[[[[0,0]]] , [[[1 ,\n 0]\t]]\r]", True),
+        ("[[[[0,0]]],[[[1,0]]],[[[2,0]]]]", False),
+        ("[[[[0,0,0]]],[[[1,0,0]]]]", False),
+        ("[[[0,0]],[[1,0]]]", False),
+        ("[[[[0,null]]],[[[1,0]]]]", False),
+        ("[]", False),
+    ])
+    def test_irregular_matrices_read_as_the_general_reader(self, tmp_path, matrices, flat):
+        path = tmp_path / "ham.json"
+        path.write_text(f'{{"dimension": 1, "times": [0, 1], "matrices": {matrices}}}')
+        assert (config._flat_matrix_file(path.read_bytes()) is not None) == flat
+        self.assert_read_as_the_general_reader(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"dimension": 1.0, "times": [0, 1], "matrices": [[[[0,0]]],[[[1,0]]]]}',
+        '{"dimension": 2, "times": [0, 1], "matrices": [[[[0,0]]],[[[1,0]]]]}',
+        '{"dimension": 1, "times": [true, 1], "matrices": [[[[0,0]]],[[[1,0]]]]}',
+        '{"dimension": 1, "times": [0, 1, 2], "matrices": [[[[0,0]]],[[[1,0]]]]}',
+        '{"dimension": 1, "times": [[0, 1]], "matrices": [[[[0,0]]],[[[1,0]]]]}',
+        '{"dimension": 1, "times": "01", "matrices": [[[[0,0]]],[[[1,0]]]]}',
+        '{"dimension": 1, "times": [0, 1], "matr\\u0069ces": [[[[0,0]]],[[[1,0]]]]}',
+        '{"dimension": 1, "times": [0, 1], "matrices": [[[[0,0]]],[[[1,0]]]], "extra": 1}',
+        '{"matrices": [[[[0,0]]],[[[NaN,0]]]], "times": [0, 1], "dimension": 1}',
+        '[{"dimension": 1, "times": [0, 1], "matrices": [[[[0,0]]],[[[1,0]]]]}]',
+    ])
+    def test_other_files_read_as_the_general_reader(self, tmp_path, text):
+        path = tmp_path / "ham.json"
+        path.write_text(text)
+        assert config._flat_matrix_file(path.read_bytes()) is None
+        self.assert_read_as_the_general_reader(path)
+
+    def test_writer_files_take_the_flat_route(self, tmp_path, monkeypatch):
+        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        frames = propagate_frame(spec, psi0, spec.grid).frames
+        write_sampled_hamiltonian(tmp_path / "ham.json", spec.grid.times, spec.samples)
+        write_sampled_hamiltonian(tmp_path / "section.json", spec.grid.times, frames)
+        # json.dumps' separators and indents are taken as well
+        (tmp_path / "indented.json").write_text(json.dumps({
+            "times": spec.grid.times.tolist(), "dimension": 4,
+            "matrices": matrix_to_json(spec.samples)}, indent=2))
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "sampled", "path": "ham.json"},
+                            subspace={"matrix": matrix_to_json(psi0)},
+                            section={"rule": "custom", "path": "section.json"},
+                            grid={"tau": 1.0, "steps": 8})
+
+        def general_reader(*args):
+            raise AssertionError("the file went to the general reader")
+
+        monkeypatch.setattr(config, "_nested_matrix_file", general_reader)
+        cfg = load_run_config(path)
+        np.testing.assert_array_equal(cfg.spec.samples.view(np.int64), spec.samples.view(np.int64))
+        np.testing.assert_array_equal(cfg.rule.path.frames.view(np.int64), frames.view(np.int64))
+        back = load_sampled_hamiltonian(tmp_path / "indented.json")
+        np.testing.assert_array_equal(back.samples.view(np.int64), spec.samples.view(np.int64))
+
+    def test_peak_memory_near_the_file(self, tmp_path):
+        import tracemalloc
+
+        spec, _ = refutation_instance(7)
+        path = tmp_path / "ham.json"
+        write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
+        assert spec.samples.shape == (4097, 4, 4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            config._read_matrix_file(path, "sampled Hamiltonian")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * path.stat().st_size
+
+
 class TestConfigTolerances:
     """The config's tolerances block governs the checks on the data it loads."""
 

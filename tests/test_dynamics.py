@@ -155,6 +155,20 @@ class TestHermitianCheck:
         np.testing.assert_array_equal(spec.samples, hermitian_part(samples))
         np.testing.assert_array_equal(Constant(samples[7]).matrix, hermitian_part(samples[7]))
 
+    def test_exactly_hermitian_samples_are_kept_bit_for_bit(self):
+        # off-diagonal real parts of -0.0 beside imaginary parts of either
+        # sign; a complex division by 2 turned some of them into +0.0
+        rng = np.random.default_rng(3)
+        h = np.zeros((5, 3, 3), dtype=complex)
+        upper, diag = np.triu_indices(3, 1), np.diag_indices(3)
+        q = rng.standard_normal((5, 3))
+        h.real[:, upper[0], upper[1]] = h.real[:, upper[1], upper[0]] = -0.0
+        h.imag[:, upper[0], upper[1]], h.imag[:, upper[1], upper[0]] = q, -q
+        h.real[:, diag[0], diag[1]] = rng.standard_normal((5, 3))
+        spec = Sampled(TimeGrid.uniform(1.0, 4), h)
+        np.testing.assert_array_equal(spec.samples.view(np.int64), h.view(np.int64))
+        np.testing.assert_array_equal(Constant(h[2]).matrix.view(np.int64), h[2].view(np.int64))
+
     def test_constant_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             Constant(np.array([[0.0, 1.0], [0.0, 0.0]]))

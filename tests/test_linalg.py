@@ -12,11 +12,13 @@ from holosplit.linalg import (
     commutator_norm,
     expm_skew,
     frobenius,
+    hermitian_part,
     loewdin_orthonormalize,
     ordered_products,
     overlaps,
     polar_decompose,
     products,
+    skew_part,
     subspace_gap,
     unitary_stack,
 )
@@ -48,6 +50,34 @@ def skew_matrices(draw, max_dim=8):
     im = draw(arrays(float, (dim, dim), elements=st.floats(-2, 2)))
     z = re + 1j * im
     return (z - z.conj().T) / 2
+
+
+class TestHermitianAndSkewParts:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equal_to_halving_by_complex_division(self, order):
+        # bit for bit wherever no part is zero
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+        a = np.asarray(a, order=order)
+        at = a.conj().swapaxes(-1, -2)
+
+        def bits(x):
+            return np.ascontiguousarray(x).view(np.int64)
+
+        np.testing.assert_array_equal(bits(hermitian_part(a)), bits((a + at) / 2))
+        np.testing.assert_array_equal(bits(skew_part(a)), bits((a - at) / 2))
+
+    def test_exactly_skew_stack_is_unchanged(self):
+        # off-diagonal real parts of -0.0 beside imaginary parts of either
+        # sign; a complex division by 2 turned some of them into +0.0
+        rng = np.random.default_rng(6)
+        a = np.zeros((4, 3, 3), dtype=complex)
+        upper, diag = np.triu_indices(3, 1), np.diag_indices(3)
+        q = rng.standard_normal((4, 3))
+        a.real[:, upper[0], upper[1]] = -0.0  # and +0.0 below the diagonal
+        a.imag[:, upper[0], upper[1]] = a.imag[:, upper[1], upper[0]] = q
+        a.imag[:, diag[0], diag[1]] = rng.standard_normal((4, 3))
+        np.testing.assert_array_equal(skew_part(a).view(np.int64), a.view(np.int64))
 
 
 class TestExpmSkew:
