@@ -152,8 +152,8 @@ def cmd_export(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
         cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
         schrod = propagate_frame(cfg.spec, cfg.psi0, cfg.grid, tol=cfg.tolerances)
         section = build_section(cfg.rule, schrod, cfg.spec, tol=cfg.tolerances)
-        gens = generator_path(section, schrod, cfg.spec)
-        mats = (gens.a_mats, gens.k_mats, w_path(section, schrod, tol=cfg.tolerances), section.overlap)
+        gens = generator_path(section, cfg.spec)
+        mats = (gens.a_mats, gens.k_mats, w_path(section), section.overlap)
     except ValueError as exc:
         return _exit_code(exc)
 
@@ -190,7 +190,7 @@ def cmd_gauge_check(config_path: str, seed: int | None = None, *, tau=None, step
     vpath = random_closed_gauge(cfg.grid.times, cfg.psi0.shape[1], rng)
     v0 = vpath[0]
     try:
-        # the transformed section pairs with the Schrodinger frames S(t) V(0)
+        # the transformed section holds schrod and pairs with its frames S(t) V(0)
         transformed = gauge_transform(section, vpath, tol=cfg.tolerances)
         moved = separability_report(transformed, schrod, cfg.spec, cfg.tolerances)
     except InPhaseViolation as exc:

@@ -383,7 +383,7 @@ def load_run_config(
     if ("lambda_case" in sub) == ("matrix" in sub):
         raise ConfigError("config.subspace needs exactly one of lambda_case or matrix")
     rule_d = data["section"]
-    _take(rule_d, {"rule", "frame", "path"}, {"rule"}, "config.section")
+    _take(rule_d, {"rule", "path"}, {"rule"}, "config.section")
 
     if "lambda_case" in sub:
         if lam_params is None:
@@ -412,23 +412,18 @@ def _resolve_rule(
     d: dict, grid: TimeGrid, default_rule: SectionRule | None, structure_tol: float, base: Path
 ) -> SectionRule:
     name = d["rule"]
-    if name == "fixed":
-        _take(d, {"rule", "frame"}, {"rule"}, "config.section")
-        frame = matrix_from_json(d["frame"], "section frame") if "frame" in d else None
-        return Fixed(frame)
-    if name == "phase_anchored":
-        _take(d, {"rule"}, {"rule"}, "config.section")
-        return PhaseAnchored()
     if name == "custom":
         _take(d, {"rule", "path"}, {"rule", "path"}, "config.section")
         path = _file_path(d["path"], base, "config.section.path")
         return Custom(_load_custom_section(path, grid, structure_tol))
+    if name not in ("fixed", "phase_anchored", "auto"):
+        raise ConfigError(f"unknown section rule {name!r}")
+    _take(d, {"rule"}, {"rule"}, "config.section")
     if name == "auto":
-        _take(d, {"rule"}, {"rule"}, "config.section")
         if default_rule is None:
             raise ConfigError("section rule 'auto' requires a lambda_case subspace")
         return default_rule
-    raise ConfigError(f"unknown section rule {name!r}")
+    return Fixed() if name == "fixed" else PhaseAnchored()
 
 
 # the report's fields and their types, read once from DecompositionReport;

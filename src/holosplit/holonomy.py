@@ -15,8 +15,10 @@ magnitude from a sampled scan of the pairs.
 With the section held as L = S V (sections), every generator is an M x M
 path formed once: F = -i S^dag H S is the one sandwich of H, K is V^dag F V,
 and A is the finite-difference connection taken from the section's step
-overlaps L_j^dag L_k. Every ordered exponential, the Anandan path and the
-four endpoint factors alike, is one ordered_factor call.
+overlaps L_j^dag L_k. The section holds the Schrodinger path it pairs with,
+so no function here takes one beside it but separability_report, which
+refuses any other. Every ordered exponential, the Anandan path and the four
+endpoint factors alike, is one ordered_factor call.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .linalg import (
     skew_part,
     unitary_stack,
 )
-from .sections import Fixed, InPhaseViolation, SectionPath, _check_evolution
+from .sections import Fixed, InPhaseViolation, SectionPath
 
 __all__ = [
     "DecompositionReport",
@@ -145,13 +147,12 @@ def connection_path(section: SectionPath) -> np.ndarray:
     return a
 
 
-def generator_path(section: SectionPath, schrodinger: FramePath, spec: HamiltonianSpec) -> GeneratorPath:
+def generator_path(section: SectionPath, spec: HamiltonianSpec) -> GeneratorPath:
     """Assemble A, K and F along the section's grid. F is the one sandwich
     of H: H is sampled chunk by chunk, never whole, and each chunk is
-    sandwiched between the Schrodinger frames while it is in cache (then
-    rotated to the pairing S R). K is V^dag F V per grid point."""
+    sandwiched between the section's Schrodinger frames while it is in
+    cache (then rotated to the pairing S R). K is V^dag F V per grid point."""
     sch = section.schrodinger
-    _check_evolution(section, schrodinger, sch.structure_tol)
     times = sch.grid.times
     f_mats = np.empty((times.size, sch.m, sch.m), dtype=complex)
     for sl in _chunks(times.size, sch.n):
@@ -276,15 +277,29 @@ def separability_report(section: SectionPath, schrodinger: FramePath, spec: Hami
     ordered factors, the sampled commutator magnitude and the case
     classification.
 
-    Raises InPhaseViolation when the endpoint overlap fails positivity.
+    schrodinger is the section's own path object, or a path on its grid
+    that holds the frames S R the section pairs with (S its Schrodinger
+    frames, R its rotation) within 10 structure_tol at every grid point;
+    any other raises ValueError. Raises InPhaseViolation when the endpoint
+    overlap fails positivity.
     """
+    sch = section.schrodinger
+    if schrodinger is not sch:
+        if not np.array_equal(sch.grid.times, schrodinger.grid.times):
+            raise ValueError(f"section and Schrodinger paths use different grids (lengths {len(sch.grid)}, "
+                             f"{len(schrodinger.grid)})")
+        if schrodinger.frames.shape != sch.frames.shape:
+            raise ValueError(f"Schrodinger frames of shape {schrodinger.frames.shape}, section's {sch.frames.shape}")
+        rs = sch.frames if section.rotation is None else products(sch.frames, section.rotation)
+        dev = float(np.linalg.norm(schrodinger.frames - rs, axis=(1, 2)).max())
+        if dev > 10 * tol.structure_tol:
+            raise ValueError(f"Schrodinger frames deviate by {dev:.3e} from the frames S R the section pairs with")
     if section.in_phase_margin <= tol.positivity_tol:
         raise InPhaseViolation(
             f"in-phase margin {section.in_phase_margin:.3e} is not positive"
         )
 
-    # generator_path checks that schrodinger is the section's own evolution
-    generators = generator_path(section, schrodinger, spec)
+    generators = generator_path(section, spec)
     w_direct, overlap = section.v[-1].conj().T, section.overlap[-1].copy()
     # the holonomic factor T exp(int A) is the G of the product form
     g, d = yu_tong_factors(generators)
@@ -301,11 +316,11 @@ def separability_report(section: SectionPath, schrodinger: FramePath, spec: Hami
         max_commutator=max_commutator_scan(generators.a_mats, generators.k_mats),
         separation_residual=frobenius(w_direct - g @ dyn),
         product_residual=frobenius(w_direct - g @ d),
-        classification=_classify(section.schrodinger, generators, tol),
+        classification=_classify(sch, generators, tol),
         time_evolution=overlap @ w_direct,
         in_phase_margin=section.in_phase_margin,
-        tau=section.schrodinger.grid.tau,
-        steps=section.schrodinger.grid.steps,
+        tau=sch.grid.tau,
+        steps=sch.grid.steps,
     )
 
 

@@ -37,32 +37,26 @@ def cosine_drive(h0: np.ndarray, h1: np.ndarray, grid: TimeGrid) -> Sampled:
     return Sampled(grid, samples)
 
 
-def refutation_instance(
-    seed: int,
-    grid: TimeGrid | None = None,
-    dim: int = 4,
-    m: int = 2,
-) -> tuple[Sampled, np.ndarray]:
+def refutation_instance(seed: int, grid: TimeGrid | None = None) -> tuple[Sampled, np.ndarray]:
     """A generic driven instance on which the G D product form holds while
     the forward-ordered holonomic/dynamical split fails.
 
-    Returns a seeded Hamiltonian H(t) = H0 + cos(t) H1 sampled on the grid
-    (default 4096 uniform steps over tau = 2) and a random initial frame.
+    Returns a seeded 4-level Hamiltonian H(t) = H0 + cos(t) H1 sampled on
+    the grid (default 4096 uniform steps over tau = 2) and a random initial
+    4 x 2 frame.
     """
     if grid is None:
         grid = TimeGrid.uniform(2.0, 4096)
     rng = np.random.default_rng(seed)
     # scale keeps the 4096-step product-form residual safely below 1e-6
     # while leaving the separation failure at the 1e-1 level
-    h0 = random_hermitian(dim, rng, scale=0.45)
-    h1 = random_hermitian(dim, rng, scale=0.45)
-    psi0 = random_frame(dim, m, rng)
+    h0 = random_hermitian(4, rng, scale=0.45)
+    h1 = random_hermitian(4, rng, scale=0.45)
+    psi0 = random_frame(4, 2, rng)
     return cosine_drive(h0, h1, grid), psi0
 
 
-def random_closed_gauge(
-    times: np.ndarray, m: int, rng: np.random.Generator, strength: float = 0.7
-) -> np.ndarray:
+def random_closed_gauge(times: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Closed gauge V(t) = V0, a random constant unitary held along the grid.
 
     Constant conjugation commutes with the generator structure pointwise, so
@@ -75,13 +69,11 @@ def random_closed_gauge(
     """
     times = np.asarray(times, dtype=float)
     z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / 2
-    v0 = expm_skew(strength * (z - z.conj().T) / 2)
+    v0 = expm_skew(0.7 * (z - z.conj().T) / 2)
     return np.broadcast_to(v0, (times.size, m, m)).copy()
 
 
-def random_nonabelian_loop(
-    times: np.ndarray, m: int, rng: np.random.Generator, strength: float = 0.5
-) -> np.ndarray:
+def random_nonabelian_loop(times: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Closed gauge loop V(t) = exp(X0) exp(s(t) X1) with s(0) = s(tau) = 0.
 
     Genuinely time dependent and non-commuting along the path; closed since
@@ -90,11 +82,11 @@ def random_nonabelian_loop(
     """
     times = np.asarray(times, dtype=float)
 
-    def skew(scale: float) -> np.ndarray:
+    def skew() -> np.ndarray:
         z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / 2
-        return scale * (z - z.conj().T) / 2
+        return 0.5 * (z - z.conj().T) / 2
 
-    x0, x1 = skew(strength), skew(strength)
+    x0, x1 = skew(), skew()
     v0 = expm_skew(x0)
     s = np.sin(np.pi * times / times[-1]) ** 2
     # exp(s x1) = exp(-i (i x1) s), and i x1 is exactly Hermitian

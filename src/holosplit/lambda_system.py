@@ -228,7 +228,7 @@ def case_setup(which: str, p: LambdaParams) -> tuple[Constant, np.ndarray, Secti
     d = p.dark_state
     if which == "i":
         psi0 = np.stack([_E3, b], axis=1)
-        return spec, psi0, Fixed(psi0)
+        return spec, psi0, Fixed()
     if which == "ii":
         psi0 = np.stack([d, b], axis=1)
         return spec, psi0, PhaseAnchored()

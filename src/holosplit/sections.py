@@ -4,10 +4,12 @@ transformations.
 A section is a smooth choice of orthonormal frame spanning the same evolving
 subspace as the Schrodinger frame S(t), with L(0) = S(0), so it is
 L(t) = S(t) V(t) with V(t) an M x M unitary path and V(0) = I. A SectionPath
-holds V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t), which
-each rule forms from the Schrodinger overlaps it already takes; W(t) =
-L(t)^dag S(t) is V(t)^dag, so U = O W. Subspace checks use the gap
-sqrt(2) ||b - a a^dag b||_F between orthonormal frames (linalg.subspace_gap).
+holds S, V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t),
+which each rule forms from the Schrodinger overlaps it already takes; W(t) =
+L(t)^dag S(t) is V(t)^dag, so U = O W. W has meaning only against the
+section's own evolution, so a function of a section takes the section alone.
+Subspace checks use the gap sqrt(2) ||b - a a^dag b||_F between orthonormal
+frames (linalg.subspace_gap).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .dynamics import FramePath, HamiltonianSpec
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    as_complex_matrix,
     frobenius,
     hermitian_part,
     overlaps,
@@ -54,13 +55,9 @@ class InPhaseViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class Fixed:
-    """Time-independent section; valid only when the subspace is constant.
-
-    frame defaults to the initial Schrodinger frame. An explicit frame must
-    coincide with it (the W(0) = identity initial condition).
-    """
-
-    frame: np.ndarray | None = None
+    """Time-independent section L(t) = S(0); valid only when the subspace is
+    constant. S(0) is the only frame that meets L(0) = S(0), so the rule has
+    no fields."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +82,10 @@ class SectionPath:
     """A section L(t) = S(t) R V(t) on the Schrodinger path S it was built
     on, held as M x M paths, with its in-phase diagnostics.
 
-    v is V(t), unitary with V(0) = I. rotation is the constant unitary R by
-    which a gauge transform moved L(0) (None, the identity, for every rule);
-    the section pairs with the frames S(t) R, so W = V^dag. overlap is
+    schrodinger is S, the one evolution the section pairs with. v is V(t),
+    unitary with V(0) = I. rotation is the constant unitary R by which a
+    gauge transform moved L(0) (None, the identity, for every rule); the
+    section pairs with the frames S(t) R, so W = V^dag. overlap is
     O(0,t) = L(0)^dag L(t) per grid point. in_phase_margin is the smallest
     eigenvalue of the Hermitian part of O(0,tau); overlap_asymmetry is the
     Frobenius norm of O(0,tau) - O(0,tau)^dag (zero for the Lambda-case
@@ -136,8 +134,10 @@ def _section(schrodinger: FramePath, rule: SectionRule, v: np.ndarray, o: np.nda
 def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSpec | None = None, *,
                   tol: Tolerances = DEFAULT_TOL) -> SectionPath:
     """Construct the section L(t) = S(t) V(t) prescribed by rule for the
-    given evolution: V = S^dag L0 for a Fixed rule, diag(exp(-i arg
-    <psi_j(0)|psi_j(t)>)) for PhaseAnchored, S^dag L for Custom.
+    given evolution: V = S^dag S(0) for a Fixed rule, diag(exp(-i arg
+    <psi_j(0)|psi_j(t)>)) for PhaseAnchored, S^dag L for Custom. spec is
+    never read; it stays in the signature for callers that pass it by
+    position.
 
     Raises SectionError when the rule's precondition fails: a Fixed rule on a
     moving subspace, a PhaseAnchored rule whose anchor overlap collapses, or
@@ -153,17 +153,10 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
             raise SectionError(
                 f"fixed section requires a constant subspace; projector moved by {drift:.3e}"
             )
-        if rule.frame is None:
-            frame = schrodinger.initial
-        else:
-            frame = as_complex_matrix(rule.frame)
-            if frame.shape != schrodinger.initial.shape:
-                raise SectionError("fixed frame shape does not match the evolution")
-            if frobenius(frame - schrodinger.initial) > 10 * tol.structure_tol:
-                raise SectionError("fixed frame must equal the initial Schrodinger frame")
-        gram = np.broadcast_to(overlaps(frame, frame), (npts, m, m)).copy()
-        return _section(schrodinger, rule, overlaps(s, frame), gram, lambda: FramePath(
-            grid, np.broadcast_to(frame, (npts, *frame.shape)), structure_tol))
+        s0 = schrodinger.initial
+        gram = np.broadcast_to(overlaps(s0, s0), (npts, m, m)).copy()
+        return _section(schrodinger, rule, overlaps(s, s0), gram, lambda: FramePath(
+            grid, np.broadcast_to(s0, (npts, *s0.shape)), structure_tol))
 
     if isinstance(rule, PhaseAnchored):
         u = overlaps(s[0], s)
@@ -199,24 +192,9 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
     raise TypeError(f"not a section rule: {type(rule).__name__}")
 
 
-def _check_evolution(section: SectionPath, schrodinger: FramePath, structure_tol: float) -> None:
-    """Refuse a path other than the section's own Schrodinger path unless it
-    has the same grid and spans the same subspace at every grid time."""
-    if schrodinger is section.schrodinger:
-        return
-    times, other = section.schrodinger.grid.times, schrodinger.grid.times
-    if not np.array_equal(times, other):
-        raise ValueError(f"section and Schrodinger paths use different grids (lengths {times.size}, {other.size})")
-    gap = float(subspace_gap(section.schrodinger.frames, schrodinger.frames).max())
-    if gap > 10 * structure_tol:
-        raise ValueError(f"section and Schrodinger frames span different subspaces ({gap:.3e})")
-
-
-def w_path(section: SectionPath, schrodinger: FramePath, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """W(t_k) = L(t_k)^dag S(t_k) R = V(t_k)^dag per grid point; unitary,
-    W(0) = identity. schrodinger must be the evolution the section was
-    built on (checked when it is not the section's own path object)."""
-    _check_evolution(section, schrodinger, tol.structure_tol)
+def w_path(section: SectionPath) -> np.ndarray:
+    """W(t_k) = L(t_k)^dag S(t_k) R = V(t_k)^dag per grid point, against the
+    Schrodinger path the section holds; unitary, W(0) = identity."""
     return np.ascontiguousarray(section.v.conj().swapaxes(1, 2))
 
 

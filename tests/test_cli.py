@@ -33,6 +33,7 @@ from holosplit.config import (
 from holosplit.dynamics import Constant, TimeGrid, propagate_frame
 from holosplit.holonomy import DecompositionReport
 from holosplit.instances import refutation_instance
+from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.linalg import hermitian_part
 
 SQRT3 = np.sqrt(3.0)
@@ -518,6 +519,19 @@ class TestDecompose:
         out = tmp_path / "report.json"
         assert cmd_decompose(str(path), str(out)) == 3
         assert "constant subspace" in capsys.readouterr().err
+
+    def test_fixed_rule_takes_no_frame(self, tmp_path, capsys):
+        # S(0) is the one frame a fixed section can hold, so even case i's
+        # own initial frame is an unknown key
+        psi0 = case_setup("i", LambdaParams(omega0=1.0, delta=0.0, tau=np.pi))[1]
+        path = write_config(tmp_path / "ci.json",
+                            system={"kind": "lambda", "omega0": 1.0, "delta": 0.0},
+                            subspace={"lambda_case": "i"},
+                            section={"rule": "fixed", "frame": matrix_to_json(psi0)},
+                            grid={"tau": np.pi, "steps": 64})
+        assert cmd_decompose(str(path), str(tmp_path / "report.json")) == 3
+        assert capsys.readouterr().err == "config error: unknown keys in config.section: ['frame']\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert cmd_decompose(str(tmp_path / "nope.json"), str(tmp_path / "o.json")) == 3

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from conftest import run_case
 from holosplit.config import matrix_to_json, write_sampled_hamiltonian
 from holosplit.dynamics import (
     Constant,
+    FramePath,
     TimeGrid,
     _sandwich,
     hamiltonian_path,
@@ -35,6 +38,7 @@ from holosplit.holonomy import (
 )
 from holosplit.instances import (
     cosine_drive,
+    random_closed_gauge,
     random_frame,
     random_hermitian,
     refutation_instance,
@@ -42,7 +46,7 @@ from holosplit.instances import (
 from holosplit import cli, dynamics, holonomy, linalg, sections
 from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius, overlaps, products, skew_part
-from holosplit.sections import InPhaseViolation, PhaseAnchored, build_section, w_path
+from holosplit.sections import InPhaseViolation, PhaseAnchored, build_section, gauge_transform, w_path
 
 SQRT3 = np.sqrt(3.0)
 
@@ -85,7 +89,7 @@ class TestConnectionPath:
 
 def k_mats(ns, spec=None):
     """K(t) of a Lambda-case run, as generator_path forms it."""
-    return generator_path(ns.section, ns.schrod, ns.spec if spec is None else spec).k_mats
+    return generator_path(ns.section, ns.spec if spec is None else spec).k_mats
 
 
 class TestKPath:
@@ -102,7 +106,7 @@ class TestKPath:
         spec = Constant(np.zeros((3, 3)))
         s = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 16))
         sec = build_section(PhaseAnchored(), s, spec)
-        assert np.abs(generator_path(sec, s, spec).k_mats).max() == 0.0
+        assert np.abs(generator_path(sec, spec).k_mats).max() == 0.0
 
     def test_rejects_dimension_mismatch(self, case_ii):
         with pytest.raises(ValueError, match="dimension"):
@@ -112,7 +116,7 @@ class TestKPath:
     @pytest.mark.parametrize("n, m, steps", [(64, 4, 33), (12, 2, 911), (3, 2, 40)])
     def test_chunks_equal_one_whole_stack_sandwich(self, n, m, steps):
         spec, schrod, section = random_pipeline(1, n, m, steps, scale=0.7 / np.sqrt(n))
-        gens = generator_path(section, schrod, spec)
+        gens = generator_path(section, spec)
         hams = hamiltonian_path(spec, schrod.grid.times)
         # F is the one sandwich of H, over the Schrodinger frames
         np.testing.assert_array_equal(gens.f_mats, _sandwich(hams, schrod.frames))
@@ -122,12 +126,6 @@ class TestKPath:
         # K agrees with the sandwich over the section frames L = S V to
         # roundoff: at most 1.7e-16 on these runs, entries <= 0.4
         assert np.abs(gens.k_mats - _sandwich(hams, section.path.frames)).max() <= 1e-15
-
-    def test_rejects_schrodinger_path_of_another_length(self):
-        spec, schrod, section = random_pipeline(1, steps=32)
-        other = propagate_frame(spec, schrod.initial, TimeGrid.uniform(1.5, 16))
-        with pytest.raises(ValueError, match="length"):
-            generator_path(section, other, spec)
 
     def test_pipeline_peak_below_one_hamiltonian_stack(self):
         # 64 x 4 at 512 steps: a (512, 64, 64) complex stack of H is 33.5 MB
@@ -149,21 +147,87 @@ class TestKPath:
         assert peak < 512 * 64 * 64 * 16
 
 
+def assert_same_report(a, b):
+    for f in dataclasses.fields(a):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), f.name)
+
+
+class TestReportPairing:
+    """separability_report pairs a section with the section's own
+    Schrodinger path object, or with a path on its grid that holds the
+    frames S R the section pairs with; it refuses any other."""
+
+    def test_rejects_mismatched_grid(self, case_ii):
+        other = propagate_frame(case_ii.spec, case_ii.psi0, TimeGrid.uniform(np.pi / 2, 8))
+        with pytest.raises(ValueError, match=r"different grids \(lengths 4097, 9\)"):
+            separability_report(case_ii.section, other, case_ii.spec)
+
+    def test_rejects_schrodinger_path_of_another_length(self):
+        spec, schrod, section = random_pipeline(1, steps=32)
+        other = propagate_frame(spec, schrod.initial, TimeGrid.uniform(1.5, 16))
+        with pytest.raises(ValueError, match=r"lengths 33, 17"):
+            separability_report(section, other, spec)
+
+    def test_rejects_frames_of_another_shape(self, case_ii):
+        other = FramePath(case_ii.grid, case_ii.schrod.frames[:, :, :1])
+        with pytest.raises(ValueError, match=r"shape \(4097, 3, 1\), section's \(4097, 3, 2\)"):
+            separability_report(case_ii.section, other, case_ii.spec)
+
+    def test_rejects_section_of_another_evolution(self, case_i, case_ii):
+        # same grid and shape, but case i's frame spans {|3>, |b>} and case
+        # ii's {|d>, |b>}
+        assert np.array_equal(case_i.grid.times, case_ii.grid.times)
+        with pytest.raises(ValueError, match="deviate by .* from the frames S R"):
+            separability_report(case_ii.section, case_i.schrod, case_ii.spec)
+
+    @pytest.mark.parametrize("q", [
+        np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex),
+        np.diag([1.0, np.exp(0.2j)]),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        expm_skew(np.array([[0, 1e-8], [-1e-8, 1e-8j]])),
+    ])
+    def test_rejects_the_same_span_in_another_basis(self, q):
+        # S Q spans the subspace of S at every grid time, yet the section
+        # does not pair with it; ||S Q - S||_F = ||Q - I||_F
+        ns = run_case("iii", steps=256)
+        same_span = FramePath(ns.grid, products(ns.schrod.frames, q))
+        dev = frobenius(q - np.eye(2))
+        assert dev > 10 * DEFAULT_TOL.structure_tol
+        with pytest.raises(ValueError, match=re.escape(f"deviate by {dev:.3e}")):
+            separability_report(ns.section, same_span, ns.spec)
+
+    def test_accepts_the_rotated_path_of_a_gauged_section(self, case_iii):
+        # criterion 7: a gauge transform by V pairs the section with S V(0);
+        # that path, and the section's own path object, give one report
+        v = random_closed_gauge(case_iii.grid.times, 2, np.random.default_rng(1))
+        moved = gauge_transform(case_iii.section, v)
+        rotated = FramePath(case_iii.grid, np.einsum("tnj,jk->tnk", case_iii.schrod.frames, v[0]))
+        assert_same_report(separability_report(moved, rotated, case_iii.spec),
+                           separability_report(moved, moved.schrodinger, case_iii.spec))
+        # a copy of S is not the path the gauged section pairs with
+        with pytest.raises(ValueError, match="deviate by"):
+            separability_report(moved, FramePath(case_iii.grid, case_iii.schrod.frames.copy()), case_iii.spec)
+
+    def test_accepts_a_copy_of_the_own_path(self, case_ii):
+        copy = FramePath(case_ii.grid, case_ii.schrod.frames.copy())
+        assert_same_report(separability_report(case_ii.section, copy, case_ii.spec), case_ii.report)
+
+
 class TestKwWfIdentity:
     def test_lambda_cases(self, case_i, case_ii, case_iii):
         for ns in (case_i, case_ii, case_iii):
-            gens = generator_path(ns.section, ns.schrod, ns.spec)
-            w = w_path(ns.section, ns.schrod)
+            gens = generator_path(ns.section, ns.spec)
+            w = w_path(ns.section)
             assert kw_wf_residual(gens, w) <= 1e-10
 
     def test_random_instance(self):
         spec, schrod, section = random_pipeline(seed=23, steps=4096)
-        gens = generator_path(section, schrod, spec)
-        w = w_path(section, schrod)
+        gens = generator_path(section, spec)
+        w = w_path(section)
         assert kw_wf_residual(gens, w) <= 1e-8
 
     def test_identity_at_start(self, case_i):
-        gens = generator_path(case_i.section, case_i.schrod, case_i.spec)
+        gens = generator_path(case_i.section, case_i.spec)
         w0 = np.eye(2, dtype=complex)
         assert frobenius(gens.k_mats[0] @ w0 - w0 @ gens.f_mats[0]) <= 1e-12
 
@@ -177,14 +241,14 @@ class TestSolveAnandan:
         assert np.abs(w - np.eye(2)).max() == 0.0
 
     def test_case_ii_endpoint_matches_direct(self, case_ii):
-        gens = generator_path(case_ii.section, case_ii.schrod, case_ii.spec)
+        gens = generator_path(case_ii.section, case_ii.spec)
         w_end = solve_anandan(gens)[-1]
         np.testing.assert_allclose(w_end, np.diag([1.0, 1j]), atol=1e-6)
-        direct = w_path(case_ii.section, case_ii.schrod)[-1]
+        direct = w_path(case_ii.section)[-1]
         assert frobenius(w_end - direct) <= 1e-6
 
     def test_constant_generator_exponentiates(self, case_i):
-        gens = generator_path(case_i.section, case_i.schrod, case_i.spec)
+        gens = generator_path(case_i.section, case_i.spec)
         w_end = solve_anandan(gens)[-1]
         expected = expm_skew(gens.k_mats[0] * case_i.grid.tau)
         np.testing.assert_allclose(w_end, expected, atol=1e-10)
@@ -197,16 +261,16 @@ class TestSolveAnandan:
         runs = [(case_iii.section, case_iii.schrod, case_iii.spec, case_iii.report),
                 (section, schrod, spec, separability_report(section, schrod, spec))]
         for section, schrod, spec, report in runs:
-            gens = generator_path(section, schrod, spec)
+            gens = generator_path(section, spec)
             np.testing.assert_array_equal(solve_anandan(gens)[-1], report.w_final)
 
     def test_ae_consistency_scaling(self):
         # |W_ae(tau) - W_direct(tau)| <= 50 dt^2 + 1e-9 on smooth instances
         for steps in (512, 1024):
             spec, schrod, section = random_pipeline(seed=5, steps=steps, tau=1.5)
-            gens = generator_path(section, schrod, spec)
+            gens = generator_path(section, spec)
             dt = 1.5 / steps
-            gap = frobenius(solve_anandan(gens)[-1] - w_path(section, schrod)[-1])
+            gap = frobenius(solve_anandan(gens)[-1] - w_path(section)[-1])
             assert gap <= 50 * dt**2 + 1e-9
 
 
@@ -219,7 +283,7 @@ class TestOrderedFactor:
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_cumulative_path_starts_at_identity_and_ends_at_the_factor(self, case_iii, direction):
-        gens = generator_path(case_iii.section, case_iii.schrod, case_iii.spec)
+        gens = generator_path(case_iii.section, case_iii.spec)
         path = ordered_factor(gens.a_mats + gens.k_mats, case_iii.grid, direction, cumulative=True)
         assert path.shape == gens.a_mats.shape
         np.testing.assert_array_equal(path[0], np.eye(2))
@@ -236,7 +300,7 @@ class TestOrderedFactor:
         assert frobenius(fwd - rev) <= 1e-12
 
     def test_case_iii_factors(self, case_iii):
-        gens = generator_path(case_iii.section, case_iii.schrod, case_iii.spec)
+        gens = generator_path(case_iii.section, case_iii.spec)
         hol = ordered_factor(gens.a_mats, case_iii.grid, "forward")
         dyn = ordered_factor(gens.k_mats, case_iii.grid, "forward")
         np.testing.assert_allclose(hol, np.diag([1.0, -1j]), atol=1e-6)
@@ -244,7 +308,7 @@ class TestOrderedFactor:
         np.testing.assert_allclose(hol @ dyn, np.diag([1.0, 1j]), atol=1e-6)
 
     def test_rejects_unknown_direction(self, case_iii):
-        gens = generator_path(case_iii.section, case_iii.schrod, case_iii.spec)
+        gens = generator_path(case_iii.section, case_iii.spec)
         with pytest.raises(ValueError, match="direction"):
             ordered_factor(gens.a_mats, case_iii.grid, "sideways")
 
@@ -252,9 +316,9 @@ class TestOrderedFactor:
 class TestYuTongFactors:
     def test_product_reproduces_w_on_lambda_cases(self, case_i, case_ii, case_iii):
         for ns in (case_i, case_ii, case_iii):
-            gens = generator_path(ns.section, ns.schrod, ns.spec)
+            gens = generator_path(ns.section, ns.spec)
             g, d = yu_tong_factors(gens)
-            w_end = w_path(ns.section, ns.schrod)[-1]
+            w_end = w_path(ns.section)[-1]
             assert frobenius(w_end - g @ d) <= 1e-6
 
     def test_product_holds_where_separation_fails(self):
@@ -269,7 +333,7 @@ class TestYuTongFactors:
     def test_case_iii_d_equals_forward_dynamical_factor(self, case_iii):
         # diagonal commuting family: reverse and forward orderings coincide,
         # and F = K on this section up to the frame change
-        gens = generator_path(case_iii.section, case_iii.schrod, case_iii.spec)
+        gens = generator_path(case_iii.section, case_iii.spec)
         _, d = yu_tong_factors(gens)
         dyn = ordered_factor(gens.k_mats, case_iii.grid, "forward")
         assert frobenius(d - dyn) <= 1e-6
@@ -280,8 +344,7 @@ class TestSeparabilityReport:
         rep = case_i_resonant.report
         assert rep.classification == "case_i"
         np.testing.assert_allclose(rep.time_evolution, -np.eye(2), atol=1e-8)
-        gens = generator_path(case_i_resonant.section, case_i_resonant.schrod,
-                              case_i_resonant.spec)
+        gens = generator_path(case_i_resonant.section, case_i_resonant.spec)
         expected = ordered_factor(gens.k_mats, case_i_resonant.grid, "forward")
         np.testing.assert_allclose(rep.time_evolution, expected, atol=1e-9)
 
@@ -353,7 +416,7 @@ class TestSeparabilityReport:
     @given(st.integers(0, 10_000))
     def test_generators_anti_hermitian(self, seed):
         spec, schrod, section = random_pipeline(seed=seed, steps=128, tau=1.0)
-        gens = generator_path(section, schrod, spec)
+        gens = generator_path(section, spec)
         for mats in (gens.a_mats, gens.k_mats, gens.f_mats):
             res = np.linalg.norm(mats + mats.conj().swapaxes(1, 2), axis=(1, 2)).max()
             assert res <= 1e-9
@@ -378,7 +441,7 @@ class TestMaxCommutatorScan:
         assert max_commutator_scan(a, k) == pytest.approx(2 * np.sqrt(2))
 
     def test_zero_for_commuting_paths(self, case_iii):
-        gens = generator_path(case_iii.section, case_iii.schrod, case_iii.spec)
+        gens = generator_path(case_iii.section, case_iii.spec)
         assert max_commutator_scan(gens.a_mats, gens.k_mats) <= 1e-12
 
     def test_scan_indices_strictly_increasing(self, monkeypatch):

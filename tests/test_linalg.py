@@ -147,7 +147,7 @@ class TestPolarDecompose:
         sec = build_section(rule, s, spec)
         pos, uni = polar_decompose(overlaps(s.initial, s.frames)[-1])
         o_end = overlaps(sec.path.initial, sec.path.frames)[-1]
-        w_end = w_path(sec, s)[-1]
+        w_end = w_path(sec)[-1]
         phi = p.phidot * p.tau
         ref = np.diag([1.0, np.sqrt(1 - np.sin(p.gamma) ** 2 * np.sin(phi) ** 2)])
         np.testing.assert_allclose(o_end, ref, atol=1e-10)
