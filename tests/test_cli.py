@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import math
+import types
 
 import numpy as np
 import orjson
@@ -725,15 +726,198 @@ class TestExport:
         out = tmp_path / "t.csv"
         assert cmd_export(str(case_ii_config), str(out), steps=16) == 0
         with open(out, newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        table = [[float(x) for x in row] for row in rows]
-        o_values = [x for row in table for x in row[-8:]]
-        assert {repr(x) for x in o_values} == {repr(x) for x in special}
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)
-        writer.writerow(header)
-        writer.writerows(table)
-        assert out.read_bytes() == ref.getvalue().encode()
+            _, *rows = list(csv.reader(fh))
+        table = np.array([[float(x) for x in row] for row in rows])
+        assert {repr(x) for x in table[:, -8:].ravel().tolist()} == {repr(x) for x in special}
+        assert out.read_bytes() == _csv_module_bytes(out, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mixed_rows_match_the_csv_module(self, tmp_path_factory, data):
+        # rows orjson writes and rows holding a float it writes differently
+        # (at least one of each), in blocks of 1 to 8 rows, so that most
+        # tables span several blocks
+        rows = data.draw(st.integers(3, 24), label="rows")
+        pool = data.draw(st.lists(REPR_TEXT_FLOAT, min_size=1, max_size=16), label="pool")
+        drawn = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).choice(pool, (rows, 32))
+        needs_repr = data.draw(st.permutations(
+            [True, False] + data.draw(st.lists(st.booleans(), min_size=rows - 2, max_size=rows - 2))))
+        for i in np.flatnonzero(needs_repr):
+            cols = data.draw(st.lists(st.integers(0, 31), min_size=1, max_size=4, unique=True))
+            drawn[i, cols] = data.draw(st.lists(ORJSON_TEXT_FLOAT, min_size=len(cols), max_size=len(cols)))
+        assert list(~cli._orjson_matches_repr(drawn).all(axis=1)) == needs_repr
+        # the A, K, W, O columns of a steps = rows - 1 run of case ii
+        a, k, w, o = (drawn[:, 8 * j:8 * j + 8].copy().view(complex).reshape(rows, 2, 2) for j in range(4))
+        tmp = tmp_path_factory.mktemp("mixed")
+        path = write_config(tmp / "c.json")
+        out = tmp / "t.csv"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CSV_BLOCK_ROWS", data.draw(st.integers(1, 8), label="block"))
+            mp.setattr(cli, "build_section", lambda *args, **kwargs: types.SimpleNamespace(overlap=o))
+            mp.setattr(cli, "generator_path", lambda section, spec: types.SimpleNamespace(a_mats=a, k_mats=k))
+            mp.setattr(cli, "w_path", lambda section: w)
+            assert cmd_export(str(path), str(out), steps=rows - 1) == 0
+        times = load_run_config(path, steps_override=rows - 1).grid.times
+        assert out.read_bytes() == _csv_module_bytes(out, np.hstack([times[:, None], drawn]))
+
+    def test_refutation_rows_take_both_routes(self, refutation_7_config, tmp_path, monkeypatch):
+        masks = []
+        mask = cli._orjson_matches_repr
+
+        def recorded_mask(values):
+            masks.append(mask(values).all(axis=1))
+            return mask(values)
+
+        monkeypatch.setattr(cli, "_orjson_matches_repr", recorded_mask)
+        out = tmp_path / "t.csv"
+        assert cmd_export(str(refutation_7_config), str(out), steps=1024) == 0
+        orjson_rows = np.concatenate(masks)
+        assert orjson_rows.size == 1025 and 0 < orjson_rows.sum() < 1025
+        with open(out, newline="") as fh:
+            _, *rows = list(csv.reader(fh))
+        table = np.array([[float(x) for x in row] for row in rows])
+        # a row holds a float whose orjson text is not its repr exactly
+        # where the writer took repr for it
+        differs = [any(orjson.dumps(x).decode() != repr(x) for x in row) for row in table.tolist()]
+        assert differs == list(~orjson_rows)
+        assert out.read_bytes() == _csv_module_bytes(out, table)
+
+    def test_peak_memory_no_higher_than_the_repr_writer(self, refutation_7_config, tmp_path, monkeypatch):
+        import tracemalloc
+
+        tables = []
+        blocks = cli._csv_blocks
+
+        def recorded_blocks(table):
+            tables.append(table)
+            return blocks(table)
+
+        def peak(writer):
+            monkeypatch.setattr(cli, "_csv_blocks", writer)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                assert cmd_export(str(refutation_7_config), str(tmp_path / "t.csv")) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(recorded_blocks)  # fills first-call caches and records the table
+        table, = tables
+        assert table.shape == (4097, 33)
+        # the whole export, and the writing of the 4097-row table alone
+        assert peak(blocks) <= peak(_repr_csv_rows)
+        writer_peaks = []
+        for writer in (blocks, _repr_csv_rows):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                with open(tmp_path / "w.csv", "wb") as fh:
+                    fh.writelines(writer(table))
+                writer_peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert writer_peaks[0] <= writer_peaks[1]
+
+
+# floats whose orjson text is their repr (the writer's orjson cells) and
+# floats orjson writes otherwise: 1e-05, 1e-07, 1e+16, nan, inf
+def _signed(values):
+    return st.tuples(values, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+REPR_TEXT_FLOAT = _signed(st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-9, exclude_min=True, exclude_max=True),
+    st.floats(1e-4, 1e16, exclude_max=True),
+))
+ORJSON_TEXT_FLOAT = _signed(st.one_of(
+    st.floats(1e-9, 1e-4, exclude_max=True),
+    st.floats(min_value=1e16),
+    st.just(math.nan),
+))
+
+
+def _repr_csv_rows(table):
+    """The reference CSV writer: the repr of every float, row by row."""
+    return ((",".join(map(repr, row)) + "\r\n").encode() for row in table.tolist())
+
+
+def _csv_module_bytes(out, table) -> bytes:
+    """What csv.writer gives for the header of the CSV file out followed by
+    the rows of table."""
+    with open(out, newline="") as fh:
+        header = next(csv.reader(fh))
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(header)
+    writer.writerows(table.tolist())
+    return ref.getvalue().encode()
+
+
+class TestOrjsonFloatText:
+    """The export writes a float with orjson only where the installed
+    orjson's text for it, as an element of a float64 array, is its repr."""
+
+    @staticmethod
+    def orjson_tokens(values):
+        return orjson.dumps(np.array([values]), option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split(",")
+
+    # every float64 bit pattern (nan payloads, infinities, subnormals, +-0.0),
+    # Hypothesis' float strategy, and the neighbourhoods of the band edges
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+        st.floats(),
+        _signed(st.floats(1e-10, 1e-3)),
+        _signed(st.floats(1e15, 1e17)),
+    ), min_size=1, max_size=32))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf, 1e-9, 1e-7, 1e-5, 9.999999999999999e-05,
+                     1e-4, 0.1, 1 / 3, 1e15, 9999999999999998.0, 1e16, 1e300])
+    def test_admitted_floats_are_written_as_repr(self, values):
+        admitted = cli._orjson_matches_repr(np.array(values))
+        for x, ok, token in zip(values, admitted, self.orjson_tokens(values)):
+            if ok:
+                assert token == repr(x)
+
+    @pytest.mark.parametrize("edge, admitted_below", [(1e-9, True), (1e-4, False), (1e16, True)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_band_edges_to_the_ulp(self, edge, admitted_below, sign):
+        # 1000 floats on each side of the edge, the edge itself first above
+        bits = np.array(edge).view(np.int64) + np.arange(-1000, 1000)
+        values = sign * bits.view(np.float64)
+        assert np.nextafter(abs(values[999]), np.inf) == edge == abs(values[1000])
+        admitted = cli._orjson_matches_repr(values)
+        np.testing.assert_array_equal(admitted[:1000], admitted_below)
+        np.testing.assert_array_equal(admitted[1000:], not admitted_below)
+        tokens = self.orjson_tokens(values)
+        for x, ok, token in zip(values.tolist(), admitted, tokens):
+            if ok:
+                assert token == repr(x)
+
+    def test_special_values(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, math.nan, -math.nan, math.inf, -math.inf]
+        np.testing.assert_array_equal(cli._orjson_matches_repr(np.array(values)),
+                                      [True] * 4 + [False] * 4)
+
+
+@pytest.fixture(scope="module")
+def refutation_7_config(tmp_path_factory):
+    """refutation_instance(7) sampled at 4096 steps with a phase-anchored
+    section, as cli_refutation runs it."""
+    tmp = tmp_path_factory.mktemp("ref7")
+    spec, psi0 = refutation_instance(7)
+    ham = tmp / "ham.json"
+    write_sampled_hamiltonian(ham, spec.grid.times, spec.samples)
+    path = tmp / "c.json"
+    path.write_text(json.dumps({
+        "system": {"kind": "sampled", "path": str(ham)},
+        "subspace": {"matrix": matrix_to_json(psi0)},
+        "section": {"rule": "phase_anchored"},
+        "grid": {"tau": 2.0, "steps": 4096},
+    }))
+    return path
 
 
 @pytest.fixture(scope="module")
