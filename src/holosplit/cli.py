@@ -179,7 +179,7 @@ def cmd_export(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
         cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
         schrod = propagate_frame(cfg.spec, cfg.psi0, cfg.grid, tol=cfg.tolerances)
         section = build_section(cfg.rule, schrod, cfg.spec, tol=cfg.tolerances)
-        gens = generator_path(section, cfg.spec)
+        gens = generator_path(section)
         mats = (gens.a_mats, gens.k_mats, w_path(section), section.overlap)
     except ValueError as exc:
         return _exit_code(exc)

@@ -13,12 +13,13 @@ grid times decides the case_iii verdict; the report's max_commutator is the
 magnitude from a sampled scan of the pairs.
 
 With the section held as L = S V (sections), every generator is an M x M
-path formed once: F = -i S^dag H S is the one sandwich of H, K is V^dag F V,
-and A is the finite-difference connection taken from the section's step
-overlaps L_j^dag L_k. The section holds the Schrodinger path it pairs with,
-so no function here takes one beside it but separability_report, which
-refuses any other. Every ordered exponential, the Anandan path and the four
-endpoint factors alike, is one ordered_factor call.
+path formed once: F = -i S^dag H S, the one sandwich of H, is the section's
+(build_section forms it), K is V^dag F V, and A is the finite-difference
+connection from the section's step overlaps L_j^dag L_k. The section holds
+the Schrodinger path it pairs with, so no function here takes one beside it
+but separability_report, which refuses any other. Every ordered exponential,
+the Anandan path and the four endpoint factors alike, is one ordered_factor
+call.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .dynamics import (
     FramePath,
     HamiltonianSpec,
     TimeGrid,
-    _chunks,
     _propagate,
-    _sandwich,
+    dimension,
     hamiltonian_path,
     propagate_frame,
 )
@@ -147,20 +147,11 @@ def connection_path(section: SectionPath) -> np.ndarray:
     return a
 
 
-def generator_path(section: SectionPath, spec: HamiltonianSpec) -> GeneratorPath:
-    """Assemble A, K and F along the section's grid. F is the one sandwich
-    of H: H is sampled chunk by chunk, never whole, and each chunk is
-    sandwiched between the section's Schrodinger frames while it is in
-    cache (then rotated to the pairing S R). K is V^dag F V per grid point."""
-    sch = section.schrodinger
-    times = sch.grid.times
-    f_mats = np.empty((times.size, sch.m, sch.m), dtype=complex)
-    for sl in _chunks(times.size, sch.n):
-        f_mats[sl] = _sandwich(hamiltonian_path(spec, times[sl]), sch.frames[sl])
-    if section.rotation is not None:
-        f_mats = skew_part(products(overlaps(section.rotation, f_mats), section.rotation))
-    k_mats = skew_part(products(overlaps(section.v, f_mats), section.v))
-    return GeneratorPath(sch.grid, connection_path(section), k_mats, f_mats)
+def generator_path(section: SectionPath) -> GeneratorPath:
+    """A, K and F along the section's grid, with no sample of H: F is the
+    section's, K is V^dag F V per grid point, A is connection_path."""
+    k_mats = skew_part(products(overlaps(section.v, section.f), section.v))
+    return GeneratorPath(section.schrodinger.grid, connection_path(section), k_mats, section.f)
 
 
 def kw_wf_residual(generators: GeneratorPath, w: np.ndarray) -> float:
@@ -281,7 +272,8 @@ def separability_report(section: SectionPath, schrodinger: FramePath, spec: Hami
     that holds the frames S R the section pairs with (S its Schrodinger
     frames, R its rotation) within 10 structure_tol at every grid point;
     any other raises ValueError. Raises InPhaseViolation when the endpoint
-    overlap fails positivity.
+    overlap fails positivity. spec is kept for positional callers and read
+    only for its dimension, refused (ValueError) unless it is the section's N.
     """
     sch = section.schrodinger
     if schrodinger is not sch:
@@ -295,11 +287,11 @@ def separability_report(section: SectionPath, schrodinger: FramePath, spec: Hami
         if dev > 10 * tol.structure_tol:
             raise ValueError(f"Schrodinger frames deviate by {dev:.3e} from the frames S R the section pairs with")
     if section.in_phase_margin <= tol.positivity_tol:
-        raise InPhaseViolation(
-            f"in-phase margin {section.in_phase_margin:.3e} is not positive"
-        )
+        raise InPhaseViolation(f"in-phase margin {section.in_phase_margin:.3e} is not positive")
+    if dimension(spec) != sch.n:
+        raise ValueError(f"Hamiltonian dimension {dimension(spec)} does not match frame dimension {sch.n}")
 
-    generators = generator_path(section, spec)
+    generators = generator_path(section)
     w_direct, overlap = section.v[-1].conj().T, section.overlap[-1].copy()
     # the holonomic factor T exp(int A) is the G of the product form
     g, d = yu_tong_factors(generators)

@@ -216,17 +216,17 @@ def _unitary_2x2(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm_skew(x, *, structure_tol: float = DEFAULT_TOL.structure_tol) -> np.ndarray:
+def expm_skew(x) -> np.ndarray:
     """exp(x) for anti-Hermitian x, as unitary_stack of the Hermitian i*x.
 
     The result is unitary to roundoff, a property the holonomy identities
     downstream rely on. Inputs whose anti-Hermiticity residual exceeds
-    structure_tol are rejected; below it the skew part is taken first to
-    suppress roundoff drift.
+    DEFAULT_TOL.structure_tol are rejected; below it the skew part is taken
+    first to suppress roundoff drift.
     """
     x = as_complex_matrix(x)
     _require_square(x)
-    if frobenius(x + x.conj().T) > structure_tol:
+    if frobenius(x + x.conj().T) > DEFAULT_TOL.structure_tol:
         raise ValueError("input is not anti-Hermitian within tolerance")
     return unitary_stack(hermitian_part(1j * skew_part(x))[None], np.ones(1))[0]
 

@@ -74,7 +74,7 @@ def test_criterion_2_case_ii_holonomy(case_ii):
     np.testing.assert_allclose(w_ref, np.diag([1.0, 1j]), atol=1e-15)
     w_dev = max(np.abs(rep.w_direct - w_ref).max(), np.abs(rep.w_final - w_ref).max())
     assert w_dev <= 1e-6
-    gens = generator_path(case_ii.section, case_ii.spec)
+    gens = generator_path(case_ii.section)
     k_max = np.linalg.norm(gens.k_mats, axis=(1, 2)).max()
     assert k_max <= 1e-8
     assert rep.classification == "case_ii"
@@ -136,7 +136,7 @@ def _structural_checks(label, spec, schrod, section, lines):
     recon = np.linalg.norm(u - np.einsum("tij,tjk->tik", o, w), axis=(1, 2)).max()
     assert recon <= 1e-8
 
-    gens = generator_path(section, spec)
+    gens = generator_path(section)
     kw = kw_wf_residual(gens, w)
     assert kw <= 1e-8
 
@@ -214,7 +214,7 @@ def test_criterion_8_second_order_convergence():
         grid = TimeGrid.uniform(p.tau, steps)
         schrod = propagate_frame(spec, psi0, grid)
         section = build_section(rule, schrod, spec)
-        gens = generator_path(section, spec)
+        gens = generator_path(section)
         return section.path.frames[-1] @ solve_anandan(gens)[-1]
 
     ref = reconstructed_endpoint(4096 * 16)

@@ -87,9 +87,9 @@ class TestConnectionPath:
             connection_path(sec)
 
 
-def k_mats(ns, spec=None):
+def k_mats(ns):
     """K(t) of a Lambda-case run, as generator_path forms it."""
-    return generator_path(ns.section, ns.spec if spec is None else spec).k_mats
+    return generator_path(ns.section).k_mats
 
 
 class TestKPath:
@@ -106,17 +106,13 @@ class TestKPath:
         spec = Constant(np.zeros((3, 3)))
         s = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 16))
         sec = build_section(PhaseAnchored(), s, spec)
-        assert np.abs(generator_path(sec, spec).k_mats).max() == 0.0
-
-    def test_rejects_dimension_mismatch(self, case_ii):
-        with pytest.raises(ValueError, match="dimension"):
-            k_mats(case_ii, Constant(np.zeros((2, 2))))
+        assert np.abs(generator_path(sec).k_mats).max() == 0.0
 
     # 64 x 4 takes 16 grid points a chunk, 12 x 2 takes 455: three chunks each
     @pytest.mark.parametrize("n, m, steps", [(64, 4, 33), (12, 2, 911), (3, 2, 40)])
     def test_chunks_equal_one_whole_stack_sandwich(self, n, m, steps):
         spec, schrod, section = random_pipeline(1, n, m, steps, scale=0.7 / np.sqrt(n))
-        gens = generator_path(section, spec)
+        gens = generator_path(section)
         hams = hamiltonian_path(spec, schrod.grid.times)
         # F is the one sandwich of H, over the Schrodinger frames
         np.testing.assert_array_equal(gens.f_mats, _sandwich(hams, schrod.frames))
@@ -212,22 +208,27 @@ class TestReportPairing:
         copy = FramePath(case_ii.grid, case_ii.schrod.frames.copy())
         assert_same_report(separability_report(case_ii.section, copy, case_ii.spec), case_ii.report)
 
+    def test_rejects_a_spec_of_another_dimension(self, case_ii):
+        # the section holds F, so spec is read only for its dimension
+        with pytest.raises(ValueError, match="Hamiltonian dimension 2 does not match frame dimension 3"):
+            separability_report(case_ii.section, case_ii.schrod, Constant(np.zeros((2, 2))))
+
 
 class TestKwWfIdentity:
     def test_lambda_cases(self, case_i, case_ii, case_iii):
         for ns in (case_i, case_ii, case_iii):
-            gens = generator_path(ns.section, ns.spec)
+            gens = generator_path(ns.section)
             w = w_path(ns.section)
             assert kw_wf_residual(gens, w) <= 1e-10
 
     def test_random_instance(self):
         spec, schrod, section = random_pipeline(seed=23, steps=4096)
-        gens = generator_path(section, spec)
+        gens = generator_path(section)
         w = w_path(section)
         assert kw_wf_residual(gens, w) <= 1e-8
 
     def test_identity_at_start(self, case_i):
-        gens = generator_path(case_i.section, case_i.spec)
+        gens = generator_path(case_i.section)
         w0 = np.eye(2, dtype=complex)
         assert frobenius(gens.k_mats[0] @ w0 - w0 @ gens.f_mats[0]) <= 1e-12
 
@@ -241,14 +242,14 @@ class TestSolveAnandan:
         assert np.abs(w - np.eye(2)).max() == 0.0
 
     def test_case_ii_endpoint_matches_direct(self, case_ii):
-        gens = generator_path(case_ii.section, case_ii.spec)
+        gens = generator_path(case_ii.section)
         w_end = solve_anandan(gens)[-1]
         np.testing.assert_allclose(w_end, np.diag([1.0, 1j]), atol=1e-6)
         direct = w_path(case_ii.section)[-1]
         assert frobenius(w_end - direct) <= 1e-6
 
     def test_constant_generator_exponentiates(self, case_i):
-        gens = generator_path(case_i.section, case_i.spec)
+        gens = generator_path(case_i.section)
         w_end = solve_anandan(gens)[-1]
         expected = expm_skew(gens.k_mats[0] * case_i.grid.tau)
         np.testing.assert_allclose(w_end, expected, atol=1e-10)
@@ -261,14 +262,14 @@ class TestSolveAnandan:
         runs = [(case_iii.section, case_iii.schrod, case_iii.spec, case_iii.report),
                 (section, schrod, spec, separability_report(section, schrod, spec))]
         for section, schrod, spec, report in runs:
-            gens = generator_path(section, spec)
+            gens = generator_path(section)
             np.testing.assert_array_equal(solve_anandan(gens)[-1], report.w_final)
 
     def test_ae_consistency_scaling(self):
         # |W_ae(tau) - W_direct(tau)| <= 50 dt^2 + 1e-9 on smooth instances
         for steps in (512, 1024):
             spec, schrod, section = random_pipeline(seed=5, steps=steps, tau=1.5)
-            gens = generator_path(section, spec)
+            gens = generator_path(section)
             dt = 1.5 / steps
             gap = frobenius(solve_anandan(gens)[-1] - w_path(section)[-1])
             assert gap <= 50 * dt**2 + 1e-9
@@ -283,7 +284,7 @@ class TestOrderedFactor:
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_cumulative_path_starts_at_identity_and_ends_at_the_factor(self, case_iii, direction):
-        gens = generator_path(case_iii.section, case_iii.spec)
+        gens = generator_path(case_iii.section)
         path = ordered_factor(gens.a_mats + gens.k_mats, case_iii.grid, direction, cumulative=True)
         assert path.shape == gens.a_mats.shape
         np.testing.assert_array_equal(path[0], np.eye(2))
@@ -300,7 +301,7 @@ class TestOrderedFactor:
         assert frobenius(fwd - rev) <= 1e-12
 
     def test_case_iii_factors(self, case_iii):
-        gens = generator_path(case_iii.section, case_iii.spec)
+        gens = generator_path(case_iii.section)
         hol = ordered_factor(gens.a_mats, case_iii.grid, "forward")
         dyn = ordered_factor(gens.k_mats, case_iii.grid, "forward")
         np.testing.assert_allclose(hol, np.diag([1.0, -1j]), atol=1e-6)
@@ -308,7 +309,7 @@ class TestOrderedFactor:
         np.testing.assert_allclose(hol @ dyn, np.diag([1.0, 1j]), atol=1e-6)
 
     def test_rejects_unknown_direction(self, case_iii):
-        gens = generator_path(case_iii.section, case_iii.spec)
+        gens = generator_path(case_iii.section)
         with pytest.raises(ValueError, match="direction"):
             ordered_factor(gens.a_mats, case_iii.grid, "sideways")
 
@@ -316,7 +317,7 @@ class TestOrderedFactor:
 class TestYuTongFactors:
     def test_product_reproduces_w_on_lambda_cases(self, case_i, case_ii, case_iii):
         for ns in (case_i, case_ii, case_iii):
-            gens = generator_path(ns.section, ns.spec)
+            gens = generator_path(ns.section)
             g, d = yu_tong_factors(gens)
             w_end = w_path(ns.section)[-1]
             assert frobenius(w_end - g @ d) <= 1e-6
@@ -333,7 +334,7 @@ class TestYuTongFactors:
     def test_case_iii_d_equals_forward_dynamical_factor(self, case_iii):
         # diagonal commuting family: reverse and forward orderings coincide,
         # and F = K on this section up to the frame change
-        gens = generator_path(case_iii.section, case_iii.spec)
+        gens = generator_path(case_iii.section)
         _, d = yu_tong_factors(gens)
         dyn = ordered_factor(gens.k_mats, case_iii.grid, "forward")
         assert frobenius(d - dyn) <= 1e-6
@@ -344,7 +345,7 @@ class TestSeparabilityReport:
         rep = case_i_resonant.report
         assert rep.classification == "case_i"
         np.testing.assert_allclose(rep.time_evolution, -np.eye(2), atol=1e-8)
-        gens = generator_path(case_i_resonant.section, case_i_resonant.spec)
+        gens = generator_path(case_i_resonant.section)
         expected = ordered_factor(gens.k_mats, case_i_resonant.grid, "forward")
         np.testing.assert_allclose(rep.time_evolution, expected, atol=1e-9)
 
@@ -416,7 +417,7 @@ class TestSeparabilityReport:
     @given(st.integers(0, 10_000))
     def test_generators_anti_hermitian(self, seed):
         spec, schrod, section = random_pipeline(seed=seed, steps=128, tau=1.0)
-        gens = generator_path(section, spec)
+        gens = generator_path(section)
         for mats in (gens.a_mats, gens.k_mats, gens.f_mats):
             res = np.linalg.norm(mats + mats.conj().swapaxes(1, 2), axis=(1, 2)).max()
             assert res <= 1e-9
@@ -441,7 +442,7 @@ class TestMaxCommutatorScan:
         assert max_commutator_scan(a, k) == pytest.approx(2 * np.sqrt(2))
 
     def test_zero_for_commuting_paths(self, case_iii):
-        gens = generator_path(case_iii.section, case_iii.spec)
+        gens = generator_path(case_iii.section)
         assert max_commutator_scan(gens.a_mats, gens.k_mats) <= 1e-12
 
     def test_scan_indices_strictly_increasing(self, monkeypatch):
@@ -494,7 +495,8 @@ class TestMaxCommutatorScan:
 
 class TestDecomposeWork:
     """A decompose samples H once per chunk of the propagation and once per
-    chunk of the F sandwich, and forms no N x M section frames."""
+    chunk of the F sandwich in build_section, and forms no N x M section
+    frames."""
 
     @pytest.fixture
     def sampled(self, monkeypatch):
@@ -509,7 +511,7 @@ class TestDecomposeWork:
             raise AssertionError("the N x M section frames were formed")
 
         monkeypatch.setattr(dynamics, "hamiltonian_path", counting)
-        monkeypatch.setattr(holonomy, "hamiltonian_path", counting)
+        monkeypatch.setattr(sections, "hamiltonian_path", counting)
         monkeypatch.setattr(sections.SectionPath, "path", property(no_frames))
         return calls
 
@@ -550,11 +552,25 @@ class TestDecomposeWork:
         }))
         argvs = (["decompose", "--out", str(tmp_path / "r.json")], ["separability"],
                  ["export", "--out", str(tmp_path / "t.csv")], ["gauge-check"])
-        # one propagation chunk and one F chunk per report; gauge-check builds two
-        for argv, reports in zip(argvs, (1, 1, 1, 2)):
+        # one propagation chunk and one F chunk per run; gauge-check rotates
+        # the F of the one section it builds
+        for argv in argvs:
             sampled.clear()
             assert cli.main([argv[0], "--config", str(config), *argv[1:]]) in (0, 1)
-            assert sampled == [256] + [257] * reports
+            assert sampled == [256, 257]
+
+    def test_a_built_section_needs_no_hamiltonian(self, monkeypatch):
+        spec, schrod, section = random_pipeline(3, steps=64)
+
+        def refuse(spec, times):
+            raise AssertionError("H was sampled after build_section")
+
+        for module in (dynamics, sections, holonomy):
+            monkeypatch.setattr(module, "hamiltonian_path", refuse)
+        generator_path(section)
+        moved = gauge_transform(section, random_closed_gauge(schrod.grid.times, 2, np.random.default_rng(3)))
+        for sec in (section, moved):
+            separability_report(sec, schrod, spec)
 
 
 @pytest.fixture(scope="module")

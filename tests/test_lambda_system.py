@@ -219,7 +219,7 @@ class TestPipelineAgreement:
         expected = np.array([ref.a22(t) for t in times[sample]])
         # pointwise finite-difference floor peaks near the A22 extremum
         assert np.abs(a[sample, 1, 1] - expected).max() <= 1e-5
-        k = generator_path(case_iii.section, case_iii.spec).k_mats
+        k = generator_path(case_iii.section).k_mats
         assert np.abs(k[:, 1, 1] + 2j).max() <= 1e-12
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from holosplit.dynamics import FramePath, TimeGrid, propagate_frame
+from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
 from holosplit.instances import random_hermitian
 from holosplit.linalg import (
     _TAYLOR_THETA,
@@ -343,14 +343,16 @@ class TestMinEigenvalueHermitian:
         grid = TimeGrid.uniform(1.0, 4)
         frames = np.broadcast_to(np.eye(3)[:, :2], (len(grid), 3, 2)).astype(complex)
         path = FramePath(grid, frames)
-        assert build_section(Custom(path), path).in_phase_margin == pytest.approx(1.0)
+        zero = Constant(np.zeros((path.n, path.n)))
+        assert build_section(Custom(path), path, zero).in_phase_margin == pytest.approx(1.0)
 
     def test_diagonal(self):
         # O(0, tau) = diag(1, 0.3): the second column tilts towards |3>
         end = np.zeros((3, 2), dtype=complex)
         end[0, 0], end[1, 1], end[2, 1] = 1.0, 0.3, np.sqrt(1 - 0.3**2)
         path = FramePath(TimeGrid.uniform(1.0, 1), np.stack([np.eye(3)[:, :2], end]))
-        assert build_section(Custom(path), path).in_phase_margin == pytest.approx(0.3)
+        zero = Constant(np.zeros((path.n, path.n)))
+        assert build_section(Custom(path), path, zero).in_phase_margin == pytest.approx(0.3)
 
     def test_case_ii_overlap_value(self):
         # overlap diag(1, sqrt(1 - 3/4)) at sin(gamma) = sqrt(3)/2, phi = pi/2

@@ -17,7 +17,7 @@ from holosplit.instances import (
     refutation_instance,
 )
 from holosplit.lambda_system import LambdaParams
-from holosplit.linalg import expm_skew, frobenius, overlaps, products
+from holosplit.linalg import expm_skew, frobenius, overlaps, products, skew_part
 from holosplit.sections import (
     Custom,
     Fixed,
@@ -49,6 +49,11 @@ class TestBuildSection:
     def test_fixed_rejects_moving_subspace(self, case_ii):
         with pytest.raises(SectionError, match="constant subspace"):
             build_section(Fixed(), case_ii.schrod, case_ii.spec)
+
+    def test_rejects_dimension_mismatch(self, case_ii):
+        # the F sandwich refuses a 2-level H against the 3-level frames
+        with pytest.raises(ValueError, match="Hamiltonian dimension 2 does not match frame dimension 3"):
+            build_section(PhaseAnchored(), case_ii.schrod, Constant(np.zeros((2, 2))))
 
     def test_phase_anchored_matches_analytic_column(self, case_ii):
         frames = case_ii.section.path.frames
@@ -163,8 +168,8 @@ class TestGaugeTransform:
         a0 = connection_path(case_iii.section)
         a1 = connection_path(moved)
         assert np.abs(a1 - np.einsum("ij,tjk,kl->til", swap, a0, swap)).max() <= 1e-9
-        k0 = generator_path(case_iii.section, case_iii.spec).k_mats
-        k1 = generator_path(moved, case_iii.spec).k_mats
+        k0 = generator_path(case_iii.section).k_mats
+        k1 = generator_path(moved).k_mats
         assert np.abs(k1 - np.einsum("ij,tjk,kl->til", swap, k0, swap)).max() <= 1e-12
         hol0 = ordered_factor(a0, case_iii.grid)
         hol1 = ordered_factor(a1, case_iii.grid)
@@ -289,6 +294,18 @@ class TestVPath:
         twice = gauge_transform(moved, g)
         np.testing.assert_array_equal(twice.rotation, g[0] @ g[0])
         assert np.abs(twice.path.frames - products(moved.path.frames, g)).max() <= 1e-14
+
+    def test_gauge_rotates_f_once(self, case_iii):
+        # F is against the frames S R: one rotation by V(0) per transform,
+        # the operations the single-rotation formula takes, bit for bit
+        g = random_closed_gauge(case_iii.grid.times, 2, np.random.default_rng(5))
+        f = case_iii.section.f
+        moved = gauge_transform(case_iii.section, g)
+        np.testing.assert_array_equal(moved.f, skew_part(products(overlaps(g[0], f), g[0])))
+        twice = gauge_transform(moved, g)
+        r = twice.rotation
+        assert np.abs(twice.f - skew_part(products(overlaps(r, f), r))).max() <= 1e-14
+        assert not (f.flags.writeable or moved.f.flags.writeable)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
