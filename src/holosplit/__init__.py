@@ -29,9 +29,7 @@ from .lambda_system import (
 )
 from .linalg import (
     Tolerances,
-    commutator_norm,
     expm_skew,
-    polar_decompose,
 )
 from .sections import (
     Custom,
@@ -68,13 +66,11 @@ __all__ = [
     "case_ii_analytic",
     "case_iii_analytic",
     "case_setup",
-    "commutator_norm",
     "connection_path",
     "expm_skew",
     "gauge_transform",
     "kw_wf_residual",
     "ordered_factor",
-    "polar_decompose",
     "propagate_frame",
     "separability_report",
     "solve_anandan",

@@ -14,14 +14,23 @@ numbers as one flat list, and the bracket skeleton is checked against the
 shape before it is applied. The general reader, which builds the nested
 lists, decides every other file and names every error; both give the same
 arrays bit for bit.
+
+A matrix file's arrays are cached in __holosplit_cache__/<name>.npz beside
+it, keyed by the SHA-256 of its bytes; the cache is best-effort, a file that
+fails to parse is never cached, and every check after the read still runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import hashlib
 import json
+import os
 import re
+import tempfile
 import typing
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,15 +162,61 @@ class RunConfig:
 
 def _read_matrix_file(path: Path, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a {"dimension", "times", "matrices"} JSON file into its times and
-    its (npoints, dimension, k) complex stack. The flat route is tried
-    first; a file it does not take goes, unchanged, to the general reader,
-    which decides every other file and names every error."""
+    its (npoints, dimension, k) complex stack. A cache entry that holds the
+    SHA-256 of the file's bytes gives the arrays without a parse. Otherwise
+    the flat route is tried first; a file it does not take goes, unchanged,
+    to the general reader, which decides every other file and names every
+    error; and the arrays are cached."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    arrays = _flat_matrix_file(raw)
-    return arrays if arrays is not None else _nested_matrix_file(raw, path, what)
+    key = hashlib.sha256(_CACHE_TAG)
+    key.update(raw)
+    entry = path.parent / "__holosplit_cache__" / f"{path.name}.npz"
+    arrays = _cached_arrays(entry, key.digest())
+    if arrays is None:
+        arrays = _flat_matrix_file(raw) or _nested_matrix_file(raw, path, what)
+        del raw  # freed before the entry is written
+        if _cacheable(*arrays):
+            _cache_arrays(entry, key.digest(), *arrays)
+    return arrays
+
+
+# hashed before a file's bytes: a change to what the readers return must
+# change it, so that no older entry is taken
+_CACHE_TAG = b"holosplit matrix file 1\n"
+
+
+def _cacheable(times: np.ndarray, mats: np.ndarray) -> bool:
+    """Whether the arrays have the readers' dtypes and C layout and one
+    matrix per time, as every file that passes the later checks has."""
+    return (times.dtype == np.float64 and mats.dtype == np.complex128 and times.ndim == 1 and mats.ndim == 3
+            and len(times) == len(mats) and times.flags.c_contiguous and mats.flags.c_contiguous)
+
+
+def _cached_arrays(entry: Path, key: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The times and matrices in entry when it holds key, else None."""
+    try:
+        # opened here, so that it is closed when np.load fails on a damaged zip
+        with open(entry, "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if npz["key"].tobytes() != key:  # IndexError for a bare .npy array
+                return None
+            arrays = npz["times"], npz["matrices"]
+    except (OSError, ValueError, EOFError, KeyError, IndexError, zipfile.BadZipFile):
+        return None
+    return arrays if _cacheable(*arrays) else None
+
+
+def _cache_arrays(entry: Path, key: bytes, times: np.ndarray, mats: np.ndarray) -> None:
+    """Write entry through a temporary directory beside it and os.replace, so
+    that no reader sees it half written; a failure leaves nothing behind."""
+    with contextlib.suppress(OSError):
+        entry.parent.mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory(dir=entry.parent, ignore_cleanup_errors=True) as tmp:
+            np.savez(f"{tmp}/entry.npz", key=np.frombuffer(key, np.uint8), times=times, matrices=mats)
+            os.replace(f"{tmp}/entry.npz", entry)
 
 
 _MATRIX_KEYS = {"dimension", "times", "matrices"}

@@ -35,7 +35,6 @@ __all__ = [
     "case_ii_analytic",
     "case_iii_analytic",
     "case_setup",
-    "dark_bright_to_bare",
     "eigensystem",
 ]
 
@@ -238,10 +237,3 @@ def case_setup(which: str, p: LambdaParams) -> tuple[Constant, np.ndarray, Secti
         psi0 = np.stack([d, mixed], axis=1)
         return spec, psi0, PhaseAnchored()
     raise ValueError(f"unknown case {which!r}; expected 'i', 'ii' or 'iii'")
-
-
-def dark_bright_to_bare(p: LambdaParams) -> np.ndarray:
-    """Unitary basis change from the ordered frame {|d>, |b>} to the bare
-    ground levels {|1>, |2>}; used to compose holonomies from pulses with
-    different laser parameters."""
-    return np.stack([p.dark_state[:2], p.bright_state[:2]], axis=1)

@@ -24,14 +24,12 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "as_complex_matrix",
-    "commutator_norm",
     "expm_skew",
     "frobenius",
     "hermitian_part",
     "loewdin_orthonormalize",
     "ordered_products",
     "overlaps",
-    "polar_decompose",
     "products",
     "skew_part",
     "subspace_gap",
@@ -229,35 +227,6 @@ def expm_skew(x) -> np.ndarray:
     if frobenius(x + x.conj().T) > DEFAULT_TOL.structure_tol:
         raise ValueError("input is not anti-Hermitian within tolerance")
     return unitary_stack(hermitian_part(1j * skew_part(x))[None], np.ones(1))[0]
-
-
-def polar_decompose(u) -> tuple[np.ndarray, np.ndarray]:
-    """Left polar factorization u = p @ q.
-
-    p is Hermitian positive semidefinite and q unitary, obtained from the
-    singular value decomposition u = x @ diag(s) @ yh as p = x s x^dag,
-    q = x yh.
-    """
-    u = as_complex_matrix(u)
-    _require_square(u)
-    try:
-        x, s, yh = np.linalg.svd(u)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"SVD of polar input failed: {exc}") from exc
-    p = hermitian_part((x * s) @ x.conj().T)
-    q = x @ yh
-    return p, q
-
-
-def commutator_norm(a, b) -> float:
-    """Frobenius norm of the commutator a@b - b@a."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    _require_square(a, "first argument")
-    _require_square(b, "second argument")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return frobenius(a @ b - b @ a)
 
 
 def loewdin_orthonormalize(frame: np.ndarray) -> np.ndarray:

@@ -12,8 +12,41 @@ from holosplit import (
     separability_report,
 )
 from holosplit.dynamics import TimeGrid
+from holosplit.linalg import _require_square, as_complex_matrix, frobenius, hermitian_part
 
 SQRT3 = np.sqrt(3.0)
+
+
+# oracles the tests check the package against; the package itself needs none
+def polar_decompose(u) -> tuple[np.ndarray, np.ndarray]:
+    """Left polar factorization u = p @ q.
+
+    p is Hermitian positive semidefinite and q unitary, obtained from the
+    singular value decomposition u = x @ diag(s) @ yh as p = x s x^dag,
+    q = x yh.
+    """
+    u = as_complex_matrix(u)
+    _require_square(u)
+    x, s, yh = np.linalg.svd(u)
+    return hermitian_part((x * s) @ x.conj().T), x @ yh
+
+
+def commutator_norm(a, b) -> float:
+    """Frobenius norm of the commutator a@b - b@a."""
+    a = as_complex_matrix(a)
+    b = as_complex_matrix(b)
+    _require_square(a, "first argument")
+    _require_square(b, "second argument")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return frobenius(a @ b - b @ a)
+
+
+def dark_bright_to_bare(p: LambdaParams) -> np.ndarray:
+    """Unitary basis change from the ordered frame {|d>, |b>} to the bare
+    ground levels {|1>, |2>}; used to compose holonomies from pulses with
+    different laser parameters."""
+    return np.stack([p.dark_state[:2], p.bright_state[:2]], axis=1)
 
 
 @functools.lru_cache(maxsize=32)

@@ -8,14 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import run_case
+from conftest import commutator_norm, dark_bright_to_bare, polar_decompose, run_case
 from holosplit import (
     Constant,
     LambdaParams,
     PhaseAnchored,
     build_section,
     case_setup,
-    polar_decompose,
     propagate_frame,
     separability_report,
     trivial_shift_check,
@@ -28,8 +27,7 @@ from holosplit.instances import (
     random_hermitian,
     refutation_instance,
 )
-from holosplit.lambda_system import dark_bright_to_bare
-from holosplit.linalg import commutator_norm, frobenius, overlaps
+from holosplit.linalg import frobenius, overlaps
 from holosplit.sections import (
     InPhaseViolation,
     SectionError,

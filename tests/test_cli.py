@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
 import math
+import os
 import types
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -291,9 +295,22 @@ class TestConfigParsing:
 EDIT_BYTES = b'[],0123456789.eE+- \n"a{}:tnu\\'
 
 
+def cache_entry(path):
+    """Where _read_matrix_file caches the arrays of the matrix file path."""
+    return path.parent / "__holosplit_cache__" / f"{path.name}.npz"
+
+
+def no_parse():
+    """A context in which parsing a matrix file fails the test."""
+    def parse(*args):
+        raise AssertionError("the file was parsed")
+
+    return mock.patch.multiple(config, _flat_matrix_file=parse, _nested_matrix_file=parse)
+
+
 class TestMatrixFileRoutes:
-    """_read_matrix_file tries the flat route first; every file must read as
-    the general reader (_nested_matrix_file) reads it."""
+    """_read_matrix_file tries its cache entry, then the flat route; every
+    file must read as the general reader (_nested_matrix_file) reads it."""
 
     @staticmethod
     def outcome(read, *args):
@@ -303,15 +320,24 @@ class TestMatrixFileRoutes:
         except ConfigError as exc:
             return str(exc)
 
-    def assert_read_as_the_general_reader(self, path):
-        want = self.outcome(config._nested_matrix_file, path.read_bytes(), path, "sampled Hamiltonian")
-        got = self.outcome(config._read_matrix_file, path, "sampled Hamiltonian")
+    @staticmethod
+    def assert_same_outcome(got, want):
         if isinstance(want, str) or isinstance(got, str):
             assert got == want
             return
         for g, w in zip(got, want):
             assert (g.dtype, g.shape, g.strides) == (w.dtype, w.shape, w.strides)
             assert g.tobytes() == w.tobytes()
+
+    def assert_read_as_the_general_reader(self, path):
+        """Read path twice, a cache miss and then a hit, each as the general
+        reader reads it. Only a file read to one matrix per time is cached."""
+        want = self.outcome(config._nested_matrix_file, path.read_bytes(), path, "sampled Hamiltonian")
+        self.assert_same_outcome(self.outcome(config._read_matrix_file, path, "sampled Hamiltonian"), want)
+        cached = not isinstance(want, str) and want[0].ndim == 1 and len(want[0]) == len(want[1])
+        assert cache_entry(path).exists() == cached
+        with no_parse() if cached else contextlib.nullcontext():
+            self.assert_same_outcome(self.outcome(config._read_matrix_file, path, "sampled Hamiltonian"), want)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -415,14 +441,123 @@ class TestMatrixFileRoutes:
         path = tmp_path / "ham.json"
         write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
         assert spec.samples.shape == (4097, 4, 4)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            config._read_matrix_file(path, "sampled Hamiltonian")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * path.stat().st_size
+        peaks = []
+        for _ in range(2):  # a cache miss, then a hit
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                config._read_matrix_file(path, "sampled Hamiltonian")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 4.5 * path.stat().st_size
+        # the file's bytes and the arrays (0.41 times the file), read
+        # through numpy's 256 KiB buffers
+        assert peaks[1] <= 1.75 * path.stat().st_size
+
+    @staticmethod
+    def cached_file(tmp_path, name="ham.json", seed=3):
+        """A small writer file, read once so that its cache entry exists,
+        and the general reader's arrays for it."""
+        spec, _ = refutation_instance(seed, TimeGrid.uniform(1.0, 8))
+        path = tmp_path / name
+        write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
+        config._read_matrix_file(path, "sampled Hamiltonian")
+        assert cache_entry(path).exists()
+        return path, config._nested_matrix_file(path.read_bytes(), path, "sampled Hamiltonian")
+
+    def test_same_size_edit_with_the_mtime_kept_is_parsed(self, tmp_path):
+        path, before = self.cached_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        stat = path.stat()
+        # the last digit of the last imaginary part
+        at = raw.rindex(b"]]]]") - 1
+        raw[at] = ord("1") if raw[at] != ord("1") else ord("2")
+        path.write_bytes(raw)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        self.assert_read_as_the_general_reader(path)
+        times, mats = config._read_matrix_file(path, "sampled Hamiltonian")
+        assert mats.tobytes() != before[1].tobytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bare array", "wrong key", "wrong dtype",
+                                        "fortran order", "object array", "another file's"])
+    def test_damaged_entries_are_ignored_and_rewritten(self, tmp_path, damage):
+        path, (times, mats) = self.cached_file(tmp_path)
+        entry = cache_entry(path)
+        key = np.frombuffer(hashlib.sha256(config._CACHE_TAG + path.read_bytes()).digest(), np.uint8)
+        if damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:len(entry.read_bytes()) // 2])
+        elif damage == "garbage":
+            entry.write_bytes(b"garbage" * 100)
+        elif damage == "bare array":
+            with open(entry, "wb") as fh:
+                np.save(fh, mats)
+        elif damage == "wrong key":
+            np.savez(entry, key=key[::-1], times=times + 1, matrices=mats)
+        elif damage == "wrong dtype":
+            np.savez(entry, key=key, times=times.astype(np.float32), matrices=mats.astype(np.complex64))
+        elif damage == "fortran order":
+            np.savez(entry, key=key, times=times, matrices=np.asfortranarray(mats))
+        elif damage == "object array":
+            np.savez(entry, key=key, times=times.astype(object), matrices=mats)
+        else:
+            other, _ = self.cached_file(tmp_path, "other.json", seed=4)
+            entry.write_bytes(cache_entry(other).read_bytes())
+        got = config._read_matrix_file(path, "sampled Hamiltonian")
+        self.assert_same_outcome(got, (times, mats))
+        with np.load(entry, allow_pickle=False) as npz:
+            assert npz["key"].tobytes() == key.tobytes()
+        with no_parse():
+            self.assert_same_outcome(config._read_matrix_file(path, "sampled Hamiltonian"), (times, mats))
+
+    @pytest.mark.parametrize("where", ["mkdir", "temporary directory", "write", "replace"])
+    def test_unwritable_cache_reads_the_same_arrays(self, tmp_path, monkeypatch, where):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        target = {"mkdir": (config.Path, "mkdir"), "temporary directory": (config.tempfile, "mkdtemp"),
+                  "write": (config.np, "savez"), "replace": (config.os, "replace")}[where]
+        spec, _ = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        path = tmp_path / "ham.json"
+        write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
+        want = config._nested_matrix_file(path.read_bytes(), path, "sampled Hamiltonian")
+        with monkeypatch.context() as patched:
+            patched.setattr(*target, refuse)
+            self.assert_same_outcome(config._read_matrix_file(path, "sampled Hamiltonian"), want)
+        assert not cache_entry(path).exists()
+        # no temporary file is left behind
+        assert list(cache_entry(path).parent.glob("**/*")) == []
+
+    def test_custom_section_file_reads_through_the_cache(self, tmp_path):
+        spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        frames = propagate_frame(spec, psi0, spec.grid).frames
+        write_sampled_hamiltonian(tmp_path / "ham.json", spec.grid.times, spec.samples)
+        write_sampled_hamiltonian(tmp_path / "section.json", spec.grid.times, frames)
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "sampled", "path": "ham.json"},
+                            subspace={"matrix": matrix_to_json(psi0)},
+                            section={"rule": "custom", "path": "section.json"},
+                            grid={"tau": 1.0, "steps": 8})
+        load_run_config(path)
+        assert cache_entry(tmp_path / "section.json").exists()
+        with no_parse():
+            cfg = load_run_config(path)
+        np.testing.assert_array_equal(cfg.rule.path.frames.view(np.int64), frames.view(np.int64))
+
+    def test_commands_give_the_same_bytes_from_the_cache(self, tmp_path, capsys):
+        ham, path = TestExitCodes.sampled_config(tmp_path)
+        runs = []
+        for state in ("miss", "hit", "deleted"):
+            if state == "deleted":
+                cache_entry(ham).unlink()
+            out = tmp_path / state
+            out.mkdir()
+            codes = [command(str(path), out) for command in TestExitCodes.COMMANDS.values()]
+            runs.append((codes, capsys.readouterr().out.replace(str(out), ""),
+                         (out / "r.json").read_bytes(), (out / "t.csv").read_bytes()))
+        assert runs[0][0] == [0, 1, 0, 0]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestConfigTolerances:
@@ -792,21 +927,32 @@ class TestExport:
             tables.append(table)
             return blocks(table)
 
-        def peak(writer):
-            monkeypatch.setattr(cli, "_csv_blocks", writer)
+        def write_peak(writer):
+            """The traced peak of an export from the moment its writer starts:
+            what the export holds then, and the writer's own memory."""
+            def from_start(table):
+                tracemalloc.reset_peak()
+                yield from writer(table)
+
+            monkeypatch.setattr(cli, "_csv_blocks", from_start)
             tracemalloc.start()
             try:
-                tracemalloc.reset_peak()
                 assert cmd_export(str(refutation_7_config), str(tmp_path / "t.csv")) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(recorded_blocks)  # fills first-call caches and records the table
+        write_peak(recorded_blocks)  # fills first-call caches and records the table
         table, = tables
         assert table.shape == (4097, 33)
-        # the whole export, and the writing of the 4097-row table alone
-        assert peak(blocks) <= peak(_repr_csv_rows)
+        # the whole export, on like terms: the pipeline before the writer is
+        # the same for both writers, so the exports' peaks compare as their
+        # write phases do. A whole-export peak also falls by 24-32 B from
+        # one export to the next, whatever the writer, so both orders are run
+        for order in ((blocks, _repr_csv_rows), (_repr_csv_rows, blocks)):
+            peaks = {writer: write_peak(writer) for writer in order}
+            assert peaks[blocks] <= peaks[_repr_csv_rows]
+        # the writing of the 4097-row table alone
         writer_peaks = []
         for writer in (blocks, _repr_csv_rows):
             tracemalloc.start()

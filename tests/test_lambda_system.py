@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_case
+from conftest import commutator_norm, dark_bright_to_bare, run_case
 from holosplit.lambda_system import (
     LambdaParams,
     case_i_analytic,
     case_ii_analytic,
     case_iii_analytic,
     case_setup,
-    dark_bright_to_bare,
     eigensystem,
 )
-from holosplit.linalg import commutator_norm
 from holosplit.sections import Fixed, PhaseAnchored
 
 SQRT3 = np.sqrt(3.0)

@@ -4,19 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import commutator_norm, polar_decompose
 from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
 from holosplit.instances import random_hermitian
 from holosplit.linalg import (
     _TAYLOR_THETA,
     Tolerances,
-    commutator_norm,
     expm_skew,
     frobenius,
     hermitian_part,
     loewdin_orthonormalize,
     ordered_products,
     overlaps,
-    polar_decompose,
     products,
     skew_part,
     subspace_gap,
