@@ -27,6 +27,7 @@ from .linalg import (
     Tolerances,
     _require_tolerance,
     _taylor_plan,
+    _time_last,
     as_complex_matrix,
     frobenius,
     hermitian_part,
@@ -232,7 +233,9 @@ class FramePath:
         residual = np.linalg.norm(overlaps(f, f) - np.eye(f.shape[2]), axis=(1, 2)).max()
         if residual > 10 * self.structure_tol:
             raise ValueError(f"columns not orthonormal (residual {residual:.3e})")
-        object.__setattr__(self, "frames", _freeze(f))
+        # kept in the given layout: linalg._time_last frames stay time-last
+        f.flags.writeable = False
+        object.__setattr__(self, "frames", f)
 
     @property
     def n(self) -> int:
@@ -300,7 +303,7 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> np
     # frame(t)_ij = sum_l exp(-i w_l t) v_il (v^dag psi0)_lj: one
     # (T-1) x N by N x (N M) product
     modes = v[:, :, None] * overlaps(v, psi0)[None, :, :]
-    out = np.empty((times.size, n, m), dtype=complex)
+    out = _time_last((times.size, n, m))
     out[0] = psi0
     phases = np.exp(-1j * np.outer(times[1:], w))
     out[1:] = (phases @ modes.transpose(1, 0, 2).reshape(n, n * m)).reshape(-1, n, m)

@@ -41,6 +41,7 @@ from .dynamics import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _time_last,
     frobenius,
     ordered_products,
     overlaps,
@@ -133,17 +134,19 @@ def connection_path(section: SectionPath) -> np.ndarray:
     if isinstance(section.rule, Fixed) and section.rotation is None:
         return np.zeros_like(section.v)
     v = section.v if section.rotation is None else products(section.rotation, section.v)
-    # z holds skew(L_j^dag L_k) for every step (k, k + 1), then for (0, 2)
+
+    def skew_overlaps(j, k):
+        return skew_part(products(overlaps(v[j], overlaps(s[j], s[k])), v[k]))
+
+    # z holds skew(L_j^dag L_k) for every step (k, k + 1) and ends for (0, 2)
     # and (n - 3, n - 1); skew(X^dag) = -skew(X)
-    j, k = np.append(np.arange(n - 1), [0, n - 3]), np.append(np.arange(1, n), [2, n - 1])
-    steps = np.concatenate([overlaps(s[:-1], s[1:]), overlaps(s[[0, n - 3]], s[[2, n - 1]])])
-    z = skew_part(products(overlaps(v[j], steps), v[k]))
+    z, ends = skew_overlaps(slice(0, n - 1), slice(1, n)), skew_overlaps([0, n - 3], [2, n - 1])
     h = np.diff(times)
     h1, h2 = h[:-1, None, None], h[1:, None, None]
-    a = np.empty_like(z[:n])
-    a[1:-1] = -h2 / (h1 * (h1 + h2)) * z[: n - 2] - h1 / (h2 * (h1 + h2)) * z[1 : n - 1]
-    a[0] = -(h[0] + h[1]) / (h[0] * h[1]) * z[0] + h[0] / (h[1] * (h[0] + h[1])) * z[n - 1]
-    a[-1] = h[-1] / (h[-2] * (h[-2] + h[-1])) * z[n] - (h[-2] + h[-1]) / (h[-2] * h[-1]) * z[n - 2]
+    a = _time_last((n, *z.shape[1:]))
+    a[1:-1] = -h2 / (h1 * (h1 + h2)) * z[:-1] - h1 / (h2 * (h1 + h2)) * z[1:]
+    a[0] = -(h[0] + h[1]) / (h[0] * h[1]) * z[0] + h[0] / (h[1] * (h[0] + h[1])) * ends[0]
+    a[-1] = h[-1] / (h[-2] * (h[-2] + h[-1])) * ends[1] - (h[-2] + h[-1]) / (h[-2] * h[-1]) * z[-1]
     return a
 
 
@@ -240,7 +243,10 @@ def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
 
     def expand(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         npts, m, _ = mats.shape
-        flat = mats.reshape(npts, m * m)
+        # a view: a C-order stack reshapes as it is, a time-last one is the
+        # transpose of its (M^2, T) buffer
+        flat = (mats.reshape(npts, m * m) if mats.flags.c_contiguous
+                else np.moveaxis(mats, 0, -1).reshape(m * m, npts).T)
         # the stack's right singular vectors are those of its R factor, an
         # SVD of at most M^2 x M^2 whatever T is; flat @ vh^dag holds w s
         vh = np.linalg.svd(np.linalg.qr(flat, mode="r"))[2]

@@ -11,6 +11,13 @@ and the four endpoint factors) the one pairing of ordered_products. Each
 kernel picks its method from the array shape (and unitary_stack from the
 largest ||H dt||_1) alone; a stack of 2 x 2 matrices, the shape of every
 M = 2 subspace quantity, takes closed forms.
+
+Storage rule: a stack (T, r, c) of matrices with at most 8 entries, the
+shapes products sums entrywise, is allocated time-last (_time_last), as a
+view of one C-order (r, c, T) buffer, so each entry's series over the stack
+is one contiguous vector for those sums to read and write. Shapes, indexing
+and values are those of a C-order stack; the larger matrices of the matmul
+route stay C-order.
 """
 
 from __future__ import annotations
@@ -86,27 +93,45 @@ def frobenius(a) -> float:
 
 def _halved(s: np.ndarray) -> np.ndarray:
     """s / 2 in place, one float part at a time: a complex division by 2,
-    or a complex times 0.5, turns some -0.0 real parts into +0.0."""
-    s.view(s.real.dtype)[...] *= 0.5
+    or a complex times 0.5, turns some -0.0 real parts into +0.0. The parts
+    are strided views, so s may have any layout."""
+    for part in (s.real, s.imag) if np.iscomplexobj(s) else (s,):
+        part *= 0.5
     return s
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return _halved(np.add(a, a.conj().swapaxes(-1, -2), order="C"))
+    return _halved(np.add(a, a.conj().swapaxes(-1, -2), order="K"))
 
 
 def skew_part(a: np.ndarray) -> np.ndarray:
-    return _halved(np.subtract(a, a.conj().swapaxes(-1, -2), order="C"))
+    return _halved(np.subtract(a, a.conj().swapaxes(-1, -2), order="K"))
+
+
+def _time_last(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
+    """np.empty(shape, dtype) for a stack (..., r, c); with r c <= 8, the
+    matrices products sums entrywise, it is a view of one C-order
+    (r, c, ...) buffer, so each entry's series over the stack is one
+    contiguous vector. Larger matrices, matmul's operands, stay C-order."""
+    if shape[-2] * shape[-1] > 8:
+        return np.empty(shape, dtype)
+    return np.empty(shape[-2:] + shape[:-2], dtype).transpose(*range(2, len(shape)), 0, 1)
 
 
 def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the last two axes, (..., r, k) @ (..., k, c) -> (..., r, c),
     leading axes broadcast: for k <= 4 and r c <= 8 each entry is summed over
-    the whole stack at once, else one batched matmul. Entrywise/matmul time,
-    one BLAS thread, stacks of 2048 and 16384 (scripts/product_crossover.py):
-    0.10, 0.24 at (r, k, c) = (2, 2, 2); 0.20, 0.58 at (3, 3, 2); 0.36, 1.24
-    at (4, 4, 2); 0.76, 2.87 at (4, 4, 4). So the (4, 4, 2) route assumes
-    stacks of at most about 4096, the 4-level chunks of dynamics._CHUNK_BYTES."""
+    the whole stack at once into a time-last result, else one batched matmul.
+    Entrywise/matmul time, one BLAS thread, stacks of 2048 and 16384
+    (scripts/product_crossover.py), on time-last operands (C-order ones in
+    brackets): 0.05, 0.06 (0.07, 0.15) at (r, k, c) = (2, 2, 2); 0.11, 0.12
+    (0.15, 0.44) at (3, 3, 2); 0.21, 0.26 (0.30, 1.27) at (4, 4, 2); 0.75,
+    2.2 (0.97, 3.9) at (4, 4, 4). So on C-order operands the (4, 4, 2) route
+    assumes stacks of at most about 4096, the 4-level chunks of
+    dynamics._CHUNK_BYTES. Stacks of 4 and 16 take 4-5 and about 2 times
+    matmul's time at (2, 2, 2) on either layout; they keep this route, as
+    matmul's sums would move the bits of every ordered product for about
+    0.3 ms of a 16384-step decompose."""
     (r, k), c = a.shape[-2:], b.shape[-1]
     if k != b.shape[-2]:
         raise ValueError(f"products needs a matching inner dimension, got shapes {a.shape} and {b.shape}")
@@ -115,13 +140,12 @@ def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _entrywise_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (r, k), c = a.shape[-2:], b.shape[-1]
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (r, c), np.result_type(a, b))
+    out = _time_last(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (r, c), np.result_type(a, b))
     for i in range(r):
         for j in range(c):
-            acc = a[..., i, 0] * b[..., 0, j]
+            acc = np.multiply(a[..., i, 0], b[..., 0, j], out=out[..., i, j])
             for l in range(1, k):
                 acc += a[..., i, l] * b[..., l, j]
-            out[..., i, j] = acc
     return out
 
 
@@ -206,9 +230,11 @@ def _unitary_2x2(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     cos = phase * np.cos(theta)
     # np.sinc(x) = sin(pi x)/(pi x), which is 1 at x = 0
     cross = phase * (-1j * dts * np.sinc(theta / np.pi))
-    out = np.empty((hams.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = cos + cross * half_gap
-    out[:, 1, 1] = cos - cross * half_gap
+    out = _time_last((hams.shape[0], 2, 2))
+    # the diagonal's shift is formed in place, in a row of out
+    shift = np.multiply(cross, half_gap, out=out[:, 0, 0])
+    np.subtract(cos, shift, out=out[:, 1, 1])
+    shift += cos
     out[:, 1, 0] = cross * low
     out[:, 0, 1] = cross * low.conj()
     return out
@@ -269,7 +295,7 @@ def _loewdin_2(frame: np.ndarray) -> np.ndarray:
     x00 = ((g11 + s) * scale)[..., None]
     x11 = ((g00 + s) * scale)[..., None]
     x10 = (-g10 * scale)[..., None]
-    out = np.empty(frame.shape, dtype=complex)
+    out = _time_last(frame.shape)
     out[..., 0] = c0 * x00 + c1 * x10
     out[..., 1] = c0 * x10.conj() + c1 * x11
     return out

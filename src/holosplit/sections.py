@@ -26,6 +26,7 @@ from .dynamics import FramePath, HamiltonianSpec, _chunks, _sandwich, hamiltonia
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _time_last,
     frobenius,
     hermitian_part,
     overlaps,
@@ -152,7 +153,7 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
     s = schrodinger.frames
     npts, m = s.shape[0], s.shape[2]
     grid, structure_tol = schrodinger.grid, tol.structure_tol
-    f = np.empty((npts, m, m), dtype=complex)
+    f = _time_last((npts, m, m))
     for sl in _chunks(npts, schrodinger.n):
         f[sl] = _sandwich(hamiltonian_path(spec, grid.times[sl]), s[sl])
 
@@ -161,7 +162,8 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
         if drift > 10 * tol.structure_tol:
             raise SectionError(f"fixed section requires a constant subspace; projector moved by {drift:.3e}")
         s0 = schrodinger.initial
-        gram = np.broadcast_to(overlaps(s0, s0), (npts, m, m)).copy()
+        gram = _time_last((npts, m, m))
+        gram[...] = overlaps(s0, s0)
         return _section(schrodinger, rule, overlaps(s, s0), gram, f, lambda: FramePath(
             grid, np.broadcast_to(s0, (npts, *s0.shape)), structure_tol))
 
@@ -177,7 +179,8 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
         # exp(-i arg) is insensitive to the branch of arg, so no unwrap needed
         phases = np.exp(-1j * np.angle(anchors))
         phases[0] = 1.0
-        return _section(schrodinger, rule, phases[:, :, None] * np.eye(m), u * phases[:, None, :], f,
+        v = np.multiply(phases[:, :, None], np.eye(m), out=_time_last((npts, m, m)))
+        return _section(schrodinger, rule, v, np.multiply(u, phases[:, None, :], out=_time_last(u.shape)), f,
                         lambda: FramePath(grid, s * phases[:, None, :], structure_tol))
 
     if isinstance(rule, Custom):

@@ -6,10 +6,12 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import commutator_norm, polar_decompose
 from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
-from holosplit.instances import random_hermitian
+from holosplit.holonomy import generator_path, ordered_factor
+from holosplit.instances import random_hermitian, refutation_instance
 from holosplit.linalg import (
     _TAYLOR_THETA,
     Tolerances,
+    _time_last,
     expm_skew,
     frobenius,
     hermitian_part,
@@ -21,7 +23,7 @@ from holosplit.linalg import (
     subspace_gap,
     unitary_stack,
 )
-from holosplit.sections import Custom, _min_eigenvalues, build_section
+from holosplit.sections import Custom, PhaseAnchored, _min_eigenvalues, build_section
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -51,32 +53,59 @@ def skew_matrices(draw, max_dim=8):
     return (z - z.conj().T) / 2
 
 
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def time_last_copy(x):
+    """A copy of the stack x (T, r, c) held as a view of one C-order (r, c, T)
+    buffer, the layout of linalg._time_last: x[:, i, j] is contiguous."""
+    return np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0)
+
+
+def exact_stack(part):
+    """A (4, 3, 3) stack that part leaves unchanged, with -0.0 real parts
+    above the diagonal (and below it too when Hermitian) beside imaginary
+    parts of either sign."""
+    rng = np.random.default_rng(6)
+    a = np.zeros((4, 3, 3), dtype=complex)
+    upper, diag = np.triu_indices(3, 1), np.diag_indices(3)
+    q = rng.standard_normal((4, 3))
+    a.real[:, upper[0], upper[1]] = -0.0
+    a.imag[:, upper[0], upper[1]] = q
+    if part is skew_part:
+        a.imag[:, upper[1], upper[0]] = q
+        a.imag[:, diag[0], diag[1]] = rng.standard_normal((4, 3))
+    else:
+        a.real[:, upper[1], upper[0]] = -0.0
+        a.imag[:, upper[1], upper[0]] = -q
+        a.real[:, diag[0], diag[1]] = rng.standard_normal((4, 3))
+    return a
+
+
 class TestHermitianAndSkewParts:
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("order", ["C", "F", "time-last"])
     def test_equal_to_halving_by_complex_division(self, order):
         # bit for bit wherever no part is zero
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
-        a = np.asarray(a, order=order)
+        a = time_last_copy(a) if order == "time-last" else np.asarray(a, order=order)
         at = a.conj().swapaxes(-1, -2)
-
-        def bits(x):
-            return np.ascontiguousarray(x).view(np.int64)
-
         np.testing.assert_array_equal(bits(hermitian_part(a)), bits((a + at) / 2))
         np.testing.assert_array_equal(bits(skew_part(a)), bits((a - at) / 2))
 
     def test_exactly_skew_stack_is_unchanged(self):
         # off-diagonal real parts of -0.0 beside imaginary parts of either
         # sign; a complex division by 2 turned some of them into +0.0
-        rng = np.random.default_rng(6)
-        a = np.zeros((4, 3, 3), dtype=complex)
-        upper, diag = np.triu_indices(3, 1), np.diag_indices(3)
-        q = rng.standard_normal((4, 3))
-        a.real[:, upper[0], upper[1]] = -0.0  # and +0.0 below the diagonal
-        a.imag[:, upper[0], upper[1]] = a.imag[:, upper[1], upper[0]] = q
-        a.imag[:, diag[0], diag[1]] = rng.standard_normal((4, 3))
+        a = exact_stack(skew_part)
         np.testing.assert_array_equal(skew_part(a).view(np.int64), a.view(np.int64))
+
+    @pytest.mark.parametrize("part, layout", [(skew_part, "time-last"), (hermitian_part, "C"),
+                                              (hermitian_part, "time-last")])
+    def test_exact_stack_is_unchanged_in_any_layout(self, part, layout):
+        a = exact_stack(part)
+        a = time_last_copy(a) if layout == "time-last" else a
+        np.testing.assert_array_equal(bits(part(a)), bits(a))
 
 
 class TestExpmSkew:
@@ -602,3 +631,72 @@ class TestProducts:
             for m, k in [(m, k) for m in range(1, 5) for k in range(1, 5) if m * k <= 8]:
                 a, b = random_complex(rng, (*lead_a, n, m)), random_complex(rng, (*lead_b, n, k))
                 np.testing.assert_array_equal(overlaps(a, b), row_outer_sum_overlaps(a, b))
+
+
+# finite entries, signed zeros among them
+signed_entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4, 4, allow_subnormal=False))
+
+
+def draw_stack(data, shape):
+    z = np.empty(shape, dtype=complex)
+    z.real = data.draw(arrays(float, shape, elements=signed_entries))
+    z.imag = data.draw(arrays(float, shape, elements=signed_entries))
+    return z
+
+
+def is_time_last(x):
+    return all(x[:, i, j].flags.c_contiguous for i in range(x.shape[1]) for j in range(x.shape[2]))
+
+
+class TestTimeLastLayout:
+    """Stacks of matrices with at most 8 entries, the ones products sums
+    entrywise, are held time-last (linalg._time_last); every kernel gives
+    the same bits on either layout of its operands."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_same_bits_on_c_order_and_time_last_operands(self, data):
+        n = data.draw(st.integers(1, 12))
+        r, k, c = data.draw(st.sampled_from(
+            [(r, k, c) for r in range(1, 5) for k in range(1, 5) for c in range(1, 5) if r * c <= 8]))
+        m = data.draw(st.integers(1, 2))
+        direction = data.draw(st.sampled_from(["forward", "reverse"]))
+        square = draw_stack(data, (n, k, k))
+        hams = hermitian_part(draw_stack(data, (n, 2, 2)))
+        dts = data.draw(arrays(float, n, elements=st.floats(-1, 1)))
+
+        def same_bits(fn, *stacks):
+            np.testing.assert_array_equal(bits(fn(*stacks)), bits(fn(*map(time_last_copy, stacks))))
+
+        same_bits(products, draw_stack(data, (n, r, k)), draw_stack(data, (n, k, c)))
+        same_bits(overlaps, draw_stack(data, (n, k, r)), draw_stack(data, (n, k, c)))
+        same_bits(skew_part, square)
+        same_bits(hermitian_part, square)
+        same_bits(lambda h: unitary_stack(h, dts), hams)
+        slices = draw_stack(data, (n, m, m))
+        same_bits(lambda s: ordered_products(s, direction), slices)
+        same_bits(lambda s: ordered_products(s, direction, cumulative=True), slices)
+
+    def test_allocator_keeps_larger_matrices_c_order(self):
+        for shape in [(5, 2, 2), (5, 4, 2), (5, 1, 8), (3, 5, 2, 2)]:
+            x = _time_last(shape)
+            assert x.shape == shape and np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous
+        for shape in [(5, 3, 3), (5, 4, 4), (5, 64, 4)]:
+            x = _time_last(shape)
+            assert x.shape == shape and x.flags.c_contiguous
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "refutation"])
+    def test_pipeline_hands_on_time_last_stacks(self, case, request):
+        # a C-order copy anywhere on the way fails this
+        if case == "refutation":
+            spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 256))
+            schrod = propagate_frame(spec, psi0, spec.grid)
+            section, frames = build_section(PhaseAnchored(), schrod, spec), {}
+        else:
+            run = request.getfixturevalue(f"case_{case}")
+            section, frames = run.section, {"frames": run.schrod.frames}
+        gens = generator_path(section)
+        stacks = {**frames, "v": section.v, "overlap": section.overlap, "f": section.f,
+                  "a_mats": gens.a_mats, "k_mats": gens.k_mats,
+                  "ordered_factor": ordered_factor(gens.a_mats, gens.grid, cumulative=True)}
+        assert [name for name, x in stacks.items() if not is_time_last(x)] == []

@@ -33,12 +33,15 @@ def test_product_crossover(monkeypatch, capsys):
     # the script pins BLAS to one thread; restore the variables afterwards
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "argv", ["product_crossover.py", "--batches", "4", "--repeats", "1"])
+    monkeypatch.setattr(sys, "argv", ["product_crossover.py", "--batches", "4", "16", "--repeats", "1"])
     module = _load("product_crossover")
     assert module.main() == 0
-    rows = [r.replace(",", " ").split() for r in capsys.readouterr().out.splitlines()[1:]]
+    header, *lines = capsys.readouterr().out.splitlines()
+    # a C-order and a time-last column per stack size
+    assert header.split()[3:] == ["n=4", "C", "n=4", "T", "n=16", "C", "n=16", "T"]
+    rows = [r.replace(",", " ").split() for r in lines]
     assert [tuple(int(x) for x in r[:3]) for r in rows] == list(module.SHAPES)
-    assert all(len(r) == 4 and float(r[3]) > 0 for r in rows)
+    assert all(len(r) == 7 and all(float(x) > 0 for x in r[3:]) for r in rows)
 
 
 def test_march_crossover(monkeypatch, capsys):
