@@ -687,7 +687,8 @@ class TestTimeLastLayout:
 
     @pytest.mark.parametrize("case", ["i", "ii", "iii", "refutation"])
     def test_pipeline_hands_on_time_last_stacks(self, case, request):
-        # a C-order copy anywhere on the way fails this
+        # a C-order copy anywhere on the way fails this; a sampled run's
+        # frames are C-order, as its propagation steps write them
         if case == "refutation":
             spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 256))
             schrod = propagate_frame(spec, psi0, spec.grid)
