@@ -12,12 +12,12 @@ kernel picks its method from the array shape (and unitary_stack from the
 largest ||H dt||_1) alone; a stack of 2 x 2 matrices, the shape of every
 M = 2 subspace quantity, takes closed forms.
 
-Storage rule: a stack (T, r, c) of matrices with at most 8 entries, the
-shapes products sums entrywise, is allocated time-last (_time_last), as a
-view of one C-order (r, c, T) buffer, so each entry's series over the stack
-is one contiguous vector for those sums to read and write. Shapes, indexing
-and values are those of a C-order stack; the larger matrices of the matmul
-route stay C-order.
+Storage rule: a stack (T, r, c) of matrices with at most 4 rows, 4 columns
+and 8 entries, the ones products sums entrywise, is allocated time-last
+(_time_last), as a view of one C-order (r, c, T) buffer, so each entry's
+series over the stack is one contiguous vector for those sums to read and
+write. Shapes, indexing and values are those of a C-order stack; the
+matrices that meet matmul stay C-order.
 """
 
 from __future__ import annotations
@@ -93,10 +93,11 @@ def frobenius(a) -> float:
 
 def _halved(s: np.ndarray) -> np.ndarray:
     """s / 2 in place, one float part at a time: a complex division by 2,
-    or a complex times 0.5, turns some -0.0 real parts into +0.0. The parts
-    are strided views, so s may have any layout."""
-    for part in (s.real, s.imag) if np.iscomplexobj(s) else (s,):
-        part *= 0.5
+    or a complex times 0.5, turns some -0.0 real parts into +0.0. s is a
+    fresh ufunc result, one dense block in some axis order (time-last
+    included), and is scaled through that block's float view."""
+    block = s.transpose(np.argsort(s.strides, kind="stable")[::-1])
+    block.view(s.real.dtype)[...] *= 0.5
     return s
 
 
@@ -109,11 +110,13 @@ def skew_part(a: np.ndarray) -> np.ndarray:
 
 
 def _time_last(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
-    """np.empty(shape, dtype) for a stack (..., r, c); with r c <= 8, the
-    matrices products sums entrywise, it is a view of one C-order
-    (r, c, ...) buffer, so each entry's series over the stack is one
-    contiguous vector. Larger matrices, matmul's operands, stay C-order."""
-    if shape[-2] * shape[-1] > 8:
+    """np.empty(shape, dtype) for a stack (..., r, c). When r, c <= 4 and
+    r c <= 8, the bounds under which products sums the matrices entrywise
+    as either operand, it is a view of one C-order (r, c, ...) buffer: each
+    entry's series over the stack is one contiguous vector. Other matrices,
+    which meet matmul, stay C-order."""
+    r, c = shape[-2:]
+    if max(r, c) > 4 or r * c > 8:
         return np.empty(shape, dtype)
     return np.empty(shape[-2:] + shape[:-2], dtype).transpose(*range(2, len(shape)), 0, 1)
 
@@ -121,7 +124,7 @@ def _time_last(shape: tuple[int, ...], dtype=complex) -> np.ndarray:
 def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the last two axes, (..., r, k) @ (..., k, c) -> (..., r, c),
     leading axes broadcast: for k <= 4 and r c <= 8 each entry is summed over
-    the whole stack at once into a time-last result, else one batched matmul.
+    the whole stack at once into a _time_last result, else one batched matmul.
     Entrywise/matmul time, one BLAS thread, stacks of 2048 and 16384
     (scripts/product_crossover.py), on time-last operands (C-order ones in
     brackets): 0.05, 0.06 (0.07, 0.15) at (r, k, c) = (2, 2, 2); 0.11, 0.12

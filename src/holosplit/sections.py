@@ -180,8 +180,8 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
         phases = np.exp(-1j * np.angle(anchors))
         phases[0] = 1.0
         v = np.multiply(phases[:, :, None], np.eye(m), out=_time_last((npts, m, m)))
-        return _section(schrodinger, rule, v, np.multiply(u, phases[:, None, :], out=_time_last(u.shape)), f,
-                        lambda: FramePath(grid, s * phases[:, None, :], structure_tol))
+        o = np.multiply(u, phases[:, None, :], out=_time_last((npts, m, m)))
+        return _section(schrodinger, rule, v, o, f, lambda: FramePath(grid, s * phases[:, None, :], structure_tol))
 
     if isinstance(rule, Custom):
         path = rule.path

@@ -649,9 +649,9 @@ def is_time_last(x):
 
 
 class TestTimeLastLayout:
-    """Stacks of matrices with at most 8 entries, the ones products sums
-    entrywise, are held time-last (linalg._time_last); every kernel gives
-    the same bits on either layout of its operands."""
+    """Stacks of matrices with at most 4 rows, 4 columns and 8 entries, which
+    products sums entrywise, are held time-last (linalg._time_last); every
+    kernel gives the same bits on either layout of its operands."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -678,10 +678,11 @@ class TestTimeLastLayout:
         same_bits(lambda s: ordered_products(s, direction, cumulative=True), slices)
 
     def test_allocator_keeps_larger_matrices_c_order(self):
-        for shape in [(5, 2, 2), (5, 4, 2), (5, 1, 8), (3, 5, 2, 2)]:
+        for shape in [(5, 2, 2), (5, 4, 2), (5, 2, 4), (5, 4, 1), (3, 5, 2, 2)]:
             x = _time_last(shape)
             assert x.shape == shape and np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous
-        for shape in [(5, 3, 3), (5, 4, 4), (5, 64, 4)]:
+        # (8, 1) frames meet matmul as the overlaps' 8-row sum
+        for shape in [(5, 3, 3), (5, 4, 4), (5, 64, 4), (5, 8, 1), (5, 1, 8)]:
             x = _time_last(shape)
             assert x.shape == shape and x.flags.c_contiguous
 
