@@ -95,9 +95,8 @@ def _halved(s: np.ndarray) -> np.ndarray:
     """s / 2 in place, one float part at a time: a complex division by 2,
     or a complex times 0.5, turns some -0.0 real parts into +0.0. s is a
     fresh ufunc result, one dense block in some axis order (time-last
-    included), and is scaled through that block's float view."""
-    block = s.transpose(np.argsort(s.strides, kind="stable")[::-1])
-    block.view(s.real.dtype)[...] *= 0.5
+    included), so its ravel in memory order is a view, scaled as floats."""
+    s.ravel(order="K").view(s.real.dtype)[...] *= 0.5
     return s
 
 
@@ -132,9 +131,9 @@ def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     2.2 (0.97, 3.9) at (4, 4, 4). So on C-order operands the (4, 4, 2) route
     assumes stacks of at most about 4096, the 4-level chunks of
     dynamics._CHUNK_BYTES. Stacks of 4 and 16 take 4-5 and about 2 times
-    matmul's time at (2, 2, 2) on either layout; they keep this route, as
-    matmul's sums would move the bits of every ordered product for about
-    0.3 ms of a 16384-step decompose."""
+    matmul's time at (2, 2, 2) on either layout, and keep this route:
+    matmul's sums would move the bits of every ordered product, and a floor
+    at 16 matrices saved nothing measurable on a 16384-step decompose."""
     (r, k), c = a.shape[-2:], b.shape[-1]
     if k != b.shape[-2]:
         raise ValueError(f"products needs a matching inner dimension, got shapes {a.shape} and {b.shape}")
