@@ -3,13 +3,17 @@
 
 For each level count N and subspace size M, steps an M-column frame through
 a cosine drive H(t) = H0 + cos(t) H1 (random H0, H1 of spectral norm about
-1) over --steps steps of tau = 1, chunk by chunk as dynamics._propagate
-does, and prints the time of dynamics._slice_march (prefix products of
-linalg.unitary_stack slices) over that of dynamics._taylor_march (Taylor
-action on the frame), on one BLAS thread and best of --repeats; the midpoint
-Hamiltonians are sampled before timing. Below 1 the slice kernel wins.
-dynamics._propagate takes the slice kernel below N = 20; rerun this on other
-hardware to check that rule.
+1, sampled on the propagation grid) over --steps steps of tau = 1, chunk by
+chunk as dynamics._propagate does, and prints the time of
+dynamics._slice_march (prefix products of linalg.unitary_stack slices) over
+that of dynamics._taylor_march (Taylor action on the frame), on one BLAS
+thread and best of --repeats. Each kernel is timed as propagate_frame runs
+it, midpoint sampling included: the slice kernel samples each chunk's
+midpoint H as one stack, the Taylor kernel forms each step's H right before
+its products and plans from the spec's per-sample norms, which the first,
+untimed run caches as a spec's first propagation does. Below 1 the slice
+kernel wins. dynamics._propagate takes the slice kernel below N = 20; rerun
+this on other hardware to check that rule.
 """
 
 import os
@@ -23,7 +27,7 @@ import timeit
 
 import numpy as np
 
-from holosplit.dynamics import TimeGrid, _chunks, _slice_march, _taylor_march, hamiltonian_path
+from holosplit.dynamics import TimeGrid, _chunks, _Midpoints, _slice_march, _taylor_march
 from holosplit.instances import cosine_drive, random_frame, random_hermitian
 
 SUBSPACES = (2, 4)
@@ -33,9 +37,9 @@ def best_time(fn, repeats: int) -> float:
     return min(timeit.repeat(fn, number=1, repeat=repeats))
 
 
-def march(kernel, hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
-    for sl in _chunks(dts.size, hams.shape[1]):
-        kernel(hams[sl], dts[sl], out[sl.start : sl.stop + 1])
+def march(kernel, spec, mids: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
+    for sl in _chunks(dts.size, out.shape[1]):
+        kernel(_Midpoints(spec, mids[sl]), dts[sl], out[sl.start : sl.stop + 1])
 
 
 def main() -> int:
@@ -54,7 +58,6 @@ def main() -> int:
         rng = np.random.default_rng(n)
         scale = 1.0 / np.sqrt(n)
         spec = cosine_drive(random_hermitian(n, rng, scale), random_hermitian(n, rng, scale), grid)
-        hams = np.ascontiguousarray(hamiltonian_path(spec, mids))
         ratios = []
         for m in SUBSPACES:
             if m > n:
@@ -62,12 +65,12 @@ def main() -> int:
                 continue
             a, b = (np.empty((grid.times.size, n, m), dtype=complex) for _ in range(2))
             a[0] = b[0] = random_frame(n, m, rng)
-            march(_slice_march, hams, dts, a)
-            march(_taylor_march, hams, dts, b)
+            march(_slice_march, spec, mids, dts, a)
+            march(_taylor_march, spec, mids, dts, b)
             if not np.allclose(a, b, rtol=0.0, atol=1e-12):
                 raise AssertionError(f"slice and Taylor marches differ at N = {n}, M = {m}")
-            ratios.append(best_time(lambda: march(_slice_march, hams, dts, a), args.repeats)
-                          / best_time(lambda: march(_taylor_march, hams, dts, b), args.repeats))
+            ratios.append(best_time(lambda: march(_slice_march, spec, mids, dts, a), args.repeats)
+                          / best_time(lambda: march(_taylor_march, spec, mids, dts, b), args.repeats))
         print(f"{n:>4} " + " ".join(f"{x:>7.2f}" for x in ratios))
     return 0
 

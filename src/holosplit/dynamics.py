@@ -6,7 +6,10 @@ the Hermitian part of their input after one shared check, and the Lambda
 system of lambda_system is a Constant. H at sample times is a read-only
 view of the samples, and H is sampled in chunks of about 1 MiB that are
 used while they are in cache, so no stack of H over the whole grid is
-formed. propagate_frame picks its kernel from the spec type and the frame's
+formed; from N = 20 a propagation forms each midpoint H right before its
+step, in one N x N buffer, and plans the chunk's Taylor degree from the
+per-sample norms a Sampled spec caches, so it reads each sample once per
+step. propagate_frame picks its kernel from the spec type and the frame's
 shape alone: exact for a Constant H, a second-order midpoint step for a
 Sampled one, orthonormal to roundoff at every grid point either way.
 Units: hbar = 1; times in s, frequencies in rad/s, both dimensionless in
@@ -133,7 +136,11 @@ class Constant:
 
 @dataclass(frozen=True)
 class Sampled:
-    """Hamiltonian given on a time grid; linear interpolation in between."""
+    """Hamiltonian given on a time grid; linear interpolation in between.
+
+    norms, ||s_i||_1 per sample, is formed on first use, one chunk at a
+    time, and then kept: a propagation from N = 20 plans its Taylor degree
+    from it."""
 
     grid: TimeGrid
     samples: np.ndarray = field(repr=False)
@@ -149,6 +156,15 @@ class Sampled:
         if not np.isfinite(s).all():
             raise ValueError("samples contain non-finite entries")
         object.__setattr__(self, "samples", _freeze(_hermitian_samples(s, self.structure_tol)))
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Read-only ||s_i||_1, the largest column sum of |s_i|, per sample."""
+        out = np.empty(len(self.grid))
+        for sl in _chunks(out.size, self.samples.shape[1]):
+            out[sl] = _one_norms(self.samples[sl])
+        out.flags.writeable = False
+        return out
 
 
 HamiltonianSpec = Constant | Sampled
@@ -185,6 +201,28 @@ def _rows(samples: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return samples[idx]
 
 
+def _one_norms(hams: np.ndarray) -> np.ndarray:
+    """||H_k||_1, the largest column sum of |H_k|, per matrix of a stack."""
+    return np.abs(hams).sum(axis=1).max(axis=1)
+
+
+def _interpolation(tg: np.ndarray, times: np.ndarray) -> tuple:
+    """lo, hi and w with H(t) = (1 - w) s[lo] + w s[hi] for samples s at tg,
+    and the sample index of each time if every w is 0 or 1, else None."""
+    hi = np.clip(np.searchsorted(tg, times, side="left"), 1, tg.size - 1)
+    lo = hi - 1
+    w = (times - tg[lo]) / (tg[hi] - tg[lo])
+    on_samples = ((w == 0.0) | (w == 1.0)).all()
+    return lo, hi, w, np.where(w == 0.0, lo, hi) if on_samples else None
+
+
+def _blend(a: np.ndarray, b: np.ndarray, w, out=None, tmp=None) -> np.ndarray:
+    """(1 - w) a + w b into out (new if None); tmp, if given, takes w b."""
+    out = np.multiply(a, 1.0 - w, out=out)
+    out += np.multiply(b, w, out=tmp)
+    return out
+
+
 def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
     """Stack of H(t) over the given times, shape (len(times), n, n),
     read-only for every spec. For a Constant spec it is a broadcast view of
@@ -194,20 +232,15 @@ def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
     if isinstance(spec, Constant):
         return np.broadcast_to(spec.matrix, (times.size, *spec.matrix.shape))
     if isinstance(spec, Sampled):
-        tg = spec.grid.times
-        hi = np.clip(np.searchsorted(tg, times, side="left"), 1, tg.size - 1)
-        lo = hi - 1
-        w = (times - tg[lo]) / (tg[hi] - tg[lo])
-        if ((w == 0.0) | (w == 1.0)).all():
-            out = _rows(spec.samples, np.where(w == 0.0, lo, hi))
+        lo, hi, w, idx = _interpolation(spec.grid.times, times)
+        if idx is not None:
+            out = _rows(spec.samples, idx)
         else:
-            # (1 - w) s[lo] + w s[hi] on the (re, im) views, s[hi] at w = 1; a
-            # gathered copy is scaled in place, so at most two stacks are held
-            out, tmp = (_rows(spec.samples, k).view(float) for k in (lo, hi))
-            w = w[:, None, None]
-            out = np.multiply(out, 1.0 - w, out=out if out.flags.writeable else None)
-            out += np.multiply(tmp, w, out=tmp if tmp.flags.writeable else None)
-            out = out.view(complex)
+            # on the (re, im) views, s[hi] at w = 1; a gathered copy is
+            # scaled in place, so at most two stacks are held
+            a, b = (_rows(spec.samples, k).view(float) for k in (lo, hi))
+            out = _blend(a, b, w[:, None, None], a if a.flags.writeable else None,
+                         b if b.flags.writeable else None).view(complex)
         out.flags.writeable = False
         return out
     raise TypeError(f"not a Hamiltonian spec: {type(spec).__name__}")
@@ -233,7 +266,9 @@ class FramePath:
         residual = np.linalg.norm(overlaps(f, f) - np.eye(f.shape[2]), axis=(1, 2)).max()
         if residual > 10 * self.structure_tol:
             raise ValueError(f"columns not orthonormal (residual {residual:.3e})")
-        # kept in the given layout: linalg._time_last frames stay time-last
+        # a read-only view, so the caller's array stays writeable and
+        # linalg._time_last frames stay time-last
+        f = f.view()
         f.flags.writeable = False
         object.__setattr__(self, "frames", f)
 
@@ -273,17 +308,63 @@ def _chunks(count: int, n: int) -> list[slice]:
     return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
 
 
-def _taylor_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
+class _Midpoints:
+    """H of a Sampled spec at one chunk of times, bit for bit the rows of
+    hamiltonian_path(spec, times): as that stack, or one row at a time with
+    a bound on the chunk's largest ||H dt||_1 from spec.norms."""
+
+    def __init__(self, spec: Sampled, times: np.ndarray):
+        self.spec, self.times = spec, times
+
+    def stack(self) -> np.ndarray:
+        return hamiltonian_path(self.spec, self.times)
+
+    @cached_property
+    def _weights(self) -> tuple:
+        return _interpolation(self.spec.grid.times, self.times)
+
+    def bound(self, dts: np.ndarray) -> float:
+        """max_k dt_k ((1 - w_k) n_lo + w_k n_hi), n = spec.norms: at least
+        max_k ||H_k dt_k||_1 by the triangle inequality, and equal to it
+        when every time is a sample time."""
+        lo, hi, w, _ = self._weights
+        n = self.spec.norms
+        return float((dts * ((1.0 - w) * n[lo] + w * n[hi])).max())
+
+    def rows(self):
+        """Each H_k in turn: a sample view when, as in hamiltonian_path,
+        every w of the chunk is 0 or 1, else blended into one N x N buffer
+        that the next row overwrites."""
+        lo, hi, w, idx = self._weights
+        s = self.spec.samples
+        if idx is not None:
+            for k in idx:
+                yield s[k]
+            return
+        f = s.view(float)
+        out, tmp = np.empty((2, *f.shape[1:]))
+        h = out.view(complex)
+        for a, b, wk in zip(lo, hi, w):
+            _blend(f[a], f[b], wk, out, tmp)
+            yield h
+
+
+def _taylor_march(hams, dts: np.ndarray, out: np.ndarray) -> None:
     """out[k+1] = exp(-i H_k dt_k) out[k] by the truncated-Taylor action of
     the exponential on the N x M frame (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488 (2011)): s substeps of a degree-p polynomial in Horner
-    form, each term one (N x N) @ (N x M) product, with s and p fixed once
-    from the largest ||H_k dt_k||_1 of the given stack."""
-    theta_max = float((np.abs(hams).sum(axis=1).max(axis=1) * dts).max())
+    form, each term one (N x N) @ (N x M) product. hams is a stack, whose
+    largest ||H_k dt_k||_1 fixes s and p, or a _Midpoints, whose bound on
+    that norm fixes them and whose H_k are formed one at a time, each
+    right before its products."""
+    if isinstance(hams, _Midpoints):
+        theta_max, hams = hams.bound(dts), hams.rows()
+    else:
+        theta_max = float((_one_norms(hams) * dts).max())
     s, p = _taylor_plan(theta_max)
     prod, start = np.empty_like(out[0]), np.empty_like(out[0])
-    for k in range(dts.size):
-        h, y = hams[k], out[k + 1]
+    for k, h in enumerate(hams):
+        y = out[k + 1]
         c = -1j * dts[k] / s
         y[...] = out[k]
         for _ in range(s):
@@ -310,18 +391,21 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> np
     return out
 
 
-def _slice_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
+def _slice_march(hams, dts: np.ndarray, out: np.ndarray) -> None:
     """out[k+1] = exp(-i H_k dt_k) ... exp(-i H_0 dt_0) out[0]: the forward
     prefix products of the full N x N unitaries from linalg.unitary_stack,
-    each applied to the frame out[0]."""
+    each applied to the frame out[0]. hams is a stack or a _Midpoints."""
+    if isinstance(hams, _Midpoints):
+        hams = hams.stack()
     out[1:] = products(ordered_products(unitary_stack(hams, dts), "forward", cumulative=True), out[0])
 
 
 def _propagate(
-    hams: Callable[[slice], np.ndarray], psi0: np.ndarray, grid: TimeGrid
+    hams: Callable[[slice], np.ndarray | _Midpoints], psi0: np.ndarray, grid: TimeGrid
 ) -> np.ndarray:
     """Step psi0 over the grid; hams(sl) returns the midpoint Hamiltonians of
-    the steps in sl, and is asked for one chunk of steps at a time."""
+    the steps in sl, as a stack or a _Midpoints, and is asked for one chunk
+    of steps at a time."""
     dts = np.diff(grid.times)
     out = np.empty((grid.times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
@@ -348,11 +432,13 @@ def propagate_frame(
     exp(-i H(t_mid) dt), H at the step midpoint, so the scheme is second
     order in dt: below N = 20 by the prefix products of linalg.unitary_stack
     slices, from N = 20 by a truncated Taylor action on the N x M frame with
-    remainder below 2^-53, planned once per chunk of about 1 MiB of H from
-    its largest ||H dt||_1; the two agree to roundoff, and their frames are
-    orthonormalized once, by one batched Loewdin pass. psi0 must have at
-    least one column and orthonormal columns; the returned path starts at
-    psi0 exactly and keeps orthonormality at every grid point.
+    remainder below 2^-53, planned once per chunk of about 1 MiB of steps
+    from a bound on its largest ||H dt||_1 that the spec's cached
+    per-sample norms give, each midpoint H formed right before its step;
+    the two agree to roundoff, and their frames are orthonormalized once, by
+    one batched Loewdin pass. psi0 must have at least one column and
+    orthonormal columns; the returned path starts at psi0 exactly and keeps
+    orthonormality at every grid point.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 2:
@@ -372,7 +458,7 @@ def propagate_frame(
         # checked whole here, so a grid leaving the sampled interval fails
         # before the first step
         mids = _checked_times(spec, 0.5 * (grid.times[:-1] + grid.times[1:]))
-        frames = _propagate(lambda sl: hamiltonian_path(spec, mids[sl]), psi0, grid)
+        frames = _propagate(lambda sl: _Midpoints(spec, mids[sl]), psi0, grid)
     return FramePath(grid, frames, tol.structure_tol)
 
 

@@ -12,6 +12,8 @@ from holosplit.dynamics import (
     Sampled,
     TimeGrid,
     _chunks,
+    _Midpoints,
+    _one_norms,
     _propagate,
     _sandwich,
     _taylor_march,
@@ -23,6 +25,7 @@ from holosplit.instances import cosine_drive, random_frame, random_hermitian, re
 from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.linalg import (
     _taylor_plan,
+    _time_last,
     hermitian_part,
     loewdin_orthonormalize,
     ordered_products,
@@ -435,11 +438,14 @@ class TestChunkedPropagation:
         frames = propagate_frame(spec, psi0, grid).frames
         ref, hams, dts = whole_stack_propagate(spec, psi0, grid)
         np.testing.assert_array_equal(frames[0], psi0)
-        theta = np.abs(hams).sum(axis=1).max(axis=1) * dts
-        plans = {_taylor_plan(float(theta[sl].max())) for sl in _chunks(dts.size, n)}
+        # from N = 20 a chunk's plan comes from its bound on ||H dt||_1, the
+        # reference's from the whole stack's largest ||H dt||_1
+        mids = 0.5 * (grid.times[:-1] + grid.times[1:])
+        plans = {_taylor_plan(_Midpoints(spec, mids[sl]).bound(dts[sl])) for sl in _chunks(dts.size, n)}
+        theta = float((_one_norms(hams) * dts).max())
         # below N = 20 each chunk scans its own slices, which re-associates
         # the products at the chunk boundaries
-        if n >= 20 and plans == {_taylor_plan(float(theta.max()))}:
+        if n >= 20 and plans == {_taylor_plan(theta)}:
             np.testing.assert_array_equal(frames, ref)
         else:
             assert np.abs(frames - ref).max() <= 1e-13
@@ -457,6 +463,97 @@ class TestChunkedPropagation:
         # beyond it
         with pytest.raises(ValueError, match="outside"):
             propagate_frame(spec, random_frame(24, 2, rng), TimeGrid.uniform(1.5, 2000))
+
+
+class TestMidpoints:
+    """From N = 20 a chunk's midpoint H are formed one step at a time, and
+    its Taylor plan comes from a bound that the spec's cached per-sample
+    norms give."""
+
+    @staticmethod
+    def _grid(rng, tau, count):
+        inner = rng.uniform(0.0, tau, count)
+        return TimeGrid(np.concatenate([[0.0], np.unique(inner[(inner > 0.0) & (inner < tau)]), [tau]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bound_and_rows_per_chunk(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 5))
+        run = self._grid(rng, 2.0, data.draw(st.integers(1, 40)))
+        times = run.times
+        mids = 0.5 * (times[:-1] + times[1:])
+        kind = data.draw(st.sampled_from(["off", "coarser", "on_samples", "mixed"]))
+        if kind == "off":  # a non-uniform sample grid of its own
+            sample_times = self._grid(rng, 2.0, data.draw(st.integers(1, 40))).times
+        elif kind == "coarser":  # every third run point, and the end
+            sample_times = np.union1d(times[::3], times[-1:])
+        elif kind == "on_samples":  # every midpoint a sample time
+            sample_times = np.union1d(times, mids)
+        else:  # some midpoints sample times, the others between two
+            sample_times = np.union1d(times, mids[rng.random(mids.size) < 0.5])
+        scales = rng.uniform(0.1, 3.0, sample_times.size)[:, None, None]
+        spec = Sampled(TimeGrid(sample_times),
+                       np.stack([random_hermitian(n, rng) for _ in sample_times]) * scales)
+        dts = np.diff(times)
+        rows = data.draw(st.integers(1, mids.size))
+        for sl in (slice(a, a + rows) for a in range(0, mids.size, rows)):
+            chunk = _Midpoints(spec, mids[sl])
+            ref = hamiltonian_path(spec, mids[sl])
+            assert np.stack([h.copy() for h in chunk.rows()]).tobytes() == ref.tobytes()
+            exact = float((_one_norms(ref) * dts[sl]).max())
+            bound = chunk.bound(dts[sl])
+            if np.isin(mids[sl], sample_times).all():
+                assert bound == exact
+            else:
+                # the triangle inequality, up to the roundoff of the two
+                # n-term column sums behind each side
+                assert bound >= exact * (1.0 - 2 * (n + 3) * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("sampling", ["between_samples", "on_samples"])
+    def test_march_matches_the_stack_march(self, sampling):
+        rng = np.random.default_rng(5)
+        grid = TimeGrid.uniform(1.0, 64)
+        samples = grid if sampling == "between_samples" else TimeGrid.uniform(1.0, 128)
+        spec = cosine_drive(random_hermitian(24, rng, 0.45), random_hermitian(24, rng, 0.45), samples)
+        mids = 0.5 * (grid.times[:-1] + grid.times[1:])
+        dts = np.diff(grid.times)
+        a, b = (np.empty((grid.times.size, 24, 2), dtype=complex) for _ in range(2))
+        a[0] = b[0] = random_frame(24, 2, rng)
+        _taylor_march(_Midpoints(spec, mids), dts, a)
+        _taylor_march(hamiltonian_path(spec, mids), dts, b)
+        bound = _Midpoints(spec, mids).bound(dts)
+        exact = float((_one_norms(hamiltonian_path(spec, mids)) * dts).max())
+        if sampling == "on_samples":
+            assert bound == exact
+        # one plan, so the per-step rows give the stack march's bits
+        assert _taylor_plan(bound) == _taylor_plan(exact)
+        assert a.tobytes() == b.tobytes()
+
+    def test_norms_are_formed_once_on_first_use_and_read_only(self, monkeypatch):
+        calls = []
+        real = dynamics._one_norms
+        monkeypatch.setattr(dynamics, "_one_norms", lambda h: calls.append(len(h)) or real(h))
+        rng = np.random.default_rng(12)
+        grid = TimeGrid.uniform(1.0, 300)
+        spec = cosine_drive(random_hermitian(24, rng, 0.45), random_hermitian(24, rng, 0.45), grid)
+        assert calls == [] and "norms" not in vars(spec)
+        psi0 = random_frame(24, 2, rng)
+        first = propagate_frame(spec, psi0, grid).frames
+        # one chunk of samples at a time
+        assert calls == [sl.stop - sl.start for sl in _chunks(301, 24)]
+        calls.clear()
+        second = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 300)).frames
+        assert calls == []
+        assert first.tobytes() == second.tobytes()
+        assert spec.norms.tobytes() == np.abs(spec.samples).sum(axis=1).max(axis=1).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            spec.norms[0] = 0.0
+
+    def test_slice_route_forms_no_norms(self):
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 64))
+        propagate_frame(spec, psi0, spec.grid)
+        assert "norms" not in vars(spec)
 
 
 class TestConstantPropagation:
@@ -656,6 +753,19 @@ def test_frame_path_rejects_drifting_columns():
     frames[1] *= 1.5
     with pytest.raises(ValueError, match="orthonormal"):
         FramePath(grid, frames)
+
+
+@pytest.mark.parametrize("layout", ["c_order", "time_last"])
+def test_frame_path_freezes_a_view_not_the_callers_array(layout):
+    f = np.zeros((4, 2, 1), complex) if layout == "c_order" else _time_last((4, 2, 1))
+    f[...] = 0.0
+    f[:, 0, 0] = 1.0
+    path = FramePath(TimeGrid.uniform(1.0, 3), f)
+    # no copy, in the given layout
+    assert np.shares_memory(path.frames, f) and path.frames.strides == f.strides
+    with pytest.raises(ValueError, match="read-only"):
+        path.frames[0, 0, 0] = 1.0
+    f[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])

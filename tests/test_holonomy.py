@@ -494,9 +494,9 @@ class TestMaxCommutatorScan:
 
 
 class TestDecomposeWork:
-    """A decompose samples H once per chunk of the propagation and once per
-    chunk of the F sandwich in build_section, and forms no N x M section
-    frames."""
+    """A decompose forms each midpoint H of the propagation once and samples
+    H at the grid points once per chunk of the F sandwich in build_section,
+    and forms no N x M section frames."""
 
     @pytest.fixture
     def sampled(self, monkeypatch):
@@ -515,8 +515,20 @@ class TestDecomposeWork:
         monkeypatch.setattr(sections.SectionPath, "path", property(no_frames))
         return calls
 
+    @pytest.fixture
+    def blended(self, monkeypatch):
+        counts = []
+        real = dynamics._blend
+
+        def counting(a, b, w, out=None, tmp=None):
+            counts.append(np.size(w))
+            return real(a, b, w, out, tmp)
+
+        monkeypatch.setattr(dynamics, "_blend", counting)
+        return counts
+
     @pytest.mark.parametrize("n, m, steps", [(64, 4, 64), (4, 2, 256)])
-    def test_library_decompose(self, sampled, n, m, steps):
+    def test_library_decompose(self, sampled, blended, n, m, steps):
         rng = np.random.default_rng(2)
         grid = TimeGrid.uniform(1.0, steps)
         spec = cosine_drive(random_hermitian(n, rng, 0.7 / np.sqrt(n)),
@@ -524,10 +536,15 @@ class TestDecomposeWork:
         schrod = propagate_frame(spec, random_frame(n, m, rng), grid)
         report = separability_report(build_section(PhaseAnchored(), schrod, spec), schrod, spec)
         assert report.classification == "non_separable"
-        # 64 x 4 takes 16 rows a chunk: 4 chunks of steps, 5 of grid points
-        expected = len(dynamics._chunks(steps, n)) + len(dynamics._chunks(steps + 1, n))
-        assert len(sampled) == expected
-        assert sum(sampled) == 2 * steps + 1
+        # every midpoint lies between two samples and is blended once: one
+        # step at a time from N = 20, else one stack per propagation chunk,
+        # which hamiltonian_path samples
+        steps_per_chunk = [sl.stop - sl.start for sl in dynamics._chunks(steps, n)]
+        assert blended == ([1] * steps if n >= 20 else steps_per_chunk)
+        # the F sandwich reads the samples once per chunk of grid points; 64
+        # x 4 takes 16 rows a chunk, so 5 chunks of grid points
+        f_chunks = [sl.stop - sl.start for sl in dynamics._chunks(steps + 1, n)]
+        assert sampled == (f_chunks if n >= 20 else steps_per_chunk + f_chunks)
 
     def test_lambda_decompose(self, sampled):
         p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2)
