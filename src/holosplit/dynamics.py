@@ -9,9 +9,12 @@ used while they are in cache, so no stack of H over the whole grid is
 formed; from N = 20 a propagation forms each midpoint H right before its
 step, in one N x N buffer, and plans the chunk's Taylor degree from the
 per-sample norms a Sampled spec caches, so it reads each sample once per
-step. propagate_frame picks its kernel from the spec type and the frame's
-shape alone: exact for a Constant H, a second-order midpoint step for a
-Sampled one, orthonormal to roundoff at every grid point either way.
+step. Below N = 20 it multiplies full slices, and for N = 3 to 10 it
+forms and multiplies them in real arithmetic, as the 2N x 2N real forms
+of exp(-i H dt) (scripts/march_crossover.py measures both rules).
+propagate_frame picks its kernel from the spec type and the frame's shape
+alone: exact for a Constant H, a second-order midpoint step for a Sampled
+one, orthonormal to roundoff at every grid point either way.
 Units: hbar = 1; times in s, frequencies in rad/s, both dimensionless in
 code.
 """
@@ -28,8 +31,10 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _TAYLOR_THETA,
     _require_tolerance,
     _taylor_plan,
+    _taylor_stack,
     _time_last,
     as_complex_matrix,
     frobenius,
@@ -63,12 +68,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sample times starting at 0, ending at tau."""
+    """Strictly increasing sample times starting at 0, ending at tau; a
+    read-only copy of the given times."""
 
     times: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = np.array(self.times, dtype=float)
         if t.ndim != 1:
             raise ValueError(f"time grid must be a 1-D array, got shape {t.shape}")
         if t.size < 2:
@@ -138,9 +144,9 @@ class Constant:
 class Sampled:
     """Hamiltonian given on a time grid; linear interpolation in between.
 
-    norms, ||s_i||_1 per sample, is formed on first use, one chunk at a
-    time, and then kept: a propagation from N = 20 plans its Taylor degree
-    from it."""
+    ||s_i||_1 per sample is formed on first use, only for the samples a
+    propagation from N = 20 reads, and then kept: that propagation plans
+    its Taylor degree from it."""
 
     grid: TimeGrid
     samples: np.ndarray = field(repr=False)
@@ -158,11 +164,23 @@ class Sampled:
         object.__setattr__(self, "samples", _freeze(_hermitian_samples(s, self.structure_tol)))
 
     @cached_property
-    def norms(self) -> np.ndarray:
-        """Read-only ||s_i||_1, the largest column sum of |s_i|, per sample."""
-        out = np.empty(len(self.grid))
-        for sl in _chunks(out.size, self.samples.shape[1]):
-            out[sl] = _one_norms(self.samples[sl])
+    def _norm_cache(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(len(self.grid)), np.zeros(len(self.grid), dtype=bool)
+
+    def norms(self, *idx: np.ndarray) -> np.ndarray:
+        """Read-only ||s_i||_1, the largest column sum of |s_i|, per sample,
+        after forming those of the samples in the nondecreasing index arrays
+        idx not yet formed, one chunk at a time; 0 at samples never asked
+        for."""
+        values, formed = self._norm_cache
+        for i in idx:
+            i = i[~formed[i]]
+            if i.size:  # a sample's repeats are neighbours; form it once
+                i = i[np.diff(i, prepend=-1) != 0]
+                for sl in _chunks(i.size, self.samples.shape[1]):
+                    values[i[sl]] = _one_norms(_rows(self.samples, i[sl]))
+                formed[i] = True
+        out = values.view()
         out.flags.writeable = False
         return out
 
@@ -248,7 +266,9 @@ def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FramePath:
-    """Orthonormal N x M frame per grid point, stored as (npoints, N, M)."""
+    """Orthonormal N x M frame per grid point, stored as (npoints, N, M):
+    a read-only view, not a copy, of a complex array passed in, so a later
+    write to that array shows in the path."""
 
     grid: TimeGrid
     frames: np.ndarray = field(repr=False)
@@ -326,9 +346,10 @@ class _Midpoints:
     def bound(self, dts: np.ndarray) -> float:
         """max_k dt_k ((1 - w_k) n_lo + w_k n_hi), n = spec.norms: at least
         max_k ||H_k dt_k||_1 by the triangle inequality, and equal to it
-        when every time is a sample time."""
+        when every time is a sample time. Only the norms of samples with a
+        nonzero weight are formed."""
         lo, hi, w, _ = self._weights
-        n = self.spec.norms
+        n = self.spec.norms(lo[w != 1.0], hi[w != 0.0])
         return float((dts * ((1.0 - w) * n[lo] + w * n[hi])).max())
 
     def rows(self):
@@ -391,13 +412,34 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> np
     return out
 
 
+# N whose slices are formed and multiplied as 2N x 2N real matrices: at small
+# N their stacked products beat complex ones (scripts/march_crossover.py)
+_REAL_SLICES = range(3, 11)
+
+
 def _slice_march(hams, dts: np.ndarray, out: np.ndarray) -> None:
     """out[k+1] = exp(-i H_k dt_k) ... exp(-i H_0 dt_0) out[0]: the forward
-    prefix products of the full N x N unitaries from linalg.unitary_stack,
-    each applied to the frame out[0]. hams is a stack or a _Midpoints."""
+    prefix products of the full N x N unitaries, each applied to the frame
+    out[0]. hams is a stack or a _Midpoints. The slices are
+    linalg.unitary_stack's, or for N in _REAL_SLICES, if no ||H dt||_1
+    exceeds linalg._TAYLOR_THETA, its Taylor polynomials in the real form
+    G = dt [[Im H, Re H], [-Re H, Im H]] of -i H dt: then the frames are the
+    two halves of P [Re out[0]; Im out[0]] for the prefix products P."""
     if isinstance(hams, _Midpoints):
         hams = hams.stack()
-    out[1:] = products(ordered_products(unitary_stack(hams, dts), "forward", cumulative=True), out[0])
+    n = hams.shape[-1]
+    theta = float((_one_norms(hams) * dts).max()) if n in _REAL_SLICES else np.inf
+    if theta > _TAYLOR_THETA:
+        out[1:] = products(ordered_products(unitary_stack(hams, dts), "forward", cumulative=True), out[0])
+        return
+    g = np.empty((dts.size, 2 * n, 2 * n))
+    g[:, :n, :n] = g[:, n:, n:] = hams.imag
+    g[:, :n, n:] = hams.real
+    np.negative(hams.real, out=g[:, n:, :n])
+    slices = _taylor_stack(g, dts[:, None, None], _taylor_plan(theta)[1])
+    frames = products(ordered_products(slices, "forward", cumulative=True),
+                      np.concatenate([out[0].real, out[0].imag]))
+    out[1:].real, out[1:].imag = frames[:, :n], frames[:, n:]
 
 
 def _propagate(
@@ -410,9 +452,11 @@ def _propagate(
     out = np.empty((grid.times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
     # measured crossover (scripts/march_crossover.py): with Taylor slices,
-    # ||H dt||_1 <= 1/2, the slice kernel wins below N = 20 whatever M is
-    march = _taylor_march if psi0.shape[0] >= 20 else _slice_march
-    for sl in _chunks(dts.size, psi0.shape[0]):
+    # ||H dt||_1 <= 1/2, the slice kernel wins below N = 20 whatever M is;
+    # real slices are chunked as 2N complex levels, to keep the memory peak
+    n = psi0.shape[0]
+    march = _taylor_march if n >= 20 else _slice_march
+    for sl in _chunks(dts.size, 2 * n if n in _REAL_SLICES else n):
         march(hams(sl), dts[sl], out[sl.start : sl.stop + 1])
     out[1:] = loewdin_orthonormalize(out[1:])
     return out
@@ -431,14 +475,16 @@ def propagate_frame(
     V exp(-i E t_k) V^dag psi0, on any grid. A Sampled spec is stepped with
     exp(-i H(t_mid) dt), H at the step midpoint, so the scheme is second
     order in dt: below N = 20 by the prefix products of linalg.unitary_stack
-    slices, from N = 20 by a truncated Taylor action on the N x M frame with
-    remainder below 2^-53, planned once per chunk of about 1 MiB of steps
-    from a bound on its largest ||H dt||_1 that the spec's cached
-    per-sample norms give, each midpoint H formed right before its step;
-    the two agree to roundoff, and their frames are orthonormalized once, by
-    one batched Loewdin pass. psi0 must have at least one column and
-    orthonormal columns; the returned path starts at psi0 exactly and keeps
-    orthonormality at every grid point.
+    slices, for N = 3 to 10 of their 2N x 2N real forms when ||H dt||_1 <=
+    1/2 (scripts/march_crossover.py measures both rules); from N = 20 by a
+    truncated Taylor action on the N x M frame with remainder below 2^-53,
+    planned once per chunk of about 1 MiB of steps from a bound on its
+    largest ||H dt||_1 that the spec's cached per-sample norms give, each
+    midpoint H formed right before its step. All agree to roundoff, and
+    their frames are orthonormalized once, by one batched Loewdin pass.
+    psi0 must have at least one column and orthonormal columns; the
+    returned path starts at psi0 exactly and keeps orthonormality at every
+    grid point.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim != 2:

@@ -203,22 +203,26 @@ def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
         return _unitary_2x2(hams, dts)
     theta = float((np.abs(hams).sum(axis=-2).max(axis=-1) * np.abs(dts)).max(initial=0.0))
     if theta <= _TAYLOR_THETA:
-        # U = I + c H (I + (c/2) H (... (I + (c/p) H))), c = -i dt
-        c = (-1j * dts)[:, None, None]
-        p = _taylor_plan(theta)[1]
-        diag = np.arange(hams.shape[-1])
-        out = hams * (c / p)
-        out[:, diag, diag] += 1.0
-        for j in range(p - 1, 0, -1):
-            out = products(hams, out)
-            out *= c / j
-            out[:, diag, diag] += 1.0
-        return out
+        return _taylor_stack(hams, (-1j * dts)[:, None, None], _taylor_plan(theta)[1])
     w, v = np.linalg.eigh(hams)
     # scale v in place so no extra stack-sized temporary is allocated
     vh = v.conj().swapaxes(-1, -2)
     v *= np.exp(-1j * w * dts[:, None])[:, None, :]
     return products(v, vh)
+
+
+def _taylor_stack(gens: np.ndarray, scale: np.ndarray, p: int) -> np.ndarray:
+    """I + c G (I + (c/2) G (... (I + (c/p) G))) per slice of a stack G of
+    generators, c the slice's scale: exp(-i H dt) to degree p for G = H and
+    c = -i dt, in Horner form."""
+    diag = np.arange(gens.shape[-1])
+    out = gens * (scale / p)
+    out[:, diag, diag] += 1.0
+    for j in range(p - 1, 0, -1):
+        out = products(gens, out)
+        out *= scale / j
+        out[:, diag, diag] += 1.0
+    return out
 
 
 def _unitary_2x2(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
@@ -322,6 +326,8 @@ def ordered_products(
     s[0] .. s[k], in O(n) matrix products: the odd positions are the pairs'
     prefixes and the even ones are filled in from them, the last by that
     same top combination, so the full product is the last prefix bit for bit.
+    Each level is written in place into the one result stack, which keeps
+    the slices' layout.
     """
     slices = np.asarray(slices)
     if direction not in ("forward", "reverse"):
@@ -330,18 +336,26 @@ def ordered_products(
     def combine(later, earlier):
         return products(later, earlier) if direction == "forward" else products(earlier, later)
 
+    if cumulative:
+        out = np.empty_like(slices)
+        _prefix_scan(slices, out, combine)
+        return out
     n = slices.shape[0]
-    if cumulative and n < 2:
-        return slices.copy()
     if n < 2:
         return slices[0].copy() if n else np.eye(slices.shape[-1], dtype=slices.dtype)
     even = n // 2 * 2
-    inner = ordered_products(combine(slices[1:even:2], slices[0:even:2]), direction, cumulative)
-    if not cumulative:
-        return combine(slices[-1], inner) if even < n else inner
-    out = np.empty_like(slices)
-    out[0] = slices[0]
-    # out[2i+1] covers s[0] .. s[2i+1]
-    out[1::2] = inner
-    out[2::2] = combine(slices[2::2], out[1:n - 1:2])
-    return out
+    inner = ordered_products(combine(slices[1:even:2], slices[0:even:2]), direction)
+    return combine(slices[-1], inner) if even < n else inner
+
+
+def _prefix_scan(s: np.ndarray, out: np.ndarray, combine) -> None:
+    """out[k] = combine of s[0] .. s[k] for every k, in place if out is s:
+    the pairs' prefixes fill the odd positions, then the even ones. Nested
+    in ordered_products, it would leave a reference cycle per call."""
+    n = s.shape[0]
+    out[:1] = s[:1]
+    if n > 1:
+        odd = out[1 : n // 2 * 2 : 2]
+        odd[...] = combine(s[1::2], s[0 : n // 2 * 2 : 2])
+        _prefix_scan(odd, odd, combine)
+        out[2::2] = combine(s[2::2], out[1 : n - 1 : 2])

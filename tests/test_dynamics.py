@@ -30,6 +30,7 @@ from holosplit.linalg import (
     loewdin_orthonormalize,
     ordered_products,
     overlaps,
+    products,
     unitary_stack,
 )
 
@@ -67,6 +68,15 @@ class TestTimeGrid:
         times[index] = bad
         with pytest.raises(ValueError, match="non-finite"):
             TimeGrid(times)
+
+    def test_keeps_its_own_read_only_copy_of_the_times(self):
+        times = np.linspace(0.0, 1.0, 5)
+        grid = TimeGrid(times)
+        # the caller's array stays writeable, and a write to it moves nothing
+        times[1] = 0.3
+        assert grid.times[1] == 0.25 and not np.shares_memory(grid.times, times)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.times[1] = 0.3
 
 
 class TestSampleHamiltonian:
@@ -395,20 +405,30 @@ class TestLoopFreePropagation:
 
 def whole_stack_propagate(spec, psi0, grid):
     """Reference: the midpoint Hamiltonians sampled as one stack and stepped
-    in one pass, so the Taylor plan comes from the whole run and the slice
-    scan pairs the whole run's slices. Returns the frames, the stack and the
-    steps."""
+    in one pass. From N = 20 each step is a Horner Taylor action with the
+    plan of its chunk, from the chunk's _Midpoints.bound, as in
+    propagate_frame; below, the slice scan pairs the whole run's complex
+    slices."""
     times = grid.times
-    hams = hamiltonian_path(spec, 0.5 * (times[:-1] + times[1:]))
+    mids = 0.5 * (times[:-1] + times[1:])
+    hams = hamiltonian_path(spec, mids)
     dts = np.diff(times)
     out = np.empty((times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
     if psi0.shape[0] >= 20:
-        _taylor_march(hams, dts, out)
+        for sl in _chunks(dts.size, psi0.shape[0]):
+            s, p = _taylor_plan(_Midpoints(spec, mids[sl]).bound(dts[sl]))
+            for k in range(sl.start, sl.stop):
+                c, y = -1j * dts[k] / s, out[k]
+                for _ in range(s):
+                    start = y
+                    for j in range(p, 0, -1):
+                        y = start + (hams[k] @ y) * (c / j)
+                out[k + 1] = y
     else:
         out[1:] = ordered_products(unitary_stack(hams, dts), "forward", cumulative=True) @ psi0
     out[1:] = loewdin_orthonormalize(out[1:])
-    return out, hams, dts
+    return out
 
 
 class TestChunkedPropagation:
@@ -436,17 +456,12 @@ class TestChunkedPropagation:
         psi0 = random_frame(n, 2, rng)
         spec = cosine_drive(h0, h1, grid if sampling == "run_grid" else TimeGrid.uniform(1.5, 13))
         frames = propagate_frame(spec, psi0, grid).frames
-        ref, hams, dts = whole_stack_propagate(spec, psi0, grid)
+        ref = whole_stack_propagate(spec, psi0, grid)
         np.testing.assert_array_equal(frames[0], psi0)
-        # from N = 20 a chunk's plan comes from its bound on ||H dt||_1, the
-        # reference's from the whole stack's largest ||H dt||_1
-        mids = 0.5 * (grid.times[:-1] + grid.times[1:])
-        plans = {_taylor_plan(_Midpoints(spec, mids[sl]).bound(dts[sl])) for sl in _chunks(dts.size, n)}
-        theta = float((_one_norms(hams) * dts).max())
         # below N = 20 each chunk scans its own slices, which re-associates
         # the products at the chunk boundaries
-        if n >= 20 and plans == {_taylor_plan(theta)}:
-            np.testing.assert_array_equal(frames, ref)
+        if n >= 20:
+            assert frames.tobytes() == ref.tobytes()
         else:
             assert np.abs(frames - ref).max() <= 1e-13
 
@@ -463,6 +478,59 @@ class TestChunkedPropagation:
         # beyond it
         with pytest.raises(ValueError, match="outside"):
             propagate_frame(spec, random_frame(24, 2, rng), TimeGrid.uniform(1.5, 2000))
+
+
+class TestRealSlices:
+    """From N = 3 to 10 a chunk whose largest ||H dt||_1 is at most 1/2 is
+    stepped by 2N x 2N real slices; the complex slices of
+    linalg.unitary_stack are the reference, and the other chunks and sizes
+    take them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_the_complex_slices(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(3, 10))
+        m = data.draw(st.integers(1, n))
+        # about a chunk boundary of the real slices
+        steps = 2 * _chunks(10**6, 2 * n)[0].stop + data.draw(st.sampled_from([-1, 0, 1]))
+        theta = 10 ** data.draw(st.floats(-6.0, np.log10(0.5)))
+        grid = TimeGrid.uniform(1.0, steps)
+        dts = np.diff(grid.times)
+        hams = hermitian_part(rng.standard_normal((steps, n, n)) + 1j * rng.standard_normal((steps, n, n)))
+        hams *= theta * (1.0 - 1e-13) / (_one_norms(hams) * dts).max()
+        psi0 = random_frame(n, m, rng)
+
+        def complex_slices(*args):
+            raise AssertionError("a chunk took the complex slices")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "unitary_stack", complex_slices)
+            frames = _propagate(lambda sl: hams[sl], psi0, grid)
+        ref = ordered_products(unitary_stack(hams, dts), "forward", cumulative=True) @ psi0
+        assert frames[0].tobytes() == psi0.tobytes()
+        assert np.abs(frames[1:] - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("n, scale", [(2, 0.45), (12, 0.45), (4, 200.0)],
+                             ids=["closed_form_2x2", "twelve_levels", "theta_above_half"])
+    def test_other_sizes_and_chunks_keep_the_complex_bits(self, n, scale):
+        rng = np.random.default_rng(n)
+        # one chunk above 1/2 at N = 4, else about a chunk boundary
+        steps = 100 if n == 4 else 2 * _chunks(10**6, n)[0].stop + 1
+        grid = TimeGrid.uniform(1.0, steps)
+        spec = cosine_drive(random_hermitian(n, rng, scale), random_hermitian(n, rng, scale), grid)
+        psi0 = random_frame(n, 2, rng)
+        mids, dts = 0.5 * (grid.times[:-1] + grid.times[1:]), np.diff(grid.times)
+        out = np.empty((steps + 1, n, 2), dtype=complex)
+        out[0] = psi0
+        for sl in _chunks(steps, n):
+            hams = hamiltonian_path(spec, mids[sl])
+            if n == 4:
+                assert (_one_norms(hams) * dts[sl]).max() > 0.5
+            slices = ordered_products(unitary_stack(hams, dts[sl]), "forward", cumulative=True)
+            out[sl.start + 1 : sl.stop + 1] = products(slices, out[sl.start])
+        out[1:] = loewdin_orthonormalize(out[1:])
+        assert propagate_frame(spec, psi0, grid).frames.tobytes() == out.tobytes()
 
 
 class TestMidpoints:
@@ -535,25 +603,40 @@ class TestMidpoints:
         real = dynamics._one_norms
         monkeypatch.setattr(dynamics, "_one_norms", lambda h: calls.append(len(h)) or real(h))
         rng = np.random.default_rng(12)
-        grid = TimeGrid.uniform(1.0, 300)
-        spec = cosine_drive(random_hermitian(24, rng, 0.45), random_hermitian(24, rng, 0.45), grid)
-        assert calls == [] and "norms" not in vars(spec)
+        h0, h1 = random_hermitian(24, rng, 0.45), random_hermitian(24, rng, 0.45)
         psi0 = random_frame(24, 2, rng)
-        first = propagate_frame(spec, psi0, grid).frames
-        # one chunk of samples at a time
-        assert calls == [sl.stop - sl.start for sl in _chunks(301, 24)]
-        calls.clear()
-        second = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 300)).frames
-        assert calls == []
-        assert first.tobytes() == second.tobytes()
-        assert spec.norms.tobytes() == np.abs(spec.samples).sum(axis=1).max(axis=1).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            spec.norms[0] = 0.0
+        grid = TimeGrid.uniform(1.0, 300)
+        mids = 0.5 * (grid.times[:-1] + grid.times[1:])
+        # a coarse run on a finer sample grid: every midpoint a sample time,
+        # or every midpoint between two samples
+        for samples in (TimeGrid.uniform(1.0, 600), TimeGrid.uniform(1.0, 900)):
+            calls.clear()
+            spec = cosine_drive(h0, h1, samples)
+            assert calls == [] and "_norm_cache" not in vars(spec)
+            first = propagate_frame(spec, psi0, grid).frames
+            # the samples a midpoint gives a nonzero weight, t_i-1 < t < t_i+1
+            t = np.concatenate([[-np.inf], samples.times, [np.inf]])
+            read = [i for i in range(len(samples)) if ((t[i] < mids) & (mids < t[i + 2])).any()]
+            assert len(read) < len(samples)
+            # each formed once, one chunk of samples at a time
+            assert sum(calls) == len(read) and max(calls) <= _chunks(10**6, 24)[0].stop
+            norms = spec.norms()
+            assert np.flatnonzero(norms).tolist() == read
+            assert norms[read].tobytes() == np.abs(spec.samples[read]).sum(axis=1).max(axis=1).tobytes()
+            calls.clear()
+            second = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 300)).frames
+            assert calls == []
+            # every norm formed beforehand: the same plans, so the same bits
+            full = cosine_drive(h0, h1, samples)
+            full.norms(np.arange(len(samples)))
+            assert first.tobytes() == second.tobytes() == propagate_frame(full, psi0, grid).frames.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                norms[0] = 0.0
 
     def test_slice_route_forms_no_norms(self):
         spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 64))
         propagate_frame(spec, psi0, spec.grid)
-        assert "norms" not in vars(spec)
+        assert "_norm_cache" not in vars(spec)
 
 
 class TestConstantPropagation:

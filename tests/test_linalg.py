@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -483,6 +485,56 @@ class TestOrderedProducts:
     def test_rejects_unknown_direction(self):
         with pytest.raises(ValueError, match="direction"):
             ordered_products(np.zeros((2, 2, 2), dtype=complex), "sideways")
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 17, 1024, 1025])
+    @pytest.mark.parametrize("kind", ["complex_c_order", "time_last_2x2", "real_8x8"])
+    def test_in_place_scan_gives_the_level_by_level_bits(self, kind, n, direction):
+        rng = np.random.default_rng(n)
+        if kind == "real_8x8":
+            slices = rng.standard_normal((n, 8, 8)) / 3
+        else:
+            m = 3 if kind == "complex_c_order" else 2
+            hams = np.array([random_hermitian(m, rng) for _ in range(n)])
+            slices = unitary_stack(hams, np.full(n, 0.3))
+            slices = np.ascontiguousarray(slices) if m == 3 else time_last_copy(slices)
+        prefixes = ordered_products(slices, direction, cumulative=True)
+        # the prefixes keep the slices' layout (one matrix has no time axis)
+        assert prefixes.dtype == slices.dtype and (n == 1 or prefixes.strides == slices.strides)
+        np.testing.assert_array_equal(bits(prefixes), bits(level_by_level_scan(slices, direction)))
+
+
+    @pytest.mark.parametrize("cumulative", [False, True])
+    def test_leaves_no_garbage_for_the_cycle_collector(self, cumulative):
+        # a cycle per call holds memory until the collector runs, which
+        # shows in a run's peak
+        slices = unitary_stack(np.array([random_hermitian(4, np.random.default_rng(k)) for k in range(9)]),
+                               np.full(9, 0.3))
+        gc.collect()
+        gc.disable()
+        try:
+            ordered_products(slices, "forward", cumulative)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def level_by_level_scan(slices, direction):
+    """Reference: the cumulative pairing with one fresh stack per level, the
+    pairs' prefixes copied into its odd positions."""
+    def combine(later, earlier):
+        return products(later, earlier) if direction == "forward" else products(earlier, later)
+
+    n = slices.shape[0]
+    if n < 2:
+        return slices.copy()
+    even = n // 2 * 2
+    inner = level_by_level_scan(combine(slices[1:even:2], slices[0:even:2]), direction)
+    out = np.empty_like(slices)
+    out[0] = slices[0]
+    out[1::2] = inner
+    out[2::2] = combine(slices[2::2], out[1 : n - 1 : 2])
+    return out
 
 
 def random_frames(rng, shape, n, m):

@@ -4,6 +4,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -51,7 +53,24 @@ def test_march_crossover(monkeypatch, capsys):
                                       "--repeats", "1"])
     module = _load("march_crossover")
     assert module.main() == 0
-    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:]]
-    assert [int(r[0]) for r in rows] == [2, 4]
+    header, *lines = capsys.readouterr().out.splitlines()
+    # slice/Taylor per M, then the real/complex slice ratio
+    assert header.split() == ["N", "M=2", "M=4", "real"]
+    rows = [r.split() for r in lines]
+    assert [int(r[0]) for r in rows] == [2, 4] and all(len(r) == 4 for r in rows)
     # M = 4 does not fit in N = 2
-    assert rows[0][2] == "nan" and all(float(x) > 0 for x in rows[0][1:2] + rows[1][1:])
+    assert rows[0][2] == "nan" and all(float(x) > 0 for x in rows[0][1:2] + rows[0][3:] + rows[1][1:])
+    # the real slices are chosen through dynamics._REAL_SLICES, which is restored
+    assert module.dynamics._REAL_SLICES == range(3, 11)
+
+
+def test_march_crossover_checks_the_real_slices(monkeypatch):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    # real slices that drift make the script fail its agreement check
+    monkeypatch.setattr(sys, "argv", ["march_crossover.py", "--dims", "4", "--steps", "16", "--repeats", "1"])
+    module = _load("march_crossover")
+    real = module.dynamics._taylor_stack
+    monkeypatch.setattr(module.dynamics, "_taylor_stack", lambda g, c, p: real(g, c, p) * (1 + 1e-9))
+    with pytest.raises(AssertionError, match="differ at N = 4, M = 2"):
+        module.main()
