@@ -9,7 +9,7 @@ used while they are in cache, so no stack of H over the whole grid is
 formed; from N = 20 a propagation forms each midpoint H right before its
 step, in one N x N buffer, and plans the chunk's Taylor degree from the
 per-sample norms a Sampled spec caches, so it reads each sample once per
-step. Below N = 20 it multiplies full slices, and for N = 3 to 10 it
+step. Below N = 20 it multiplies full slices, and for N = 3 to 5 it
 forms and multiplies them in real arithmetic, as the 2N x 2N real forms
 of exp(-i H dt) (scripts/march_crossover.py measures both rules).
 propagate_frame picks its kernel from the spec type and the frame's shape
@@ -167,22 +167,18 @@ class Sampled:
     def _norm_cache(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(len(self.grid)), np.zeros(len(self.grid), dtype=bool)
 
-    def norms(self, *idx: np.ndarray) -> np.ndarray:
-        """Read-only ||s_i||_1, the largest column sum of |s_i|, per sample,
-        after forming those of the samples in the nondecreasing index arrays
-        idx not yet formed, one chunk at a time; 0 at samples never asked
-        for."""
+    def _norms(self, idx: np.ndarray) -> np.ndarray:
+        """||s_i||_1, the largest column sum of |s_i|, for each sample of
+        the nondecreasing index array idx; a norm not yet formed is formed
+        here, one chunk at a time, and kept."""
         values, formed = self._norm_cache
-        for i in idx:
-            i = i[~formed[i]]
-            if i.size:  # a sample's repeats are neighbours; form it once
-                i = i[np.diff(i, prepend=-1) != 0]
-                for sl in _chunks(i.size, self.samples.shape[1]):
-                    values[i[sl]] = _one_norms(_rows(self.samples, i[sl]))
-                formed[i] = True
-        out = values.view()
-        out.flags.writeable = False
-        return out
+        new = idx[~formed[idx]]
+        if new.size:  # a sample's repeats are neighbours; form it once
+            new = new[np.diff(new, prepend=-1) != 0]
+            for sl in _chunks(new.size, self.samples.shape[1]):
+                values[new[sl]] = _one_norms(_rows(self.samples, new[sl]))
+            formed[new] = True
+        return values[idx]
 
 
 HamiltonianSpec = Constant | Sampled
@@ -331,7 +327,7 @@ def _chunks(count: int, n: int) -> list[slice]:
 class _Midpoints:
     """H of a Sampled spec at one chunk of times, bit for bit the rows of
     hamiltonian_path(spec, times): as that stack, or one row at a time with
-    a bound on the chunk's largest ||H dt||_1 from spec.norms."""
+    a bound on the chunk's largest ||H dt||_1 from the spec's norms."""
 
     def __init__(self, spec: Sampled, times: np.ndarray):
         self.spec, self.times = spec, times
@@ -344,13 +340,17 @@ class _Midpoints:
         return _interpolation(self.spec.grid.times, self.times)
 
     def bound(self, dts: np.ndarray) -> float:
-        """max_k dt_k ((1 - w_k) n_lo + w_k n_hi), n = spec.norms: at least
-        max_k ||H_k dt_k||_1 by the triangle inequality, and equal to it
-        when every time is a sample time. Only the norms of samples with a
-        nonzero weight are formed."""
+        """max_k dt_k ((1 - w_k) n_lo + w_k n_hi), n the spec's per-sample
+        norms: at least max_k ||H_k dt_k||_1 by the triangle inequality, and
+        equal to it when every time is a sample time. Only the norms of
+        samples with a nonzero weight are read, and a term of weight 0 is
+        left out."""
         lo, hi, w, _ = self._weights
-        n = self.spec.norms(lo[w != 1.0], hi[w != 0.0])
-        return float((dts * ((1.0 - w) * n[lo] + w * n[hi])).max())
+        a, b = w != 1.0, w != 0.0
+        terms = np.zeros(w.size)
+        terms[a] = (1.0 - w[a]) * self.spec._norms(lo[a])
+        terms[b] += w[b] * self.spec._norms(hi[b])
+        return float((dts * terms).max())
 
     def rows(self):
         """Each H_k in turn: a sample view when, as in hamiltonian_path,
@@ -412,9 +412,10 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> np
     return out
 
 
-# N whose slices are formed and multiplied as 2N x 2N real matrices: at small
-# N their stacked products beat complex ones (scripts/march_crossover.py)
-_REAL_SLICES = range(3, 11)
+# N whose slices are formed and multiplied as 2N x 2N real matrices: there
+# their stacked products beat complex ones in every run measured, while from
+# N = 6 the two are about even (scripts/march_crossover.py)
+_REAL_SLICES = range(3, 6)
 
 
 def _slice_march(hams, dts: np.ndarray, out: np.ndarray) -> None:
@@ -475,7 +476,7 @@ def propagate_frame(
     V exp(-i E t_k) V^dag psi0, on any grid. A Sampled spec is stepped with
     exp(-i H(t_mid) dt), H at the step midpoint, so the scheme is second
     order in dt: below N = 20 by the prefix products of linalg.unitary_stack
-    slices, for N = 3 to 10 of their 2N x 2N real forms when ||H dt||_1 <=
+    slices, for N = 3 to 5 of their 2N x 2N real forms when ||H dt||_1 <=
     1/2 (scripts/march_crossover.py measures both rules); from N = 20 by a
     truncated Taylor action on the N x M frame with remainder below 2^-53,
     planned once per chunk of about 1 MiB of steps from a bound on its

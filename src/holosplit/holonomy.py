@@ -199,7 +199,7 @@ def ordered_factor(
         return ordered_products(slices, direction)
     out = np.empty_like(mats)
     out[0] = np.eye(mats.shape[1])
-    out[1:] = ordered_products(slices, direction, cumulative=True)
+    ordered_products(slices, direction, cumulative=True, out=out[1:])
     return out
 
 

@@ -311,6 +311,7 @@ def ordered_products(
     slices: np.ndarray,
     direction: str = "forward",
     cumulative: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Time-ordered product of a stack (n, m, m) of slices, by one recursive
     pairing of adjacent slices (Blelloch 1990).
@@ -326,8 +327,8 @@ def ordered_products(
     s[0] .. s[k], in O(n) matrix products: the odd positions are the pairs'
     prefixes and the even ones are filled in from them, the last by that
     same top combination, so the full product is the last prefix bit for bit.
-    Each level is written in place into the one result stack, which keeps
-    the slices' layout.
+    Each level is written in place into the one result stack: out, a stack
+    of the slices' shape, if given, else a new one in the slices' layout.
     """
     slices = np.asarray(slices)
     if direction not in ("forward", "reverse"):
@@ -337,7 +338,7 @@ def ordered_products(
         return products(later, earlier) if direction == "forward" else products(earlier, later)
 
     if cumulative:
-        out = np.empty_like(slices)
+        out = np.empty_like(slices) if out is None else out
         _prefix_scan(slices, out, combine)
         return out
     n = slices.shape[0]

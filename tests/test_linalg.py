@@ -502,7 +502,11 @@ class TestOrderedProducts:
         # the prefixes keep the slices' layout (one matrix has no time axis)
         assert prefixes.dtype == slices.dtype and (n == 1 or prefixes.strides == slices.strides)
         np.testing.assert_array_equal(bits(prefixes), bits(level_by_level_scan(slices, direction)))
-
+        # a caller's C-order stack, behind a leading slot as in
+        # holonomy.solve_anandan, takes the same bits
+        given = np.empty((n + 1, *slices.shape[1:]), slices.dtype)
+        assert ordered_products(slices, direction, cumulative=True, out=given[1:]).base is given
+        np.testing.assert_array_equal(bits(given[1:]), bits(prefixes))
 
     @pytest.mark.parametrize("cumulative", [False, True])
     def test_leaves_no_garbage_for_the_cycle_collector(self, cumulative):

@@ -61,7 +61,7 @@ def test_march_crossover(monkeypatch, capsys):
     # M = 4 does not fit in N = 2
     assert rows[0][2] == "nan" and all(float(x) > 0 for x in rows[0][1:2] + rows[0][3:] + rows[1][1:])
     # the real slices are chosen through dynamics._REAL_SLICES, which is restored
-    assert module.dynamics._REAL_SLICES == range(3, 11)
+    assert module.dynamics._REAL_SLICES == range(3, 6)
 
 
 def test_march_crossover_checks_the_real_slices(monkeypatch):
