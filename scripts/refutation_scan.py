@@ -9,12 +9,9 @@ identity, not a separation.
 
 import argparse
 
-import numpy as np
-
-from holosplit.dynamics import propagate_frame
-from holosplit.holonomy import separability_report
+from holosplit.holonomy import decompose
 from holosplit.instances import refutation_instance
-from holosplit.sections import InPhaseViolation, PhaseAnchored, SectionError, build_section
+from holosplit.sections import InPhaseViolation, PhaseAnchored, SectionError
 
 
 def main() -> int:
@@ -28,9 +25,7 @@ def main() -> int:
     for seed in range(args.first_seed, args.first_seed + args.seeds):
         spec, psi0 = refutation_instance(seed)
         try:
-            schrod = propagate_frame(spec, psi0, spec.grid)
-            section = build_section(PhaseAnchored(), schrod, spec)
-            rep = separability_report(section, schrod, spec)
+            _, rep = decompose(spec, psi0, PhaseAnchored(), spec.grid)
         except (SectionError, InPhaseViolation) as exc:
             print(f"{seed:>6} {'-':>18} {'-':>20} {'-':>16} section invalid: {exc}")
             continue

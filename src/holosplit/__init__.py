@@ -13,11 +13,11 @@ from .holonomy import (
     DecompositionReport,
     GeneratorPath,
     connection_path,
+    decompose,
     kw_wf_residual,
     ordered_factor,
     separability_report,
     solve_anandan,
-    trivial_shift_check,
     yu_tong_factors,
 )
 from .lambda_system import (
@@ -67,6 +67,7 @@ __all__ = [
     "case_iii_analytic",
     "case_setup",
     "connection_path",
+    "decompose",
     "expm_skew",
     "gauge_transform",
     "kw_wf_residual",
@@ -74,7 +75,6 @@ __all__ = [
     "propagate_frame",
     "separability_report",
     "solve_anandan",
-    "trivial_shift_check",
     "w_path",
     "yu_tong_factors",
 ]

@@ -24,10 +24,10 @@ import orjson
 
 from .config import load_run_config, report_to_json
 from .dynamics import TimeGrid, propagate_frame
-from .holonomy import DecompositionReport, generator_path, separability_report
+from .holonomy import DecompositionReport, decompose, generator_path, separability_report
 from .instances import random_closed_gauge
 from .lambda_system import LambdaParams, case_i_analytic, case_ii_analytic, case_iii_analytic, case_setup
-from .linalg import DEFAULT_TOL, frobenius
+from .linalg import frobenius
 from .sections import InPhaseViolation, build_section, gauge_transform, w_path
 
 EXIT_OK = 0
@@ -63,21 +63,14 @@ def _exit_code(exc: Exception, setup: str = "config error") -> int:
     return _fail(EXIT_CONFIG, f"{setup}: {exc}")
 
 
-def _run_pipeline(spec, psi0, rule, grid, tol=DEFAULT_TOL):
-    """Schrodinger path, section and separability report."""
-    schrod = propagate_frame(spec, psi0, grid, tol=tol)
-    section = build_section(rule, schrod, spec, tol=tol)
-    return schrod, section, separability_report(section, schrod, spec, tol)
-
-
 def _run_config(config_path: str, tau, steps):
     cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
-    return (cfg, *_run_pipeline(cfg.spec, cfg.psi0, cfg.rule, cfg.grid, cfg.tolerances))
+    return (cfg, *decompose(cfg.spec, cfg.psi0, cfg.rule, cfg.grid, cfg.tolerances))
 
 
 def cmd_decompose(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
     try:
-        _, _, _, report = _run_config(config_path, tau, steps)
+        _, _, report = _run_config(config_path, tau, steps)
     except _RUN_ERRORS as exc:
         return _exit_code(exc)
     try:
@@ -118,7 +111,7 @@ def cmd_demo(case: str, *, delta=1.0, omega0=np.sqrt(3.0), eta=np.pi / 3, tau=np
     try:
         p = LambdaParams(omega0=omega0, delta=delta, tau=tau, eta=eta)
         spec, psi0, rule = case_setup(case, p)
-        _, _, report = _run_pipeline(spec, psi0, rule, TimeGrid.uniform(p.tau, steps))
+        _, report = decompose(spec, psi0, rule, TimeGrid.uniform(p.tau, steps))
     except _RUN_ERRORS as exc:
         return _exit_code(exc, "demo setup failed")
 
@@ -141,7 +134,7 @@ def cmd_demo(case: str, *, delta=1.0, omega0=np.sqrt(3.0), eta=np.pi / 3, tau=np
 
 def cmd_separability(config_path: str, *, tau=None, steps=None) -> int:
     try:
-        _, _, _, report = _run_config(config_path, tau, steps)
+        _, _, report = _run_config(config_path, tau, steps)
     except _RUN_ERRORS as exc:
         return _exit_code(exc)
     print(f"classification: {report.classification}")
@@ -207,7 +200,7 @@ def cmd_gauge_check(config_path: str, seed: int | None = None, *, tau=None, step
     if seed is not None and seed < 0:
         return _fail(EXIT_CONFIG, f"config error: --seed must be >= 0, got {seed}")
     try:
-        cfg, schrod, section, base = _run_config(config_path, tau, steps)
+        cfg, section, base = _run_config(config_path, tau, steps)
     except _RUN_ERRORS as exc:
         return _exit_code(exc)
 
@@ -217,9 +210,10 @@ def cmd_gauge_check(config_path: str, seed: int | None = None, *, tau=None, step
     vpath = random_closed_gauge(cfg.grid.times, cfg.psi0.shape[1], rng)
     v0 = vpath[0]
     try:
-        # the transformed section holds schrod and pairs with its frames S(t) V(0)
+        # the transformed section keeps the section's Schrodinger path and
+        # pairs with its frames S(t) V(0)
         transformed = gauge_transform(section, vpath, tol=cfg.tolerances)
-        moved = separability_report(transformed, schrod, cfg.spec, cfg.tolerances)
+        moved = separability_report(transformed, transformed.schrodinger, cfg.spec, cfg.tolerances)
     except InPhaseViolation as exc:
         return _fail(EXIT_IN_PHASE, f"in-phase violation after gauge transform: {exc}")
     except ValueError as exc:

@@ -17,15 +17,16 @@ path formed once: F = -i S^dag H S, the one sandwich of H, is the section's
 (build_section forms it), K is V^dag F V, and A is the finite-difference
 connection from the section's step overlaps L_j^dag L_k. The section holds
 the Schrodinger path it pairs with, so no function here takes one beside it
-but separability_report, which refuses any other. Every ordered exponential,
-the Anandan path and the four endpoint factors alike, is one ordered_factor
-call.
+but separability_report, which refuses any path object but that one.
+decompose is the whole run: propagate, build the section, report. Every
+ordered exponential, the Anandan path and the four endpoint factors alike,
+is one ordered_factor call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -33,9 +34,7 @@ from .dynamics import (
     FramePath,
     HamiltonianSpec,
     TimeGrid,
-    _propagate,
     dimension,
-    hamiltonian_path,
     propagate_frame,
 )
 from .linalg import (
@@ -49,19 +48,19 @@ from .linalg import (
     skew_part,
     unitary_stack,
 )
-from .sections import Fixed, InPhaseViolation, SectionPath
+from .sections import Fixed, InPhaseViolation, SectionPath, SectionRule, build_section
 
 __all__ = [
     "DecompositionReport",
     "GeneratorPath",
     "connection_path",
+    "decompose",
     "generator_path",
     "kw_wf_residual",
     "max_commutator_scan",
     "ordered_factor",
     "separability_report",
     "solve_anandan",
-    "trivial_shift_check",
     "yu_tong_factors",
 ]
 
@@ -274,28 +273,19 @@ def separability_report(section: SectionPath, schrodinger: FramePath, spec: Hami
     ordered factors, the sampled commutator magnitude and the case
     classification.
 
-    schrodinger is the section's own path object, or a path on its grid
-    that holds the frames S R the section pairs with (S its Schrodinger
-    frames, R its rotation) within 10 structure_tol at every grid point;
-    any other raises ValueError. Raises InPhaseViolation when the endpoint
-    overlap fails positivity. spec is kept for positional callers and read
-    only for its dimension, refused (ValueError) unless it is the section's N.
+    schrodinger must be section.schrodinger itself, the one path W = L^dag S
+    is defined against; any other object, a copy of it included, raises
+    ValueError. Raises InPhaseViolation when the endpoint overlap fails
+    positivity. spec is kept for positional callers and read only for its
+    dimension, refused (ValueError) unless it is the section's N.
     """
-    sch = section.schrodinger
-    if schrodinger is not sch:
-        if not np.array_equal(sch.grid.times, schrodinger.grid.times):
-            raise ValueError(f"section and Schrodinger paths use different grids (lengths {len(sch.grid)}, "
-                             f"{len(schrodinger.grid)})")
-        if schrodinger.frames.shape != sch.frames.shape:
-            raise ValueError(f"Schrodinger frames of shape {schrodinger.frames.shape}, section's {sch.frames.shape}")
-        rs = sch.frames if section.rotation is None else products(sch.frames, section.rotation)
-        dev = float(np.linalg.norm(schrodinger.frames - rs, axis=(1, 2)).max())
-        if dev > 10 * tol.structure_tol:
-            raise ValueError(f"Schrodinger frames deviate by {dev:.3e} from the frames S R the section pairs with")
+    if schrodinger is not section.schrodinger:
+        raise ValueError(f"schrodinger (a {type(schrodinger).__name__} at {id(schrodinger):#x}) is not "
+                         f"section.schrodinger (at {id(section.schrodinger):#x}), the path the section was built on")
     if section.in_phase_margin <= tol.positivity_tol:
         raise InPhaseViolation(f"in-phase margin {section.in_phase_margin:.3e} is not positive")
-    if dimension(spec) != sch.n:
-        raise ValueError(f"Hamiltonian dimension {dimension(spec)} does not match frame dimension {sch.n}")
+    if dimension(spec) != schrodinger.n:
+        raise ValueError(f"Hamiltonian dimension {dimension(spec)} does not match frame dimension {schrodinger.n}")
 
     generators = generator_path(section)
     w_direct, overlap = section.v[-1].conj().T, section.overlap[-1].copy()
@@ -314,43 +304,20 @@ def separability_report(section: SectionPath, schrodinger: FramePath, spec: Hami
         max_commutator=max_commutator_scan(generators.a_mats, generators.k_mats),
         separation_residual=frobenius(w_direct - g @ dyn),
         product_residual=frobenius(w_direct - g @ d),
-        classification=_classify(sch, generators, tol),
+        classification=_classify(schrodinger, generators, tol),
         time_evolution=overlap @ w_direct,
         in_phase_margin=section.in_phase_margin,
-        tau=sch.grid.tau,
-        steps=sch.grid.steps,
+        tau=schrodinger.grid.tau,
+        steps=schrodinger.grid.steps,
     )
 
 
-def trivial_shift_check(
-    spec: HamiltonianSpec,
-    psi0: np.ndarray,
-    f_dot: Callable[[float], float],
-    grid: TimeGrid,
-) -> float:
-    """Residual max_t ||W(t) - identity|| for a common-phase section.
 
-    The section phi_j(t) = exp(i f(t)) psi_j(t), f(0) = 0, consists of
-    solutions of the Schrodinger equation for the shifted Hamiltonian
-    H(t) - df/dt; the frame-change matrix against that shifted evolution is
-    therefore the identity. A commuting-but-nontrivial W cannot be produced
-    this way, which is why [K(t), W(t)] = 0 forces W(t) = identity.
-    """
-    times = grid.times
-    mids = 0.5 * (times[:-1] + times[1:])
-    rates = np.array([float(f_dot(t)) for t in mids])
-
-    base = propagate_frame(spec, psi0, grid)
-    eye = np.eye(base.n)
-    shifted = _propagate(
-        lambda sl: hamiltonian_path(spec, mids[sl]) - rates[sl, None, None] * eye,
-        np.asarray(psi0, dtype=complex),
-        grid,
-    )
-
-    # accumulate f by the same midpoint quadrature the propagator applies,
-    # so the phase relation between the two paths is exact per step; the
-    # section is V = exp(i f) I on the base frames, so W = V^dag S^dag S_shifted
-    f = np.concatenate([[0.0], np.cumsum(rates * np.diff(times))])
-    w = overlaps(base.frames, shifted) * np.exp(-1j * f)[:, None, None]
-    return float(np.linalg.norm(w - np.eye(w.shape[1]), axis=(1, 2)).max())
+def decompose(spec: HamiltonianSpec, psi0: np.ndarray, rule: SectionRule, grid: TimeGrid,
+              tol: Tolerances = DEFAULT_TOL) -> tuple[SectionPath, DecompositionReport]:
+    """One run: the Schrodinger path of psi0 under spec on grid, the section
+    rule prescribes on it, and that section's separability report. The path
+    is section.schrodinger."""
+    schrod = propagate_frame(spec, psi0, grid, tol=tol)
+    section = build_section(rule, schrod, spec, tol=tol)
+    return section, separability_report(section, schrod, spec, tol)

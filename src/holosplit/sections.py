@@ -8,8 +8,9 @@ holds S, V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t),
 which each rule forms from the Schrodinger overlaps it already takes; W(t) =
 L(t)^dag S(t) is V(t)^dag, so U = O W. It holds F = -i S^dag H S too, the
 run's one sandwich of H, which a gauge transform rotates; everything after
-build_section is M x M. W has meaning only against the section's own
-evolution, so a function of a section takes the section alone.
+build_section is M x M, and no N x M section frame is formed. W has
+meaning only against the section's own evolution, so a function of a
+section takes the section alone.
 Subspace checks use the gap sqrt(2) ||b - a a^dag b||_F between orthonormal
 frames (linalg.subspace_gap).
 """
@@ -17,8 +18,6 @@ frames (linalg.subspace_gap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -96,7 +95,8 @@ class SectionPath:
     Frobenius norm of O(0,tau) - O(0,tau)^dag (zero for the Lambda-case
     sections, where O is Hermitian); min_intermediate_margin tracks the same
     eigenvalue bound over all interior grid points (reported, never
-    enforced). The N x M frames L(t) are formed on the first read of path.
+    enforced). The N x M frames L(t) are not held: they are S R V, and a
+    Custom rule's are its path.
     """
 
     schrodinger: FramePath
@@ -108,11 +108,6 @@ class SectionPath:
     overlap_asymmetry: float
     min_intermediate_margin: float
     rotation: np.ndarray | None = field(repr=False)
-    _frames: Callable[[], FramePath] = field(repr=False, compare=False)
-
-    @cached_property
-    def path(self) -> FramePath:
-        return self._frames()
 
 
 def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
@@ -126,15 +121,14 @@ def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
 
 
 def _section(schrodinger: FramePath, rule: SectionRule, v: np.ndarray, o: np.ndarray, f: np.ndarray,
-             frames: Callable[[], FramePath], rotation: np.ndarray | None = None) -> SectionPath:
+             rotation: np.ndarray | None = None) -> SectionPath:
     """A SectionPath with V(0) = I exactly, read-only V, O and F, and the
     in-phase diagnostics of O(0, t)."""
     v[0] = np.eye(v.shape[-1])
     v.flags.writeable = o.flags.writeable = f.flags.writeable = False
     mins = _min_eigenvalues(hermitian_part(o))
     asym = frobenius(o[-1] - o[-1].conj().T)
-    return SectionPath(schrodinger, v, o, f, rule, float(mins[-1]), asym, float(mins.min()),
-                       rotation, frames)
+    return SectionPath(schrodinger, v, o, f, rule, float(mins[-1]), asym, float(mins.min()), rotation)
 
 
 def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSpec, *,
@@ -152,10 +146,9 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
     """
     s = schrodinger.frames
     npts, m = s.shape[0], s.shape[2]
-    grid, structure_tol = schrodinger.grid, tol.structure_tol
     f = _time_last((npts, m, m))
     for sl in _chunks(npts, schrodinger.n):
-        f[sl] = _sandwich(hamiltonian_path(spec, grid.times[sl]), s[sl])
+        f[sl] = _sandwich(hamiltonian_path(spec, schrodinger.grid.times[sl]), s[sl])
 
     if isinstance(rule, Fixed):
         drift = schrodinger.drift
@@ -164,8 +157,7 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
         s0 = schrodinger.initial
         gram = _time_last((npts, m, m))
         gram[...] = overlaps(s0, s0)
-        return _section(schrodinger, rule, overlaps(s, s0), gram, f, lambda: FramePath(
-            grid, np.broadcast_to(s0, (npts, *s0.shape)), structure_tol))
+        return _section(schrodinger, rule, overlaps(s, s0), gram, f)
 
     if isinstance(rule, PhaseAnchored):
         u = overlaps(s[0], s)
@@ -181,7 +173,7 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
         phases[0] = 1.0
         v = np.multiply(phases[:, :, None], np.eye(m), out=_time_last((npts, m, m)))
         o = np.multiply(u, phases[:, None, :], out=_time_last((npts, m, m)))
-        return _section(schrodinger, rule, v, o, f, lambda: FramePath(grid, s * phases[:, None, :], structure_tol))
+        return _section(schrodinger, rule, v, o, f)
 
     if isinstance(rule, Custom):
         path = rule.path
@@ -194,8 +186,7 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
             raise SectionError(f"custom section does not span the evolving subspace (gap {gap:.3e})")
         if frobenius(path.initial - schrodinger.initial) > 10 * tol.structure_tol:
             raise SectionError("custom section must start at the Schrodinger frame")
-        return _section(schrodinger, rule, overlaps(s, path.frames),
-                        overlaps(path.initial, path.frames), f, lambda: path)
+        return _section(schrodinger, rule, overlaps(s, path.frames), overlaps(path.initial, path.frames), f)
 
     raise TypeError(f"not a section rule: {type(rule).__name__}")
 
@@ -209,8 +200,8 @@ def w_path(section: SectionPath) -> np.ndarray:
 def gauge_transform(section: SectionPath, vpath: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> SectionPath:
     """Change of section frame phi_k -> sum_j phi_j V_jk(t) per grid point.
 
-    vpath must be a stack of unitaries, smooth along the grid, closed at the
-    endpoint (V(tau) = V(0)). The transformed section pairs with the
+    vpath must be a finite stack of unitaries, smooth along the grid, closed
+    at the endpoint (V(tau) = V(0)). The transformed section pairs with the
     Schrodinger frames rotated by V(0), which restores L(0) = S(0): its
     rotation is the section's times V(0), its path V(0)^dag V_section(t) V(t)
     and its F V(0)^dag F_section(t) V(0), with no new sample of H.
@@ -219,8 +210,10 @@ def gauge_transform(section: SectionPath, vpath: np.ndarray, *, tol: Tolerances 
     npts, m = section.v.shape[:2]
     if g.shape != (npts, m, m):
         raise ValueError(f"gauge path must have shape ({npts}, {m}, {m})")
-    eye = np.eye(m)
-    unit_res = float(np.linalg.norm(overlaps(g, g) - eye, axis=(1, 2)).max())
+    # a nan passes the checks below: nan > tol is False
+    if not np.isfinite(g).all():
+        raise ValueError("gauge path contains non-finite entries")
+    unit_res = float(np.linalg.norm(overlaps(g, g) - np.eye(m), axis=(1, 2)).max())
     if unit_res > 10 * tol.structure_tol:
         raise ValueError(f"gauge path is not unitary (residual {unit_res:.3e})")
     if frobenius(g[-1] - g[0]) > 10 * tol.structure_tol:
@@ -229,7 +222,6 @@ def gauge_transform(section: SectionPath, vpath: np.ndarray, *, tol: Tolerances 
     out = _section(
         section.schrodinger, section.rule, products(overlaps(g0, section.v), g),
         products(overlaps(g0, section.overlap), g), skew_part(products(overlaps(g0, section.f), g0)),
-        lambda: FramePath(section.schrodinger.grid, products(section.path.frames, g), tol.structure_tol),
         g0 if section.rotation is None else section.rotation @ g0,
     )
     if out.in_phase_margin <= tol.positivity_tol:

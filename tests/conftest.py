@@ -4,15 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holosplit import (
-    LambdaParams,
-    build_section,
-    case_setup,
-    propagate_frame,
-    separability_report,
-)
-from holosplit.dynamics import TimeGrid
-from holosplit.linalg import _require_square, as_complex_matrix, frobenius, hermitian_part
+from holosplit import LambdaParams, case_setup, decompose, propagate_frame
+from holosplit.dynamics import TimeGrid, _propagate, hamiltonian_path
+from holosplit.linalg import _require_square, as_complex_matrix, frobenius, hermitian_part, overlaps, products
 
 SQRT3 = np.sqrt(3.0)
 
@@ -49,17 +43,51 @@ def dark_bright_to_bare(p: LambdaParams) -> np.ndarray:
     return np.stack([p.dark_state[:2], p.bright_state[:2]], axis=1)
 
 
+def section_frames(section) -> np.ndarray:
+    """The N x M frames L = S R V a section stands for, formed from the M x M
+    paths it holds (R the rotation of a gauge transform, else the identity)."""
+    s = section.schrodinger.frames
+    return products(s if section.rotation is None else products(s, section.rotation), section.v)
+
+
+def trivial_shift_check(spec, psi0, f_dot, grid) -> float:
+    """Residual max_t ||W(t) - identity|| for a common-phase section.
+
+    The section phi_j(t) = exp(i f(t)) psi_j(t), f(0) = 0, consists of
+    solutions of the Schrodinger equation for the shifted Hamiltonian
+    H(t) - df/dt; the frame-change matrix against that shifted evolution is
+    therefore the identity. A commuting-but-nontrivial W cannot be produced
+    this way, which is why [K(t), W(t)] = 0 forces W(t) = identity.
+    """
+    times = grid.times
+    mids = 0.5 * (times[:-1] + times[1:])
+    rates = np.array([float(f_dot(t)) for t in mids])
+
+    base = propagate_frame(spec, psi0, grid)
+    eye = np.eye(base.n)
+    shifted = _propagate(
+        lambda sl: hamiltonian_path(spec, mids[sl]) - rates[sl, None, None] * eye,
+        np.asarray(psi0, dtype=complex),
+        grid,
+    )
+
+    # accumulate f by the same midpoint quadrature the propagator applies,
+    # so the phase relation between the two paths is exact per step; the
+    # section is V = exp(i f) I on the base frames, so W = V^dag S^dag S_shifted
+    f = np.concatenate([[0.0], np.cumsum(rates * np.diff(times))])
+    w = overlaps(base.frames, shifted) * np.exp(-1j * f)[:, None, None]
+    return float(np.linalg.norm(w - np.eye(w.shape[1]), axis=(1, 2)).max())
+
+
 @functools.lru_cache(maxsize=32)
 def _run_case_cached(which, omega0, delta, tau, eta, omega1, omega2, steps):
     p = LambdaParams(omega0=omega0, delta=delta, tau=tau,
                      omega1=omega1, omega2=omega2, eta=eta)
     spec, psi0, rule = case_setup(which, p)
     grid = TimeGrid.uniform(p.tau, steps)
-    schrod = propagate_frame(spec, psi0, grid)
-    section = build_section(rule, schrod, spec)
-    report = separability_report(section, schrod, spec)
+    section, report = decompose(spec, psi0, rule, grid)
     return SimpleNamespace(params=p, spec=spec, psi0=psi0, rule=rule, grid=grid,
-                           schrod=schrod, section=section, report=report)
+                           schrod=section.schrodinger, section=section, report=report)
 
 
 def run_case(which, omega0=SQRT3, delta=1.0, tau=np.pi / 2, eta=np.pi / 3,

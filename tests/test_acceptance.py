@@ -8,18 +8,25 @@ import time
 import numpy as np
 import pytest
 
-from conftest import commutator_norm, dark_bright_to_bare, polar_decompose, run_case
+from conftest import (
+    commutator_norm,
+    dark_bright_to_bare,
+    polar_decompose,
+    run_case,
+    section_frames,
+    trivial_shift_check,
+)
 from holosplit import (
     Constant,
     LambdaParams,
     PhaseAnchored,
     build_section,
     case_setup,
+    decompose,
     propagate_frame,
     separability_report,
-    trivial_shift_check,
 )
-from holosplit.dynamics import FramePath, TimeGrid
+from holosplit.dynamics import TimeGrid
 from holosplit.holonomy import generator_path, kw_wf_residual, solve_anandan
 from holosplit.instances import (
     random_closed_gauge,
@@ -43,9 +50,7 @@ def timed_pipeline(which, **kw):
     spec, psi0, rule = case_setup(which, p)
     grid = TimeGrid.uniform(p.tau, 4096)
     start = time.perf_counter()
-    schrod = propagate_frame(spec, psi0, grid)
-    section = build_section(rule, schrod, spec)
-    report = separability_report(section, schrod, spec)
+    _, report = decompose(spec, psi0, rule, grid)
     elapsed = time.perf_counter() - start
     return report, elapsed
 
@@ -99,11 +104,8 @@ def test_criterion_4_refutation_witness():
     attempts = []
     for seed in range(7, 27):
         spec, psi0 = refutation_instance(seed)
-        grid = spec.grid
         try:
-            schrod = propagate_frame(spec, psi0, grid)
-            section = build_section(PhaseAnchored(), schrod, spec)
-            rep = separability_report(section, schrod, spec)
+            _, rep = decompose(spec, psi0, PhaseAnchored(), spec.grid)
         except (SectionError, InPhaseViolation) as exc:
             attempts.append(f"seed {seed}: section invalid ({exc}); reseeding")
             continue
@@ -130,7 +132,8 @@ def _structural_checks(label, spec, schrod, section, lines):
     assert w_unit <= 1e-9
 
     u = overlaps(schrod.initial, schrod.frames)
-    o = overlaps(section.path.initial, section.path.frames)
+    frames = section_frames(section)
+    o = overlaps(frames[0], frames)
     recon = np.linalg.norm(u - np.einsum("tij,tjk->tik", o, w), axis=(1, 2)).max()
     assert recon <= 1e-8
 
@@ -191,8 +194,7 @@ def test_criterion_7_gauge_covariance(case_i, case_ii, case_iii):
             rng = np.random.default_rng(seed)
             v = random_closed_gauge(ns.grid.times, 2, rng)
             moved_section = gauge_transform(ns.section, v)
-            rotated = FramePath(ns.grid, np.einsum("tnj,jk->tnk", ns.schrod.frames, v[0]))
-            moved = separability_report(moved_section, rotated, ns.spec)
+            moved = separability_report(moved_section, moved_section.schrodinger, ns.spec)
             assert moved.classification == ns.report.classification
             dev = frobenius(moved.w_direct - v[0].conj().T @ ns.report.w_direct @ v[0])
             assert dev <= 1e-6
@@ -213,7 +215,7 @@ def test_criterion_8_second_order_convergence():
         schrod = propagate_frame(spec, psi0, grid)
         section = build_section(rule, schrod, spec)
         gens = generator_path(section)
-        return section.path.frames[-1] @ solve_anandan(gens)[-1]
+        return section_frames(section)[-1] @ solve_anandan(gens)[-1]
 
     ref = reconstructed_endpoint(4096 * 16)
     e_coarse = np.linalg.norm(reconstructed_endpoint(4096) - ref)

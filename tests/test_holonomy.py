@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_case
+from conftest import section_frames, trivial_shift_check
 from holosplit.config import matrix_to_json, write_sampled_hamiltonian
 from holosplit.dynamics import (
     Constant,
@@ -27,13 +27,13 @@ from holosplit.holonomy import (
     _classify,
     _commutator_bound,
     connection_path,
+    decompose,
     generator_path,
     kw_wf_residual,
     max_commutator_scan,
     ordered_factor,
     separability_report,
     solve_anandan,
-    trivial_shift_check,
     yu_tong_factors,
 )
 from holosplit.instances import (
@@ -46,18 +46,30 @@ from holosplit.instances import (
 from holosplit import cli, dynamics, holonomy, linalg, sections
 from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius, overlaps, products, skew_part
-from holosplit.sections import InPhaseViolation, PhaseAnchored, build_section, gauge_transform, w_path
+from holosplit.sections import InPhaseViolation, PhaseAnchored, SectionError, build_section, gauge_transform, w_path
 
 SQRT3 = np.sqrt(3.0)
 
 
-def random_pipeline(seed, n=4, m=2, steps=512, tau=1.5, scale=0.45):
+def random_instance(seed, n=4, m=2, steps=512, tau=1.5, scale=0.45):
+    """(spec, psi0, grid) of a seeded cosine drive on n levels."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid.uniform(tau, steps)
     spec = cosine_drive(random_hermitian(n, rng, scale), random_hermitian(n, rng, scale), grid)
-    schrod = propagate_frame(spec, random_frame(n, m, rng), grid)
-    section = build_section(PhaseAnchored(), schrod, spec)
-    return spec, schrod, section
+    return spec, random_frame(n, m, rng), grid
+
+
+def random_pipeline(seed, **kw):
+    """(spec, section, report) of a phase-anchored decompose of random_instance."""
+    spec, psi0, grid = random_instance(seed, **kw)
+    return (spec, *decompose(spec, psi0, PhaseAnchored(), grid))
+
+
+def three_calls(spec, psi0, rule, grid):
+    """The run decompose makes, spelled out: propagate, build, report."""
+    schrod = propagate_frame(spec, psi0, grid)
+    section = build_section(rule, schrod, spec)
+    return section, separability_report(section, schrod, spec)
 
 
 class TestConnectionPath:
@@ -111,7 +123,8 @@ class TestKPath:
     # 64 x 4 takes 16 grid points a chunk, 12 x 2 takes 455: three chunks each
     @pytest.mark.parametrize("n, m, steps", [(64, 4, 33), (12, 2, 911), (3, 2, 40)])
     def test_chunks_equal_one_whole_stack_sandwich(self, n, m, steps):
-        spec, schrod, section = random_pipeline(1, n, m, steps, scale=0.7 / np.sqrt(n))
+        spec, section, _ = random_pipeline(1, n=n, m=m, steps=steps, scale=0.7 / np.sqrt(n))
+        schrod = section.schrodinger
         gens = generator_path(section)
         hams = hamiltonian_path(spec, schrod.grid.times)
         # F is the one sandwich of H, over the Schrodinger frames
@@ -121,7 +134,7 @@ class TestKPath:
         np.testing.assert_array_equal(gens.k_mats, skew_part(products(overlaps(v, gens.f_mats), v)))
         # K agrees with the sandwich over the section frames L = S V to
         # roundoff: at most 1.7e-16 on these runs, entries <= 0.4
-        assert np.abs(gens.k_mats - _sandwich(hams, section.path.frames)).max() <= 1e-15
+        assert np.abs(gens.k_mats - _sandwich(hams, section_frames(section))).max() <= 1e-15
 
     def test_pipeline_peak_below_one_hamiltonian_stack(self):
         # 64 x 4 at 512 steps: a (512, 64, 64) complex stack of H is 33.5 MB
@@ -134,9 +147,7 @@ class TestKPath:
         psi0 = random_frame(64, 4, rng)
         tracemalloc.start()
         try:
-            schrod = propagate_frame(spec, psi0, grid)
-            section = build_section(PhaseAnchored(), schrod, spec)
-            separability_report(section, schrod, spec)
+            decompose(spec, psi0, PhaseAnchored(), grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -149,69 +160,103 @@ def assert_same_report(a, b):
 
 
 class TestReportPairing:
-    """separability_report pairs a section with the section's own
-    Schrodinger path object, or with a path on its grid that holds the
-    frames S R the section pairs with; it refuses any other."""
+    """separability_report takes the section's own Schrodinger path object,
+    the one W = L^dag S is defined against, and refuses any other, however
+    close its frames."""
 
-    def test_rejects_mismatched_grid(self, case_ii):
+    def test_rejects_a_copy_of_the_own_path(self, case_ii):
+        copy = FramePath(case_ii.grid, case_ii.schrod.frames.copy())
+        # the message names both objects
+        msg = f"a FramePath at {id(copy):#x}) is not section.schrodinger (at {id(case_ii.schrod):#x})"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            separability_report(case_ii.section, copy, case_ii.spec)
+
+    def test_rejects_the_rotated_path_of_a_gauged_section(self, case_iii):
+        # a gauge transform by V pairs the section with the frames S V(0) and
+        # keeps S itself; a path holding S V(0) is another object
+        v = random_closed_gauge(case_iii.grid.times, 2, np.random.default_rng(1))
+        moved = gauge_transform(case_iii.section, v)
+        assert moved.schrodinger is case_iii.schrod
+        rotated = FramePath(case_iii.grid, products(case_iii.schrod.frames, v[0]))
+        with pytest.raises(ValueError, match="is not section.schrodinger"):
+            separability_report(moved, rotated, case_iii.spec)
+        assert separability_report(moved, moved.schrodinger, case_iii.spec).classification == "case_iii"
+
+    def test_rejects_a_path_on_another_grid(self, case_ii):
         other = propagate_frame(case_ii.spec, case_ii.psi0, TimeGrid.uniform(np.pi / 2, 8))
-        with pytest.raises(ValueError, match=r"different grids \(lengths 4097, 9\)"):
+        with pytest.raises(ValueError, match="is not section.schrodinger"):
             separability_report(case_ii.section, other, case_ii.spec)
 
-    def test_rejects_schrodinger_path_of_another_length(self):
-        spec, schrod, section = random_pipeline(1, steps=32)
-        other = propagate_frame(spec, schrod.initial, TimeGrid.uniform(1.5, 16))
-        with pytest.raises(ValueError, match=r"lengths 33, 17"):
-            separability_report(section, other, spec)
-
-    def test_rejects_frames_of_another_shape(self, case_ii):
-        other = FramePath(case_ii.grid, case_ii.schrod.frames[:, :, :1])
-        with pytest.raises(ValueError, match=r"shape \(4097, 3, 1\), section's \(4097, 3, 2\)"):
-            separability_report(case_ii.section, other, case_ii.spec)
-
-    def test_rejects_section_of_another_evolution(self, case_i, case_ii):
+    def test_rejects_the_path_of_another_evolution(self, case_i, case_ii):
         # same grid and shape, but case i's frame spans {|3>, |b>} and case
         # ii's {|d>, |b>}
         assert np.array_equal(case_i.grid.times, case_ii.grid.times)
-        with pytest.raises(ValueError, match="deviate by .* from the frames S R"):
+        with pytest.raises(ValueError, match="is not section.schrodinger"):
             separability_report(case_ii.section, case_i.schrod, case_ii.spec)
-
-    @pytest.mark.parametrize("q", [
-        np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]], dtype=complex),
-        np.diag([1.0, np.exp(0.2j)]),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        expm_skew(np.array([[0, 1e-8], [-1e-8, 1e-8j]])),
-    ])
-    def test_rejects_the_same_span_in_another_basis(self, q):
-        # S Q spans the subspace of S at every grid time, yet the section
-        # does not pair with it; ||S Q - S||_F = ||Q - I||_F
-        ns = run_case("iii", steps=256)
-        same_span = FramePath(ns.grid, products(ns.schrod.frames, q))
-        dev = frobenius(q - np.eye(2))
-        assert dev > 10 * DEFAULT_TOL.structure_tol
-        with pytest.raises(ValueError, match=re.escape(f"deviate by {dev:.3e}")):
-            separability_report(ns.section, same_span, ns.spec)
-
-    def test_accepts_the_rotated_path_of_a_gauged_section(self, case_iii):
-        # criterion 7: a gauge transform by V pairs the section with S V(0);
-        # that path, and the section's own path object, give one report
-        v = random_closed_gauge(case_iii.grid.times, 2, np.random.default_rng(1))
-        moved = gauge_transform(case_iii.section, v)
-        rotated = FramePath(case_iii.grid, np.einsum("tnj,jk->tnk", case_iii.schrod.frames, v[0]))
-        assert_same_report(separability_report(moved, rotated, case_iii.spec),
-                           separability_report(moved, moved.schrodinger, case_iii.spec))
-        # a copy of S is not the path the gauged section pairs with
-        with pytest.raises(ValueError, match="deviate by"):
-            separability_report(moved, FramePath(case_iii.grid, case_iii.schrod.frames.copy()), case_iii.spec)
-
-    def test_accepts_a_copy_of_the_own_path(self, case_ii):
-        copy = FramePath(case_ii.grid, case_ii.schrod.frames.copy())
-        assert_same_report(separability_report(case_ii.section, copy, case_ii.spec), case_ii.report)
 
     def test_rejects_a_spec_of_another_dimension(self, case_ii):
         # the section holds F, so spec is read only for its dimension
         with pytest.raises(ValueError, match="Hamiltonian dimension 2 does not match frame dimension 3"):
             separability_report(case_ii.section, case_ii.schrod, Constant(np.zeros((2, 2))))
+
+
+class TestDecompose:
+    """decompose is the three-call run: propagate, build_section and
+    separability_report, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "refutation 7"])
+    def test_equals_the_three_calls(self, case):
+        if case == "refutation 7":
+            spec, psi0 = refutation_instance(7)
+            args = (spec, psi0, PhaseAnchored(), spec.grid)
+        else:
+            p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2, eta=np.pi / 3)
+            spec, psi0, rule = case_setup(case, p)
+            args = (spec, psi0, rule, TimeGrid.uniform(p.tau, 4096))
+        section, report = decompose(*args)
+        ref_section, ref_report = three_calls(*args)
+        assert_same_report(report, ref_report)
+        for name in ("v", "overlap", "f", "in_phase_margin", "min_intermediate_margin"):
+            np.testing.assert_array_equal(getattr(section, name), getattr(ref_section, name), name)
+        np.testing.assert_array_equal(section.schrodinger.frames, ref_section.schrodinger.frames)
+
+    def test_passes_the_tolerances_on(self):
+        # the weakest phase anchor of this run is 0.207
+        spec, psi0, grid = random_instance(2, steps=256, tau=2.0)
+        with pytest.raises(SectionError, match="collapsed to 2.068e-01"):
+            decompose(spec, psi0, PhaseAnchored(), grid, Tolerances(positivity_tol=0.5))
+
+
+def _chunk_run(label):
+    """decompose arguments: the real-slice route at N = 4, the Taylor route
+    at N = 24 and the exact Constant route of Lambda iii."""
+    if label == "refutation 7":
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 8192))
+        return spec, psi0, PhaseAnchored(), spec.grid
+    if label == "cosine 24 x 2":
+        spec, psi0, grid = random_instance(4, n=24, steps=512, tau=1.0, scale=0.7 / np.sqrt(24))
+        return spec, psi0, PhaseAnchored(), grid
+    p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2, eta=np.pi / 3)
+    spec, psi0, rule = case_setup("iii", p)
+    return spec, psi0, rule, TimeGrid.uniform(p.tau, 4096)
+
+
+@pytest.mark.parametrize("label", ["refutation 7", "cosine 24 x 2", "lambda iii"])
+def test_report_does_not_depend_on_the_chunk_size(monkeypatch, label):
+    # the chunks of propagation and of the F sandwich re-associate products
+    # at their ends; finite-difference A multiplies the frames' roundoff by
+    # 1/(2 dt), so refutation 7's reports move by at most 2.7e-14 between
+    # 2^12 and 2^22 bytes a chunk, the others by 4.4e-15 and 0
+    args = _chunk_run(label)
+    _, ref = decompose(*args)
+    for exponent in (12, 14, 16, 18, 22):
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**exponent)
+        _, report = decompose(*args)
+        assert report.classification == ref.classification, exponent
+        for f in dataclasses.fields(report):
+            if f.name != "classification":
+                dev = np.abs(np.subtract(getattr(report, f.name), getattr(ref, f.name))).max()
+                assert dev <= 1e-13, (label, exponent, f.name, dev)
 
 
 class TestKwWfIdentity:
@@ -222,7 +267,7 @@ class TestKwWfIdentity:
             assert kw_wf_residual(gens, w) <= 1e-10
 
     def test_random_instance(self):
-        spec, schrod, section = random_pipeline(seed=23, steps=4096)
+        _, section, _ = random_pipeline(23, steps=4096)
         gens = generator_path(section)
         w = w_path(section)
         assert kw_wf_residual(gens, w) <= 1e-8
@@ -257,18 +302,15 @@ class TestSolveAnandan:
     def test_endpoint_is_the_report_w_final_bitwise(self, case_iii):
         # 1000 steps, not a power of two, so the pairing has odd levels
         spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 1000))
-        schrod = propagate_frame(spec, psi0, spec.grid)
-        section = build_section(PhaseAnchored(), schrod, spec)
-        runs = [(case_iii.section, case_iii.schrod, case_iii.spec, case_iii.report),
-                (section, schrod, spec, separability_report(section, schrod, spec))]
-        for section, schrod, spec, report in runs:
+        runs = [(case_iii.section, case_iii.report), decompose(spec, psi0, PhaseAnchored(), spec.grid)]
+        for section, report in runs:
             gens = generator_path(section)
             np.testing.assert_array_equal(solve_anandan(gens)[-1], report.w_final)
 
     def test_ae_consistency_scaling(self):
         # |W_ae(tau) - W_direct(tau)| <= 50 dt^2 + 1e-9 on smooth instances
         for steps in (512, 1024):
-            spec, schrod, section = random_pipeline(seed=5, steps=steps, tau=1.5)
+            _, section, _ = random_pipeline(5, steps=steps, tau=1.5)
             gens = generator_path(section)
             dt = 1.5 / steps
             gap = frobenius(solve_anandan(gens)[-1] - w_path(section)[-1])
@@ -324,10 +366,7 @@ class TestYuTongFactors:
 
     def test_product_holds_where_separation_fails(self):
         spec, psi0 = refutation_instance(seed=7)
-        grid = TimeGrid.uniform(2.0, 4096)
-        schrod = propagate_frame(spec, psi0, grid)
-        section = build_section(PhaseAnchored(), schrod, spec)
-        report = separability_report(section, schrod, spec)
+        _, report = decompose(spec, psi0, PhaseAnchored(), TimeGrid.uniform(2.0, 4096))
         assert report.product_residual <= 1e-6
         assert report.separation_residual > 1e-2
 
@@ -363,8 +402,7 @@ class TestSeparabilityReport:
         assert rep.separation_residual <= 1e-6
 
     def test_generic_instance_not_separable(self):
-        spec, schrod, section = random_pipeline(seed=2, steps=4096, tau=2.0)
-        rep = separability_report(section, schrod, spec)
+        _, _, rep = random_pipeline(2, steps=4096, tau=2.0)
         assert rep.classification == "non_separable"
         assert rep.max_commutator > 1e-6
         assert rep.product_residual <= 1e-6
@@ -403,8 +441,7 @@ class TestSeparabilityReport:
             monkeypatch.setattr(f"holosplit.{module}.subspace_gap", counting_gap, raising=False)
         p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2)
         spec, psi0, rule = case_setup("i", p)
-        schrod = propagate_frame(spec, psi0, TimeGrid.uniform(p.tau, 512))
-        report = separability_report(build_section(rule, schrod, spec), schrod, spec)
+        _, report = decompose(spec, psi0, rule, TimeGrid.uniform(p.tau, 512))
         assert report.classification == "case_i"
         assert drifts == [(513, 3, 2)]
 
@@ -416,8 +453,9 @@ class TestSeparabilityReport:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
     def test_generators_anti_hermitian(self, seed):
-        spec, schrod, section = random_pipeline(seed=seed, steps=128, tau=1.0)
-        gens = generator_path(section)
+        # some of these draws fail the in-phase check, so no report is made
+        spec, psi0, grid = random_instance(seed, steps=128, tau=1.0)
+        gens = generator_path(build_section(PhaseAnchored(), propagate_frame(spec, psi0, grid), spec))
         for mats in (gens.a_mats, gens.k_mats, gens.f_mats):
             res = np.linalg.norm(mats + mats.conj().swapaxes(1, 2), axis=(1, 2)).max()
             assert res <= 1e-9
@@ -426,8 +464,7 @@ class TestSeparabilityReport:
         # the product form is an identity; at the canonical 4096-step
         # resolution its residual sits at the integrator error level
         for seed in (1, 2, 3):
-            spec, schrod, section = random_pipeline(seed=seed, steps=4096, tau=2.0)
-            rep = separability_report(section, schrod, spec)
+            _, _, rep = random_pipeline(seed, steps=4096, tau=2.0)
             assert rep.product_residual <= 1e-6
 
 
@@ -496,7 +533,7 @@ class TestMaxCommutatorScan:
 class TestDecomposeWork:
     """A decompose forms each midpoint H of the propagation once and samples
     H at the grid points once per chunk of the F sandwich in build_section,
-    and forms no N x M section frames."""
+    whether it is the one decompose call or the three calls it makes."""
 
     @pytest.fixture
     def sampled(self, monkeypatch):
@@ -507,12 +544,8 @@ class TestDecomposeWork:
             calls.append(len(times))
             return real(spec, times)
 
-        def no_frames(section):
-            raise AssertionError("the N x M section frames were formed")
-
         monkeypatch.setattr(dynamics, "hamiltonian_path", counting)
         monkeypatch.setattr(sections, "hamiltonian_path", counting)
-        monkeypatch.setattr(sections.SectionPath, "path", property(no_frames))
         return calls
 
     @pytest.fixture
@@ -527,14 +560,14 @@ class TestDecomposeWork:
         monkeypatch.setattr(dynamics, "_blend", counting)
         return counts
 
+    @pytest.mark.parametrize("run", [three_calls, decompose])
     @pytest.mark.parametrize("n, m, steps", [(64, 4, 64), (4, 2, 256)])
-    def test_library_decompose(self, sampled, blended, n, m, steps):
+    def test_library_decompose(self, sampled, blended, n, m, steps, run):
         rng = np.random.default_rng(2)
         grid = TimeGrid.uniform(1.0, steps)
         spec = cosine_drive(random_hermitian(n, rng, 0.7 / np.sqrt(n)),
                             random_hermitian(n, rng, 0.7 / np.sqrt(n)), grid)
-        schrod = propagate_frame(spec, random_frame(n, m, rng), grid)
-        report = separability_report(build_section(PhaseAnchored(), schrod, spec), schrod, spec)
+        _, report = run(spec, random_frame(n, m, rng), PhaseAnchored(), grid)
         assert report.classification == "non_separable"
         # every midpoint lies between two samples and is blended once: one
         # step at a time from N = 20, else one stack per propagation chunk,
@@ -546,14 +579,13 @@ class TestDecomposeWork:
         f_chunks = [sl.stop - sl.start for sl in dynamics._chunks(steps + 1, n)]
         assert sampled == (f_chunks if n >= 20 else steps_per_chunk + f_chunks)
 
-    def test_lambda_decompose(self, sampled):
+    @pytest.mark.parametrize("run", [three_calls, decompose])
+    def test_lambda_decompose(self, sampled, run):
         p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2)
         for case in ("i", "ii", "iii"):
             sampled.clear()
             spec, psi0, rule = case_setup(case, p)
-            grid = TimeGrid.uniform(p.tau, 256)
-            schrod = propagate_frame(spec, psi0, grid)
-            separability_report(build_section(rule, schrod, spec), schrod, spec)
+            run(spec, psi0, rule, TimeGrid.uniform(p.tau, 256))
             # the exact Constant route samples no H; F takes one chunk
             assert sampled == [257]
 
@@ -577,12 +609,14 @@ class TestDecomposeWork:
             assert sampled == [256, 257]
 
     def test_a_built_section_needs_no_hamiltonian(self, monkeypatch):
-        spec, schrod, section = random_pipeline(3, steps=64)
+        spec, section, _ = random_pipeline(3, steps=64)
+        schrod = section.schrodinger
 
         def refuse(spec, times):
             raise AssertionError("H was sampled after build_section")
 
-        for module in (dynamics, sections, holonomy):
+        # holonomy does not import hamiltonian_path
+        for module in (dynamics, sections):
             monkeypatch.setattr(module, "hamiltonian_path", refuse)
         generator_path(section)
         moved = gauge_transform(section, random_closed_gauge(schrod.grid.times, 2, np.random.default_rng(3)))

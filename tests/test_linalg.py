@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import commutator_norm, polar_decompose
+from conftest import commutator_norm, polar_decompose, section_frames
 from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
 from holosplit.holonomy import generator_path, ordered_factor
 from holosplit.instances import random_hermitian, refutation_instance
@@ -176,7 +176,8 @@ class TestPolarDecompose:
         s = propagate_frame(spec, psi0, grid)
         sec = build_section(rule, s, spec)
         pos, uni = polar_decompose(overlaps(s.initial, s.frames)[-1])
-        o_end = overlaps(sec.path.initial, sec.path.frames)[-1]
+        frames = section_frames(sec)
+        o_end = overlaps(frames[0], frames)[-1]
         w_end = w_path(sec)[-1]
         phi = p.phidot * p.tau
         ref = np.diag([1.0, np.sqrt(1 - np.sin(p.gamma) ** 2 * np.sin(phi) ** 2)])

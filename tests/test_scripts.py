@@ -1,12 +1,15 @@
-"""Smoke tests: each script under scripts/ runs to completion."""
+"""Smoke tests: each script under scripts/ runs to completion, and so does
+the README's library example."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -74,3 +77,10 @@ def test_march_crossover_checks_the_real_slices(monkeypatch):
     monkeypatch.setattr(module.dynamics, "_taylor_stack", lambda g, c, p: real(g, c, p) * (1 + 1e-9))
     with pytest.raises(AssertionError, match="differ at N = 4, M = 2"):
         module.main()
+
+
+def test_readme_library_example(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.split()[0] == "case_iii"
