@@ -11,8 +11,6 @@ from .dynamics import (
 )
 from .holonomy import (
     DecompositionReport,
-    GeneratorPath,
-    connection_path,
     decompose,
     kw_wf_residual,
     ordered_factor,
@@ -51,7 +49,6 @@ __all__ = [
     "DecompositionReport",
     "Fixed",
     "FramePath",
-    "GeneratorPath",
     "HamiltonianSpec",
     "InPhaseViolation",
     "LambdaParams",
@@ -66,7 +63,6 @@ __all__ = [
     "case_ii_analytic",
     "case_iii_analytic",
     "case_setup",
-    "connection_path",
     "decompose",
     "expm_skew",
     "gauge_transform",

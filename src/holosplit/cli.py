@@ -24,7 +24,7 @@ import orjson
 
 from .config import load_run_config, report_to_json
 from .dynamics import TimeGrid, propagate_frame
-from .holonomy import DecompositionReport, decompose, generator_path, separability_report
+from .holonomy import DecompositionReport, decompose, separability_report
 from .instances import random_closed_gauge
 from .lambda_system import LambdaParams, case_i_analytic, case_ii_analytic, case_iii_analytic, case_setup
 from .linalg import frobenius
@@ -172,8 +172,7 @@ def cmd_export(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
         cfg = load_run_config(config_path, tau_override=tau, steps_override=steps)
         schrod = propagate_frame(cfg.spec, cfg.psi0, cfg.grid, tol=cfg.tolerances)
         section = build_section(cfg.rule, schrod, cfg.spec, tol=cfg.tolerances)
-        gens = generator_path(section)
-        mats = (gens.a_mats, gens.k_mats, w_path(section), section.overlap)
+        mats = (section.a, section.k, w_path(section), section.overlap)
     except ValueError as exc:
         return _exit_code(exc)
 

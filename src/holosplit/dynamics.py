@@ -32,6 +32,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _TAYLOR_THETA,
+    _one_norms,
     _require_tolerance,
     _taylor_plan,
     _taylor_stack,
@@ -144,9 +145,8 @@ class Constant:
 class Sampled:
     """Hamiltonian given on a time grid; linear interpolation in between.
 
-    ||s_i||_1 per sample is formed on first use, only for the samples a
-    propagation from N = 20 reads, and then kept: that propagation plans
-    its Taylor degree from it."""
+    ||s_i||_1 per sample is formed whole on first use, by a propagation
+    from N = 20, which plans its Taylor degree from it, and then kept."""
 
     grid: TimeGrid
     samples: np.ndarray = field(repr=False)
@@ -164,21 +164,12 @@ class Sampled:
         object.__setattr__(self, "samples", _freeze(_hermitian_samples(s, self.structure_tol)))
 
     @cached_property
-    def _norm_cache(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(len(self.grid)), np.zeros(len(self.grid), dtype=bool)
-
-    def _norms(self, idx: np.ndarray) -> np.ndarray:
-        """||s_i||_1, the largest column sum of |s_i|, for each sample of
-        the nondecreasing index array idx; a norm not yet formed is formed
-        here, one chunk at a time, and kept."""
-        values, formed = self._norm_cache
-        new = idx[~formed[idx]]
-        if new.size:  # a sample's repeats are neighbours; form it once
-            new = new[np.diff(new, prepend=-1) != 0]
-            for sl in _chunks(new.size, self.samples.shape[1]):
-                values[new[sl]] = _one_norms(_rows(self.samples, new[sl]))
-            formed[new] = True
-        return values[idx]
+    def _norms(self) -> np.ndarray:
+        """||s_i||_1 per sample, formed one chunk at a time; read-only."""
+        s = self.samples
+        norms = np.concatenate([_one_norms(s[sl]) for sl in _chunks(len(s), s.shape[1])])
+        norms.flags.writeable = False
+        return norms
 
 
 HamiltonianSpec = Constant | Sampled
@@ -213,11 +204,6 @@ def _rows(samples: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if step > 0 and (np.diff(idx) == step).all():
         return samples[idx[0] : idx[-1] + 1 : step]
     return samples[idx]
-
-
-def _one_norms(hams: np.ndarray) -> np.ndarray:
-    """||H_k||_1, the largest column sum of |H_k|, per matrix of a stack."""
-    return np.abs(hams).sum(axis=1).max(axis=1)
 
 
 def _interpolation(tg: np.ndarray, times: np.ndarray) -> tuple:
@@ -342,15 +328,11 @@ class _Midpoints:
     def bound(self, dts: np.ndarray) -> float:
         """max_k dt_k ((1 - w_k) n_lo + w_k n_hi), n the spec's per-sample
         norms: at least max_k ||H_k dt_k||_1 by the triangle inequality, and
-        equal to it when every time is a sample time. Only the norms of
-        samples with a nonzero weight are read, and a term of weight 0 is
-        left out."""
+        equal to it when every time is a sample time, where a term of
+        weight 0 adds exactly 0."""
         lo, hi, w, _ = self._weights
-        a, b = w != 1.0, w != 0.0
-        terms = np.zeros(w.size)
-        terms[a] = (1.0 - w[a]) * self.spec._norms(lo[a])
-        terms[b] += w[b] * self.spec._norms(hi[b])
-        return float((dts * terms).max())
+        n = self.spec._norms
+        return float((dts * ((1.0 - w) * n[lo] + w * n[hi])).max())
 
     def rows(self):
         """Each H_k in turn: a sample view when, as in hamiltonian_path,

@@ -1,5 +1,5 @@
-"""Connection and dynamical generators, the Anandan equation, ordered
-exponential factors, and the separability analysis.
+"""The Anandan equation, ordered exponential factors, and the
+separability analysis of a section's generators.
 
 The frame-change matrix obeys dW/dt = (A + K) W with the connection
 A_jk = <dphi_j/dt|phi_k> and the dynamical matrix K_jk = -i<phi_j|H|phi_k>,
@@ -13,11 +13,11 @@ grid times decides the case_iii verdict; the report's max_commutator is the
 magnitude from a sampled scan of the pairs.
 
 With the section held as L = S V (sections), every generator is an M x M
-path formed once: F = -i S^dag H S, the one sandwich of H, is the section's
-(build_section forms it), K is V^dag F V, and A is the finite-difference
-connection from the section's step overlaps L_j^dag L_k. The section holds
-the Schrodinger path it pairs with, so no function here takes one beside it
-but separability_report, which refuses any path object but that one.
+path the section forms once: F = -i S^dag H S, the one sandwich of H,
+K = V^dag F V, and A, the finite-difference connection from the section's
+step overlaps L_j^dag L_k. The section holds the Schrodinger path it pairs
+with and W = V^dag, so every function here takes the section alone, but
+separability_report, which takes that path beside it and refuses any other.
 decompose is the whole run: propagate, build the section, report. Every
 ordered exponential, the Anandan path and the four endpoint factors alike,
 is one ordered_factor call.
@@ -25,7 +25,7 @@ is one ordered_factor call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -40,22 +40,16 @@ from .dynamics import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    _time_last,
     frobenius,
     ordered_products,
-    overlaps,
     products,
-    skew_part,
     unitary_stack,
 )
-from .sections import Fixed, InPhaseViolation, SectionPath, SectionRule, build_section
+from .sections import InPhaseViolation, SectionPath, SectionRule, build_section, w_path
 
 __all__ = [
     "DecompositionReport",
-    "GeneratorPath",
-    "connection_path",
     "decompose",
-    "generator_path",
     "kw_wf_residual",
     "max_commutator_scan",
     "ordered_factor",
@@ -67,29 +61,6 @@ __all__ = [
 COMMUTATOR_SCAN_LIMIT = 64
 # the values DecompositionReport.classification takes
 VERDICTS = ("case_i", "case_ii", "case_iii", "non_separable")
-
-
-@dataclass(frozen=True)
-class GeneratorPath:
-    """Connection A(t), dynamical matrix K(t) and restricted generator F(t)
-    sampled on a common grid; all anti-Hermitian M x M."""
-
-    grid: TimeGrid
-    a_mats: np.ndarray = field(repr=False)
-    k_mats: np.ndarray = field(repr=False)
-    f_mats: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("a_mats", "k_mats", "f_mats"):
-            mats = np.asarray(getattr(self, name), dtype=complex)
-            if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-                raise ValueError(f"{name} must be a stack of square matrices")
-            if mats.shape[0] != len(self.grid):
-                raise ValueError(f"{name} length does not match the grid")
-            skew_res = np.linalg.norm(mats + mats.conj().swapaxes(1, 2), axis=(1, 2)).max()
-            if skew_res > 10 * DEFAULT_TOL.structure_tol:
-                raise ValueError(f"{name} is not anti-Hermitian (residual {skew_res:.3e})")
-            object.__setattr__(self, name, mats)
 
 
 @dataclass(frozen=True)
@@ -119,55 +90,17 @@ class DecompositionReport:
     steps: int
 
 
-def connection_path(section: SectionPath) -> np.ndarray:
-    """A_jk(t) = <dphi_j/dt|phi_k> per grid point: np.gradient's second-order
-    difference of the section frames (edge_order=2 at the ends), with its
-    weights on any grid, taken from the M x M step overlaps L_j^dag L_k =
-    V_j^dag R^dag S_j^dag S_k R V_k; the j = k term is real times the
-    identity and drops out of the anti-Hermitian part. A Fixed section is
-    constant, so its connection is exactly zero."""
-    s, times = section.schrodinger.frames, section.schrodinger.grid.times
-    n = times.size
-    if n < 3:
-        raise ValueError("connection needs a grid with at least 3 points")
-    if isinstance(section.rule, Fixed) and section.rotation is None:
-        return np.zeros_like(section.v)
-    v = section.v if section.rotation is None else products(section.rotation, section.v)
-
-    def skew_overlaps(j, k):
-        return skew_part(products(overlaps(v[j], overlaps(s[j], s[k])), v[k]))
-
-    # z holds skew(L_j^dag L_k) for every step (k, k + 1) and ends for (0, 2)
-    # and (n - 3, n - 1); skew(X^dag) = -skew(X)
-    z, ends = skew_overlaps(slice(0, n - 1), slice(1, n)), skew_overlaps([0, n - 3], [2, n - 1])
-    h = np.diff(times)
-    h1, h2 = h[:-1, None, None], h[1:, None, None]
-    a = _time_last((n, *z.shape[1:]))
-    a[1:-1] = -h2 / (h1 * (h1 + h2)) * z[:-1] - h1 / (h2 * (h1 + h2)) * z[1:]
-    a[0] = -(h[0] + h[1]) / (h[0] * h[1]) * z[0] + h[0] / (h[1] * (h[0] + h[1])) * ends[0]
-    a[-1] = h[-1] / (h[-2] * (h[-2] + h[-1])) * ends[1] - (h[-2] + h[-1]) / (h[-2] * h[-1]) * z[-1]
-    return a
+def kw_wf_residual(section: SectionPath) -> float:
+    """max_t || K(t) W(t) - W(t) F(t) ||_F with W = V^dag the section's, an
+    exact identity up to roundoff."""
+    w = w_path(section)
+    return float(np.linalg.norm(products(section.k, w) - products(w, section.f), axis=(1, 2)).max())
 
 
-def generator_path(section: SectionPath) -> GeneratorPath:
-    """A, K and F along the section's grid, with no sample of H: F is the
-    section's, K is V^dag F V per grid point, A is connection_path."""
-    k_mats = skew_part(products(overlaps(section.v, section.f), section.v))
-    return GeneratorPath(section.schrodinger.grid, connection_path(section), k_mats, section.f)
-
-
-def kw_wf_residual(generators: GeneratorPath, w: np.ndarray) -> float:
-    """max_t || K(t) W(t) - W(t) F(t) ||_F, an exact identity up to roundoff."""
-    w = np.asarray(w, dtype=complex)
-    if w.shape != generators.k_mats.shape:
-        raise ValueError("W path does not match the generator grid")
-    return float(np.linalg.norm(products(generators.k_mats, w) - products(w, generators.f_mats), axis=(1, 2)).max())
-
-
-def solve_anandan(generators: GeneratorPath) -> np.ndarray:
+def solve_anandan(section: SectionPath) -> np.ndarray:
     """Integrate dW/dt = (A + K) W with W(0) = identity; W at every grid
     point, the cumulative forward ordered_factor of A + K."""
-    return ordered_factor(generators.a_mats + generators.k_mats, generators.grid, cumulative=True)
+    return ordered_factor(section.a + section.k, section.schrodinger.grid, cumulative=True)
 
 
 def ordered_factor(
@@ -202,15 +135,15 @@ def ordered_factor(
     return out
 
 
-def yu_tong_factors(generators: GeneratorPath) -> tuple[np.ndarray, np.ndarray]:
+def yu_tong_factors(section: SectionPath) -> tuple[np.ndarray, np.ndarray]:
     """The auxiliary pair (G, D) with dG/dt = A G and dD/dt = D F.
 
     G D equals W(tau) identically; the D factor is reverse-ordered and is
     built from the Schrodinger-frame generator F rather than K, which is
     what makes the product form circular as a holonomic/dynamical split.
     """
-    g = ordered_factor(generators.a_mats, generators.grid, "forward")
-    d = ordered_factor(generators.f_mats, generators.grid, "reverse")
+    g = ordered_factor(section.a, section.schrodinger.grid, "forward")
+    d = ordered_factor(section.f, section.schrodinger.grid, "reverse")
     return g, d
 
 
@@ -257,12 +190,12 @@ def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     return float(ca @ np.linalg.norm(comm, axis=(2, 3)) @ ck)
 
 
-def _classify(schrodinger: FramePath, generators: GeneratorPath, tol: Tolerances) -> str:
+def _classify(schrodinger: FramePath, a: np.ndarray, k: np.ndarray, tol: Tolerances) -> str:
     if schrodinger.drift <= tol.separation_tol:
         return "case_i"
-    if float(np.linalg.norm(generators.k_mats, axis=(1, 2)).max()) <= tol.separation_tol:
+    if float(np.linalg.norm(k, axis=(1, 2)).max()) <= tol.separation_tol:
         return "case_ii"
-    if _commutator_bound(generators.a_mats, generators.k_mats) <= tol.separation_tol:
+    if _commutator_bound(a, k) <= tol.separation_tol:
         return "case_iii"
     return "non_separable"
 
@@ -287,24 +220,24 @@ def separability_report(section: SectionPath, schrodinger: FramePath, spec: Hami
     if dimension(spec) != schrodinger.n:
         raise ValueError(f"Hamiltonian dimension {dimension(spec)} does not match frame dimension {schrodinger.n}")
 
-    generators = generator_path(section)
+    a, k, grid = section.a, section.k, schrodinger.grid
     w_direct, overlap = section.v[-1].conj().T, section.overlap[-1].copy()
     # the holonomic factor T exp(int A) is the G of the product form
-    g, d = yu_tong_factors(generators)
-    dyn = ordered_factor(generators.k_mats, generators.grid, "forward")
+    g, d = yu_tong_factors(section)
+    dyn = ordered_factor(k, grid, "forward")
     return DecompositionReport(
         overlap=overlap,
         # the endpoint of solve_anandan, bit for bit
-        w_final=ordered_factor(generators.a_mats + generators.k_mats, generators.grid),
+        w_final=ordered_factor(a + k, grid),
         w_direct=w_direct,
         holonomic_factor=g,
         dynamical_factor=dyn,
         g_factor=g,
         d_factor=d,
-        max_commutator=max_commutator_scan(generators.a_mats, generators.k_mats),
+        max_commutator=max_commutator_scan(a, k),
         separation_residual=frobenius(w_direct - g @ dyn),
         product_residual=frobenius(w_direct - g @ d),
-        classification=_classify(schrodinger, generators, tol),
+        classification=_classify(schrodinger, a, k, tol),
         time_evolution=overlap @ w_direct,
         in_phase_margin=section.in_phase_margin,
         tau=schrodinger.grid.tau,

@@ -187,6 +187,11 @@ def _taylor_plan(theta_max: float) -> tuple[int, int]:
     return s, p
 
 
+def _one_norms(hams: np.ndarray) -> np.ndarray:
+    """||H_k||_1, the largest column sum of |H_k|, per matrix of a stack."""
+    return np.abs(hams).sum(axis=1).max(axis=1)
+
+
 def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """exp(-i H_k dt_k) for a stack (n, m, m) of Hermitian H_k and n steps dt_k.
 
@@ -201,7 +206,7 @@ def unitary_stack(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     """
     if hams.shape[-1] == 2:
         return _unitary_2x2(hams, dts)
-    theta = float((np.abs(hams).sum(axis=-2).max(axis=-1) * np.abs(dts)).max(initial=0.0))
+    theta = float((_one_norms(hams) * np.abs(dts)).max(initial=0.0))
     if theta <= _TAYLOR_THETA:
         return _taylor_stack(hams, (-1j * dts)[:, None, None], _taylor_plan(theta)[1])
     w, v = np.linalg.eigh(hams)
@@ -235,14 +240,17 @@ def _unitary_2x2(hams: np.ndarray, dts: np.ndarray) -> np.ndarray:
     phase = np.exp(-0.5j * (d0 + d1) * dts)
     cos = phase * np.cos(theta)
     # np.sinc(x) = sin(pi x)/(pi x), which is 1 at x = 0
-    cross = phase * (-1j * dts * np.sinc(theta / np.pi))
+    # explicit multiplies: from 256 KiB numpy's temporary elision would form
+    # these products in place with the operands swapped, which changes the
+    # bits of a slice with the length of its stack
+    cross = np.multiply(phase, -1j * dts * np.sinc(theta / np.pi))
     out = _time_last((hams.shape[0], 2, 2))
     # the diagonal's shift is formed in place, in a row of out
     shift = np.multiply(cross, half_gap, out=out[:, 0, 0])
     np.subtract(cos, shift, out=out[:, 1, 1])
     shift += cos
     out[:, 1, 0] = cross * low
-    out[:, 0, 1] = cross * low.conj()
+    np.multiply(cross, low.conj(), out=out[:, 0, 1])
     return out
 
 

@@ -7,10 +7,13 @@ L(t) = S(t) V(t) with V(t) an M x M unitary path and V(0) = I. A SectionPath
 holds S, V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t),
 which each rule forms from the Schrodinger overlaps it already takes; W(t) =
 L(t)^dag S(t) is V(t)^dag, so U = O W. It holds F = -i S^dag H S too, the
-run's one sandwich of H, which a gauge transform rotates; everything after
-build_section is M x M, and no N x M section frame is formed. W has
-meaning only against the section's own evolution, so a function of a
-section takes the section alone.
+run's one sandwich of H, which a gauge transform rotates, and the
+generators of W that the section forms once, in _section, shared by every
+rule and by gauge_transform: the connection A from its step overlaps and
+K = V^dag F V. Everything after build_section is M x M, and no N x M
+section frame is formed. W, A and K have meaning only against the
+section's own evolution, so a function of a section takes the section
+alone.
 Subspace checks use the gap sqrt(2) ||b - a a^dag b||_F between orthonormal
 frames (linalg.subspace_gap).
 """
@@ -90,7 +93,10 @@ class SectionPath:
     gauge transform moved L(0) (None, the identity, for every rule); the
     section pairs with the frames S(t) R, so W = V^dag. overlap is
     O(0,t) = L(0)^dag L(t) and f is F(t) = -i (S R)^dag H (S R) per grid
-    point; v, overlap and f are read-only. in_phase_margin is the smallest
+    point. a is the connection A_jk(t) = <dphi_j/dt|phi_k> and k the
+    dynamical matrix K(t) = V^dag F V, the generators of dW/dt = (A + K) W,
+    which the section forms once; v, overlap, f, a and k are read-only and
+    f, a and k exactly anti-Hermitian. in_phase_margin is the smallest
     eigenvalue of the Hermitian part of O(0,tau); overlap_asymmetry is the
     Frobenius norm of O(0,tau) - O(0,tau)^dag (zero for the Lambda-case
     sections, where O is Hermitian); min_intermediate_margin tracks the same
@@ -103,6 +109,8 @@ class SectionPath:
     v: np.ndarray = field(repr=False)
     overlap: np.ndarray = field(repr=False)
     f: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
+    k: np.ndarray = field(repr=False)
     rule: SectionRule
     in_phase_margin: float
     overlap_asymmetry: float
@@ -120,15 +128,50 @@ def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(herm)[:, 0]
 
 
+def _connection(schrodinger: FramePath, rule: SectionRule, v: np.ndarray,
+                rotation: np.ndarray | None) -> np.ndarray:
+    """A_jk(t) = <dphi_j/dt|phi_k> per grid point: np.gradient's second-order
+    difference of the section frames (edge_order=2 at the ends), with its
+    weights on any grid, taken from the M x M step overlaps L_j^dag L_k =
+    V_j^dag R^dag S_j^dag S_k R V_k; the j = k term is real times the
+    identity and drops out of the anti-Hermitian part. A Fixed section is
+    constant, so its connection is exactly zero."""
+    s, times = schrodinger.frames, schrodinger.grid.times
+    n = times.size
+    if n < 3:
+        raise ValueError("connection needs a grid with at least 3 points")
+    if isinstance(rule, Fixed) and rotation is None:
+        return np.zeros_like(v)
+    v = v if rotation is None else products(rotation, v)
+
+    def skew_overlaps(j, k):
+        return skew_part(products(overlaps(v[j], overlaps(s[j], s[k])), v[k]))
+
+    # z holds skew(L_j^dag L_k) for every step (k, k + 1) and ends for (0, 2)
+    # and (n - 3, n - 1); skew(X^dag) = -skew(X)
+    z, ends = skew_overlaps(slice(0, n - 1), slice(1, n)), skew_overlaps([0, n - 3], [2, n - 1])
+    h = np.diff(times)
+    h1, h2 = h[:-1, None, None], h[1:, None, None]
+    a = _time_last((n, *z.shape[1:]))
+    a[1:-1] = -h2 / (h1 * (h1 + h2)) * z[:-1] - h1 / (h2 * (h1 + h2)) * z[1:]
+    a[0] = -(h[0] + h[1]) / (h[0] * h[1]) * z[0] + h[0] / (h[1] * (h[0] + h[1])) * ends[0]
+    a[-1] = h[-1] / (h[-2] * (h[-2] + h[-1])) * ends[1] - (h[-2] + h[-1]) / (h[-2] * h[-1]) * z[-1]
+    return a
+
+
 def _section(schrodinger: FramePath, rule: SectionRule, v: np.ndarray, o: np.ndarray, f: np.ndarray,
              rotation: np.ndarray | None = None) -> SectionPath:
-    """A SectionPath with V(0) = I exactly, read-only V, O and F, and the
-    in-phase diagnostics of O(0, t)."""
+    """A SectionPath with V(0) = I exactly, its generators A and K, read-only
+    V, O, F, A and K, and the in-phase diagnostics of O(0, t). Raises
+    ValueError on a grid of fewer than 3 points, where A is undefined."""
     v[0] = np.eye(v.shape[-1])
-    v.flags.writeable = o.flags.writeable = f.flags.writeable = False
+    a = _connection(schrodinger, rule, v, rotation)
+    k = skew_part(products(overlaps(v, f), v))
+    for arr in (v, o, f, a, k):
+        arr.flags.writeable = False
     mins = _min_eigenvalues(hermitian_part(o))
     asym = frobenius(o[-1] - o[-1].conj().T)
-    return SectionPath(schrodinger, v, o, f, rule, float(mins[-1]), asym, float(mins.min()), rotation)
+    return SectionPath(schrodinger, v, o, f, a, k, rule, float(mins[-1]), asym, float(mins.min()), rotation)
 
 
 def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSpec, *,

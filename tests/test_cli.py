@@ -888,8 +888,7 @@ class TestExport:
         out = tmp / "t.csv"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_CSV_BLOCK_ROWS", data.draw(st.integers(1, 8), label="block"))
-            mp.setattr(cli, "build_section", lambda *args, **kwargs: types.SimpleNamespace(overlap=o))
-            mp.setattr(cli, "generator_path", lambda section: types.SimpleNamespace(a_mats=a, k_mats=k))
+            mp.setattr(cli, "build_section", lambda *args, **kwargs: types.SimpleNamespace(a=a, k=k, overlap=o))
             mp.setattr(cli, "w_path", lambda section: w)
             assert cmd_export(str(path), str(out), steps=rows - 1) == 0
         times = load_run_config(path, steps_override=rows - 1).grid.times

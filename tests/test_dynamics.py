@@ -619,39 +619,27 @@ class TestMidpoints:
         h0, h1 = random_hermitian(24, rng, 0.45), random_hermitian(24, rng, 0.45)
         psi0 = random_frame(24, 2, rng)
         grid = TimeGrid.uniform(1.0, 300)
-        mids = 0.5 * (grid.times[:-1] + grid.times[1:])
         # a coarse run on a finer sample grid: every midpoint a sample time,
         # or every midpoint between two samples
         for samples in (TimeGrid.uniform(1.0, 600), TimeGrid.uniform(1.0, 900)):
             calls.clear()
             spec = cosine_drive(h0, h1, samples)
-            assert calls == [] and "_norm_cache" not in vars(spec)
+            assert calls == [] and "_norms" not in vars(spec)
             first = propagate_frame(spec, psi0, grid).frames
-            # the samples a midpoint gives a nonzero weight, t_i-1 < t < t_i+1
-            t = np.concatenate([[-np.inf], samples.times, [np.inf]])
-            read = [i for i in range(len(samples)) if ((t[i] < mids) & (mids < t[i + 2])).any()]
-            assert len(read) < len(samples)
-            # each formed once, one chunk of samples at a time
-            assert sum(calls) == len(read) and max(calls) <= _chunks(10**6, 24)[0].stop
-            values, formed = spec._norm_cache
-            assert np.flatnonzero(formed).tolist() == read
-            norms = spec._norms(np.array(read))
-            assert norms.tobytes() == np.abs(spec.samples[read]).sum(axis=1).max(axis=1).tobytes()
-            # what _norms returns is no view of the cache
-            norms[:] = 0.0
-            assert not np.shares_memory(norms, values) and (values[read] > 0).all()
+            # every sample's norm formed once, one chunk of samples at a time
+            assert calls == [sl.stop - sl.start for sl in _chunks(len(samples), 24)]
+            norms = spec._norms
+            assert norms.tobytes() == np.abs(spec.samples).sum(axis=1).max(axis=1).tobytes()
+            assert not norms.flags.writeable
             calls.clear()
             second = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 300)).frames
-            assert calls == []
-            # every norm formed beforehand: the same plans, so the same bits
-            full = cosine_drive(h0, h1, samples)
-            full._norms(np.arange(len(samples)))
-            assert first.tobytes() == second.tobytes() == propagate_frame(full, psi0, grid).frames.tobytes()
+            assert calls == [] and spec._norms is norms
+            assert first.tobytes() == second.tobytes()
 
     def test_slice_route_forms_no_norms(self):
         spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 64))
         propagate_frame(spec, psi0, spec.grid)
-        assert "_norm_cache" not in vars(spec)
+        assert "_norms" not in vars(spec)
 
 
 class TestConstantPropagation:

@@ -23,12 +23,9 @@ from holosplit.dynamics import (
 )
 from holosplit.holonomy import (
     COMMUTATOR_SCAN_LIMIT,
-    GeneratorPath,
     _classify,
     _commutator_bound,
-    connection_path,
     decompose,
-    generator_path,
     kw_wf_residual,
     max_commutator_scan,
     ordered_factor,
@@ -41,12 +38,21 @@ from holosplit.instances import (
     random_closed_gauge,
     random_frame,
     random_hermitian,
+    random_nonabelian_loop,
     refutation_instance,
 )
 from holosplit import cli, dynamics, holonomy, linalg, sections
 from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius, overlaps, products, skew_part
-from holosplit.sections import InPhaseViolation, PhaseAnchored, SectionError, build_section, gauge_transform, w_path
+from holosplit.sections import (
+    Fixed,
+    InPhaseViolation,
+    PhaseAnchored,
+    SectionError,
+    build_section,
+    gauge_transform,
+    w_path,
+)
 
 SQRT3 = np.sqrt(3.0)
 
@@ -74,10 +80,10 @@ def three_calls(spec, psi0, rule, grid):
 
 class TestConnectionPath:
     def test_fixed_section_has_zero_connection(self, case_i):
-        assert np.abs(connection_path(case_i.section)).max() == 0.0
+        assert np.abs(case_i.section.a).max() == 0.0
 
     def test_case_ii_connection_is_diagonal_second_entry(self, case_ii):
-        a = connection_path(case_ii.section)
+        a = case_ii.section.a
         assert np.abs(a[:, 0, 0]).max() <= 1e-10
         assert np.abs(a[:, 0, 1]).max() <= 1e-10
         assert np.abs(a[:, 1, 0]).max() <= 1e-10
@@ -88,28 +94,24 @@ class TestConnectionPath:
         spec = Constant(np.zeros((3, 3)))
         s = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 32))
         sec = build_section(PhaseAnchored(), s, spec)
-        assert np.abs(connection_path(sec)).max() == 0.0
+        assert np.abs(sec.a).max() == 0.0
 
-    def test_needs_three_points(self):
+    @pytest.mark.parametrize("rule", [Fixed(), PhaseAnchored()])
+    def test_needs_three_points(self, rule):
+        # the section forms A, so a 2-point grid fails at construction
         psi0 = np.eye(2)[:, :1].astype(complex)
         spec = Constant(np.zeros((2, 2)))
         s = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 1))
-        sec = build_section(PhaseAnchored(), s, spec)
         with pytest.raises(ValueError, match="3 points"):
-            connection_path(sec)
-
-
-def k_mats(ns):
-    """K(t) of a Lambda-case run, as generator_path forms it."""
-    return generator_path(ns.section).k_mats
+            build_section(rule, s, spec)
 
 
 class TestKPath:
     def test_case_ii_dynamical_matrix_vanishes(self, case_ii):
-        assert np.abs(k_mats(case_ii)).max() <= 1e-12
+        assert np.abs(case_ii.section.k).max() <= 1e-12
 
     def test_case_iii_constant_value(self, case_iii):
-        k = k_mats(case_iii)
+        k = case_iii.section.k
         expected = np.diag([0.0, -2j])
         assert np.abs(k - expected).max() <= 1e-12
 
@@ -118,23 +120,24 @@ class TestKPath:
         spec = Constant(np.zeros((3, 3)))
         s = propagate_frame(spec, psi0, TimeGrid.uniform(1.0, 16))
         sec = build_section(PhaseAnchored(), s, spec)
-        assert np.abs(generator_path(sec).k_mats).max() == 0.0
+        assert np.abs(sec.k).max() == 0.0
 
     # 64 x 4 takes 16 grid points a chunk, 12 x 2 takes 455: three chunks each
     @pytest.mark.parametrize("n, m, steps", [(64, 4, 33), (12, 2, 911), (3, 2, 40)])
     def test_chunks_equal_one_whole_stack_sandwich(self, n, m, steps):
         spec, section, _ = random_pipeline(1, n=n, m=m, steps=steps, scale=0.7 / np.sqrt(n))
         schrod = section.schrodinger
-        gens = generator_path(section)
         hams = hamiltonian_path(spec, schrod.grid.times)
         # F is the one sandwich of H, over the Schrodinger frames
-        np.testing.assert_array_equal(gens.f_mats, _sandwich(hams, schrod.frames))
-        # K = V^dag F V, made exactly anti-Hermitian like every generator
-        v = section.v
-        np.testing.assert_array_equal(gens.k_mats, skew_part(products(overlaps(v, gens.f_mats), v)))
+        np.testing.assert_array_equal(section.f, _sandwich(hams, schrod.frames))
+        # K = V^dag F V, made exactly anti-Hermitian like every generator,
+        # also for the rotated F and new V of a gauge transform
+        moved = gauge_transform(section, random_closed_gauge(schrod.grid.times, m, np.random.default_rng(2)))
+        for sec in (section, moved):
+            np.testing.assert_array_equal(sec.k, skew_part(products(overlaps(sec.v, sec.f), sec.v)))
         # K agrees with the sandwich over the section frames L = S V to
         # roundoff: at most 1.7e-16 on these runs, entries <= 0.4
-        assert np.abs(gens.k_mats - _sandwich(hams, section_frames(section))).max() <= 1e-15
+        assert np.abs(section.k - _sandwich(hams, section_frames(section))).max() <= 1e-15
 
     def test_pipeline_peak_below_one_hamiltonian_stack(self):
         # 64 x 4 at 512 steps: a (512, 64, 64) complex stack of H is 33.5 MB
@@ -152,6 +155,13 @@ class TestKPath:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 64 * 64 * 16
+
+
+def assert_exact_generators(section):
+    """F, A and K of a section read-only and exactly anti-Hermitian."""
+    for mats in (section.f, section.a, section.k):
+        assert not mats.flags.writeable
+        assert np.abs(mats + mats.conj().swapaxes(1, 2)).max() == 0.0
 
 
 def assert_same_report(a, b):
@@ -262,58 +272,54 @@ def test_report_does_not_depend_on_the_chunk_size(monkeypatch, label):
 class TestKwWfIdentity:
     def test_lambda_cases(self, case_i, case_ii, case_iii):
         for ns in (case_i, case_ii, case_iii):
-            gens = generator_path(ns.section)
-            w = w_path(ns.section)
-            assert kw_wf_residual(gens, w) <= 1e-10
+            assert kw_wf_residual(ns.section) <= 1e-10
 
     def test_random_instance(self):
         _, section, _ = random_pipeline(23, steps=4096)
-        gens = generator_path(section)
-        w = w_path(section)
-        assert kw_wf_residual(gens, w) <= 1e-8
+        assert kw_wf_residual(section) <= 1e-8
 
     def test_identity_at_start(self, case_i):
-        gens = generator_path(case_i.section)
+        sec = case_i.section
         w0 = np.eye(2, dtype=complex)
-        assert frobenius(gens.k_mats[0] @ w0 - w0 @ gens.f_mats[0]) <= 1e-12
+        assert frobenius(sec.k[0] @ w0 - w0 @ sec.f[0]) <= 1e-12
 
 
 class TestSolveAnandan:
     def test_zero_generator_gives_identity(self):
-        grid = TimeGrid.uniform(1.0, 64)
-        zeros = np.zeros((len(grid), 2, 2), dtype=complex)
-        gens = GeneratorPath(grid, zeros, zeros, zeros)
-        w = solve_anandan(gens)
+        # H = 0: A and K are exactly zero
+        spec = Constant(np.zeros((3, 3)))
+        sec = build_section(PhaseAnchored(), propagate_frame(spec, np.eye(3)[:, :2], TimeGrid.uniform(1.0, 64)), spec)
+        w = solve_anandan(sec)
         assert np.abs(w - np.eye(2)).max() == 0.0
 
     def test_case_ii_endpoint_matches_direct(self, case_ii):
-        gens = generator_path(case_ii.section)
-        w_end = solve_anandan(gens)[-1]
+        w_end = solve_anandan(case_ii.section)[-1]
         np.testing.assert_allclose(w_end, np.diag([1.0, 1j]), atol=1e-6)
         direct = w_path(case_ii.section)[-1]
         assert frobenius(w_end - direct) <= 1e-6
 
     def test_constant_generator_exponentiates(self, case_i):
-        gens = generator_path(case_i.section)
-        w_end = solve_anandan(gens)[-1]
-        expected = expm_skew(gens.k_mats[0] * case_i.grid.tau)
+        w_end = solve_anandan(case_i.section)[-1]
+        expected = expm_skew(case_i.section.k[0] * case_i.grid.tau)
         np.testing.assert_allclose(w_end, expected, atol=1e-10)
 
     def test_endpoint_is_the_report_w_final_bitwise(self, case_iii):
-        # 1000 steps, not a power of two, so the pairing has odd levels
+        # 1000 steps, not a power of two, so the pairing has odd levels;
+        # the Yu-Tong pair is the report's G and D, bit for bit, too
         spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 1000))
         runs = [(case_iii.section, case_iii.report), decompose(spec, psi0, PhaseAnchored(), spec.grid)]
         for section, report in runs:
-            gens = generator_path(section)
-            np.testing.assert_array_equal(solve_anandan(gens)[-1], report.w_final)
+            np.testing.assert_array_equal(solve_anandan(section)[-1], report.w_final)
+            g, d = yu_tong_factors(section)
+            np.testing.assert_array_equal(g, report.g_factor)
+            np.testing.assert_array_equal(d, report.d_factor)
 
     def test_ae_consistency_scaling(self):
         # |W_ae(tau) - W_direct(tau)| <= 50 dt^2 + 1e-9 on smooth instances
         for steps in (512, 1024):
             _, section, _ = random_pipeline(5, steps=steps, tau=1.5)
-            gens = generator_path(section)
             dt = 1.5 / steps
-            gap = frobenius(solve_anandan(gens)[-1] - w_path(section)[-1])
+            gap = frobenius(solve_anandan(section)[-1] - w_path(section)[-1])
             assert gap <= 50 * dt**2 + 1e-9
 
 
@@ -326,12 +332,11 @@ class TestOrderedFactor:
 
     @pytest.mark.parametrize("direction", ["forward", "reverse"])
     def test_cumulative_path_starts_at_identity_and_ends_at_the_factor(self, case_iii, direction):
-        gens = generator_path(case_iii.section)
-        path = ordered_factor(gens.a_mats + gens.k_mats, case_iii.grid, direction, cumulative=True)
-        assert path.shape == gens.a_mats.shape
+        sec = case_iii.section
+        path = ordered_factor(sec.a + sec.k, case_iii.grid, direction, cumulative=True)
+        assert path.shape == sec.a.shape
         np.testing.assert_array_equal(path[0], np.eye(2))
-        np.testing.assert_array_equal(
-            path[-1], ordered_factor(gens.a_mats + gens.k_mats, case_iii.grid, direction))
+        np.testing.assert_array_equal(path[-1], ordered_factor(sec.a + sec.k, case_iii.grid, direction))
 
     def test_commuting_family_order_independent(self):
         grid = TimeGrid.uniform(2.0, 128)
@@ -343,24 +348,21 @@ class TestOrderedFactor:
         assert frobenius(fwd - rev) <= 1e-12
 
     def test_case_iii_factors(self, case_iii):
-        gens = generator_path(case_iii.section)
-        hol = ordered_factor(gens.a_mats, case_iii.grid, "forward")
-        dyn = ordered_factor(gens.k_mats, case_iii.grid, "forward")
+        hol = ordered_factor(case_iii.section.a, case_iii.grid, "forward")
+        dyn = ordered_factor(case_iii.section.k, case_iii.grid, "forward")
         np.testing.assert_allclose(hol, np.diag([1.0, -1j]), atol=1e-6)
         np.testing.assert_allclose(dyn, np.diag([1.0, -1.0]), atol=1e-10)
         np.testing.assert_allclose(hol @ dyn, np.diag([1.0, 1j]), atol=1e-6)
 
     def test_rejects_unknown_direction(self, case_iii):
-        gens = generator_path(case_iii.section)
         with pytest.raises(ValueError, match="direction"):
-            ordered_factor(gens.a_mats, case_iii.grid, "sideways")
+            ordered_factor(case_iii.section.a, case_iii.grid, "sideways")
 
 
 class TestYuTongFactors:
     def test_product_reproduces_w_on_lambda_cases(self, case_i, case_ii, case_iii):
         for ns in (case_i, case_ii, case_iii):
-            gens = generator_path(ns.section)
-            g, d = yu_tong_factors(gens)
+            g, d = yu_tong_factors(ns.section)
             w_end = w_path(ns.section)[-1]
             assert frobenius(w_end - g @ d) <= 1e-6
 
@@ -373,9 +375,8 @@ class TestYuTongFactors:
     def test_case_iii_d_equals_forward_dynamical_factor(self, case_iii):
         # diagonal commuting family: reverse and forward orderings coincide,
         # and F = K on this section up to the frame change
-        gens = generator_path(case_iii.section)
-        _, d = yu_tong_factors(gens)
-        dyn = ordered_factor(gens.k_mats, case_iii.grid, "forward")
+        _, d = yu_tong_factors(case_iii.section)
+        dyn = ordered_factor(case_iii.section.k, case_iii.grid, "forward")
         assert frobenius(d - dyn) <= 1e-6
 
 
@@ -384,8 +385,7 @@ class TestSeparabilityReport:
         rep = case_i_resonant.report
         assert rep.classification == "case_i"
         np.testing.assert_allclose(rep.time_evolution, -np.eye(2), atol=1e-8)
-        gens = generator_path(case_i_resonant.section)
-        expected = ordered_factor(gens.k_mats, case_i_resonant.grid, "forward")
+        expected = ordered_factor(case_i_resonant.section.k, case_i_resonant.grid, "forward")
         np.testing.assert_allclose(rep.time_evolution, expected, atol=1e-9)
 
     def test_case_ii_report(self, case_ii):
@@ -455,10 +455,17 @@ class TestSeparabilityReport:
     def test_generators_anti_hermitian(self, seed):
         # some of these draws fail the in-phase check, so no report is made
         spec, psi0, grid = random_instance(seed, steps=128, tau=1.0)
-        gens = generator_path(build_section(PhaseAnchored(), propagate_frame(spec, psi0, grid), spec))
-        for mats in (gens.a_mats, gens.k_mats, gens.f_mats):
-            res = np.linalg.norm(mats + mats.conj().swapaxes(1, 2), axis=(1, 2)).max()
-            assert res <= 1e-9
+        assert_exact_generators(build_section(PhaseAnchored(), propagate_frame(spec, psi0, grid), spec))
+
+    def test_section_generators_are_exact_and_read_only(self, case_i, case_ii, case_iii):
+        # A is a real-weighted sum of skew_part outputs, K and F are
+        # skew_part outputs: anti-Hermitian with residual exactly 0, also
+        # after a gauge loop
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 512))
+        ref7, _ = decompose(spec, psi0, PhaseAnchored(), spec.grid)
+        loop = random_nonabelian_loop(case_iii.grid.times, 2, np.random.default_rng(6))
+        for sec in (case_i.section, case_ii.section, case_iii.section, ref7, gauge_transform(case_iii.section, loop)):
+            assert_exact_generators(sec)
 
     def test_product_residual_identity_across_instances(self):
         # the product form is an identity; at the canonical 4096-step
@@ -479,8 +486,7 @@ class TestMaxCommutatorScan:
         assert max_commutator_scan(a, k) == pytest.approx(2 * np.sqrt(2))
 
     def test_zero_for_commuting_paths(self, case_iii):
-        gens = generator_path(case_iii.section)
-        assert max_commutator_scan(gens.a_mats, gens.k_mats) <= 1e-12
+        assert max_commutator_scan(case_iii.section.a, case_iii.section.k) <= 1e-12
 
     def test_scan_indices_strictly_increasing(self, monkeypatch):
         # with A(t) = t the first product's left operand lists the scanned t
@@ -618,7 +624,6 @@ class TestDecomposeWork:
         # holonomy does not import hamiltonian_path
         for module in (dynamics, sections):
             monkeypatch.setattr(module, "hamiltonian_path", refuse)
-        generator_path(section)
         moved = gauge_transform(section, random_closed_gauge(schrod.grid.times, 2, np.random.default_rng(3)))
         for sec in (section, moved):
             separability_report(sec, schrod, spec)
@@ -657,9 +662,8 @@ class TestCommutatorBound:
         assert times.size == 4097 and 1000 not in scanned
         # the sampled scan cannot see the blip; the bound over every pair can
         assert max_commutator_scan(a, k) == 0.0
-        gens = GeneratorPath(schrod.grid, a, k, k)
         assert _commutator_bound(a, k) > 1.0
-        assert _classify(schrod, gens, DEFAULT_TOL) == "non_separable"
+        assert _classify(schrod, a, k, DEFAULT_TOL) == "non_separable"
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.sampled_from([2, 3]))
@@ -680,8 +684,7 @@ class TestCommutatorBound:
         a, k = q @ a @ q.conj().T, q @ k @ q.conj().T
         scale = np.linalg.norm(a, axis=(1, 2)).max() * np.linalg.norm(k, axis=(1, 2)).max()
         assert _commutator_bound(a, k) <= 1e-12 * scale
-        gens = GeneratorPath(schrod.grid, a, k, k)
-        assert _classify(schrod, gens, DEFAULT_TOL) == "case_iii"
+        assert _classify(schrod, a, k, DEFAULT_TOL) == "case_iii"
 
 
 class TestTrivialShift:

@@ -208,16 +208,14 @@ class TestPipelineAgreement:
         np.testing.assert_allclose(case_iii.report.w_direct, ref.w_final, atol=1e-6)
 
     def test_case_iii_generator_entries(self, case_iii):
-        from holosplit.holonomy import connection_path, generator_path
-
         ref = case_iii_analytic(case_iii.params)
-        a = connection_path(case_iii.section)
+        a = case_iii.section.a
         times = case_iii.grid.times
         sample = slice(1, None, 512)
         expected = np.array([ref.a22(t) for t in times[sample]])
         # pointwise finite-difference floor peaks near the A22 extremum
         assert np.abs(a[sample, 1, 1] - expected).max() <= 1e-5
-        k = generator_path(case_iii.section).k_mats
+        k = case_iii.section.k
         assert np.abs(k[:, 1, 1] + 2j).max() <= 1e-12
 
 

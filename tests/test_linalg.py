@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import commutator_norm, polar_decompose, section_frames
 from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
-from holosplit.holonomy import generator_path, ordered_factor
+from holosplit.holonomy import ordered_factor
 from holosplit.instances import random_hermitian, refutation_instance
 from holosplit.linalg import (
     _TAYLOR_THETA,
@@ -336,6 +336,17 @@ class TestTwoByTwoClosedForms:
         unitarity = np.linalg.norm(got.conj().swapaxes(1, 2) @ got - np.eye(2), axis=(1, 2))
         assert unitarity.max() <= 1e-14
 
+    @pytest.mark.parametrize("count", [100, 16_383, 16_384, 40_000])
+    def test_slice_bits_do_not_depend_on_the_stack_length(self, count):
+        # from 16,384 slices (256 KiB a complex row) numpy may form a product
+        # of temporaries in place, with its operands swapped
+        rng = np.random.default_rng(count)
+        hams = hermitian_part(rng.standard_normal((count, 2, 2)) + 1j * rng.standard_normal((count, 2, 2)))
+        dts = rng.uniform(0.0, 0.01, count)
+        whole = unitary_stack(hams, dts)
+        parts = np.concatenate([unitary_stack(hams[a:a + 64], dts[a:a + 64]) for a in range(0, count, 64)])
+        np.testing.assert_array_equal(bits(whole), bits(parts))
+
     @settings(max_examples=200, deadline=None)
     @given(two_column_frames())
     def test_loewdin_matches_eigh(self, frames):
@@ -378,10 +389,11 @@ class TestMinEigenvalueHermitian:
         assert build_section(Custom(path), path, zero).in_phase_margin == pytest.approx(1.0)
 
     def test_diagonal(self):
-        # O(0, tau) = diag(1, 0.3): the second column tilts towards |3>
+        # O(0, tau) = diag(1, 0.3): the second column tilts towards |3>; a
+        # section needs 3 grid points, for its connection
         end = np.zeros((3, 2), dtype=complex)
         end[0, 0], end[1, 1], end[2, 1] = 1.0, 0.3, np.sqrt(1 - 0.3**2)
-        path = FramePath(TimeGrid.uniform(1.0, 1), np.stack([np.eye(3)[:, :2], end]))
+        path = FramePath(TimeGrid.uniform(1.0, 2), np.stack([np.eye(3)[:, :2], end, end]))
         zero = Constant(np.zeros((path.n, path.n)))
         assert build_section(Custom(path), path, zero).in_phase_margin == pytest.approx(0.3)
 
@@ -754,8 +766,6 @@ class TestTimeLastLayout:
         else:
             run = request.getfixturevalue(f"case_{case}")
             section, frames = run.section, {"frames": run.schrod.frames}
-        gens = generator_path(section)
-        stacks = {**frames, "v": section.v, "overlap": section.overlap, "f": section.f,
-                  "a_mats": gens.a_mats, "k_mats": gens.k_mats,
-                  "ordered_factor": ordered_factor(gens.a_mats, gens.grid, cumulative=True)}
+        stacks = {**frames, "v": section.v, "overlap": section.overlap, "f": section.f, "a": section.a, "k": section.k,
+                  "ordered_factor": ordered_factor(section.a, section.schrodinger.grid, cumulative=True)}
         assert [name for name, x in stacks.items() if not is_time_last(x)] == []

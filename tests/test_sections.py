@@ -168,23 +168,21 @@ class TestGaugeTransform:
         assert np.abs(section_frames(out) - section_frames(case_ii.section)).max() == 0.0
 
     def test_constant_swap_conjugates_generators(self, case_iii):
-        from holosplit.holonomy import connection_path, generator_path, ordered_factor
+        from holosplit.holonomy import ordered_factor
 
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         v = np.broadcast_to(swap, (len(case_iii.grid), 2, 2)).copy()
         moved = gauge_transform(case_iii.section, v)
-        a0 = connection_path(case_iii.section)
-        a1 = connection_path(moved)
+        a0, a1 = case_iii.section.a, moved.a
         assert np.abs(a1 - np.einsum("ij,tjk,kl->til", swap, a0, swap)).max() <= 1e-9
-        k0 = generator_path(case_iii.section).k_mats
-        k1 = generator_path(moved).k_mats
+        k0, k1 = case_iii.section.k, moved.k
         assert np.abs(k1 - np.einsum("ij,tjk,kl->til", swap, k0, swap)).max() <= 1e-12
         hol0 = ordered_factor(a0, case_iii.grid)
         hol1 = ordered_factor(a1, case_iii.grid)
         assert frobenius(hol1 - swap @ hol0 @ swap) <= 1e-9
 
     def test_diagonal_loop_keeps_endpoint_holonomy(self, case_ii):
-        from holosplit.holonomy import connection_path, ordered_factor
+        from holosplit.holonomy import ordered_factor
 
         times = case_ii.grid.times
         phase = np.exp(2j * np.pi * times / case_ii.grid.tau)
@@ -192,8 +190,8 @@ class TestGaugeTransform:
         v[:, 0, 0] = 1.0
         v[:, 1, 1] = phase
         moved = gauge_transform(case_ii.section, v)
-        hol0 = ordered_factor(connection_path(case_ii.section), case_ii.grid)
-        hol1 = ordered_factor(connection_path(moved), case_ii.grid)
+        hol0 = ordered_factor(case_ii.section.a, case_ii.grid)
+        hol1 = ordered_factor(moved.a, case_ii.grid)
         # V(0) = identity; the winding factor steepens the column derivative,
         # so the discretization floor is a few 1e-6 at 4096 steps
         assert frobenius(hol1 - hol0) <= 1e-5
