@@ -6,8 +6,10 @@ stacked product a @ b is one call of products, every frame overlap F^dag G
 (Gram checks, U = S(0)^dag S(t), the step overlaps of a section, the F
 sandwich, the subspace gaps) one call of overlaps = products(F^dag, G),
 every unitary slice exp(-i H dt) one call of unitary_stack, and every
-time-ordered product (the propagation steps below N = 20, the Anandan path
-and the four endpoint factors) the one pairing of ordered_products. Each
+time-ordered product (the propagation steps below N = 20, the Anandan path,
+the three endpoint factors built from generators and the step-overlap
+product whose Loewdin factor is the holonomic factor G) the one pairing of
+ordered_products. Each
 kernel picks its method from the array shape (and unitary_stack from the
 largest ||H dt||_1) alone; a stack of 2 x 2 matrices, the shape of every
 M = 2 subspace quantity, takes closed forms.

@@ -7,10 +7,15 @@ L(t) = S(t) V(t) with V(t) an M x M unitary path and V(0) = I. A SectionPath
 holds S, V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t),
 which each rule forms from the Schrodinger overlaps it already takes; W(t) =
 L(t)^dag S(t) is V(t)^dag, so U = O W. It holds F = -i S^dag H S too, the
-run's one sandwich of H, which a gauge transform rotates, and the
-generators of W that the section forms once, in _section, shared by every
-rule and by gauge_transform: the connection A from its step overlaps and
-K = V^dag F V. Everything after build_section is M x M, and no N x M
+run's one sandwich of H, which a gauge transform rotates, and what the
+section forms once, in _section, shared by every rule and by
+gauge_transform: the generators of W, the connection A (the np.gradient
+difference of its step overlaps, which feeds the verdict, w_final and
+solve_anandan) and K = V^dag F V, and the holonomic factor G = T exp int A,
+the polar factor of the ordered product of the same step overlaps. That G
+is exactly covariant under a closed gauge, G -> g(0)^dag G g(0), and its
+second-order error is 3.3 times smaller than the ordered exponential of A.
+Everything after build_section is M x M, and no N x M
 section frame is formed. W, A and K have meaning only against the
 section's own evolution, so a function of a section takes the section
 alone.
@@ -31,6 +36,8 @@ from .linalg import (
     _time_last,
     frobenius,
     hermitian_part,
+    loewdin_orthonormalize,
+    ordered_products,
     overlaps,
     products,
     skew_part,
@@ -95,8 +102,11 @@ class SectionPath:
     O(0,t) = L(0)^dag L(t) and f is F(t) = -i (S R)^dag H (S R) per grid
     point. a is the connection A_jk(t) = <dphi_j/dt|phi_k> and k the
     dynamical matrix K(t) = V^dag F V, the generators of dW/dt = (A + K) W,
-    which the section forms once; v, overlap, f, a and k are read-only and
-    f, a and k exactly anti-Hermitian. in_phase_margin is the smallest
+    which the section forms once; g is the holonomic factor G = T exp int A,
+    the polar factor of the adjoint step-overlap product L_T^dag L_{T-1}
+    ... L_1^dag L_0 (exactly the identity for an unrotated Fixed section).
+    v, overlap, f, a, k and g are read-only and f, a and k exactly
+    anti-Hermitian. in_phase_margin is the smallest
     eigenvalue of the Hermitian part of O(0,tau); overlap_asymmetry is the
     Frobenius norm of O(0,tau) - O(0,tau)^dag (zero for the Lambda-case
     sections, where O is Hermitian); min_intermediate_margin tracks the same
@@ -111,6 +121,7 @@ class SectionPath:
     f: np.ndarray = field(repr=False)
     a: np.ndarray = field(repr=False)
     k: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
     rule: SectionRule
     in_phase_margin: float
     overlap_asymmetry: float
@@ -129,49 +140,85 @@ def _min_eigenvalues(herm: np.ndarray) -> np.ndarray:
 
 
 def _connection(schrodinger: FramePath, rule: SectionRule, v: np.ndarray,
-                rotation: np.ndarray | None) -> np.ndarray:
-    """A_jk(t) = <dphi_j/dt|phi_k> per grid point: np.gradient's second-order
+                rotation: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The connection A and the holonomic factor G = T exp int A, both from
+    the M x M step overlaps Z_k = L_k^dag L_{k+1} = V_k^dag R^dag S_k^dag
+    S_{k+1} R V_{k+1}.
+
+    A_jk(t) = <dphi_j/dt|phi_k> per grid point is np.gradient's second-order
     difference of the section frames (edge_order=2 at the ends), with its
-    weights on any grid, taken from the M x M step overlaps L_j^dag L_k =
-    V_j^dag R^dag S_j^dag S_k R V_k; the j = k term is real times the
-    identity and drops out of the anti-Hermitian part. A Fixed section is
-    constant, so its connection is exactly zero."""
+    weights on any grid; the j = k term is real times the identity and drops
+    out of the anti-Hermitian part. G is the discrete parallel transport
+    along the grid, the polar factor of Z_{T-1}^dag ... Z_0^dag = L_T^dag
+    Pi_{T-1} ... Pi_1 L_0 with Pi_k = L_k L_k^dag: under L -> L g it becomes
+    g(tau)^dag G g(0) exactly, on any grid. A Fixed section is constant, so
+    its A is exactly zero and its G exactly the identity.
+
+    Raises SectionError when the step-overlap product is numerically rank
+    deficient, a grid too coarse to carry the subspace from step to step.
+    """
     s, times = schrodinger.frames, schrodinger.grid.times
     n = times.size
     if n < 3:
         raise ValueError("connection needs a grid with at least 3 points")
     if isinstance(rule, Fixed) and rotation is None:
-        return np.zeros_like(v)
+        return np.zeros_like(v), np.eye(v.shape[-1], dtype=complex)
     v = v if rotation is None else products(rotation, v)
 
-    def skew_overlaps(j, k):
-        return skew_part(products(overlaps(v[j], overlaps(s[j], s[k])), v[k]))
+    def step_overlaps(j, k):
+        return products(overlaps(v[j], overlaps(s[j], s[k])), v[k])
 
+    steps = step_overlaps(slice(0, n - 1), slice(1, n))
+    g = _transport(steps)
     # z holds skew(L_j^dag L_k) for every step (k, k + 1) and ends for (0, 2)
     # and (n - 3, n - 1); skew(X^dag) = -skew(X)
-    z, ends = skew_overlaps(slice(0, n - 1), slice(1, n)), skew_overlaps([0, n - 3], [2, n - 1])
+    z, ends = skew_part(steps), skew_part(step_overlaps([0, n - 3], [2, n - 1]))
+    del steps  # freed before A's stack, so a section's memory peak does not grow
     h = np.diff(times)
     h1, h2 = h[:-1, None, None], h[1:, None, None]
     a = _time_last((n, *z.shape[1:]))
     a[1:-1] = -h2 / (h1 * (h1 + h2)) * z[:-1] - h1 / (h2 * (h1 + h2)) * z[1:]
     a[0] = -(h[0] + h[1]) / (h[0] * h[1]) * z[0] + h[0] / (h[1] * (h[0] + h[1])) * ends[0]
     a[-1] = h[-1] / (h[-2] * (h[-2] + h[-1])) * ends[1] - (h[-2] + h[-1]) / (h[-2] * h[-1]) * z[-1]
-    return a
+    return a, g
+
+
+def _transport(steps: np.ndarray) -> np.ndarray:
+    """G = polar(Z_{T-1}^dag ... Z_0^dag) from the step overlaps Z_k, as the
+    adjoint of the Loewdin factor of Z_0 ... Z_{T-1}: an M x M matrix is an
+    M-column frame, and its Loewdin factor is its polar factor. The product
+    is scaled to unit Frobenius norm first, which leaves the polar factor as
+    it is and keeps a long coarse run from underflowing the Gram
+    determinant."""
+    prod = ordered_products(steps, "reverse")
+    scale = frobenius(prod)
+    if scale > 0.0:
+        try:
+            return np.ascontiguousarray(loewdin_orthonormalize(prod / scale).conj().T)
+        except ValueError:  # Loewdin's rank check
+            pass
+    cosine = float(np.linalg.svd(steps, compute_uv=False).min())
+    raise SectionError(
+        f"the {steps.shape[0]}-step grid does not resolve the subspace: the ordered step-overlap "
+        f"product is numerically rank deficient (smallest step cosine {cosine:.3e})"
+    )
 
 
 def _section(schrodinger: FramePath, rule: SectionRule, v: np.ndarray, o: np.ndarray, f: np.ndarray,
              rotation: np.ndarray | None = None) -> SectionPath:
-    """A SectionPath with V(0) = I exactly, its generators A and K, read-only
-    V, O, F, A and K, and the in-phase diagnostics of O(0, t). Raises
-    ValueError on a grid of fewer than 3 points, where A is undefined."""
+    """A SectionPath with V(0) = I exactly, its generators A and K and its
+    holonomic factor G, read-only V, O, F, A, K and G, and the in-phase
+    diagnostics of O(0, t). Raises ValueError on a grid of fewer than 3
+    points, where A is undefined, and SectionError on a grid that does not
+    resolve the subspace (_transport)."""
     v[0] = np.eye(v.shape[-1])
-    a = _connection(schrodinger, rule, v, rotation)
+    a, g = _connection(schrodinger, rule, v, rotation)
     k = skew_part(products(overlaps(v, f), v))
-    for arr in (v, o, f, a, k):
+    for arr in (v, o, f, a, k, g):
         arr.flags.writeable = False
     mins = _min_eigenvalues(hermitian_part(o))
     asym = frobenius(o[-1] - o[-1].conj().T)
-    return SectionPath(schrodinger, v, o, f, a, k, rule, float(mins[-1]), asym, float(mins.min()), rotation)
+    return SectionPath(schrodinger, v, o, f, a, k, g, rule, float(mins[-1]), asym, float(mins.min()), rotation)
 
 
 def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSpec, *,
@@ -184,7 +231,9 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
 
     Raises SectionError when the rule's precondition fails: a Fixed rule on a
     moving subspace, a PhaseAnchored rule whose anchor overlap collapses, or
-    a Custom path that does not span the Schrodinger subspace; ValueError,
+    a Custom path that does not span the Schrodinger subspace; also when the
+    grid is too coarse for the section's step-overlap product to keep full
+    rank, naming the step count and the smallest step cosine; ValueError,
     naming both dimensions, when spec's dimension is not the frames' N.
     """
     s = schrodinger.frames

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import section_frames, trivial_shift_check
+from conftest import run_case, section_frames, trivial_shift_check
 from holosplit.config import matrix_to_json, write_sampled_hamiltonian
 from holosplit.dynamics import (
     Constant,
@@ -42,7 +42,7 @@ from holosplit.instances import (
     refutation_instance,
 )
 from holosplit import cli, dynamics, holonomy, linalg, sections
-from holosplit.lambda_system import LambdaParams, case_setup
+from holosplit.lambda_system import LambdaParams, case_iii_analytic, case_setup
 from holosplit.linalg import DEFAULT_TOL, Tolerances, expm_skew, frobenius, overlaps, products, skew_part
 from holosplit.sections import (
     Fixed,
@@ -378,6 +378,49 @@ class TestYuTongFactors:
         _, d = yu_tong_factors(case_iii.section)
         dyn = ordered_factor(case_iii.section.k, case_iii.grid, "forward")
         assert frobenius(d - dyn) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def refutation_sections():
+    """Phase-anchored sections of refutation seeds 7 and 10, 4096 steps."""
+    out = {}
+    for seed in (7, 10):
+        spec, psi0 = refutation_instance(seed)
+        out[seed] = decompose(spec, psi0, PhaseAnchored(), spec.grid)[0]
+    return out
+
+
+class TestHolonomicFactor:
+    """G = section.g, the polar factor of the ordered step-overlap product."""
+
+    @pytest.mark.parametrize("run", ["ii", "iii", "refutation 7"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_conjugates_exactly_under_a_loop_gauge(self, run, seed, refutation_sections):
+        # each link L_{k+1}^dag L_k becomes g_{k+1}^dag (...) g_k, so the
+        # product conjugates by g(0) at the closed ends, on any grid; the
+        # ordered factor of the finite-difference A does only to O(dt^2);
+        # at most 5.6e-15 measured
+        section = refutation_sections[7] if run == "refutation 7" else run_case(run).section
+        loop = random_nonabelian_loop(section.schrodinger.grid.times, 2, np.random.default_rng(seed))
+        moved = gauge_transform(section, loop)
+        assert frobenius(moved.g - loop[0].conj().T @ section.g @ loop[0]) <= 1e-12
+
+    def test_second_order_and_below_the_finite_difference_route(self):
+        ref = case_iii_analytic(run_case("iii").params)
+        devs = []
+        for steps in (1024, 2048, 4096, 8192):
+            ns = run_case("iii", steps=steps)
+            devs.append(frobenius(ns.section.g - ref.holonomic_factor))
+            # 0.30x measured on every grid
+            assert devs[-1] <= 0.35 * frobenius(ordered_factor(ns.section.a, ns.grid) - ref.holonomic_factor)
+        ratios = np.array(devs[:-1]) / np.array(devs[1:])
+        assert ((3.6 <= ratios) & (ratios <= 4.4)).all(), ratios
+
+    @pytest.mark.parametrize("seed", [7, 10])
+    def test_agrees_with_the_ordered_factor_of_a(self, seed, refutation_sections):
+        # both are second order: 1.3e-8 (seed 10) to 4.0e-8 (seed 7) apart
+        section = refutation_sections[seed]
+        assert frobenius(section.g - ordered_factor(section.a, section.schrodinger.grid)) <= 1e-6
 
 
 class TestSeparabilityReport:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_case, section_frames
+from conftest import polar_decompose, run_case, section_frames
 from holosplit.config import _load_custom_section, matrix_to_json
 from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
 from holosplit.instances import (
@@ -233,6 +233,60 @@ class TestGaugeTransform:
         w_bar = w_path(moved)[-1]
         w_ref = w_path(ns.section)[-1]
         assert frobenius(w_bar - v[0].conj().T @ w_ref @ v[0]) <= 1e-7
+
+
+def _step_overlap_transport(section) -> np.ndarray:
+    """The unitary polar factor of L_T^dag L_{T-1} ... L_1^dag L_0, the
+    adjoint step overlaps multiplied one at a time."""
+    frames = section_frames(section)
+    prod = np.eye(frames.shape[2], dtype=complex)
+    for earlier, later in zip(frames[:-1], frames[1:]):
+        prod = later.conj().T @ earlier @ prod
+    return polar_decompose(prod)[1]
+
+
+class TestHolonomicFactor:
+    """section.g, the holonomic factor T exp int A from the step overlaps."""
+
+    def test_is_the_polar_factor_of_the_step_overlap_product(self, case_ii):
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 1000))
+        ref7 = build_section(PhaseAnchored(), propagate_frame(spec, psi0, spec.grid), spec)
+        loop = random_nonabelian_loop(case_ii.grid.times, 2, np.random.default_rng(1))
+        # at most 1.7e-15 apart on these three
+        for sec in (run_case("iii", steps=1024).section, ref7, gauge_transform(case_ii.section, loop)):
+            assert frobenius(sec.g - _step_overlap_transport(sec)) <= 1e-14
+            assert not sec.g.flags.writeable
+
+    def test_is_the_report_g_bit_for_bit(self, case_i, case_ii, case_iii):
+        from holosplit.holonomy import yu_tong_factors
+
+        for ns in (case_i, case_ii, case_iii):
+            g = ns.section.g
+            for other in (yu_tong_factors(ns.section)[0], ns.report.g_factor, ns.report.holonomic_factor):
+                assert other.tobytes() == g.tobytes()
+
+    def test_fixed_section_has_exactly_the_identity(self, case_i):
+        assert case_i.section.g.tobytes() == np.eye(2, dtype=complex).tobytes()
+        assert not case_i.section.g.flags.writeable
+
+    @pytest.mark.parametrize("steps", range(2, 17))
+    def test_coarse_grids_build(self, steps):
+        # the smallest step cosine on these grids is 0.5
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, steps))
+        for sec in (run_case("iii", steps=steps).section,
+                    build_section(PhaseAnchored(), propagate_frame(spec, psi0, spec.grid), spec)):
+            assert frobenius(sec.g.conj().T @ sec.g - np.eye(2)) <= 1e-14
+
+    # the frames turn from span(e0, e1) to span(e0, e2) in one step, whose
+    # overlap diag(1, 0) leaves the product rank 1, or to span(e2, e3),
+    # whose zero overlap leaves it zero
+    @pytest.mark.parametrize("n, later", [(3, [0, 2]), (4, [2, 3])])
+    def test_unresolved_step_raises(self, n, later):
+        e = np.eye(n, dtype=complex)
+        frames = np.array([e[:, [0, 1]]] * 2 + [e[:, later]] * 3)
+        path = FramePath(TimeGrid.uniform(1.0, 4), frames)
+        with pytest.raises(SectionError, match=r"the 4-step grid .* rank deficient \(smallest step cosine 0\.000e\+00\)"):
+            build_section(Custom(path), path, Constant(np.zeros((n, n))))
 
 
 def _phase_anchored_frames(s):
