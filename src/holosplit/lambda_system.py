@@ -13,7 +13,8 @@ omega0^2) t, three initial-frame choices realize the separable cases:
   (iii) frame {|d>, cos(eta/2)|v1> + sin(eta/2)|v2>}: both factors nonzero
         but commuting (K(t) proportional to A(t) through a scalar g(t)).
 
-These closed forms are the oracles the numerical pipeline is tested against.
+These closed forms are the oracles the numerical pipeline is tested against;
+their endpoint phases are needed only mod 2 pi, so each is one np.angle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .sections import Fixed, PhaseAnchored, SectionRule
 
 __all__ = [
     "CaseIIIAnalytic",
-    "LambdaEigensystem",
     "LambdaParams",
     "case_i_analytic",
     "case_ii_analytic",
@@ -40,9 +40,6 @@ __all__ = [
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-# internal resolution used to branch-continue arg() in the closed forms
-_ARG_SAMPLES = 4097
 
 _E3 = np.array([0.0, 0.0, 1.0], dtype=complex)
 _E3.flags.writeable = False
@@ -114,24 +111,16 @@ class LambdaParams:
         return Constant(h, self.structure_tol)
 
 
-@dataclass(frozen=True)
-class LambdaEigensystem:
-    gamma: float
-    phidot: float
-    energies: np.ndarray  # (E0, E1, E2) = (0, delta + phidot, delta - phidot)
-    vectors: np.ndarray  # columns (v0, v1, v2); v0 is the dark state
-
-
-def eigensystem(p: LambdaParams) -> LambdaEigensystem:
-    """Exact eigensystem: E0 = 0 with the dark state, E1,2 = delta +- phidot
-    with cos/sin(gamma/2) combinations of |3> and the bright state."""
+def eigensystem(p: LambdaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (energies, vectors): E0 = 0 with the dark state, E1,2 = delta +-
+    phidot with cos/sin(gamma/2) combinations of |3> and the bright state."""
     b = p.bright_state
     half = p.gamma / 2
     v1 = np.cos(half) * _E3 + np.sin(half) * b
     v2 = -np.sin(half) * _E3 + np.cos(half) * b
     energies = np.array([0.0, p.delta + p.phidot, p.delta - p.phidot])
     vectors = np.stack([p.dark_state, v1, v2], axis=1)
-    return LambdaEigensystem(p.gamma, p.phidot, energies, vectors)
+    return energies, vectors
 
 
 def case_i_analytic(p: LambdaParams) -> np.ndarray:
@@ -143,27 +132,22 @@ def case_i_analytic(p: LambdaParams) -> np.ndarray:
     return np.exp(-1j * p.delta * p.tau) * rot
 
 
-def _continued_arg(re: np.ndarray, im: np.ndarray) -> float:
-    """arg of the curve re(t) + i im(t), branch-continued from arg = 0."""
-    return float(np.unwrap(np.angle(re + 1j * im))[-1])
-
-
 def case_ii_analytic(p: LambdaParams) -> tuple[np.ndarray, np.ndarray]:
     """Overlap and frame-change endpoints for the dark/bright frame.
 
     O(0,tau) = diag(1, sqrt(1 - sin^2(gamma) sin^2(phi_tau))) and
     W(tau) = diag(1, exp(-i [beta(tau) + phi_tau cos(gamma)])) with beta the
-    branch-continued arg of cos(phi_t) + i cos(gamma) sin(phi_t), i.e. the
-    detuning-phase-stripped bright-state return amplitude. At cyclic points
-    (phi_tau a multiple of pi) this coincides with the evolution produced by
-    anchoring phases to the full return amplitude; away from them the two
-    conventions differ by a known pure phase.
+    arg of cos(phi_tau) + i cos(gamma) sin(phi_tau), the detuning-phase-
+    stripped bright-state return amplitude, needed only mod 2 pi (as in
+    build_section). At cyclic points (phi_tau a multiple of pi) this
+    coincides with the evolution produced by anchoring phases to the full
+    return amplitude; away from them the two conventions differ by a known
+    pure phase.
     """
     sg, cg = np.sin(p.gamma), np.cos(p.gamma)
     phi = p.phi_tau
     o22 = np.sqrt(max(0.0, 1.0 - sg**2 * np.sin(phi) ** 2))
-    ph = np.linspace(0.0, phi, _ARG_SAMPLES)
-    beta = _continued_arg(np.cos(ph), cg * np.sin(ph))
+    beta = np.angle(np.cos(phi) + 1j * (cg * np.sin(phi)))
     w22 = np.exp(-1j * (beta + phi * cg))
     return np.diag([1.0, o22]).astype(complex), np.diag([1.0 + 0j, w22])
 
@@ -191,8 +175,9 @@ def case_iii_analytic(p: LambdaParams) -> CaseIIIAnalytic:
     K22(t) = -i (delta + phidot cos(eta)) is constant; A22(t) follows from
     differentiating the anchored phase arg<psi_2(0)|psi_2(t)>, whose
     derivative is -phidot cos(eta) / (1 - sin^2(eta) sin^2(phi_t)) after
-    stripping the common detuning phase. Both generators are diagonal, so
-    the ordered factors commute and W(tau) is their plain product.
+    stripping the common detuning phase; it integrates to arg(cos(phi_tau) -
+    i cos(eta) sin(phi_tau)), needed only mod 2 pi. Both generators are
+    diagonal, so the ordered factors commute and W(tau) is their plain product.
     """
     ce, se2 = np.cos(p.eta), np.sin(p.eta) ** 2
     phidot = p.phidot
@@ -212,10 +197,10 @@ def case_iii_analytic(p: LambdaParams) -> CaseIIIAnalytic:
             raise ValueError(f"holonomic rate vanishes at t = {t}; g undefined there")
         return float((k22(t) / a).real)
 
-    ph = np.linspace(0.0, p.phi_tau, _ARG_SAMPLES)
-    zeta_tau = _continued_arg(np.cos(ph), -ce * np.sin(ph))
-    hol = np.diag([1.0 + 0j, np.exp(1j * (zeta_tau + p.phi_tau * ce))])
-    dyn = np.diag([1.0 + 0j, np.exp(-1j * (p.delta * p.tau + p.phi_tau * ce))])
+    phi = p.phi_tau
+    zeta_tau = np.angle(np.cos(phi) + 1j * (-ce * np.sin(phi)))
+    hol = np.diag([1.0 + 0j, np.exp(1j * (zeta_tau + phi * ce))])
+    dyn = np.diag([1.0 + 0j, np.exp(-1j * (p.delta * p.tau + phi * ce))])
     return CaseIIIAnalytic(a22, k22, g, hol, dyn, hol @ dyn)
 
 
@@ -232,8 +217,8 @@ def case_setup(which: str, p: LambdaParams) -> tuple[Constant, np.ndarray, Secti
         psi0 = np.stack([d, b], axis=1)
         return spec, psi0, PhaseAnchored()
     if which == "iii":
-        es = eigensystem(p)
-        mixed = np.cos(p.eta / 2) * es.vectors[:, 1] + np.sin(p.eta / 2) * es.vectors[:, 2]
+        _, vectors = eigensystem(p)
+        mixed = np.cos(p.eta / 2) * vectors[:, 1] + np.sin(p.eta / 2) * vectors[:, 2]
         psi0 = np.stack([d, mixed], axis=1)
         return spec, psi0, PhaseAnchored()
     raise ValueError(f"unknown case {which!r}; expected 'i', 'ii' or 'iii'")

@@ -296,7 +296,9 @@ def gauge_transform(section: SectionPath, vpath: np.ndarray, *, tol: Tolerances 
     at the endpoint (V(tau) = V(0)). The transformed section pairs with the
     Schrodinger frames rotated by V(0), which restores L(0) = S(0): its
     rotation is the section's times V(0), its path V(0)^dag V_section(t) V(t)
-    and its F V(0)^dag F_section(t) V(0), with no new sample of H.
+    and its F V(0)^dag F_section(t) V(0), with no new sample of H. It does
+    not raise InPhaseViolation, which separability_report enforces: O(0,tau)
+    -> V(0)^dag O(0,tau) V(0) leaves the in-phase margin as it is.
     """
     g = np.asarray(vpath, dtype=complex)
     npts, m = section.v.shape[:2]
@@ -311,13 +313,8 @@ def gauge_transform(section: SectionPath, vpath: np.ndarray, *, tol: Tolerances 
     if frobenius(g[-1] - g[0]) > 10 * tol.structure_tol:
         raise ValueError("gauge path is not closed: V(tau) differs from V(0)")
     g0 = g[0]
-    out = _section(
+    return _section(
         section.schrodinger, section.rule, products(overlaps(g0, section.v), g),
         products(overlaps(g0, section.overlap), g), skew_part(products(overlaps(g0, section.f), g0)),
         g0 if section.rotation is None else section.rotation @ g0,
     )
-    if out.in_phase_margin <= tol.positivity_tol:
-        raise InPhaseViolation(
-            f"transformed section violates the in-phase condition (margin {out.in_phase_margin:.3e})"
-        )
-    return out

@@ -1,10 +1,10 @@
 """Golden reports: the JSON report of four fixed runs must not drift.
 
-The files under tests/golden/ hold report_to_json of Lambda cases i, ii and
-iii (4096 steps) and of refutation_instance(7). The classification must match
-exactly and every number to 1e-10, so other BLAS builds still pass. Rewrite
-the files (``PYTHONPATH=src python tests/test_golden.py``) only when a change
-to the numerics is intended.
+The files under tests/golden/ hold report_to_json of the holosplit.decompose
+runs of Lambda cases i, ii and iii (4096 steps) and of refutation_instance(7).
+The classification must match exactly and every number to 1e-10, so other
+BLAS builds still pass. Rewrite the files (``PYTHONPATH=src python
+tests/test_golden.py``) only when a change to the numerics is intended.
 """
 
 import json
@@ -12,11 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from holosplit import decompose
 from holosplit.config import report_to_json
-from holosplit.dynamics import propagate_frame
-from holosplit.holonomy import separability_report
 from holosplit.instances import refutation_instance
-from holosplit.sections import PhaseAnchored, build_section
+from holosplit.sections import PhaseAnchored
 
 GOLDEN = Path(__file__).parent / "golden"
 BOUND = 1e-10
@@ -24,8 +23,7 @@ BOUND = 1e-10
 
 def _refutation_report(seed):
     spec, psi0 = refutation_instance(seed)
-    schrod = propagate_frame(spec, psi0, spec.grid)
-    return separability_report(build_section(PhaseAnchored(), schrod, spec), schrod, spec)
+    return decompose(spec, psi0, PhaseAnchored(), spec.grid)[1]
 
 
 def _assert_close(got, want, where):

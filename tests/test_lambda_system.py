@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import commutator_norm, dark_bright_to_bare, run_case
 from holosplit.lambda_system import (
@@ -90,23 +93,24 @@ class TestLambdaHamiltonian:
 
 class TestEigensystem:
     def test_resonant_angle(self):
-        es = eigensystem(params(omega0=2.0, delta=0.0))
-        assert es.gamma == pytest.approx(np.pi / 2)
-        np.testing.assert_allclose(es.energies, [0.0, 2.0, -2.0], atol=1e-14)
+        p = params(omega0=2.0, delta=0.0)
+        energies, _ = eigensystem(p)
+        assert p.gamma == pytest.approx(np.pi / 2)
+        np.testing.assert_allclose(energies, [0.0, 2.0, -2.0], atol=1e-14)
 
     def test_reference_angles(self):
-        es = eigensystem(params())
-        assert es.gamma == pytest.approx(np.pi / 3)
-        assert es.phidot == pytest.approx(2.0)
+        p = params()
+        assert p.gamma == pytest.approx(np.pi / 3)
+        assert p.phidot == pytest.approx(2.0)
 
     @settings(max_examples=40, deadline=None)
     @given(lambda_params())
     def test_eigen_relation(self, p):
         h = p.spec.matrix
-        es = eigensystem(p)
+        energies, vectors = eigensystem(p)
         for i in range(3):
-            v = es.vectors[:, i]
-            assert np.abs(h @ v - es.energies[i] * v).max() <= 1e-12
+            v = vectors[:, i]
+            assert np.abs(h @ v - energies[i] * v).max() <= 1e-12
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -164,6 +168,38 @@ class TestCaseIIIAnalytic:
             ref.g(0.0)
 
 
+def _dense_phase(p: LambdaParams, c: float) -> complex:
+    """exp(i arg) of the endpoint of cos(phi_t) + i c sin(phi_t), the arg
+    continued from 0 along phi_t in [0, phi_tau] by np.unwrap at 64 samples
+    per radian or more. np.unwrap's running sum rounds by 1e-9 at phi_tau =
+    2e4, so each radian is unwrapped on its own (rows of 65 samples sharing
+    their ends) and the row increments are summed exactly by math.fsum."""
+    rows = int(np.ceil(p.phi_tau))
+    ph = sliding_window_view(np.linspace(0.0, p.phi_tau, 64 * rows + 1), 65)[::64]
+    arg = np.unwrap(np.angle(np.cos(ph) + 1j * c * np.sin(ph)), axis=1)
+    return np.exp(1j * math.fsum(arg[:, -1] - arg[:, 0]))
+
+
+class TestLongPulses:
+    """The endpoint phases against a dense continuation of the arg, up to
+    phi_tau = 2e4, where a 4,097-point curve steps by more than pi."""
+
+    @pytest.mark.parametrize("tau", [np.pi / 2, 40.0, 1e4])
+    @pytest.mark.parametrize("delta", [1.0, -1.0])
+    @pytest.mark.parametrize("eta", [np.pi / 3, 0.5])
+    def test_endpoint_phases(self, tau, delta, eta):
+        p = params(tau=tau, delta=delta, eta=eta)
+        cg, ce = np.cos(p.gamma), np.cos(p.eta)
+        _, w = case_ii_analytic(p)
+        w22 = np.conj(_dense_phase(p, cg)) * np.exp(-1j * p.phi_tau * cg)
+        np.testing.assert_allclose(w, np.diag([1.0, w22]), rtol=0, atol=1e-10)
+        ref = case_iii_analytic(p)
+        g22 = _dense_phase(p, -ce) * np.exp(1j * p.phi_tau * ce)
+        d22 = np.exp(-1j * (p.delta * p.tau + p.phi_tau * ce))
+        np.testing.assert_allclose(ref.holonomic_factor, np.diag([1.0, g22]), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(ref.w_final, np.diag([1.0, g22 * d22]), rtol=0, atol=1e-10)
+
+
 class TestCaseSetup:
     def test_case_i_frame(self):
         _, psi0, rule = case_setup("i", params(omega1=1.0, omega2=0.0))
@@ -180,8 +216,8 @@ class TestCaseSetup:
     def test_case_iii_eta_zero_gives_first_eigenvector(self):
         p = params(eta=0.0)
         _, psi0, _ = case_setup("iii", p)
-        es = eigensystem(p)
-        np.testing.assert_allclose(psi0[:, 1], es.vectors[:, 1], atol=1e-14)
+        _, vectors = eigensystem(p)
+        np.testing.assert_allclose(psi0[:, 1], vectors[:, 1], atol=1e-14)
 
     def test_unknown_case(self):
         with pytest.raises(ValueError, match="unknown case"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import polar_decompose, run_case, section_frames
 from holosplit.config import _load_custom_section, matrix_to_json
 from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
+from holosplit.holonomy import separability_report
 from holosplit.instances import (
     cosine_drive,
     random_closed_gauge,
@@ -21,6 +22,7 @@ from holosplit.linalg import expm_skew, frobenius, overlaps, products, skew_part
 from holosplit.sections import (
     Custom,
     Fixed,
+    InPhaseViolation,
     PhaseAnchored,
     SectionError,
     build_section,
@@ -233,6 +235,32 @@ class TestGaugeTransform:
         w_bar = w_path(moved)[-1]
         w_ref = w_path(ns.section)[-1]
         assert frobenius(w_bar - v[0].conj().T @ w_ref @ v[0]) <= 1e-7
+
+    @pytest.mark.parametrize("family", [random_closed_gauge, random_nonabelian_loop])
+    def test_keeps_the_in_phase_margin(self, family, case_ii, case_iii):
+        # a closed gauge maps O(0,tau) to V(0)^dag O(0,tau) V(0), whose
+        # Hermitian part has the same eigenvalues
+        for section in (case_ii.section, case_iii.section, _refutation_section(7), _refutation_section(10)):
+            for seed in range(4):
+                v = family(section.schrodinger.grid.times, 2, np.random.default_rng(seed))
+                moved = gauge_transform(section, v)
+                assert abs(moved.in_phase_margin - section.in_phase_margin) <= 1e-12
+
+    def test_leaves_the_in_phase_check_to_the_report(self):
+        # refutation 9 fails the in-phase condition before any gauge; the
+        # transform returns its section and the report refuses it
+        section = _refutation_section(9)
+        assert section.in_phase_margin < 0.0
+        moved = gauge_transform(section, random_closed_gauge(section.schrodinger.grid.times, 2,
+                                                              np.random.default_rng(0)))
+        assert abs(moved.in_phase_margin - section.in_phase_margin) <= 1e-12
+        with pytest.raises(InPhaseViolation):
+            separability_report(moved, moved.schrodinger, refutation_instance(9)[0])
+
+
+def _refutation_section(seed):
+    spec, psi0 = refutation_instance(seed)
+    return build_section(PhaseAnchored(), propagate_frame(spec, psi0, spec.grid), spec)
 
 
 def _step_overlap_transport(section) -> np.ndarray:
