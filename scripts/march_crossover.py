@@ -8,8 +8,9 @@ chunk as dynamics._propagate does, and prints the time of
 dynamics._slice_march (prefix products of full N x N slices) over that of
 dynamics._taylor_march (Taylor action on the frame), on one BLAS thread and
 best of --repeats. Each kernel is timed as propagate_frame runs it,
-midpoint sampling included: the slice kernel samples each chunk's midpoint
-H as one stack, the Taylor kernel forms each step's H right before its
+reading H from the Sampled spec: the slice kernel gets each chunk's
+midpoint H as one hamiltonian_path stack, the Taylor kernel takes the spec
+and the chunk's midpoint times, forms each step's H right before its
 products and plans from the spec's per-sample norms, which the first,
 untimed run caches as a spec's first propagation does. Below 1 the slice
 kernel wins. dynamics._propagate takes the slice kernel below N = 20.
@@ -35,7 +36,7 @@ import timeit
 import numpy as np
 
 from holosplit import dynamics
-from holosplit.dynamics import TimeGrid, _chunks, _Midpoints, _slice_march, _taylor_march
+from holosplit.dynamics import TimeGrid, _chunks, _slice_march, _taylor_march, hamiltonian_path
 from holosplit.instances import cosine_drive, random_frame, random_hermitian
 
 SUBSPACES = (2, 4)
@@ -45,10 +46,16 @@ def best_time(fn, repeats: int) -> float:
     return min(timeit.repeat(fn, number=1, repeat=repeats))
 
 
-def march(kernel, spec, mids: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
+def march(taylor: bool, spec, mids: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
+    """Step out[0] over the run by the Taylor (True) or the slice kernel,
+    chunk by chunk as dynamics._propagate does."""
     n = out.shape[1]
     for sl in _chunks(dts.size, 2 * n if n in dynamics._REAL_SLICES else n):
-        kernel(_Midpoints(spec, mids[sl]), dts[sl], out[sl.start : sl.stop + 1])
+        frames = out[sl.start : sl.stop + 1]
+        if taylor:
+            _taylor_march(spec, mids[sl], dts[sl], frames)
+        else:
+            _slice_march(hamiltonian_path(spec, mids[sl]), dts[sl], frames)
 
 
 def forced_march(real: bool, spec, mids: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
@@ -56,7 +63,7 @@ def forced_march(real: bool, spec, mids: np.ndarray, dts: np.ndarray, out: np.nd
     saved = dynamics._REAL_SLICES
     dynamics._REAL_SLICES = range(out.shape[1], out.shape[1] + 1) if real else range(0)
     try:
-        march(_slice_march, spec, mids, dts, out)
+        march(False, spec, mids, dts, out)
     finally:
         dynamics._REAL_SLICES = saved
 
@@ -96,8 +103,8 @@ def main() -> int:
                 continue
             out = np.empty((2, grid.times.size, n, m), dtype=complex)
             out[:, 0] = random_frame(n, m, rng)
-            ratios.append(timed_pair(lambda: march(_slice_march, spec, mids, dts, out[0]),
-                                     lambda: march(_taylor_march, spec, mids, dts, out[1]),
+            ratios.append(timed_pair(lambda: march(False, spec, mids, dts, out[0]),
+                                     lambda: march(True, spec, mids, dts, out[1]),
                                      out, n, m, args.repeats))
             if m == SUBSPACES[0]:
                 real = timed_pair(lambda: forced_march(True, spec, mids, dts, out[0]),

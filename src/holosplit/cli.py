@@ -213,9 +213,7 @@ def cmd_gauge_check(config_path: str, seed: int | None = None, *, tau=None, step
         # pairs with its frames S(t) V(0)
         transformed = gauge_transform(section, vpath, tol=cfg.tolerances)
         moved = separability_report(transformed, transformed.schrodinger, cfg.spec, cfg.tolerances)
-    except InPhaseViolation as exc:
-        return _fail(EXIT_IN_PHASE, f"in-phase violation after gauge transform: {exc}")
-    except ValueError as exc:
+    except _RUN_ERRORS as exc:
         return _exit_code(exc, "gauge transform failed")
 
     print(f"gauge seed: {seed}")

@@ -6,15 +6,16 @@ the Hermitian part of their input after one shared check, and the Lambda
 system of lambda_system is a Constant. H at sample times is a read-only
 view of the samples, and H is sampled in chunks of about 1 MiB that are
 used while they are in cache, so no stack of H over the whole grid is
-formed; from N = 20 a propagation forms each midpoint H right before its
-step, in one N x N buffer, and plans the chunk's Taylor degree from the
-per-sample norms a Sampled spec caches, so it reads each sample once per
-step. Below N = 20 it multiplies full slices, and for N = 3 to 5 it
-forms and multiplies them in real arithmetic, as the 2N x 2N real forms
-of exp(-i H dt) (scripts/march_crossover.py measures both rules).
-propagate_frame picks its kernel from the spec type and the frame's shape
-alone: exact for a Constant H, a second-order midpoint step for a Sampled
-one, orthonormal to roundoff at every grid point either way.
+formed. Both stepping kernels read the midpoint H of a chunk from the
+Sampled spec itself. Below N = 20 the chunk's H are sampled as one stack
+whose full slices are multiplied, for N = 3 to 5 in real arithmetic, as
+the 2N x 2N real forms of exp(-i H dt). From N = 20 each midpoint H is
+formed right before its step, in one N x N buffer, and the chunk's Taylor
+degree is planned from the per-sample norms the spec caches, so each
+sample is read once per step (scripts/march_crossover.py measures both
+rules). propagate_frame picks its kernel from the spec type and the
+frame's shape alone: exact for a Constant H, a second-order midpoint step
+for a Sampled one, orthonormal to roundoff at every grid point either way.
 Units: hbar = 1; times in s, frequencies in rad/s, both dimensionless in
 code.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -310,63 +310,30 @@ def _chunks(count: int, n: int) -> list[slice]:
     return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
 
 
-class _Midpoints:
-    """H of a Sampled spec at one chunk of times, bit for bit the rows of
-    hamiltonian_path(spec, times): as that stack, or one row at a time with
-    a bound on the chunk's largest ||H dt||_1 from the spec's norms."""
-
-    def __init__(self, spec: Sampled, times: np.ndarray):
-        self.spec, self.times = spec, times
-
-    def stack(self) -> np.ndarray:
-        return hamiltonian_path(self.spec, self.times)
-
-    @cached_property
-    def _weights(self) -> tuple:
-        return _interpolation(self.spec.grid.times, self.times)
-
-    def bound(self, dts: np.ndarray) -> float:
-        """max_k dt_k ((1 - w_k) n_lo + w_k n_hi), n the spec's per-sample
-        norms: at least max_k ||H_k dt_k||_1 by the triangle inequality, and
-        equal to it when every time is a sample time, where a term of
-        weight 0 adds exactly 0."""
-        lo, hi, w, _ = self._weights
-        n = self.spec._norms
-        return float((dts * ((1.0 - w) * n[lo] + w * n[hi])).max())
-
-    def rows(self):
-        """Each H_k in turn: a sample view when, as in hamiltonian_path,
-        every w of the chunk is 0 or 1, else blended into one N x N buffer
-        that the next row overwrites."""
-        lo, hi, w, idx = self._weights
-        s = self.spec.samples
-        if idx is not None:
-            for k in idx:
-                yield s[k]
-            return
-        f = s.view(float)
-        out, tmp = np.empty((2, *f.shape[1:]))
-        h = out.view(complex)
-        for a, b, wk in zip(lo, hi, w):
-            _blend(f[a], f[b], wk, out, tmp)
-            yield h
-
-
-def _taylor_march(hams, dts: np.ndarray, out: np.ndarray) -> None:
-    """out[k+1] = exp(-i H_k dt_k) out[k] by the truncated-Taylor action of
-    the exponential on the N x M frame (Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 488 (2011)): s substeps of a degree-p polynomial in Horner
-    form, each term one (N x N) @ (N x M) product. hams is a stack, whose
-    largest ||H_k dt_k||_1 fixes s and p, or a _Midpoints, whose bound on
-    that norm fixes them and whose H_k are formed one at a time, each
-    right before its products."""
-    if isinstance(hams, _Midpoints):
-        theta_max, hams = hams.bound(dts), hams.rows()
-    else:
-        theta_max = float((_one_norms(hams) * dts).max())
-    s, p = _taylor_plan(theta_max)
+def _taylor_march(spec: Sampled, times: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
+    """out[k+1] = exp(-i H_k dt_k) out[k], H_k the spec's H at times[k], by
+    the truncated-Taylor action of the exponential on the N x M frame
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)): s substeps of a
+    degree-p polynomial in Horner form, each term one (N x N) @ (N x M)
+    product. s and p are planned from max_k dt_k ((1 - w_k) n_lo + w_k n_hi),
+    n the spec's per-sample norms: at least max_k ||H_k dt_k||_1 by the
+    triangle inequality, and equal to it when every time is a sample time,
+    where a term of weight 0 adds exactly 0. Each H_k has the bits of
+    hamiltonian_path(spec, times)[k]: a sample view when, as there, every w
+    is 0 or 1, else blended into one N x N buffer right before its products."""
+    lo, hi, w, idx = _interpolation(spec.grid.times, times)
+    norms, samples = spec._norms, spec.samples
+    s, p = _taylor_plan(float((dts * ((1.0 - w) * norms[lo] + w * norms[hi])).max()))
+    if idx is None:
+        f = samples.view(float)
+        buf, tmp = np.empty((2, *f.shape[1:]))
+        h = buf.view(complex)
     prod, start = np.empty_like(out[0]), np.empty_like(out[0])
-    for k, h in enumerate(hams):
+    for k, (a, b, wk) in enumerate(zip(lo, hi, w)):
+        if idx is None:
+            _blend(f[a], f[b], wk, buf, tmp)
+        else:
+            h = samples[idx[k]]
         y = out[k + 1]
         c = -1j * dts[k] / s
         y[...] = out[k]
@@ -400,16 +367,14 @@ def _propagate_constant(ham: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> np
 _REAL_SLICES = range(3, 6)
 
 
-def _slice_march(hams, dts: np.ndarray, out: np.ndarray) -> None:
+def _slice_march(hams: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
     """out[k+1] = exp(-i H_k dt_k) ... exp(-i H_0 dt_0) out[0]: the forward
-    prefix products of the full N x N unitaries, each applied to the frame
-    out[0]. hams is a stack or a _Midpoints. The slices are
-    linalg.unitary_stack's, or for N in _REAL_SLICES, if no ||H dt||_1
-    exceeds linalg._TAYLOR_THETA, its Taylor polynomials in the real form
-    G = dt [[Im H, Re H], [-Re H, Im H]] of -i H dt: then the frames are the
-    two halves of P [Re out[0]; Im out[0]] for the prefix products P."""
-    if isinstance(hams, _Midpoints):
-        hams = hams.stack()
+    prefix products of the full N x N unitaries of the stack hams, each
+    applied to the frame out[0]. The slices are linalg.unitary_stack's, or
+    for N in _REAL_SLICES, if no ||H dt||_1 exceeds linalg._TAYLOR_THETA,
+    its Taylor polynomials in the real form G = dt [[Im H, Re H], [-Re H,
+    Im H]] of -i H dt: then the frames are the two halves of
+    P [Re out[0]; Im out[0]] for the prefix products P."""
     n = hams.shape[-1]
     theta = float((_one_norms(hams) * dts).max()) if n in _REAL_SLICES else np.inf
     if theta > _TAYLOR_THETA:
@@ -425,12 +390,13 @@ def _slice_march(hams, dts: np.ndarray, out: np.ndarray) -> None:
     out[1:].real, out[1:].imag = frames[:, :n], frames[:, n:]
 
 
-def _propagate(
-    hams: Callable[[slice], np.ndarray | _Midpoints], psi0: np.ndarray, grid: TimeGrid
-) -> np.ndarray:
-    """Step psi0 over the grid; hams(sl) returns the midpoint Hamiltonians of
-    the steps in sl, as a stack or a _Midpoints, and is asked for one chunk
-    of steps at a time."""
+def _propagate(spec: Sampled, psi0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Step psi0 over the grid with the spec's H at each step midpoint, one
+    chunk of steps at a time: below N = 20 the chunk's hamiltonian_path
+    stack goes to _slice_march, from N = 20 _taylor_march reads the spec."""
+    # checked whole here, so a grid leaving the sampled interval fails before
+    # the first step
+    mids = _checked_times(spec, 0.5 * (grid.times[:-1] + grid.times[1:]))
     dts = np.diff(grid.times)
     out = np.empty((grid.times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
@@ -438,9 +404,12 @@ def _propagate(
     # ||H dt||_1 <= 1/2, the slice kernel wins below N = 20 whatever M is;
     # real slices are chunked as 2N complex levels, to keep the memory peak
     n = psi0.shape[0]
-    march = _taylor_march if n >= 20 else _slice_march
     for sl in _chunks(dts.size, 2 * n if n in _REAL_SLICES else n):
-        march(hams(sl), dts[sl], out[sl.start : sl.stop + 1])
+        frames = out[sl.start : sl.stop + 1]
+        if n >= 20:
+            _taylor_march(spec, mids[sl], dts[sl], frames)
+        else:
+            _slice_march(hamiltonian_path(spec, mids[sl]), dts[sl], frames)
     out[1:] = loewdin_orthonormalize(out[1:])
     return out
 
@@ -457,14 +426,16 @@ def propagate_frame(
     A Constant spec is solved exactly: one eigh of H gives every frame as
     V exp(-i E t_k) V^dag psi0, on any grid. A Sampled spec is stepped with
     exp(-i H(t_mid) dt), H at the step midpoint, so the scheme is second
-    order in dt: below N = 20 by the prefix products of linalg.unitary_stack
-    slices, for N = 3 to 5 of their 2N x 2N real forms when ||H dt||_1 <=
-    1/2 (scripts/march_crossover.py measures both rules); from N = 20 by a
+    order in dt. The kernels read H from the spec one chunk of about 1 MiB
+    of steps at a time: below N = 20 by the prefix products of
+    linalg.unitary_stack slices of the chunk's midpoint stack, for N = 3 to
+    5 of their 2N x 2N real forms when ||H dt||_1 <= 1/2
+    (scripts/march_crossover.py measures both rules); from N = 20 by a
     truncated Taylor action on the N x M frame with remainder below 2^-53,
-    planned once per chunk of about 1 MiB of steps from a bound on its
-    largest ||H dt||_1 that the spec's cached per-sample norms give, each
-    midpoint H formed right before its step. All agree to roundoff, and
-    their frames are orthonormalized once, by one batched Loewdin pass.
+    planned per chunk from a bound on its largest ||H dt||_1 that the
+    spec's cached per-sample norms give, each midpoint H formed right before
+    its step. All agree to roundoff, and their frames are orthonormalized
+    once, by one batched Loewdin pass.
     psi0 must have at least one column and orthonormal columns; the
     returned path starts at psi0 exactly and keeps orthonormality at every
     grid point.
@@ -484,10 +455,7 @@ def propagate_frame(
     if isinstance(spec, Constant):
         frames = _propagate_constant(spec.matrix, psi0, grid)
     else:
-        # checked whole here, so a grid leaving the sampled interval fails
-        # before the first step
-        mids = _checked_times(spec, 0.5 * (grid.times[:-1] + grid.times[1:]))
-        frames = _propagate(lambda sl: _Midpoints(spec, mids[sl]), psi0, grid)
+        frames = _propagate(spec, psi0, grid)
     return FramePath(grid, frames, tol.structure_tol)
 
 

@@ -65,10 +65,11 @@ class Tolerances:
 
 
 def _require_tolerance(name: str, value: float) -> None:
-    """Reject a negative or NaN threshold; NaN fails every comparison, so it
-    would silently disable the check it guards."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    """Reject a negative, NaN or infinite threshold; NaN fails every
+    comparison and inf passes every one, so either would silently disable
+    the check it guards."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holosplit import LambdaParams, case_setup, decompose, propagate_frame
-from holosplit.dynamics import TimeGrid, _propagate, hamiltonian_path
+from holosplit.dynamics import Sampled, TimeGrid, _propagate, hamiltonian_path
 from holosplit.linalg import _require_square, as_complex_matrix, frobenius, hermitian_part, overlaps, products
 
 SQRT3 = np.sqrt(3.0)
@@ -50,6 +50,18 @@ def section_frames(section) -> np.ndarray:
     return products(s if section.rotation is None else products(s, section.rotation), section.v)
 
 
+def midpoint_spec(grid, hams) -> Sampled:
+    """A Sampled spec whose H at the k-th step midpoint of grid is hams[k],
+    bit for bit if hams is exactly Hermitian: sampled at the midpoints and
+    at the grid times, where it is 0, so every midpoint is a sample time."""
+    times = grid.times
+    sample_times = np.empty(2 * times.size - 1)
+    sample_times[::2], sample_times[1::2] = times, 0.5 * (times[:-1] + times[1:])
+    samples = np.zeros((sample_times.size, *hams.shape[1:]), dtype=complex)
+    samples[1::2] = hams
+    return Sampled(TimeGrid(sample_times), samples)
+
+
 def trivial_shift_check(spec, psi0, f_dot, grid) -> float:
     """Residual max_t ||W(t) - identity|| for a common-phase section.
 
@@ -66,7 +78,7 @@ def trivial_shift_check(spec, psi0, f_dot, grid) -> float:
     base = propagate_frame(spec, psi0, grid)
     eye = np.eye(base.n)
     shifted = _propagate(
-        lambda sl: hamiltonian_path(spec, mids[sl]) - rates[sl, None, None] * eye,
+        midpoint_spec(grid, hamiltonian_path(spec, mids) - rates[:, None, None] * eye),
         np.asarray(psi0, dtype=complex),
         grid,
     )

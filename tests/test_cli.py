@@ -1160,6 +1160,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{field} must be a number" in err
 
+    @pytest.mark.parametrize("name", ["separation_tol", "structure_tol"])
+    @pytest.mark.parametrize("literal", ["1e999", "Infinity"])
+    def test_infinite_tolerance_exits_three(self, name, literal, tmp_path, capsys):
+        # json reads both literals as inf, which every residual would pass
+        path = write_config(tmp_path / "c.json", tolerances={name: "@"})
+        path.write_text(path.read_text().replace('"@"', literal))
+        assert cmd_separability(str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{name} must be non-negative" in err
+
     @pytest.mark.parametrize("key, value, expected", [
         ("dimension", None, "must be a number"),
         ("dimension", [4], "must be a number"),
@@ -1240,6 +1250,21 @@ class TestGaugeCheck:
         monkeypatch.setattr("holosplit.cli.random_closed_gauge", doubled_identity)
         assert cmd_gauge_check(str(case_ii_config), seed=1) == 3
         assert capsys.readouterr().err.startswith("gauge transform failed: gauge path is not unitary")
+
+    def test_in_phase_violation_of_the_transformed_section_exits_two(self, case_ii_config, monkeypatch,
+                                                                     capsys):
+        # the transformed section's report fails its in-phase gate, here with
+        # positivity_tol raised to the margin: the exit and message of every
+        # other in-phase violation
+        real = cli.separability_report
+
+        def raised_gate(section, path, spec, tol):
+            return real(section, path, spec, dataclasses.replace(tol, positivity_tol=section.in_phase_margin))
+
+        monkeypatch.setattr(cli, "separability_report", raised_gate)
+        assert cmd_gauge_check(str(case_ii_config), seed=1) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("in-phase violation: in-phase margin ")
 
     def test_negative_seed_option_exits_three(self, case_ii_config, capsys):
         assert main(["gauge-check", "--config", str(case_ii_config), "--seed", "-1"]) == 3

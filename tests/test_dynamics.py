@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import midpoint_spec
 from holosplit import dynamics
 from holosplit.dynamics import (
     Constant,
@@ -12,7 +14,6 @@ from holosplit.dynamics import (
     Sampled,
     TimeGrid,
     _chunks,
-    _Midpoints,
     _one_norms,
     _propagate,
     _sandwich,
@@ -403,10 +404,47 @@ class TestLoopFreePropagation:
             assert np.linalg.norm(grams - np.eye(f.shape[2]), axis=(1, 2)).max() <= 1e-13
 
 
+def horner_march(hams, dts, psi, plan):
+    """Reference: psi, then exp(-i H_k dt_k) applied step by step for the
+    stack hams, each as s substeps of a degree-p Horner Taylor polynomial
+    for plan = (s, p)."""
+    s, p = plan
+    out = [psi]
+    for h, dt in zip(hams, dts):
+        c, y = -1j * dt / s, out[-1]
+        for _ in range(s):
+            start = y
+            for j in range(p, 0, -1):
+                y = start + (h @ y) * (c / j)
+        out.append(y)
+    return np.array(out)
+
+
+def interpolated_bound(spec, times, dts):
+    """max_k dt_k ((1 - w_k) ||s_lo||_1 + w_k ||s_hi||_1), for H(times_k) =
+    (1 - w_k) s_lo + w_k s_hi between the samples s of a Sampled spec."""
+    tg = spec.grid.times
+    hi = np.clip(np.searchsorted(tg, times), 1, tg.size - 1)
+    lo = hi - 1
+    w = (times - tg[lo]) / (tg[hi] - tg[lo])
+    norms = np.abs(spec.samples).sum(axis=1).max(axis=1)
+    return float((dts * ((1.0 - w) * norms[lo] + w * norms[hi])).max())
+
+
+@contextlib.contextmanager
+def recorded_plans():
+    """The theta of every Taylor plan dynamics makes in the block, in order."""
+    thetas = []
+    real = dynamics._taylor_plan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_taylor_plan", lambda theta: thetas.append(theta) or real(theta))
+        yield thetas
+
+
 def whole_stack_propagate(spec, psi0, grid):
     """Reference: the midpoint Hamiltonians sampled as one stack and stepped
     in one pass. From N = 20 each step is a Horner Taylor action with the
-    plan of its chunk, from the chunk's _Midpoints.bound, as in
+    plan of its chunk, from the chunk's interpolated_bound, as in
     propagate_frame; below, the slice scan pairs the whole run's complex
     slices."""
     times = grid.times
@@ -417,14 +455,8 @@ def whole_stack_propagate(spec, psi0, grid):
     out[0] = psi0
     if psi0.shape[0] >= 20:
         for sl in _chunks(dts.size, psi0.shape[0]):
-            s, p = _taylor_plan(_Midpoints(spec, mids[sl]).bound(dts[sl]))
-            for k in range(sl.start, sl.stop):
-                c, y = -1j * dts[k] / s, out[k]
-                for _ in range(s):
-                    start = y
-                    for j in range(p, 0, -1):
-                        y = start + (hams[k] @ y) * (c / j)
-                out[k + 1] = y
+            plan = _taylor_plan(interpolated_bound(spec, mids[sl], dts[sl]))
+            out[sl.start + 1 : sl.stop + 1] = horner_march(hams[sl], dts[sl], out[sl.start], plan)[1:]
     else:
         out[1:] = ordered_products(unitary_stack(hams, dts), "forward", cumulative=True) @ psi0
     out[1:] = loewdin_orthonormalize(out[1:])
@@ -506,7 +538,7 @@ class TestRealSlices:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "unitary_stack", complex_slices)
-            frames = _propagate(lambda sl: hams[sl], psi0, grid)
+            frames = _propagate(midpoint_spec(grid, hams), psi0, grid)
         ref = ordered_products(unitary_stack(hams, dts), "forward", cumulative=True) @ psi0
         assert frames[0].tobytes() == psi0.tobytes()
         assert np.abs(frames[1:] - ref).max() <= 1e-13
@@ -547,9 +579,9 @@ class TestRealSlices:
 
 
 class TestMidpoints:
-    """From N = 20 a chunk's midpoint H are formed one step at a time, and
-    its Taylor plan comes from a bound that the spec's cached per-sample
-    norms give."""
+    """From N = 20 _taylor_march forms a chunk's midpoint H from the spec one
+    step at a time, and plans the chunk from a bound that the spec's cached
+    per-sample norms give."""
 
     @staticmethod
     def _grid(rng, tau, count):
@@ -577,13 +609,19 @@ class TestMidpoints:
         spec = Sampled(TimeGrid(sample_times),
                        np.stack([random_hermitian(n, rng) for _ in sample_times]) * scales)
         dts = np.diff(times)
+        # a unitary frame, so every entry of each H_k moves the frames
+        psi = random_frame(n, n, rng)
         rows = data.draw(st.integers(1, mids.size))
         for sl in (slice(a, a + rows) for a in range(0, mids.size, rows)):
-            chunk = _Midpoints(spec, mids[sl])
+            out = np.empty((mids[sl].size + 1, n, n), dtype=complex)
+            out[0] = psi
+            with recorded_plans() as thetas:
+                _taylor_march(spec, mids[sl], dts[sl], out)
+            (bound,) = thetas
             ref = hamiltonian_path(spec, mids[sl])
-            assert np.stack([h.copy() for h in chunk.rows()]).tobytes() == ref.tobytes()
+            # each step's H has the bits of hamiltonian_path's row
+            assert out.tobytes() == horner_march(ref, dts[sl], psi, _taylor_plan(bound)).tobytes()
             exact = float((_one_norms(ref) * dts[sl]).max())
-            bound = chunk.bound(dts[sl])
             if np.isin(mids[sl], sample_times).all():
                 assert bound == exact
             else:
@@ -599,17 +637,19 @@ class TestMidpoints:
         spec = cosine_drive(random_hermitian(24, rng, 0.45), random_hermitian(24, rng, 0.45), samples)
         mids = 0.5 * (grid.times[:-1] + grid.times[1:])
         dts = np.diff(grid.times)
-        a, b = (np.empty((grid.times.size, 24, 2), dtype=complex) for _ in range(2))
-        a[0] = b[0] = random_frame(24, 2, rng)
-        _taylor_march(_Midpoints(spec, mids), dts, a)
-        _taylor_march(hamiltonian_path(spec, mids), dts, b)
-        bound = _Midpoints(spec, mids).bound(dts)
-        exact = float((_one_norms(hamiltonian_path(spec, mids)) * dts).max())
+        out = np.empty((grid.times.size, 24, 2), dtype=complex)
+        out[0] = random_frame(24, 2, rng)
+        with recorded_plans() as thetas:
+            _taylor_march(spec, mids, dts, out)
+        (bound,) = thetas
+        hams = hamiltonian_path(spec, mids)
+        exact = float((_one_norms(hams) * dts).max())
         if sampling == "on_samples":
             assert bound == exact
-        # one plan, so the per-step rows give the stack march's bits
+        # one plan, so the per-step rows give the bits of the march over the
+        # stack with the plan of its exact largest ||H dt||_1
         assert _taylor_plan(bound) == _taylor_plan(exact)
-        assert a.tobytes() == b.tobytes()
+        assert out.tobytes() == horner_march(hams, dts, out[0], _taylor_plan(exact)).tobytes()
 
     def test_norms_are_formed_once_on_first_use_and_read_only(self, monkeypatch):
         calls = []
@@ -667,8 +707,7 @@ class TestConstantPropagation:
         mids = 0.5 * (grid.times[:-1] + grid.times[1:])
         for label, spec, psi0 in self._runs():
             path = propagate_frame(spec, psi0, grid)
-            hams = hamiltonian_path(spec, mids)
-            stepped = _propagate(lambda sl: hams[sl], psi0, grid)
+            stepped = _propagate(midpoint_spec(grid, hamiltonian_path(spec, mids)), psi0, grid)
             assert np.abs(path.frames - stepped).max() <= 1e-11, label
             np.testing.assert_array_equal(path.frames[0], psi0)
 
@@ -718,7 +757,7 @@ class TestTaylorAction:
         psi = random_frame(n, m, rng)
         out = np.empty((2, n, m), dtype=complex)
         out[0] = psi
-        _taylor_march(h[None], np.array([dt]), out)
+        _taylor_march(midpoint_spec(TimeGrid([0.0, dt]), h[None]), np.array([0.5 * dt]), np.array([dt]), out)
         w, v = np.linalg.eigh(h)
         ref = (v * np.exp(-1j * w * dt)) @ v.conj().T @ psi
         assert np.linalg.norm(out[1] - ref) <= 1e-12 * np.linalg.norm(psi)
@@ -854,7 +893,7 @@ def test_frame_path_freezes_a_view_not_the_callers_array(layout):
     f[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
 @pytest.mark.parametrize("build", [
     lambda tol: Constant(np.eye(2), tol),
     lambda tol: Sampled(TimeGrid.uniform(1.0, 2), np.zeros((3, 2, 2)), tol),
@@ -862,7 +901,8 @@ def test_frame_path_freezes_a_view_not_the_callers_array(layout):
     lambda tol: LambdaParams(1.0, 0.0, 1.0, structure_tol=tol),
 ], ids=["Constant", "Sampled", "FramePath", "LambdaParams"])
 def test_structure_tol_rejects_nan_and_negative(build, bad):
-    # NaN fails every comparison, so it would switch the constructor's check off
+    # NaN fails every comparison and inf passes every one, so either would
+    # switch the constructor's check off
     with pytest.raises(ValueError, match="structure_tol must be non-negative"):
         build(bad)
     build(0.0)

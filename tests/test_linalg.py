@@ -432,7 +432,7 @@ class TestCommutatorNorm:
 
 
 @given(st.sampled_from(["structure_tol", "positivity_tol", "separation_tol"]),
-       st.sampled_from([np.nan, -np.inf, -1e-12]))
+       st.sampled_from([np.nan, np.inf, -np.inf, -1e-12]))
 def test_tolerances_reject_nan_and_negative(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be non-negative"):
         Tolerances(**{name: bad})
