@@ -427,7 +427,7 @@ def load_run_config(
     try:
         tolerances = Tolerances(**{k: _number(v, f"tolerances.{k}") for k, v in tol_d.items()})
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"tolerances.{exc}") from exc
 
     # the tolerances govern the checks on every file and matrix the config loads
     spec, lam_params = _resolve_system(data["system"], "config.system", tau,

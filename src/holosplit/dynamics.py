@@ -32,6 +32,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     _TAYLOR_THETA,
+    _halved,
     _one_norms,
     _require_tolerance,
     _taylor_plan,
@@ -39,7 +40,6 @@ from .linalg import (
     _time_last,
     as_complex_matrix,
     frobenius,
-    hermitian_part,
     loewdin_orthonormalize,
     ordered_products,
     overlaps,
@@ -113,15 +113,29 @@ class TimeGrid:
 
 
 def _hermitian_samples(s: np.ndarray, structure_tol: float) -> np.ndarray:
-    """hermitian_part of a (T, n, n) stack, rejected unless every sample has
-    ||H - H^dag||_F <= structure_tol. Checked and built one chunk at a time,
-    so only the stack, the result and one chunk are held at once."""
-    out = np.empty_like(s)
-    for sl in _chunks(s.shape[0], s.shape[1]):
-        h = s[sl]
-        if np.linalg.norm(h - h.conj().swapaxes(1, 2), axis=(1, 2)).max() > structure_tol:
+    """hermitian_part of a (T, n, n) complex stack, bit for bit, rejected
+    unless every sample has ||H - H^dag||_F <= structure_tol. One pass per
+    chunk of about 1 MiB, while it is in cache: H^dag into the result's rows,
+    H - H^dag into one reused scratch chunk for the norms, then H + H^dag
+    halved in place. A NaN or inf entry gives a NaN or inf residual, so it
+    fails the check, and only then is the stack's finiteness read: a
+    non-finite entry anywhere is reported before a non-Hermitian sample."""
+    out = np.empty(s.shape, complex)
+    chunks = _chunks(s.shape[0], s.shape[1])
+    scratch = np.empty_like(out[chunks[0]])
+    for sl in chunks:
+        h, o = s[sl], out[sl]
+        np.conjugate(h.swapaxes(1, 2), out=o)
+        # inf - inf and squares beyond the float range stay quiet: they fail
+        # the check as NaN or inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = np.subtract(h, o, out=scratch[: len(h)]).view(float)
+            residual = np.sqrt(np.einsum("ijk,ijk->i", f, f).max())
+        if not residual <= structure_tol:
+            if not np.isfinite(s).all():
+                raise ValueError("samples contain non-finite entries")
             raise ValueError("Hamiltonian is not Hermitian within tolerance")
-        out[sl] = hermitian_part(h)
+        _halved(np.add(h, o, out=o))
     return out
 
 
@@ -145,8 +159,10 @@ class Constant:
 class Sampled:
     """Hamiltonian given on a time grid; linear interpolation in between.
 
-    ||s_i||_1 per sample is formed whole on first use, by a propagation
-    from N = 20, which plans its Taylor degree from it, and then kept."""
+    The samples are stored as their Hermitian part, built and checked in
+    one pass per chunk, which also rejects a NaN or inf entry. ||s_i||_1
+    per sample is formed whole on first use, by a propagation from N = 20,
+    which plans its Taylor degree from it, and then kept."""
 
     grid: TimeGrid
     samples: np.ndarray = field(repr=False)
@@ -159,8 +175,6 @@ class Sampled:
             raise ValueError("samples must have shape (npoints, n, n)")
         if s.shape[0] != len(self.grid):
             raise ValueError("sample count must equal grid point count")
-        if not np.isfinite(s).all():
-            raise ValueError("samples contain non-finite entries")
         object.__setattr__(self, "samples", _freeze(_hermitian_samples(s, self.structure_tol)))
 
     @cached_property

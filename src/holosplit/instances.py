@@ -33,7 +33,9 @@ def random_frame(dim: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
 def cosine_drive(h0: np.ndarray, h1: np.ndarray, grid: TimeGrid) -> Sampled:
     """H(t) = h0 + cos(t) h1 sampled on the grid."""
-    samples = h0[None, :, :] + np.cos(grid.times)[:, None, None] * h1[None, :, :]
+    # one complex stack: cos(t) h1 in the inputs' dtype, + h0 in place (addition commutes)
+    samples = np.multiply(np.cos(grid.times)[:, None, None], h1, out=np.empty((len(grid), *h1.shape), complex))
+    samples += h0
     return Sampled(grid, samples)
 
 

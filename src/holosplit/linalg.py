@@ -97,7 +97,7 @@ def frobenius(a) -> float:
 def _halved(s: np.ndarray) -> np.ndarray:
     """s / 2 in place, one float part at a time: a complex division by 2,
     or a complex times 0.5, turns some -0.0 real parts into +0.0. s is a
-    fresh ufunc result, one dense block in some axis order (time-last
+    ufunc result in one dense block, in some axis order (time-last
     included), so its ravel in memory order is a view, scaled as floats."""
     s.ravel(order="K").view(s.real.dtype)[...] *= 0.5
     return s

@@ -1168,7 +1168,14 @@ class TestExitCodes:
         path.write_text(path.read_text().replace('"@"', literal))
         assert cmd_separability(str(path)) == 3
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"{name} must be non-negative" in err
+        assert err == f"config error: tolerances.{name} must be non-negative and finite, got inf\n"
+
+    @pytest.mark.parametrize("name", ["separation_tol", "structure_tol", "positivity_tol"])
+    def test_negative_tolerance_exits_three(self, name, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", tolerances={name: -1e-3})
+        assert cmd_separability(str(path)) == 3
+        err = capsys.readouterr().err
+        assert err == f"config error: tolerances.{name} must be non-negative and finite, got -0.001\n"
 
     @pytest.mark.parametrize("key, value, expected", [
         ("dimension", None, "must be a number"),

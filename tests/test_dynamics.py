@@ -128,9 +128,14 @@ class TestSampleHamiltonian:
             LambdaParams(**fields)
 
     @settings(deadline=None)
-    @given(st.sampled_from([np.nan, np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)]),
+    @given(st.sampled_from([np.nan, np.inf, -np.inf, complex(np.inf, 0.0), complex(0.0, np.inf),
+                            complex(0.0, np.nan)]),
            st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.booleans())
     def test_sampled_rejects_non_finite_samples(self, bad, t, i, j, fill_all):
+        # the Hermitian check meets them first: a diagonal inf gives a NaN
+        # residual (inf - inf), an off-diagonal one an inf, and a
+        # RuntimeWarning from either fails the test (pytest's warnings are
+        # errors)
         samples = np.zeros((3, 2, 2), dtype=complex)
         if fill_all:
             samples[:] = bad
@@ -187,6 +192,44 @@ class TestHermitianCheck:
         with pytest.raises(ValueError, match="not Hermitian"):
             Constant(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_non_finite_entry_in_a_later_chunk_wins_over_a_non_hermitian_one(self):
+        npts, n = 40, 64
+        chunks = _chunks(npts, n)
+        samples = self._noisy_stack(npts, n)
+        samples[0, 0, 1] += 1e-6
+        samples[chunks[-1].start, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="samples contain non-finite entries"):
+            Sampled(TimeGrid.uniform(1.0, npts - 1), samples)
+
+    def test_a_residual_that_overflows_when_squared_reads_not_hermitian(self):
+        # finite entries whose skew residual squares beyond the float range
+        samples = self._noisy_stack(40, 64) * 1e200
+        samples[7, 0, 1] += 1e200j
+        assert np.isfinite(samples).all()
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Sampled(TimeGrid.uniform(1.0, 39), samples)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Constant(samples[7])
+
+    @pytest.mark.parametrize("factor, passes", [(0.5, True), (2.0, False)])
+    def test_residual_against_structure_tol(self, factor, passes):
+        # a real d at (0, 1) gives H - H^dag = d at (0, 1) and -d at (1, 0):
+        # ||H - H^dag||_F = sqrt(2) d
+        tol = 1e-6
+        npts, n = 40, 64
+        samples = np.stack([random_hermitian(n, np.random.default_rng(k)) for k in range(npts)])
+        k = _chunks(npts, n)[1].start + 2
+        samples[k, 0, 1] += factor * tol / np.sqrt(2)
+        grid = TimeGrid.uniform(1.0, npts - 1)
+        if passes:
+            Sampled(grid, samples, structure_tol=tol)
+            Constant(samples[k], structure_tol=tol)
+            return
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Sampled(grid, samples, structure_tol=tol)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Constant(samples[k], structure_tol=tol)
+
     def test_peak_memory_near_the_samples(self):
         import tracemalloc
 
@@ -201,6 +244,26 @@ class TestHermitianCheck:
             tracemalloc.stop()
         assert spec.samples.nbytes == samples.nbytes
         assert peak <= 1.3 * samples.nbytes
+
+
+class TestCosineDrive:
+    @pytest.mark.parametrize("real0, real1", [(False, False), (True, True), (True, False),
+                                              (False, True)])
+    def test_samples_are_the_hermitian_part_of_the_sum_bitwise(self, real0, real1):
+        # signed zeros, and a grid past pi/2 where cos(t) < 0: a product
+        # formed in complex arithmetic from a real h1 would carry an
+        # imaginary -0.0 that shows at (0, 1) of the result
+        rng = np.random.default_rng(4)
+        h0, h1 = (random_hermitian(5, rng) for _ in range(2))
+        h0[0, 1], h0[1, 0] = complex(0.3, -0.0), complex(0.3, 0.0)
+        h1[0, 1] = h1[1, 0] = -0.5
+        h0[2, 3] = h0[3, 2] = h1[2, 3] = h1[3, 2] = -0.0
+        h0, h1 = (h.real.copy() if real else h for h, real in ((h0, real0), (h1, real1)))
+        grid = TimeGrid.uniform(3.0, 600)
+        expected = hermitian_part(h0 + np.cos(grid.times)[:, None, None] * h1)
+        samples = cosine_drive(h0, h1, grid).samples
+        np.testing.assert_array_equal(samples.view(np.int64),
+                                      expected.astype(complex).view(np.int64))
 
 
 class TestPropagateFrame:
