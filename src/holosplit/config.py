@@ -8,12 +8,16 @@ directory. The matrix files it names (a sampled Hamiltonian, a custom
 section) are parsed with orjson, which holds them to RFC 8259: a NaN or
 Infinity literal, or a number beyond the float range, is refused there.
 
+A matrix file whose "matrices" array is regular, as the writer's are, is
+read by a flat route: its inner brackets are blanked, so orjson returns the
+numbers as one flat list, and the bracket skeleton is checked against the
+shape before it is applied. The general reader, which builds the nested
+lists, decides every other file and names every error; both give the same
+arrays bit for bit.
+
 A matrix file's arrays are cached in __holosplit_cache__/<name>.npz beside
-it, keyed by the SHA-256 of its bytes, so that a file read before is not
-parsed again. write_sampled_hamiltonian leaves the entry for each file it
-writes, so even the first read of such a file needs no parse. The cache is
-best-effort: a file that fails to parse is never cached, and every check
-after the read still runs.
+it, keyed by the SHA-256 of its bytes; the cache is best-effort, a file that
+fails to parse is never cached, and every check after the read still runs.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import tempfile
 import typing
 import zipfile
@@ -158,35 +163,29 @@ class RunConfig:
 def _read_matrix_file(path: Path, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a {"dimension", "times", "matrices"} JSON file into its times and
     its (npoints, dimension, k) complex stack. A cache entry that holds the
-    SHA-256 of the file's bytes gives the arrays without a parse; otherwise
-    the general reader parses the file and names every error, and the arrays
-    are cached."""
+    SHA-256 of the file's bytes gives the arrays without a parse. Otherwise
+    the flat route is tried first; a file it does not take goes, unchanged,
+    to the general reader, which decides every other file and names every
+    error; and the arrays are cached."""
     try:
         raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    entry, key = _cache_entry(path, raw)
-    arrays = _cached_arrays(entry, key)
+    key = hashlib.sha256(_CACHE_TAG)
+    key.update(raw)
+    entry = path.parent / "__holosplit_cache__" / f"{path.name}.npz"
+    arrays = _cached_arrays(entry, key.digest())
     if arrays is None:
-        arrays = _nested_matrix_file(raw, path, what)
+        arrays = _flat_matrix_file(raw) or _nested_matrix_file(raw, path, what)
         del raw  # freed before the entry is written
         if _cacheable(*arrays):
-            _cache_arrays(entry, key, *arrays)
+            _cache_arrays(entry, key.digest(), *arrays)
     return arrays
 
 
-# hashed before a file's bytes: a change to the arrays that the reader
-# returns, or that the writer stores, must change it, so that no older entry
-# is taken
+# hashed before a file's bytes: a change to what the readers return must
+# change it, so that no older entry is taken
 _CACHE_TAG = b"holosplit matrix file 1\n"
-
-
-def _cache_entry(path: Path, raw: bytes) -> tuple[Path, bytes]:
-    """Where the arrays of the matrix file path are cached, and the key that
-    the entry must hold to stand for raw, the file's bytes."""
-    key = hashlib.sha256(_CACHE_TAG)
-    key.update(raw)
-    return path.parent / "__holosplit_cache__" / f"{path.name}.npz", key.digest()
 
 
 def _cacheable(times: np.ndarray, mats: np.ndarray) -> bool:
@@ -221,6 +220,84 @@ def _cache_arrays(entry: Path, key: bytes, times: np.ndarray, mats: np.ndarray) 
 
 
 _MATRIX_KEYS = {"dimension", "times", "matrices"}
+_JSON_SPACE = b" \t\n\r"
+# the "matrices" key up to its array's "[", and the first "]]]]" after it
+_MATRICES_OPEN = re.compile(rb'"matrices"[ \t\n\r]*:[ \t\n\r]*\[')
+_MATRICES_CLOSE = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\][ \t\n\r]*\]")
+# every byte a JSON number may hold, as one mark
+_NUMBER_MARK = bytes.maketrans(b"0123456789.eE+-", b"0" * 15)
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _regular_skeleton(npoints: int, n: int, k: int) -> bytes:
+    """The brackets and commas of an (npoints, n, k) array of [re, im]
+    pairs, numbers and whitespace left out."""
+    row = b"[" + b",".join([b"[,]"] * k) + b"]"
+    matrix = b"[" + b",".join([row] * n) + b"]"
+    return b"[" + b",".join([matrix] * npoints) + b"]"
+
+
+def _flat_matrix_file(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The general reader's arrays without its nested lists, or None when
+    the file is not one this route can prove regular.
+
+    The "matrices" span runs from its "[" to the first "]]]]". Outside it
+    the file holds only its three keys' quotes and no true or false; inside
+    it, a number never follows a "]" or precedes a "[". With the span's inner
+    brackets blanked, orjson validates the whole file and returns the
+    numbers as one flat list; the span's skeleton must then be the regular
+    one for the parsed dimension, len(times) and number count. A file that
+    passes parses, with its brackets, to the same numbers in that shape."""
+    head = _MATRICES_OPEN.search(raw)
+    tail = head and _MATRICES_CLOSE.search(raw, head.end())
+    if tail is None:
+        return None
+    start, end = head.end() - 1, tail.end()
+    outside = raw[:start] + raw[end:]
+    if outside.count(b'"') != 6 or b"true" in outside or b"false" in outside:
+        return None
+    marks = np.frombuffer(raw[start:end].translate(_NUMBER_MARK, _JSON_SPACE), np.uint8)
+    numbers = marks == ord("0")
+    # one scratch mask, filled in place, for "]" then number and number then "["
+    misplaced = marks[:-1] == ord("]")
+    misplaced &= numbers[1:]
+    if misplaced.any():
+        return None
+    np.equal(marks[1:], ord("["), out=misplaced)
+    misplaced &= numbers[:-1]
+    if misplaced.any():
+        return None
+    del misplaced
+    skeleton = marks[np.logical_not(numbers, out=numbers)].tobytes()
+    del marks, numbers
+    # blanked in slices, so the copy is the only buffer the size of the file
+    blanked = bytearray(raw)
+    for i in range(start + 1, end - 1, 1 << 16):
+        j = min(i + (1 << 16), end - 1)
+        blanked[i:j] = blanked[i:j].translate(_BLANK_BRACKETS)
+    try:
+        data = orjson.loads(blanked)
+    except orjson.JSONDecodeError:
+        return None
+    del blanked
+    if not (isinstance(data, dict) and data.keys() == _MATRIX_KEYS):
+        return None
+    values, times, n = data["matrices"], data["times"], data["dimension"]
+    if not (isinstance(values, list) and isinstance(times, list) and times
+            and type(n) is int and n > 0):
+        return None
+    k, rest = divmod(len(values), 2 * n * len(times))
+    if rest or not k or skeleton != _regular_skeleton(len(times), n, k):
+        return None
+    try:
+        values, times = np.array(values), np.array(times)
+    except (ValueError, OverflowError):
+        return None
+    if values.dtype.kind not in "fiu" or times.dtype.kind not in "fiu":
+        return None
+    # the pairs viewed as complex128, as in _complex_from_pairs
+    mats = values.astype(float, copy=False).reshape(len(times), n, k, 2).view(complex)[..., 0]
+    return times.astype(float, copy=False), mats
 
 
 def _nested_matrix_file(raw: bytes, path: Path, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -261,9 +338,7 @@ def load_sampled_hamiltonian(
 
 def write_sampled_hamiltonian(path: str | Path, times: np.ndarray, samples: np.ndarray) -> None:
     """Write {"dimension", "times", "matrices"} as compact orjson JSON from
-    float views of the arrays; every float reads back bit for bit. The
-    file's cache entry is written too, from the same arrays, whenever the
-    general reader would read the file to them."""
+    float views of the arrays; every float reads back bit for bit."""
     times, samples = np.ascontiguousarray(times, float), np.ascontiguousarray(samples, complex)
     # orjson writes a NaN or infinity as null, which the reader refuses
     for what, values in (("times", times), ("samples", samples)):
@@ -272,15 +347,9 @@ def write_sampled_hamiltonian(path: str | Path, times: np.ndarray, samples: np.n
                              "Out of range float values are not JSON compliant")
     # one float view per time: orjson writes the bytes it writes for the
     # whole 4-D view, in half the time
-    raw = orjson.dumps({"dimension": samples.shape[1], "times": times,
-                        "matrices": list(samples.view(float).reshape(*samples.shape, 2))},
-                       option=orjson.OPT_SERIALIZE_NUMPY)
-    path = Path(path)
-    path.write_bytes(raw)
-    # the general reader refuses a file with no numbers in its "matrices",
-    # so an empty stack gets no entry
-    if samples.size and _cacheable(times, samples):
-        _cache_arrays(*_cache_entry(path, raw), times, samples)
+    data = {"dimension": samples.shape[1], "times": times,
+            "matrices": list(samples.view(float).reshape(*samples.shape, 2))}
+    Path(path).write_bytes(orjson.dumps(data, option=orjson.OPT_SERIALIZE_NUMPY))
 
 
 def _load_custom_section(path: Path, grid: TimeGrid, structure_tol: float) -> FramePath:

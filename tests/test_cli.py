@@ -311,28 +311,17 @@ def cache_entry(path):
     return path.parent / "__holosplit_cache__" / f"{path.name}.npz"
 
 
-def holds_its_key(path):
-    """Whether the cache entry of the matrix file path holds the key of the
-    file's bytes, so that a read of it takes no parse."""
-    try:
-        with np.load(cache_entry(path), allow_pickle=False) as npz:
-            return npz["key"].tobytes() == config._cache_entry(path, path.read_bytes())[1]
-    except FileNotFoundError:
-        return False
-
-
 def no_parse():
     """A context in which parsing a matrix file fails the test."""
     def parse(*args):
         raise AssertionError("the file was parsed")
 
-    return mock.patch.object(config, "_nested_matrix_file", parse)
+    return mock.patch.multiple(config, _flat_matrix_file=parse, _nested_matrix_file=parse)
 
 
 class TestMatrixFileRoutes:
-    """_read_matrix_file takes its cache entry, or else the general reader
-    (_nested_matrix_file); every file must read as the general reader reads
-    it, with or without an entry."""
+    """_read_matrix_file tries its cache entry, then the flat route; every
+    file must read as the general reader (_nested_matrix_file) reads it."""
 
     @staticmethod
     def outcome(read, *args):
@@ -352,14 +341,12 @@ class TestMatrixFileRoutes:
             assert g.tobytes() == w.tobytes()
 
     def assert_read_as_the_general_reader(self, path):
-        """Read path twice, each time as the general reader reads it; the
-        first read may take an entry that the writer left. Only a file read
-        to one matrix per time is cached, and the second read of it takes no
-        parse."""
+        """Read path twice, a cache miss and then a hit, each as the general
+        reader reads it. Only a file read to one matrix per time is cached."""
         want = self.outcome(config._nested_matrix_file, path.read_bytes(), path, "sampled Hamiltonian")
         self.assert_same_outcome(self.outcome(config._read_matrix_file, path, "sampled Hamiltonian"), want)
         cached = not isinstance(want, str) and want[0].ndim == 1 and len(want[0]) == len(want[1])
-        assert holds_its_key(path) == cached
+        assert cache_entry(path).exists() == cached
         with no_parse() if cached else contextlib.nullcontext():
             self.assert_same_outcome(self.outcome(config._read_matrix_file, path, "sampled Hamiltonian"), want)
 
@@ -397,43 +384,22 @@ class TestMatrixFileRoutes:
         path.write_bytes(raw)
         self.assert_read_as_the_general_reader(path)
 
-    @settings(max_examples=150, deadline=None)
-    @given(shape=st.lists(st.integers(0, 3), min_size=2, max_size=4),
-           npoints=st.one_of(st.none(), st.integers(0, 4)),
-           values=st.lists(FINITE_FLOAT64, min_size=1, max_size=20))
-    @example(shape=[0, 2, 2], npoints=None, values=[1.0])
-    @example(shape=[3, 0, 0], npoints=None, values=[1.0])
-    @example(shape=[2, 2], npoints=None, values=[1.0])
-    @example(shape=[2, 1, 2, 1], npoints=None, values=[1.0])
-    @example(shape=[2, 2, 2], npoints=3, values=[-0.0, 5e-324])
-    def test_writer_entry_reads_as_the_file_does(self, tmp_path_factory, shape, npoints, values):
-        # a stack of any rank and any times, npoints of them or one per matrix
-        npoints = shape[0] if npoints is None else npoints
-        flat = np.resize(np.array(values), npoints + 2 * int(np.prod(shape)))
-        times, samples = flat[:npoints], flat[npoints:].view(complex).reshape(shape)
-        path = tmp_path_factory.mktemp("entry") / "ham.json"
-        write_sampled_hamiltonian(path, times, samples)
-        # an entry only where the file parses to one matrix per time
-        assert holds_its_key(path) == (len(shape) == 3 and samples.size > 0 and npoints == shape[0])
-        got = self.outcome(config._read_matrix_file, path, "sampled Hamiltonian")
-        cache_entry(path).unlink(missing_ok=True)
-        self.assert_same_outcome(got, self.outcome(config._read_matrix_file, path, "sampled Hamiltonian"))
-
-    @pytest.mark.parametrize("matrices", [
-        # a number after a "]" or before a "[", whitespace between brackets,
-        # too many or too few points, pairs or levels, a null, no matrices
-        "[[[[0,]0]],[[[1,0]]]]",
-        "[[[[0,0]]],0[[[,0]]]]",
-        "[[[[0,0]]] , [[[1 ,\n 0]\t]]\r]",
-        "[[[[0,0]]],[[[1,0]]],[[[2,0]]]]",
-        "[[[[0,0,0]]],[[[1,0,0]]]]",
-        "[[[0,0]],[[1,0]]]",
-        "[[[[0,null]]],[[[1,0]]]]",
-        "[]",
+    @pytest.mark.parametrize("matrices, flat", [
+        # a number after a "]" or before a "[", around a skeleton that is the
+        # regular one: the flat route must refuse what the general reader does
+        ("[[[[0,]0]],[[[1,0]]]]", False),
+        ("[[[[0,0]]],0[[[,0]]]]", False),
+        ("[[[[0,0]]] , [[[1 ,\n 0]\t]]\r]", True),
+        ("[[[[0,0]]],[[[1,0]]],[[[2,0]]]]", False),
+        ("[[[[0,0,0]]],[[[1,0,0]]]]", False),
+        ("[[[0,0]],[[1,0]]]", False),
+        ("[[[[0,null]]],[[[1,0]]]]", False),
+        ("[]", False),
     ])
-    def test_irregular_matrices_read_as_the_general_reader(self, tmp_path, matrices):
+    def test_irregular_matrices_read_as_the_general_reader(self, tmp_path, matrices, flat):
         path = tmp_path / "ham.json"
         path.write_text(f'{{"dimension": 1, "times": [0, 1], "matrices": {matrices}}}')
+        assert (config._flat_matrix_file(path.read_bytes()) is not None) == flat
         self.assert_read_as_the_general_reader(path)
 
     @pytest.mark.parametrize("text", [
@@ -451,14 +417,15 @@ class TestMatrixFileRoutes:
     def test_other_files_read_as_the_general_reader(self, tmp_path, text):
         path = tmp_path / "ham.json"
         path.write_text(text)
+        assert config._flat_matrix_file(path.read_bytes()) is None
         self.assert_read_as_the_general_reader(path)
 
-    def test_writer_files_load_with_no_parse(self, tmp_path):
+    def test_writer_files_take_the_flat_route(self, tmp_path, monkeypatch):
         spec, psi0 = refutation_instance(3, TimeGrid.uniform(1.0, 8))
         frames = propagate_frame(spec, psi0, spec.grid).frames
         write_sampled_hamiltonian(tmp_path / "ham.json", spec.grid.times, spec.samples)
         write_sampled_hamiltonian(tmp_path / "section.json", spec.grid.times, frames)
-        # json.dumps' separators and indents, as another tool writes them
+        # json.dumps' separators and indents are taken as well
         (tmp_path / "indented.json").write_text(json.dumps({
             "times": spec.grid.times.tolist(), "dimension": 4,
             "matrices": matrix_to_json(spec.samples)}, indent=2))
@@ -467,9 +434,12 @@ class TestMatrixFileRoutes:
                             subspace={"matrix": matrix_to_json(psi0)},
                             section={"rule": "custom", "path": "section.json"},
                             grid={"tau": 1.0, "steps": 8})
-        # the writer left both entries, so the first load parses neither file
-        with no_parse():
-            cfg = load_run_config(path)
+
+        def general_reader(*args):
+            raise AssertionError("the file went to the general reader")
+
+        monkeypatch.setattr(config, "_nested_matrix_file", general_reader)
+        cfg = load_run_config(path)
         np.testing.assert_array_equal(cfg.spec.samples.view(np.int64), spec.samples.view(np.int64))
         np.testing.assert_array_equal(cfg.rule.path.frames.view(np.int64), frames.view(np.int64))
         back = load_sampled_hamiltonian(tmp_path / "indented.json")
@@ -482,34 +452,29 @@ class TestMatrixFileRoutes:
         path = tmp_path / "ham.json"
         write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
         assert spec.samples.shape == (4097, 4, 4)
-
-        def peak(read):
+        peaks = []
+        for _ in range(2):  # a cache miss, then a hit
             tracemalloc.start()
             try:
                 tracemalloc.reset_peak()
-                read()
-                return tracemalloc.get_traced_memory()[1]
+                config._read_matrix_file(path, "sampled Hamiltonian")
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-
-        # the writer left the entry: the first read holds the file's bytes
-        # and the arrays (0.41 times the file), read through numpy's 256 KiB
-        # buffers
-        assert peak(lambda: config._read_matrix_file(path, "sampled Hamiltonian")) <= 1.75 * path.stat().st_size
-        # with the entry deleted, the read is the general reader's parse of
-        # the file's bytes, and no more than a hash and a path beside it
-        general = peak(lambda: config._nested_matrix_file(path.read_bytes(), path, "sampled Hamiltonian"))
-        cache_entry(path).unlink()
-        assert peak(lambda: config._read_matrix_file(path, "sampled Hamiltonian")) <= general + 2**16
+        assert peaks[0] <= 4.5 * path.stat().st_size
+        # the file's bytes and the arrays (0.41 times the file), read
+        # through numpy's 256 KiB buffers
+        assert peaks[1] <= 1.75 * path.stat().st_size
 
     @staticmethod
     def cached_file(tmp_path, name="ham.json", seed=3):
-        """A small writer file with the cache entry that the writer left,
+        """A small writer file, read once so that its cache entry exists,
         and the general reader's arrays for it."""
         spec, _ = refutation_instance(seed, TimeGrid.uniform(1.0, 8))
         path = tmp_path / name
         write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
-        assert holds_its_key(path)
+        config._read_matrix_file(path, "sampled Hamiltonian")
+        assert cache_entry(path).exists()
         return path, config._nested_matrix_file(path.read_bytes(), path, "sampled Hamiltonian")
 
     def test_same_size_edit_with_the_mtime_kept_is_parsed(self, tmp_path):
@@ -565,18 +530,11 @@ class TestMatrixFileRoutes:
         target = {"mkdir": (config.Path, "mkdir"), "temporary directory": (config.tempfile, "mkdtemp"),
                   "write": (config.np, "savez"), "replace": (config.os, "replace")}[where]
         spec, _ = refutation_instance(3, TimeGrid.uniform(1.0, 8))
-        reference = tmp_path / "reference" / "ham.json"
-        reference.parent.mkdir()
-        write_sampled_hamiltonian(reference, spec.grid.times, spec.samples)
-        want = config._nested_matrix_file(reference.read_bytes(), reference, "sampled Hamiltonian")
         path = tmp_path / "ham.json"
+        write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
+        want = config._nested_matrix_file(path.read_bytes(), path, "sampled Hamiltonian")
         with monkeypatch.context() as patched:
             patched.setattr(*target, refuse)
-            # the writer raises nothing and writes the same bytes, with no entry
-            write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
-            assert path.read_bytes() == reference.read_bytes()
-            assert not cache_entry(path).exists()
-            # a read of the file, which has no entry, parses it
             self.assert_same_outcome(config._read_matrix_file(path, "sampled Hamiltonian"), want)
         assert not cache_entry(path).exists()
         # no temporary file is left behind
@@ -592,11 +550,8 @@ class TestMatrixFileRoutes:
                             subspace={"matrix": matrix_to_json(psi0)},
                             section={"rule": "custom", "path": "section.json"},
                             grid={"tau": 1.0, "steps": 8})
-        # with the writer's entry deleted, the first load parses the section
-        # file and caches it
-        cache_entry(tmp_path / "section.json").unlink()
         load_run_config(path)
-        assert holds_its_key(tmp_path / "section.json")
+        assert cache_entry(tmp_path / "section.json").exists()
         with no_parse():
             cfg = load_run_config(path)
         np.testing.assert_array_equal(cfg.rule.path.frames.view(np.int64), frames.view(np.int64))
@@ -604,9 +559,7 @@ class TestMatrixFileRoutes:
     def test_commands_give_the_same_bytes_from_the_cache(self, tmp_path, capsys):
         ham, path = TestExitCodes.sampled_config(tmp_path)
         runs = []
-        # the writer's entry, none (the file is parsed), and the one the
-        # parse left
-        for state in ("writer", "deleted", "reader"):
+        for state in ("miss", "hit", "deleted"):
             if state == "deleted":
                 cache_entry(ham).unlink()
             out = tmp_path / state
