@@ -5,7 +5,7 @@ the Lambda cases), separability (classification summary), export (CSV
 trajectories of A, K, W and O, the bytes csv.writer gives, formatted by
 orjson except in rows that need repr), gauge-check (covariance under a random
 closed gauge). Every subcommand is one row of the command table in
-_build_parser: its name, help, cmd_* function and options, each option's
+_build_parser: its name, help, cmd_* function name and options, each option's
 dest a parameter of that function. An omitted option is not passed, so
 each default lives only in the cmd_* signature. Exit codes: 0 success, 1
 negative verdict, 2 in-phase violation, 3 config error, 4 output I/O
@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -231,23 +232,24 @@ def cmd_gauge_check(config_path: str, seed: int | None = None, *, tau=None, step
     return _fail(EXIT_VERDICT, "gauge covariance violated; the pipeline is inconsistent")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """One subparser per row of the command table. The table is built here,
-    on each call, so it holds the cmd_* functions the module holds then,
-    wrappers set on the module included."""
+    """One subparser per row of the command table, built once, on the first
+    main() call. A row holds its cmd_* function's name, which main looks up
+    on the module at each call, so a wrapper set on the module runs."""
     config = ("--config", {"dest": "config_path", "metavar": "CONFIG", "required": True})
     out = ("--out", {"dest": "out_path", "metavar": "OUT", "required": True})
     steps = ("--steps", {"type": int})
     tau = ("--tau", {"type": float})
     commands = (
-        ("decompose", "run a config and write the JSON report", cmd_decompose, (config, out, steps, tau)),
-        ("demo", "compare a Lambda case against its closed form", cmd_demo, (
+        ("decompose", "run a config and write the JSON report", "cmd_decompose", (config, out, steps, tau)),
+        ("demo", "compare a Lambda case against its closed form", "cmd_demo", (
             ("--case", {"required": True, "choices": ["i", "ii", "iii"]}),
             ("--delta", {"type": float}), ("--omega0", {"type": float}), ("--eta", {"type": float}),
             tau, steps)),
-        ("separability", "classify and print the residuals", cmd_separability, (config, steps, tau)),
-        ("export", "write per-time A, K, W, O entries to CSV", cmd_export, (config, out, steps, tau)),
-        ("gauge-check", "verify covariance under a random closed gauge", cmd_gauge_check,
+        ("separability", "classify and print the residuals", "cmd_separability", (config, steps, tau)),
+        ("export", "write per-time A, K, W, O entries to CSV", "cmd_export", (config, out, steps, tau)),
+        ("gauge-check", "verify covariance under a random closed gauge", "cmd_gauge_check",
          (config, ("--seed", {"type": int}), steps, tau)),
     )
     parser = argparse.ArgumentParser(
@@ -267,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     opts = vars(_build_parser().parse_args(argv))
     del opts["command"]
-    return opts.pop("run")(**opts)
+    return globals()[opts.pop("run")](**opts)
 
 
 if __name__ == "__main__":

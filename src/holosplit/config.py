@@ -15,8 +15,9 @@ shape before it is applied. The general reader, which builds the nested
 lists, decides every other file and names every error; both give the same
 arrays bit for bit.
 
-A matrix file's arrays are cached in __holosplit_cache__/<name>.npz beside
-it, keyed by the SHA-256 of its bytes; the cache is best-effort, a file that
+A matrix file's arrays are cached in __holosplit_cache__/<name>.entry beside
+it, with a copy of the file's bytes: a read whose file is byte for byte that
+copy takes the arrays from the entry. The cache is best-effort, a file that
 fails to parse is never cached, and every check after the read still runs.
 """
 
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
 import re
+import struct
 import tempfile
 import typing
-import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,29 +164,34 @@ class RunConfig:
 def _read_matrix_file(path: Path, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a {"dimension", "times", "matrices"} JSON file into its times and
     its (npoints, dimension, k) complex stack. A cache entry that holds the
-    SHA-256 of the file's bytes gives the arrays without a parse. Otherwise
-    the flat route is tried first; a file it does not take goes, unchanged,
-    to the general reader, which decides every other file and names every
-    error; and the arrays are cached."""
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    key = hashlib.sha256(_CACHE_TAG)
-    key.update(raw)
-    entry = path.parent / "__holosplit_cache__" / f"{path.name}.npz"
-    arrays = _cached_arrays(entry, key.digest())
+    file's exact bytes gives the arrays without a parse. Otherwise the flat
+    route is tried first; a file it does not take goes, unchanged, to the
+    general reader, which decides every other file and names every error;
+    and the arrays are cached."""
+    entry = path.parent / "__holosplit_cache__" / f"{path.name}.entry"
+    arrays = _cached_arrays(entry, path)
     if arrays is None:
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
         arrays = _flat_matrix_file(raw) or _nested_matrix_file(raw, path, what)
-        del raw  # freed before the entry is written
         if _cacheable(*arrays):
-            _cache_arrays(entry, key.digest(), *arrays)
+            _cache_arrays(entry, raw, *arrays)
     return arrays
 
 
-# hashed before a file's bytes: a change to what the readers return must
-# change it, so that no older entry is taken
-_CACHE_TAG = b"holosplit matrix file 1\n"
+# a cache entry: this header (a tag naming the version and the byte order, the
+# file's length, the shape (npoints, n, k), the CRC-32 of the arrays), the
+# file's bytes, then the arrays raw. A change to what the readers return must
+# change the tag, so that no older entry is taken
+_ENTRY_TAG = f"holosplit matrix entry 1 {np.dtype(complex).str}".encode()
+_ENTRY = struct.Struct(f"={len(_ENTRY_TAG)}s4QI")
+_CHUNK = 1 << 18  # bytes per read when a file is compared with its copy
+
+
+def _entry_header(length: int, times: np.ndarray, mats: np.ndarray) -> bytes:
+    return _ENTRY.pack(_ENTRY_TAG, length, *mats.shape, zlib.crc32(mats, zlib.crc32(times)))
 
 
 def _cacheable(times: np.ndarray, mats: np.ndarray) -> bool:
@@ -195,28 +201,38 @@ def _cacheable(times: np.ndarray, mats: np.ndarray) -> bool:
             and len(times) == len(mats) and times.flags.c_contiguous and mats.flags.c_contiguous)
 
 
-def _cached_arrays(entry: Path, key: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The times and matrices in entry when it holds key, else None."""
+def _cached_arrays(entry: Path, path: Path) -> tuple[np.ndarray, np.ndarray] | None:
+    """The times and matrices in entry, read into fresh arrays, when its copy
+    of path's bytes, compared one chunk at a time, is path's bytes; else None."""
     try:
-        # opened here, so that it is closed when np.load fails on a damaged zip
-        with open(entry, "rb") as fh:
-            npz = np.load(fh, allow_pickle=False)
-            if npz["key"].tobytes() != key:  # IndexError for a bare .npy array
+        with open(entry, "rb") as fh, open(path, "rb") as src:
+            header = fh.read(_ENTRY.size)
+            tag, length, npoints, n, k, _ = _ENTRY.unpack(header)
+            # checked before the arrays are allocated from the header's shape
+            size = _ENTRY.size + length + 8 * npoints * (1 + 2 * n * k)
+            if tag != _ENTRY_TAG or os.fstat(fh.fileno()).st_size != size:
                 return None
-            arrays = npz["times"], npz["matrices"]
-    except (OSError, ValueError, EOFError, KeyError, IndexError, zipfile.BadZipFile):
+            # to length + 1: a longer file reads more than the copy in the last chunk
+            for at in range(0, length + 1, _CHUNK):
+                if src.read(_CHUNK) != fh.read(min(_CHUNK, length - at)):
+                    return None
+            times, mats = np.empty(npoints), np.empty((npoints, n, k), complex)
+            if fh.readinto(times) + fh.readinto(mats) != times.nbytes + mats.nbytes or fh.read(1):
+                return None
+    except (OSError, struct.error):
         return None
-    return arrays if _cacheable(*arrays) else None
+    return (times, mats) if _entry_header(length, times, mats) == header else None
 
 
-def _cache_arrays(entry: Path, key: bytes, times: np.ndarray, mats: np.ndarray) -> None:
+def _cache_arrays(entry: Path, raw: bytes, times: np.ndarray, mats: np.ndarray) -> None:
     """Write entry through a temporary directory beside it and os.replace, so
     that no reader sees it half written; a failure leaves nothing behind."""
     with contextlib.suppress(OSError):
         entry.parent.mkdir(exist_ok=True)
         with tempfile.TemporaryDirectory(dir=entry.parent, ignore_cleanup_errors=True) as tmp:
-            np.savez(f"{tmp}/entry.npz", key=np.frombuffer(key, np.uint8), times=times, matrices=mats)
-            os.replace(f"{tmp}/entry.npz", entry)
+            with open(f"{tmp}/entry", "wb") as fh:
+                fh.writelines((_entry_header(len(raw), times, mats), raw, times, mats))
+            os.replace(f"{tmp}/entry", entry)
 
 
 _MATRIX_KEYS = {"dimension", "times", "matrices"}
@@ -339,7 +355,13 @@ def load_sampled_hamiltonian(
 def write_sampled_hamiltonian(path: str | Path, times: np.ndarray, samples: np.ndarray) -> None:
     """Write {"dimension", "times", "matrices"} as compact orjson JSON from
     float views of the arrays; every float reads back bit for bit."""
-    times, samples = np.ascontiguousarray(times, float), np.ascontiguousarray(samples, complex)
+    times, samples = np.asarray(times, float, order="C"), np.asarray(samples, complex, order="C")
+    if samples.ndim != 3 or 0 in samples.shape:
+        raise ValueError(f"sampled Hamiltonian {path}: samples must be a 3-D stack with no empty "
+                         f"dimension, got shape {samples.shape}")
+    if times.shape != samples.shape[:1]:
+        raise ValueError(f"sampled Hamiltonian {path}: times must be a 1-D array of {len(samples)} "
+                         f"points, one per sample, got shape {times.shape}")
     # orjson writes a NaN or infinity as null, which the reader refuses
     for what, values in (("times", times), ("samples", samples)):
         if not np.isfinite(values).all():

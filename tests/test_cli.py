@@ -1,12 +1,12 @@
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import inspect
 import io
 import json
 import math
 import os
+import re
 import types
 from unittest import mock
 
@@ -157,7 +157,7 @@ class TestConfigParsing:
         assert path.read_bytes() == orjson.dumps(per_entry)
         assert json.loads(path.read_text()) == per_entry
 
-    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0), (1, 1, 1), (3, 2, 5), (4, 3, 1)])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 5), (4, 3, 1)])
     def test_sampled_writer_bytes_equal_the_nested_lists(self, tmp_path, shape):
         values = [-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0]
         times = np.resize(values, shape[0])
@@ -167,6 +167,25 @@ class TestConfigParsing:
         nested = {"dimension": shape[1], "times": times.tolist(),
                   "matrices": samples.view(float).reshape(*shape, 2).tolist()}
         assert path.read_bytes() == orjson.dumps(nested)
+
+    @pytest.mark.parametrize("times, shape", [
+        # the stack is not 3-D
+        (np.zeros(3), (3,)), (np.zeros(3), (3, 2)), (np.zeros(3), (3, 2, 2, 1)),
+        # a dimension is zero
+        (np.zeros(0), (0, 2, 2)), (np.zeros(3), (3, 0, 0)), (np.zeros(3), (3, 2, 0)),
+        # the times are not 1-D with one per sample
+        (np.zeros(2), (3, 2, 2)), (np.zeros(4), (3, 2, 2)), (np.zeros((3, 1)), (3, 2, 2)), (0.0, (1, 2, 2)),
+    ])
+    def test_sampled_writer_refuses_what_the_reader_refuses(self, tmp_path, times, shape):
+        path = tmp_path / "ham.json"
+        if len(shape) != 3 or 0 in shape:
+            message = f"samples must be a 3-D stack with no empty dimension, got shape {shape}"
+        else:
+            message = (f"times must be a 1-D array of {shape[0]} points, one per sample, "
+                       f"got shape {np.shape(times)}")
+        with pytest.raises(ValueError, match=re.escape(f"sampled Hamiltonian {path}: {message}")):
+            write_sampled_hamiltonian(path, times, np.zeros(shape, complex))
+        assert not path.exists()
 
     def test_sampled_writer_round_trip_keeps_signed_zeros(self, tmp_path):
         times = np.array([0.0, 0.5, 1.0])
@@ -308,7 +327,14 @@ EDIT_BYTES = b'[],0123456789.eE+- \n"a{}:tnu\\'
 
 def cache_entry(path):
     """Where _read_matrix_file caches the arrays of the matrix file path."""
-    return path.parent / "__holosplit_cache__" / f"{path.name}.npz"
+    return path.parent / "__holosplit_cache__" / f"{path.name}.entry"
+
+
+def entry_bytes(path, times, mats):
+    """The entry _read_matrix_file writes for the file path read to times and
+    mats: the header, the file's bytes, then the arrays raw."""
+    raw = path.read_bytes()
+    return config._entry_header(len(raw), times, mats) + raw + times.tobytes() + mats.tobytes()
 
 
 def no_parse():
@@ -462,9 +488,10 @@ class TestMatrixFileRoutes:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 4.5 * path.stat().st_size
-        # the file's bytes and the arrays (0.41 times the file), read
-        # through numpy's 256 KiB buffers
+        # a hit holds the arrays (0.41 times the file), and before them two
+        # chunks of the file and of its copy, never the whole file
         assert peaks[1] <= 1.75 * path.stat().st_size
+        assert peaks[1] <= 0.6 * path.stat().st_size
 
     @staticmethod
     def cached_file(tmp_path, name="ham.json", seed=3):
@@ -491,44 +518,97 @@ class TestMatrixFileRoutes:
         times, mats = config._read_matrix_file(path, "sampled Hamiltonian")
         assert mats.tobytes() != before[1].tobytes()
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bare array", "wrong key", "wrong dtype",
-                                        "fortran order", "object array", "another file's"])
-    def test_damaged_entries_are_ignored_and_rewritten(self, tmp_path, damage):
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "bare array", "another file's copy",
+                                        "wrong dtype", "fortran order", "object array", "another file's",
+                                        "flipped array bit", "shape against length", "huge shape", "wrong tag",
+                                        "wrong version", "longer file", "extra byte"])
+    def test_damaged_entries_are_ignored_and_rewritten(self, tmp_path, monkeypatch, damage):
         path, (times, mats) = self.cached_file(tmp_path)
         entry = cache_entry(path)
-        key = np.frombuffer(hashlib.sha256(config._CACHE_TAG + path.read_bytes()).digest(), np.uint8)
+        good = entry.read_bytes()
+        assert good == entry_bytes(path, times, mats)
+        header = good[:config._ENTRY.size]
+        tag, length, npoints, n, k, crc = config._ENTRY.unpack(header)
         if damage == "truncated":
-            entry.write_bytes(entry.read_bytes()[:len(entry.read_bytes()) // 2])
+            entry.write_bytes(good[:len(good) // 2])
         elif damage == "garbage":
             entry.write_bytes(b"garbage" * 100)
         elif damage == "bare array":
             with open(entry, "wb") as fh:
                 np.save(fh, mats)
-        elif damage == "wrong key":
-            np.savez(entry, key=key[::-1], times=times + 1, matrices=mats)
+        elif damage == "another file's copy":
+            # the arrays of the file plus one, under a copy of other bytes
+            # of the same length: the byte comparison refuses it
+            raw = bytearray(path.read_bytes())
+            raw[raw.rindex(b"]]]]") - 1] ^= 1
+            entry.write_bytes(header + raw + (times + 1).tobytes() + mats.tobytes())
         elif damage == "wrong dtype":
-            np.savez(entry, key=key, times=times.astype(np.float32), matrices=mats.astype(np.complex64))
+            entry.write_bytes(header + path.read_bytes() + times.astype(np.float32).tobytes()
+                              + mats.astype(np.complex64).tobytes())
         elif damage == "fortran order":
-            np.savez(entry, key=key, times=times, matrices=np.asfortranarray(mats))
+            # the same bytes in another order: the CRC of the C-order arrays refuses it
+            entry.write_bytes(header + path.read_bytes() + times.tobytes() + mats.tobytes(order="F"))
         elif damage == "object array":
-            np.savez(entry, key=key, times=times.astype(object), matrices=mats)
-        else:
+            with open(entry, "wb") as fh:
+                fh.write(header + path.read_bytes())
+                np.save(fh, times.astype(object), allow_pickle=True)
+                np.save(fh, mats.astype(object), allow_pickle=True)
+        elif damage == "another file's":
             other, _ = self.cached_file(tmp_path, "other.json", seed=4)
             entry.write_bytes(cache_entry(other).read_bytes())
+        elif damage == "flipped array bit":
+            # a bit of the last matrix entry: only the CRC tells
+            flipped = bytearray(good)
+            flipped[-3] ^= 4
+            entry.write_bytes(flipped)
+        elif damage == "shape against length":
+            # one matrix row fewer than the entry's length holds
+            entry.write_bytes(config._ENTRY.pack(tag, length, npoints, n - 1, k, crc) + good[len(header):])
+        elif damage == "huge shape":
+            # refused by the entry's length, before an array is allocated
+            entry.write_bytes(config._ENTRY.pack(tag, length, 2**60, n, k, crc) + good[len(header):])
+        elif damage == "wrong tag":
+            entry.write_bytes(good.replace(config._ENTRY_TAG, config._ENTRY_TAG.swapcase(), 1))
+        elif damage == "wrong version":
+            entry.write_bytes(good.replace(b" entry 1 ", b" entry 0 ", 1))
+        elif damage == "longer file":
+            # the file gains a byte after its copy in the entry, in a chunk of
+            # its own when the chunk is the copy's length
+            monkeypatch.setattr(config, "_CHUNK", length)
+            path.write_bytes(path.read_bytes() + b"\n")
+            times, mats = config._nested_matrix_file(path.read_bytes(), path, "sampled Hamiltonian")
+        else:
+            entry.write_bytes(good + b"\0")
         got = config._read_matrix_file(path, "sampled Hamiltonian")
         self.assert_same_outcome(got, (times, mats))
-        with np.load(entry, allow_pickle=False) as npz:
-            assert npz["key"].tobytes() == key.tobytes()
+        assert entry.read_bytes() == entry_bytes(path, times, mats)
         with no_parse():
             self.assert_same_outcome(config._read_matrix_file(path, "sampled Hamiltonian"), (times, mats))
+
+    def test_old_npz_entry_beside_is_ignored(self, tmp_path):
+        spec, _ = refutation_instance(3, TimeGrid.uniform(1.0, 8))
+        path = tmp_path / "ham.json"
+        write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
+        want = config._nested_matrix_file(path.read_bytes(), path, "sampled Hamiltonian")
+        # an entry in the earlier .npz format, which held other arrays here
+        old = path.parent / "__holosplit_cache__" / f"{path.name}.npz"
+        old.parent.mkdir()
+        np.savez(old, key=np.zeros(32, np.uint8), times=want[0] + 1, matrices=want[1] + 1)
+        stale = old.read_bytes()
+        self.assert_same_outcome(config._read_matrix_file(path, "sampled Hamiltonian"), want)
+        assert cache_entry(path).read_bytes() == entry_bytes(path, *want)
+        with no_parse():
+            self.assert_same_outcome(config._read_matrix_file(path, "sampled Hamiltonian"), want)
+        assert old.read_bytes() == stale
 
     @pytest.mark.parametrize("where", ["mkdir", "temporary directory", "write", "replace"])
     def test_unwritable_cache_reads_the_same_arrays(self, tmp_path, monkeypatch, where):
         def refuse(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
+        # "write" fails in the writer, with its temporary file open
         target = {"mkdir": (config.Path, "mkdir"), "temporary directory": (config.tempfile, "mkdtemp"),
-                  "write": (config.np, "savez"), "replace": (config.os, "replace")}[where]
+                  "write": (config, "_entry_header"), "replace": (config.os, "replace")}[where]
         spec, _ = refutation_instance(3, TimeGrid.uniform(1.0, 8))
         path = tmp_path / "ham.json"
         write_sampled_hamiltonian(path, spec.grid.times, spec.samples)
@@ -799,6 +879,16 @@ class TestDispatch:
         assert bound.arguments == expected
         for key in ("steps", "seed"):
             assert bound.arguments.get(key) is None or type(bound.arguments[key]) is int
+
+    def test_a_wrapper_set_after_a_call_runs_on_the_next(self, monkeypatch):
+        # the parser is built by the first call and reused; each call looks
+        # the command up on the module again
+        argv = "separability --config run.json".split()
+        monkeypatch.setattr(cli, "cmd_separability", lambda config_path: 17)
+        assert main(argv) == 17
+        monkeypatch.setattr(cli, "cmd_separability", lambda config_path: 18)
+        assert main(argv) == 18
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestSeparability:
