@@ -307,7 +307,9 @@ class FramePath:
     @cached_property
     def drift(self) -> float:
         """max_t ||S(0) S(0)^dag - S(t) S(t)^dag||_F, how far the spanned
-        subspace moves; evaluated once per path, on first use."""
+        subspace moves; evaluated once per path, on first use: by a Fixed
+        section's precondition, or by the case_i verdict when a strided
+        scan of the frames finds no gap above separation_tol."""
         return float(subspace_gap(self.initial, self.frames).max())
 
 

@@ -10,7 +10,9 @@ holds whether or not A and K commute. A genuine split into holonomic and
 dynamical forward-ordered factors additionally requires [A(t), K(t')] = 0
 for all pairs of times. An exact bound on that commutator over every pair of
 grid times decides the case_iii verdict; the report's max_commutator is the
-magnitude from a sampled scan of the pairs.
+magnitude from a sampled scan of the pairs. The case_i verdict reads the
+path's drift, whose full sweep is skipped when one of the scanned frames
+already shows the subspace moving.
 
 With the section held as L = S V (sections), every generator is an M x M
 path the section forms once: F = -i S^dag H S, the one sandwich of H,
@@ -47,6 +49,7 @@ from .linalg import (
     frobenius,
     ordered_products,
     products,
+    subspace_gap,
     unitary_stack,
 )
 from .sections import InPhaseViolation, SectionPath, SectionRule, build_section, w_path
@@ -150,6 +153,13 @@ def yu_tong_factors(section: SectionPath) -> tuple[np.ndarray, np.ndarray]:
     return section.g, ordered_factor(section.f, section.schrodinger.grid, "reverse")
 
 
+def _scan_indices(npts: int) -> np.ndarray:
+    """At most COMMUTATOR_SCAN_LIMIT evenly spread indices of range(npts),
+    both ends included; strictly increasing after rounding, since the step is
+    exactly 1 up to COMMUTATOR_SCAN_LIMIT points and above 1 beyond."""
+    return np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int)
+
+
 def max_commutator_scan(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     """max over sampled (t, t') of ||[A(t), K(t')]||_F.
 
@@ -157,10 +167,7 @@ def max_commutator_scan(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     always including both endpoints. It only fills the reported magnitude;
     the verdict comes from the exact bound over every grid pair.
     """
-    npts = a_mats.shape[0]
-    # strictly increasing after rounding: the step is exactly 1 up to
-    # COMMUTATOR_SCAN_LIMIT points and above 1 beyond
-    idx = np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int)
+    idx = _scan_indices(a_mats.shape[0])
     # every sampled pair (t, t') at once: a[:, None] k[None] is A(t) K(t')
     a, k = a_mats[idx][:, None], k_mats[idx][None]
     return float(np.linalg.norm(products(a, k) - products(k, a), axis=(2, 3)).max())
@@ -178,14 +185,13 @@ def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
 
     def expand(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         npts, m, _ = mats.shape
-        # a view: a C-order stack reshapes as it is, a time-last one is the
-        # transpose of its (M^2, T) buffer
-        flat = (mats.reshape(npts, m * m) if mats.flags.c_contiguous
-                else np.moveaxis(mats, 0, -1).reshape(m * m, npts).T)
+        # the (M^2, T) rows: a view of a time-last stack, a small copy of a
+        # C-order one
+        rows = np.moveaxis(mats, 0, -1).reshape(m * m, npts)
         # the stack's right singular vectors are those of its R factor, an
-        # SVD of at most M^2 x M^2 whatever T is; flat @ vh^dag holds w s
-        vh = np.linalg.svd(np.linalg.qr(flat, mode="r"))[2]
-        return np.abs(flat @ vh.conj().T).max(axis=0), vh.reshape(-1, m, m)
+        # SVD of at most M^2 x M^2 whatever T is; conj(vh) @ rows holds (w s)^T
+        vh = np.linalg.svd(np.linalg.qr(rows.T, mode="r"))[2]
+        return np.abs(vh.conj() @ rows).max(axis=1), vh.reshape(-1, m, m)
 
     ca, u = expand(a_mats)
     ck, v = expand(k_mats)
@@ -193,8 +199,20 @@ def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     return float(ca @ np.linalg.norm(comm, axis=(2, 3)) @ ck)
 
 
+def _constant_subspace(schrodinger: FramePath, tol: Tolerances) -> bool:
+    """drift <= separation_tol, with the full sweep of drift taken only when
+    no witness is found: a gap above tol on one of the _scan_indices frames.
+    A drift already formed, by a Fixed section's precondition, is read as
+    it is."""
+    if "drift" not in vars(schrodinger):
+        frames = schrodinger.frames
+        if subspace_gap(schrodinger.initial, frames[_scan_indices(len(frames))]).max() > tol.separation_tol:
+            return False
+    return schrodinger.drift <= tol.separation_tol
+
+
 def _classify(schrodinger: FramePath, a: np.ndarray, k: np.ndarray, tol: Tolerances) -> str:
-    if schrodinger.drift <= tol.separation_tol:
+    if _constant_subspace(schrodinger, tol):
         return "case_i"
     if float(np.linalg.norm(k, axis=(1, 2)).max()) <= tol.separation_tol:
         return "case_ii"

@@ -7,7 +7,8 @@ L(t) = S(t) V(t) with V(t) an M x M unitary path and V(0) = I. A SectionPath
 holds S, V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t),
 which each rule forms from the Schrodinger overlaps it already takes; W(t) =
 L(t)^dag S(t) is V(t)^dag, so U = O W. It holds F = -i S^dag H S too, the
-run's one sandwich of H, which a gauge transform rotates, and what the
+run's one sandwich of H (for a Constant H taken once, at t = 0, as F is
+conserved), which a gauge transform rotates, and what the
 section forms once, in _section, shared by every rule and by
 gauge_transform: the generators of W, the connection A (the np.gradient
 difference of its step overlaps, which feeds the verdict, w_final and
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import FramePath, HamiltonianSpec, _chunks, _sandwich, hamiltonian_path
+from .dynamics import Constant, FramePath, HamiltonianSpec, _chunks, _sandwich, hamiltonian_path
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -226,8 +227,12 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
     """Construct the section L(t) = S(t) V(t) prescribed by rule for the
     given evolution: V = S^dag S(0) for a Fixed rule, diag(exp(-i arg
     <psi_j(0)|psi_j(t)>)) for PhaseAnchored, S^dag L for Custom. F =
-    skew(-i S^dag H S) is the run's one sandwich of H: spec is sampled in
-    chunks, each sandwiched between the Schrodinger frames while in cache.
+    skew(-i S^dag H S) is the run's one sandwich of H: a Sampled spec is
+    sampled in chunks, each sandwiched between the Schrodinger frames while
+    in cache. For a Constant spec S(t) = exp(-iHt) S(0), and exp(-iHt)
+    commutes with H, so F(t) = F(0) exactly: one sandwich at t = 0 fills
+    every grid point. schrodinger must be the evolution of spec (as
+    propagate_frame gives it); F is not checked against it.
 
     Raises SectionError when the rule's precondition fails: a Fixed rule on a
     moving subspace, a PhaseAnchored rule whose anchor overlap collapses, or
@@ -236,11 +241,14 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
     rank, naming the step count and the smallest step cosine; ValueError,
     naming both dimensions, when spec's dimension is not the frames' N.
     """
-    s = schrodinger.frames
+    s, times = schrodinger.frames, schrodinger.grid.times
     npts, m = s.shape[0], s.shape[2]
     f = _time_last((npts, m, m))
-    for sl in _chunks(npts, schrodinger.n):
-        f[sl] = _sandwich(hamiltonian_path(spec, schrodinger.grid.times[sl]), s[sl])
+    if isinstance(spec, Constant):
+        f[...] = _sandwich(hamiltonian_path(spec, times[:1]), s[:1])
+    else:
+        for sl in _chunks(npts, schrodinger.n):
+            f[sl] = _sandwich(hamiltonian_path(spec, times[sl]), s[sl])
 
     if isinstance(rule, Fixed):
         drift = schrodinger.drift

@@ -472,7 +472,8 @@ class TestSeparabilityReport:
     def test_fixed_run_evaluates_the_drift_once(self, monkeypatch):
         # the Fixed precondition and the case_i verdict read one drift
         # max_t ||S(0)S(0)^dag - S(t)S(t)^dag||, the only subspace gap taken
-        # of the single frame S(0) against the whole path
+        # of the single frame S(0) against the whole path; a moving run
+        # finds a witness among the scanned frames and takes no full sweep
         drifts = []
 
         def counting_gap(a, b):
@@ -487,6 +488,28 @@ class TestSeparabilityReport:
         _, report = decompose(spec, psi0, rule, TimeGrid.uniform(p.tau, 512))
         assert report.classification == "case_i"
         assert drifts == [(513, 3, 2)]
+        drifts.clear()
+        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 256))
+        _, report = decompose(spec, psi0, PhaseAnchored(), spec.grid)
+        assert report.classification == "non_separable"
+        assert drifts == [(COMMUTATOR_SCAN_LIMIT, 4, 2)]
+
+    def test_drift_between_scanned_frames_is_not_case_i(self):
+        # the subspace leaves and returns strictly between two scanned
+        # frames: no witness, so the full sweep decides
+        npts = 300
+        scanned = np.linspace(0, npts - 1, COMMUTATOR_SCAN_LIMIT).round().astype(int)
+        lo, hi = scanned[20:22]
+        assert hi - lo > 1
+        frames = np.zeros((npts, 3, 2), dtype=complex)
+        frames[:, 0, 0] = frames[:, 1, 1] = 1.0
+        # the second column turns from e1 to e2 and back
+        frames[lo + 1 : hi, 1, 1], frames[lo + 1 : hi, 2, 1] = 0.0, 1.0
+        schrod = FramePath(TimeGrid.uniform(1.0, npts - 1), frames)
+        assert linalg.subspace_gap(schrod.initial, frames[scanned]).max() == 0.0
+        zeros = np.zeros((npts, 2, 2), dtype=complex)
+        assert _classify(schrod, zeros, zeros, DEFAULT_TOL) == "case_ii"
+        assert schrod.drift == pytest.approx(np.sqrt(2.0))
 
     def test_commutator_sufficiency(self, case_i, case_ii, case_iii):
         for ns in (case_i, case_ii, case_iii):
@@ -581,8 +604,9 @@ class TestMaxCommutatorScan:
 
 class TestDecomposeWork:
     """A decompose forms each midpoint H of the propagation once and samples
-    H at the grid points once per chunk of the F sandwich in build_section,
-    whether it is the one decompose call or the three calls it makes."""
+    H at the grid points once per chunk of the F sandwich in build_section
+    (a Constant H once, at t = 0), whether it is the one decompose call or
+    the three calls it makes."""
 
     @pytest.fixture
     def sampled(self, monkeypatch):
@@ -635,8 +659,9 @@ class TestDecomposeWork:
             sampled.clear()
             spec, psi0, rule = case_setup(case, p)
             run(spec, psi0, rule, TimeGrid.uniform(p.tau, 256))
-            # the exact Constant route samples no H; F takes one chunk
-            assert sampled == [257]
+            # the exact Constant route samples no H; F(t) = F(0) is
+            # conserved, so it takes the one sample at t = 0
+            assert sampled == [1]
 
     def test_commands(self, sampled, tmp_path):
         spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 256))
@@ -718,6 +743,14 @@ class TestCommutatorBound:
         brute = np.linalg.norm(pairs, axis=(2, 3)).max()
         scale = np.linalg.norm(a, axis=(1, 2)).max() * np.linalg.norm(k, axis=(1, 2)).max()
         assert _commutator_bound(a, k) >= brute - 1e-12 * scale
+
+    @pytest.mark.parametrize("npts", [1, 3, 4097])
+    def test_same_bits_on_c_order_and_time_last_stacks(self, npts):
+        # both layouts read the same C-order (M^2, T) rows
+        rng = np.random.default_rng(npts)
+        a, k = random_skew_stack(rng, npts, 2, 3), random_skew_stack(rng, npts, 2, 4)
+        time_last = [np.moveaxis(np.moveaxis(x, 0, -1).copy(), -1, 0) for x in (a, k)]
+        assert _commutator_bound(a, k) == _commutator_bound(*time_last)
 
     def test_commuting_family_in_rotated_basis(self, refutation_7_schrodinger):
         schrod = refutation_7_schrodinger

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import polar_decompose, run_case, section_frames
 from holosplit.config import _load_custom_section, matrix_to_json
-from holosplit.dynamics import Constant, FramePath, TimeGrid, propagate_frame
+from holosplit.dynamics import Constant, FramePath, TimeGrid, _sandwich, hamiltonian_path, propagate_frame
 from holosplit.holonomy import separability_report
 from holosplit.instances import (
     cosine_drive,
@@ -17,7 +17,7 @@ from holosplit.instances import (
     random_nonabelian_loop,
     refutation_instance,
 )
-from holosplit.lambda_system import LambdaParams
+from holosplit.lambda_system import LambdaParams, case_setup
 from holosplit.linalg import expm_skew, frobenius, overlaps, products, skew_part
 from holosplit.sections import (
     Custom,
@@ -93,6 +93,22 @@ class TestBuildSection:
                                 case_ii.grid)
         with pytest.raises(SectionError, match="span"):
             build_section(Custom(wrong), case_ii.schrod, case_ii.spec)
+
+    @pytest.mark.parametrize("steps", [256, 4096])
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    def test_constant_spec_conserves_f(self, case, steps):
+        # S(t) = exp(-iHt) S(0) and exp(-iHt) commutes with H, so F(t) is
+        # F(0): one sandwich fills the stack, which stays time-last and
+        # read-only
+        p = LambdaParams(omega0=SQRT3, delta=1.0, tau=np.pi / 2, eta=np.pi / 3)
+        spec, psi0, rule = case_setup(case, p)
+        schrod = propagate_frame(spec, psi0, TimeGrid.uniform(p.tau, steps))
+        f = build_section(rule, schrod, spec).f
+        per_point = _sandwich(hamiltonian_path(spec, schrod.grid.times), schrod.frames)
+        assert np.abs(f - per_point).max() <= 1e-14
+        assert (f == f[0]).all()
+        assert not f.flags.writeable
+        assert all(f[:, i, j].flags.c_contiguous for i in range(2) for j in range(2))
 
     def test_starts_at_schrodinger_frame(self, case_ii, case_iii):
         for ns in (case_ii, case_iii):
