@@ -8,8 +8,8 @@ closed gauge). Every subcommand is one row of the command table in
 _build_parser: its name, help, cmd_* function name and options, each option's
 dest a parameter of that function. An omitted option is not passed, so
 each default lives only in the cmd_* signature. Exit codes: 0 success, 1
-negative verdict, 2 in-phase violation, 3 config error, 4 output I/O
-failure.
+negative verdict, 2 in-phase violation, 3 config or usage error, 4 output
+I/O failure.
 """
 
 from __future__ import annotations
@@ -178,7 +178,10 @@ def cmd_export(config_path: str, out_path: str, *, tau=None, steps=None) -> int:
         return _exit_code(exc)
 
     times = cfg.grid.times
-    idx = range(1, mats[0].shape[1] + 1)
+    # both indices zero-padded to the digits of M, so that (1, 11) and (11, 1)
+    # are told apart; for M <= 9 the names are A_jk_re and so on
+    m = mats[0].shape[1]
+    idx = [f"{i:0{len(str(m))}}" for i in range(1, m + 1)]
     header = ["t"] + [f"{prefix}_{j}{k}_{part}" for prefix in "AKWO"
                       for j in idx for k in idx for part in ("re", "im")]
     # each (T, M, M) complex stack viewed as T rows of interleaved re, im
@@ -232,6 +235,16 @@ def cmd_gauge_check(config_path: str, seed: int | None = None, *, tau=None, step
     return _fail(EXIT_VERDICT, "gauge covariance violated; the pipeline is inconsistent")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 3, the input-error code, in
+    place of argparse's 2, which is the in-phase violation's. Subparsers
+    take the class of their parent, so the rule holds on every command."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """One subparser per row of the command table, built once, on the first
@@ -252,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("gauge-check", "verify covariance under a random closed gauge", "cmd_gauge_check",
          (config, ("--seed", {"type": int}), steps, tau)),
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holosplit",
         description="Subspace evolution and its holonomic/dynamical decomposition",
     )

@@ -88,10 +88,16 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 def _holds_boolean(v) -> bool:
     """Whether a parsed JSON value is or nests a true/false, which numpy
-    would read as the number 1 or 0."""
-    if isinstance(v, list):
-        return any(_holds_boolean(x) for x in v)
-    return isinstance(v, bool)
+    would read as the number 1 or 0. Walked with a list, not by recursion,
+    so that no depth of nesting ends in a RecursionError."""
+    pending = [v]
+    while pending:
+        x = pending.pop()
+        if isinstance(x, list):
+            pending.extend(x)
+        elif isinstance(x, bool):
+            return True
+    return False
 
 
 def _real_array(rows, what: str) -> np.ndarray:
@@ -413,7 +419,13 @@ def _resolve_system(
     if kind == "sampled":
         _take(d, {"kind", "path"}, {"kind", "path"}, where)
         path = _file_path(d["path"], base, f"{where}.path")
-        return load_sampled_hamiltonian(path, structure_tol=structure_tol), None
+        spec = load_sampled_hamiltonian(path, structure_tol=structure_tol)
+        # the run's grid is [0, tau] and a file's starts at 0; checked here,
+        # so that the error names the field and the file before propagation
+        if tau > spec.grid.tau:
+            raise ConfigError(f"grid.tau {tau!r} is past the end of sampled Hamiltonian {path}, "
+                              f"which is sampled up to t = {spec.grid.tau!r}")
+        return spec, None
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
@@ -425,10 +437,11 @@ def load_run_config(
 ) -> RunConfig:
     """Parse and resolve a run configuration file."""
     # the stdlib parser, not orjson: a config may hold an exact integer
-    # beyond 2**64 (a seed), which orjson would read as a float
+    # beyond 2**64 (a seed), which orjson would read as a float. It recurses
+    # once per level of nesting, so a deep enough file is a RecursionError
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     base = Path(path).parent
 

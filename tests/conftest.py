@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from holosplit import LambdaParams, case_setup, decompose, propagate_frame
+from holosplit import LambdaParams, PhaseAnchored, case_setup, decompose, propagate_frame
 from holosplit.dynamics import Sampled, TimeGrid, _propagate, hamiltonian_path
+from holosplit.instances import refutation_instance
 from holosplit.linalg import _require_square, as_complex_matrix, frobenius, hermitian_part, overlaps, products
 
 SQRT3 = np.sqrt(3.0)
@@ -107,6 +108,15 @@ def run_case(which, omega0=SQRT3, delta=1.0, tau=np.pi / 2, eta=np.pi / 3,
     """Full pipeline for a Lambda case; memoized across the whole session."""
     return _run_case_cached(which, float(omega0), float(delta), float(tau),
                             float(eta), complex(omega1), complex(omega2), int(steps))
+
+
+@functools.lru_cache(maxsize=8)
+def refutation_run(seed, steps):
+    """(section, report) of a phase-anchored decompose of
+    refutation_instance(seed) on a uniform grid of steps steps over tau = 2;
+    memoized across the session."""
+    spec, psi0 = refutation_instance(seed, TimeGrid.uniform(2.0, steps))
+    return decompose(spec, psi0, PhaseAnchored(), spec.grid)
 
 
 @pytest.fixture(scope="session")

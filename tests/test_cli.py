@@ -638,17 +638,22 @@ class TestMatrixFileRoutes:
 
     def test_commands_give_the_same_bytes_from_the_cache(self, tmp_path, capsys):
         ham, path = TestExitCodes.sampled_config(tmp_path)
+        other, _ = self.cached_file(tmp_path, "other.json", seed=4)
         runs = []
-        for state in ("miss", "hit", "deleted"):
+        for state in ("miss", "hit", "deleted", "garbage", "another file's"):
             if state == "deleted":
                 cache_entry(ham).unlink()
+            elif state == "garbage":
+                cache_entry(ham).write_bytes(b"garbage\n")
+            elif state == "another file's":
+                cache_entry(ham).write_bytes(cache_entry(other).read_bytes())
             out = tmp_path / state
             out.mkdir()
             codes = [command(str(path), out) for command in TestExitCodes.COMMANDS.values()]
             runs.append((codes, capsys.readouterr().out.replace(str(out), ""),
                          (out / "r.json").read_bytes(), (out / "t.csv").read_bytes()))
         assert runs[0][0] == [0, 1, 0, 0]
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestConfigTolerances:
@@ -880,6 +885,22 @@ class TestDispatch:
         for key in ("steps", "seed"):
             assert bound.arguments.get(key) is None or type(bound.arguments[key]) is int
 
+    @pytest.mark.parametrize("argv", [
+        "",
+        "frobnicate",
+        "decompose --config c.json",
+        "separability --config c.json --steps abc",
+        "demo --case iv",
+        "gauge-check --config c.json --seed 1.5",
+    ])
+    def test_usage_errors_exit_three(self, argv, capsys):
+        # an input error, not argparse's own 2, which is the in-phase code
+        with pytest.raises(SystemExit) as exited:
+            main(argv.split())
+        assert exited.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: holosplit") and "error: " in err
+
     def test_a_wrapper_set_after_a_call_runs_on_the_next(self, monkeypatch):
         # the parser is built by the first call and reused; each call looks
         # the command up on the module again
@@ -893,7 +914,7 @@ class TestDispatch:
 
 class TestSeparability:
     def test_lambda_cases_exit_zero(self, tmp_path, capsys):
-        for case, rule in (("i", "auto"), ("iii", "auto")):
+        for case, rule in (("i", "auto"), ("ii", "auto"), ("iii", "auto")):
             path = write_config(tmp_path / f"c{case}.json",
                                 subspace={"lambda_case": case},
                                 section={"rule": rule})
@@ -934,6 +955,22 @@ class TestExport:
         t = np.array([float(r["t"]) for r in rows])
         ref = np.sqrt(1 - 0.75 * np.sin(2 * t) ** 2)
         assert np.abs(o22 - ref).max() <= 1e-8
+
+    def test_names_are_unique_from_eleven_columns(self, tmp_path):
+        # unpadded, (1, 11) and (11, 1) would both be A_111; both indices
+        # are zero-padded to the digits of M, which leaves M <= 9 unpadded
+        rng = np.random.default_rng(0)
+        ham = hermitian_part(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+        path = write_config(tmp_path / "c.json",
+                            system={"kind": "constant", "matrix": matrix_to_json(ham)},
+                            subspace={"matrix": matrix_to_json(np.eye(12)[:, :11])},
+                            grid={"tau": 0.1, "steps": 4})
+        out = tmp_path / "t.csv"
+        assert cmd_export(str(path), str(out)) == 0
+        with open(out, newline="") as fh:
+            header = next(csv.reader(fh))
+        assert len(header) == 1 + 4 * 11 * 11 * 2 and len(set(header)) == len(header)
+        assert {"A_0111_re", "A_1101_re", "K_0101_im", "W_1111_re"} <= set(header)
 
     def test_deterministic(self, case_ii_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1005,17 +1042,19 @@ class TestExport:
 
         monkeypatch.setattr(cli, "_orjson_matches_repr", recorded_mask)
         out = tmp_path / "t.csv"
-        assert cmd_export(str(refutation_7_config), str(out), steps=1024) == 0
-        orjson_rows = np.concatenate(masks)
-        assert orjson_rows.size == 1025 and 0 < orjson_rows.sum() < 1025
-        with open(out, newline="") as fh:
-            _, *rows = list(csv.reader(fh))
-        table = np.array([[float(x) for x in row] for row in rows])
-        # a row holds a float whose orjson text is not its repr exactly
-        # where the writer took repr for it
-        differs = [any(orjson.dumps(x).decode() != repr(x) for x in row) for row in table.tolist()]
-        assert differs == list(~orjson_rows)
-        assert out.read_bytes() == _csv_module_bytes(out, table)
+        for steps in (1024, 256):
+            masks.clear()
+            assert cmd_export(str(refutation_7_config), str(out), steps=steps) == 0
+            orjson_rows = np.concatenate(masks)
+            assert orjson_rows.size == steps + 1 and 0 < orjson_rows.sum() < steps + 1
+            with open(out, newline="") as fh:
+                _, *rows = list(csv.reader(fh))
+            table = np.array([[float(x) for x in row] for row in rows])
+            # a row holds a float whose orjson text is not its repr exactly
+            # where the writer took repr for it
+            differs = [any(orjson.dumps(x).decode() != repr(x) for x in row) for row in table.tolist()]
+            assert differs == list(~orjson_rows)
+            assert out.read_bytes() == _csv_module_bytes(out, table)
 
     def test_peak_memory_no_higher_than_the_repr_writer(self, refutation_7_config, tmp_path, monkeypatch):
         import tracemalloc
@@ -1270,6 +1309,54 @@ class TestExitCodes:
         assert cmd_separability(str(path)) == 3
         err = capsys.readouterr().err
         assert err == f"config error: tolerances.{name} must be non-negative and finite, got inf\n"
+
+    def test_deep_config_names_the_config(self, tmp_path, capsys):
+        # json recurses once per level of nesting; its RecursionError is an
+        # input error, not exit 1, the negative verdict
+        path = tmp_path / "c.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cmd_separability(str(path)) == 3
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {path}: ")
+
+    def test_deep_matrix_names_the_field(self, tmp_path, capsys):
+        # json reads 600 levels, which a boolean walk recursing twice per
+        # level would not; numpy refuses the depth, naming the field
+        path = write_config(tmp_path / "c.json", subspace={"matrix": "@"})
+        path.write_text(path.read_text().replace('"@"', "[" * 600 + "]" * 600))
+        assert cmd_separability(str(path)) == 3
+        assert capsys.readouterr().err.startswith("config error: subspace frame must be an array of numbers")
+        rows = []
+        for _ in range(5000):
+            rows = [rows]
+        with pytest.raises(ConfigError, match="^constant Hamiltonian must be an array of numbers"):
+            matrix_from_json(rows, "constant Hamiltonian")
+
+    def test_deep_matrix_file_with_a_boolean_names_the_file(self, tmp_path, capsys):
+        # within orjson's 1024 levels; a file that spells true is walked,
+        # and the walk finds it at any depth
+        ham, path = self.sampled_config(tmp_path)
+        data = json.loads(ham.read_text())
+        data["matrices"] = "@"
+        ham.write_text(json.dumps(data).replace('"@"', "[" * 1000 + "true" + "]" * 1000))
+        assert cmd_separability(str(path)) == 3
+        err = capsys.readouterr().err
+        assert err == f'config error: sampled Hamiltonian {ham}: "matrices" must hold numbers, not booleans\n'
+
+    @pytest.mark.parametrize("tau, override", [(1.5, None), (1.0, 1.25)])
+    def test_grid_past_the_sampled_file_names_grid_tau(self, tau, override, tmp_path, capsys):
+        # the file is sampled on [0, 1]; the grid is refused at load, naming
+        # the field and the file, not at the first propagation step
+        ham, path = self.sampled_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["grid"]["tau"] = tau
+        path.write_text(json.dumps(cfg))
+        message = (f"grid.tau {override or tau!r} is past the end of sampled Hamiltonian {ham}, "
+                   "which is sampled up to t = 1.0")
+        with pytest.raises(ConfigError) as raised:
+            load_run_config(path, tau_override=override)
+        assert str(raised.value) == message
+        assert cmd_separability(str(path), tau=override) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("name", ["separation_tol", "structure_tol", "positivity_tol"])
     def test_negative_tolerance_exits_three(self, name, tmp_path, capsys):

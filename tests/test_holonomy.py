@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_case, section_frames, trivial_shift_check
+from conftest import refutation_run, run_case, section_frames, trivial_shift_check
 from holosplit.config import matrix_to_json, write_sampled_hamiltonian
 from holosplit.dynamics import (
     Constant,
@@ -271,12 +271,13 @@ def test_report_does_not_depend_on_the_chunk_size(monkeypatch, label):
 
 class TestKwWfIdentity:
     def test_lambda_cases(self, case_i, case_ii, case_iii):
-        for ns in (case_i, case_ii, case_iii):
+        for ns in (case_i, case_ii, case_iii, run_case("ii", steps=256)):
             assert kw_wf_residual(ns.section) <= 1e-10
 
     def test_random_instance(self):
         _, section, _ = random_pipeline(23, steps=4096)
         assert kw_wf_residual(section) <= 1e-8
+        assert kw_wf_residual(refutation_run(7, 256)[0]) <= 1e-8
 
     def test_identity_at_start(self, case_i):
         sec = case_i.section
@@ -304,10 +305,10 @@ class TestSolveAnandan:
         np.testing.assert_allclose(w_end, expected, atol=1e-10)
 
     def test_endpoint_is_the_report_w_final_bitwise(self, case_iii):
-        # 1000 steps, not a power of two, so the pairing has odd levels;
-        # the Yu-Tong pair is the report's G and D, bit for bit, too
-        spec, psi0 = refutation_instance(7, TimeGrid.uniform(2.0, 1000))
-        runs = [(case_iii.section, case_iii.report), decompose(spec, psi0, PhaseAnchored(), spec.grid)]
+        # 1000 steps, not a power of two, so the pairing has odd levels, and
+        # 256; the Yu-Tong pair (section.g, D) is the report's G and D, bit
+        # for bit, too
+        runs = [(case_iii.section, case_iii.report), refutation_run(7, 1000), refutation_run(7, 256)]
         for section, report in runs:
             np.testing.assert_array_equal(solve_anandan(section)[-1], report.w_final)
             g, d = yu_tong_factors(section)
@@ -380,27 +381,18 @@ class TestYuTongFactors:
         assert frobenius(d - dyn) <= 1e-6
 
 
-@pytest.fixture(scope="module")
-def refutation_sections():
-    """Phase-anchored sections of refutation seeds 7 and 10, 4096 steps."""
-    out = {}
-    for seed in (7, 10):
-        spec, psi0 = refutation_instance(seed)
-        out[seed] = decompose(spec, psi0, PhaseAnchored(), spec.grid)[0]
-    return out
-
-
 class TestHolonomicFactor:
     """G = section.g, the polar factor of the ordered step-overlap product."""
 
-    @pytest.mark.parametrize("run", ["ii", "iii", "refutation 7"])
+    @pytest.mark.parametrize("run", ["ii", "iii", "refutation 7", "refutation 7, 256 steps"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_conjugates_exactly_under_a_loop_gauge(self, run, seed, refutation_sections):
+    def test_conjugates_exactly_under_a_loop_gauge(self, run, seed):
         # each link L_{k+1}^dag L_k becomes g_{k+1}^dag (...) g_k, so the
         # product conjugates by g(0) at the closed ends, on any grid; the
         # ordered factor of the finite-difference A does only to O(dt^2);
         # at most 5.6e-15 measured
-        section = refutation_sections[7] if run == "refutation 7" else run_case(run).section
+        steps = {"refutation 7": 4096, "refutation 7, 256 steps": 256}.get(run)
+        section = run_case(run).section if steps is None else refutation_run(7, steps)[0]
         loop = random_nonabelian_loop(section.schrodinger.grid.times, 2, np.random.default_rng(seed))
         moved = gauge_transform(section, loop)
         assert frobenius(moved.g - loop[0].conj().T @ section.g @ loop[0]) <= 1e-12
@@ -417,9 +409,9 @@ class TestHolonomicFactor:
         assert ((3.6 <= ratios) & (ratios <= 4.4)).all(), ratios
 
     @pytest.mark.parametrize("seed", [7, 10])
-    def test_agrees_with_the_ordered_factor_of_a(self, seed, refutation_sections):
+    def test_agrees_with_the_ordered_factor_of_a(self, seed):
         # both are second order: 1.3e-8 (seed 10) to 4.0e-8 (seed 7) apart
-        section = refutation_sections[seed]
+        section = refutation_run(seed, 4096)[0]
         assert frobenius(section.g - ordered_factor(section.a, section.schrodinger.grid)) <= 1e-6
 
 

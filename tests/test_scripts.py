@@ -1,12 +1,15 @@
 """Smoke tests: each script under scripts/ runs to completion, and so does
-the README's library example."""
+the README's library example; and everything the CI workflow names exists."""
 
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from holosplit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -84,3 +87,29 @@ def test_readme_library_example(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.split()[0] == "case_iii"
+
+
+def test_workflow_names_only_what_exists(capsys):
+    # nothing runs the workflow until it is pushed, so a file, extra,
+    # subcommand or workload renamed under it would go unnoticed. It runs
+    # entry points and holds no inline Python: its assertions belong here
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    assert "<<" not in text
+    paths = set(re.findall(r"[\w./-]+\.(?:py|toml|json|txt|md)\b", text))
+    assert "bench/run.py" in paths
+    assert sorted(p for p in paths if not (ROOT / p).is_file()) == []
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^\[project\.optional-dependencies\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    extras = {e for found in re.findall(r"pip install -e \.\[([\w,-]+)\]", text) for e in found.split(",")}
+    assert extras and extras <= set(re.findall(r"^([\w-]+)\s*=", block.group(1), re.M))
+    # the help calls the workflow makes exit 0; an unknown command exits 3
+    commands = re.search(r'for c in ([\w -]+); do holosplit "\$c" --help', text).group(1).split()
+    assert len(commands) == 5 and "python -m holosplit --help" in text
+    for argv in [["--help"]] + [[command, "--help"] for command in commands]:
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: holosplit")
+    workloads = re.search(r"for w in ([\w -]+); do", text).group(1).split()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert workloads == [w["name"] for w in benchmark["workloads"]]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import polar_decompose, run_case, section_frames
+from conftest import polar_decompose, refutation_run, run_case, section_frames
 from holosplit.config import _load_custom_section, matrix_to_json
 from holosplit.dynamics import Constant, FramePath, TimeGrid, _sandwich, hamiltonian_path, propagate_frame
 from holosplit.holonomy import separability_report
@@ -256,7 +256,8 @@ class TestGaugeTransform:
     def test_keeps_the_in_phase_margin(self, family, case_ii, case_iii):
         # a closed gauge maps O(0,tau) to V(0)^dag O(0,tau) V(0), whose
         # Hermitian part has the same eigenvalues
-        for section in (case_ii.section, case_iii.section, _refutation_section(7), _refutation_section(10)):
+        for section in (case_ii.section, case_iii.section, _refutation_section(7), _refutation_section(10),
+                        refutation_run(7, 256)[0]):
             for seed in range(4):
                 v = family(section.schrodinger.grid.times, 2, np.random.default_rng(seed))
                 moved = gauge_transform(section, v)
