@@ -9,11 +9,11 @@ section) are parsed with orjson, which holds them to RFC 8259: a NaN or
 Infinity literal, or a number beyond the float range, is refused there.
 
 A matrix file whose "matrices" array is regular, as the writer's are, is
-read by a flat route: its inner brackets are blanked, so orjson returns the
-numbers as one flat list, and the bracket skeleton is checked against the
-shape before it is applied. The general reader, which builds the nested
-lists, decides every other file and names every error; both give the same
-arrays bit for bit.
+read by a flat route. The array is read one slice at a time: each slice's
+brackets are checked against the shape, then blanked, so that orjson returns
+its numbers as a flat list, which goes into one float array. The general
+reader, which builds the nested lists, decides every other file and names
+every error; both give the same arrays bit for bit.
 
 A matrix file's arrays are cached in __holosplit_cache__/<name>.entry beside
 it, with a copy of the file's bytes: a read whose file is byte for byte that
@@ -171,9 +171,10 @@ def _read_matrix_file(path: Path, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Read a {"dimension", "times", "matrices"} JSON file into its times and
     its (npoints, dimension, k) complex stack. A cache entry that holds the
     file's exact bytes gives the arrays without a parse. Otherwise the flat
-    route is tried first; a file it does not take goes, unchanged, to the
-    general reader, which decides every other file and names every error;
-    and the arrays are cached."""
+    route, which holds the file, the arrays and one slice's numbers, is tried
+    first; a file it does not take goes, unchanged, to the general reader,
+    which decides every other file and names every error; and the arrays are
+    cached."""
     entry = path.parent / "__holosplit_cache__" / f"{path.name}.entry"
     arrays = _cached_arrays(entry, path)
     if arrays is None:
@@ -243,20 +244,23 @@ def _cache_arrays(entry: Path, raw: bytes, times: np.ndarray, mats: np.ndarray) 
 
 _MATRIX_KEYS = {"dimension", "times", "matrices"}
 _JSON_SPACE = b" \t\n\r"
-# the "matrices" key up to its array's "[", and the first "]]]]" after it
+# the "matrices" key up to its array's "[", the first "]]" after it (the end
+# of the first row) and the first "]]]]" (the end of the array)
 _MATRICES_OPEN = re.compile(rb'"matrices"[ \t\n\r]*:[ \t\n\r]*\[')
+_ROW_CLOSE = re.compile(rb"\][ \t\n\r]*\]")
 _MATRICES_CLOSE = re.compile(rb"\][ \t\n\r]*\][ \t\n\r]*\][ \t\n\r]*\]")
 # every byte a JSON number may hold, as one mark
 _NUMBER_MARK = bytes.maketrans(b"0123456789.eE+-", b"0" * 15)
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_SLICE = 1 << 16  # about this many bytes of a "matrices" span are read at a time
 
 
-def _regular_skeleton(npoints: int, n: int, k: int) -> bytes:
-    """The brackets and commas of an (npoints, n, k) array of [re, im]
-    pairs, numbers and whitespace left out."""
-    row = b"[" + b",".join([b"[,]"] * k) + b"]"
-    matrix = b"[" + b",".join([row] * n) + b"]"
-    return b"[" + b",".join([matrix] * npoints) + b"]"
+def _slice_marks(piece: bytes) -> bytes:
+    """A slice of a "matrices" span with its whitespace left out and each
+    run of number bytes as one "0"."""
+    marks = np.frombuffer(piece.translate(_NUMBER_MARK, _JSON_SPACE), np.uint8)
+    numbers = marks == ord("0")
+    return marks[:1].tobytes() + marks[1:][~(numbers[1:] & numbers[:-1])].tobytes()
 
 
 def _flat_matrix_file(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
@@ -264,61 +268,66 @@ def _flat_matrix_file(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     the file is not one this route can prove regular.
 
     The "matrices" span runs from its "[" to the first "]]]]". Outside it
-    the file holds only its three keys' quotes and no true or false; inside
-    it, a number never follows a "]" or precedes a "[". With the span's inner
-    brackets blanked, orjson validates the whole file and returns the
-    numbers as one flat list; the span's skeleton must then be the regular
-    one for the parsed dimension, len(times) and number count. A file that
-    passes parses, with its brackets, to the same numbers in that shape."""
+    the file holds only its three keys' quotes and no true or false, and
+    orjson validates it with the span read as []. The span is then read in
+    slices of about _SLICE bytes, each cut after a comma. A slice's marks
+    (its brackets and commas, and a "0" for each number), its cut comma
+    kept, must go on the regular ones for the parsed dimension, len(times)
+    and the first row's pairs; then, its brackets blanked, orjson reads it
+    as a list of numbers into one float array. A file that passes parses,
+    with its brackets, to the same numbers in that shape."""
     head = _MATRICES_OPEN.search(raw)
     tail = head and _MATRICES_CLOSE.search(raw, head.end())
     if tail is None:
         return None
     start, end = head.end() - 1, tail.end()
-    outside = raw[:start] + raw[end:]
+    outside = raw[:start] + b"[]" + raw[end:]
     if outside.count(b'"') != 6 or b"true" in outside or b"false" in outside:
         return None
-    marks = np.frombuffer(raw[start:end].translate(_NUMBER_MARK, _JSON_SPACE), np.uint8)
-    numbers = marks == ord("0")
-    # one scratch mask, filled in place, for "]" then number and number then "["
-    misplaced = marks[:-1] == ord("]")
-    misplaced &= numbers[1:]
-    if misplaced.any():
-        return None
-    np.equal(marks[1:], ord("["), out=misplaced)
-    misplaced &= numbers[:-1]
-    if misplaced.any():
-        return None
-    del misplaced
-    skeleton = marks[np.logical_not(numbers, out=numbers)].tobytes()
-    del marks, numbers
-    # blanked in slices, so the copy is the only buffer the size of the file
-    blanked = bytearray(raw)
-    for i in range(start + 1, end - 1, 1 << 16):
-        j = min(i + (1 << 16), end - 1)
-        blanked[i:j] = blanked[i:j].translate(_BLANK_BRACKETS)
     try:
-        data = orjson.loads(blanked)
+        data = orjson.loads(outside)
     except orjson.JSONDecodeError:
         return None
-    del blanked
     if not (isinstance(data, dict) and data.keys() == _MATRIX_KEYS):
         return None
-    values, times, n = data["matrices"], data["times"], data["dimension"]
-    if not (isinstance(values, list) and isinstance(times, list) and times
-            and type(n) is int and n > 0):
-        return None
-    k, rest = divmod(len(values), 2 * n * len(times))
-    if rest or not k or skeleton != _regular_skeleton(len(times), n, k):
+    times, n = data["times"], data["dimension"]
+    if not (isinstance(times, list) and times and type(n) is int and n > 0):
         return None
     try:
-        values, times = np.array(values), np.array(times)
+        times = np.array(times)
     except (ValueError, OverflowError):
         return None
-    if values.dtype.kind not in "fiu" or times.dtype.kind not in "fiu":
+    del data, outside
+    # the "[" of the first row's pairs follow the span's, the matrix's and the row's
+    k = raw.count(b"[", start, _ROW_CLOSE.search(raw, start).start()) - 3
+    # a pair takes 6 bytes or more of the span ("[0,0]" and a "," or "]"), so
+    # nothing is allocated for more pairs than the span can hold
+    if times.dtype.kind not in "fiu" or k < 1 or 6 * len(times) * n * k > end - start:
+        return None
+    # inside the span, the marks are len(times) periods of a matrix and a comma, less the last comma
+    row = b"[" + b",".join([b"[0,0]"] * k) + b"]"
+    period = b"[" + b",".join([row] * n) + b"],"
+    size = len(times) * len(period) - 1
+    regular = period * (_SLICE // len(period) + 3)
+    values = np.empty(2 * n * k * len(times))
+    at, done, filled = start + 1, 0, 0
+    while at < end - 1:
+        stop = raw.find(b",", at + _SLICE, end - 1) + 1 or end - 1
+        marks, phase = _slice_marks(raw[at:stop]), done % len(period)
+        if done + len(marks) > size or not regular.startswith(marks, phase):
+            return None
+        try:
+            numbers = orjson.loads(b"[%b]" % raw[at:stop].translate(_BLANK_BRACKETS).removesuffix(b","))
+        except orjson.JSONDecodeError:
+            return None
+        values[filled:filled + len(numbers)] = numbers
+        at, done, filled = stop, done + len(marks), filled + len(numbers)
+        del numbers
+    # marks that stop short of the span's end leave values short
+    if filled != len(values):
         return None
     # the pairs viewed as complex128, as in _complex_from_pairs
-    mats = values.astype(float, copy=False).reshape(len(times), n, k, 2).view(complex)[..., 0]
+    mats = values.reshape(len(times), n, k, 2).view(complex)[..., 0]
     return times.astype(float, copy=False), mats
 
 

@@ -52,6 +52,16 @@ def test_product_crossover(monkeypatch, capsys):
     assert all(len(r) == 7 and all(float(x) > 0 for x in r[3:]) for r in rows)
 
 
+def test_first_read(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["first_read.py", "--files", "8x2", "4x3", "--repeats", "1"])
+    assert _load("first_read").main() == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["file", "MB", "first", "ms", "peak/file", "hit", "ms", "npz", "ms"]
+    rows = [r.split() for r in lines]
+    assert [r[0] for r in rows] == ["9x2x2", "5x3x3"]
+    assert all(len(r) == 6 and all(float(x) > 0 for x in r[1:]) for r in rows)
+
+
 def test_march_crossover(monkeypatch, capsys):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
