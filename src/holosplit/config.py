@@ -267,20 +267,25 @@ def _flat_matrix_file(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """The general reader's arrays without its nested lists, or None when
     the file is not one this route can prove regular.
 
-    The "matrices" span runs from its "[" to the first "]]]]". Outside it
-    the file holds only its three keys' quotes and no true or false, and
-    orjson validates it with the span read as []. The span is then read in
-    slices of about _SLICE bytes, each cut after a comma. A slice's marks
-    (its brackets and commas, and a "0" for each number), its cut comma
-    kept, must go on the regular ones for the parsed dimension, len(times)
-    and the first row's pairs; then, its brackets blanked, orjson reads it
-    as a list of numbers into one float array. A file that passes parses,
-    with its brackets, to the same numbers in that shape."""
+    The "matrices" span runs from its "[" to the last "]]]]", or to the first
+    spaced close if there is none; another close inside it breaks its marks.
+    Outside it the file holds only its three keys' quotes and no true or
+    false, and orjson validates it with the span read as []. The span is then
+    read in slices of about _SLICE bytes, each cut after a comma. A slice's
+    marks (its brackets and commas, and a "0" for each number), its cut
+    comma kept, must go on the regular ones for the parsed dimension,
+    len(times) and the first row's pairs; then, its brackets blanked, orjson
+    reads it as a list of numbers into one float array. A file that passes
+    parses, with its brackets, to the same numbers in that shape."""
     head = _MATRICES_OPEN.search(raw)
-    tail = head and _MATRICES_CLOSE.search(raw, head.end())
-    if tail is None:
+    if head is None:
         return None
-    start, end = head.end() - 1, tail.end()
+    # from the file's end, where the writer puts it; the regex tries every "]"
+    close = raw.rfind(b"]]]]", head.end())
+    tail = _MATRICES_CLOSE.search(raw, head.end()) if close < 0 else None
+    if close < 0 and tail is None:
+        return None
+    start, end = head.end() - 1, tail.end() if tail else close + 4
     outside = raw[:start] + b"[]" + raw[end:]
     if outside.count(b'"') != 6 or b"true" in outside or b"false" in outside:
         return None

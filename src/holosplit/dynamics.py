@@ -16,6 +16,8 @@ sample is read once per step (scripts/march_crossover.py measures both
 rules). propagate_frame picks its kernel from the spec type and the
 frame's shape alone: exact for a Constant H, a second-order midpoint step
 for a Sampled one, orthonormal to roundoff at every grid point either way.
+Memory rule: a decompose holds the frame path once; a pass that would copy
+it goes one _chunks chunk at a time, each written straight into its result.
 Units: hbar = 1; times in s, frequencies in rad/s, both dimensionless in
 code.
 """
@@ -260,6 +262,28 @@ def hamiltonian_path(spec: HamiltonianSpec, times: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a Hamiltonian spec: {type(spec).__name__}")
 
 
+# bytes of (rows, n, n) complex Hamiltonians sampled and used at a time: a
+# chunk and its interpolation temporary stay in a 2-4 MiB L2 cache, and the
+# Python cost per chunk stays small against its work
+_CHUNK_BYTES = 2**20
+
+
+def _chunks(count: int, n: int, m: int | None = None) -> list[slice]:
+    """Consecutive slices covering range(count), each of about _CHUNK_BYTES
+    of n x m complex matrices, m = n if None (at least one row)."""
+    rows = max(1, _CHUNK_BYTES // (16 * n * (n if m is None else m)))
+    return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
+
+
+def _frame_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """overlaps(a, b) of a path a (T, N, M) with a path or one frame b, a
+    chunk at a time: its bits, without the whole call's conjugated copy of a."""
+    out = _time_last((len(a), a.shape[2], b.shape[-1]))
+    for sl in _chunks(len(a), a.shape[1]):
+        out[sl] = overlaps(a[sl], b if b.ndim == 2 else b[sl])
+    return out
+
+
 @dataclass(frozen=True)
 class FramePath:
     """Orthonormal N x M frame per grid point, stored as (npoints, N, M):
@@ -279,7 +303,7 @@ class FramePath:
             raise ValueError("frame count must equal grid point count")
         if not np.isfinite(f).all():
             raise ValueError("frame path contains non-finite entries")
-        residual = np.linalg.norm(overlaps(f, f) - np.eye(f.shape[2]), axis=(1, 2)).max()
+        residual = np.linalg.norm(_frame_overlaps(f, f) - np.eye(f.shape[2]), axis=(1, 2)).max()
         if residual > 10 * self.structure_tol:
             raise ValueError(f"columns not orthonormal (residual {residual:.3e})")
         # a read-only view, so the caller's array stays writeable and
@@ -310,20 +334,8 @@ class FramePath:
         subspace moves; evaluated once per path, on first use: by a Fixed
         section's precondition, or by the case_i verdict when a strided
         scan of the frames finds no gap above separation_tol."""
-        return float(subspace_gap(self.initial, self.frames).max())
-
-
-# bytes of (rows, n, n) complex Hamiltonians sampled and used at a time: a
-# chunk and its interpolation temporary stay in a 2-4 MiB L2 cache, and the
-# Python cost per chunk stays small against its work
-_CHUNK_BYTES = 2**20
-
-
-def _chunks(count: int, n: int) -> list[slice]:
-    """Consecutive slices covering range(count), each of about _CHUNK_BYTES
-    of n x n complex matrices (at least one row)."""
-    rows = max(1, _CHUNK_BYTES // (16 * n * n))
-    return [slice(a, min(a + rows, count)) for a in range(0, count, rows)]
+        f = self.frames
+        return max(float(subspace_gap(self.initial, f[sl]).max()) for sl in _chunks(len(f), self.n))
 
 
 def _taylor_march(spec: Sampled, times: np.ndarray, dts: np.ndarray, out: np.ndarray) -> None:
@@ -414,19 +426,23 @@ def _propagate(spec: Sampled, psi0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     # the first step
     mids = _checked_times(spec, 0.5 * (grid.times[:-1] + grid.times[1:]))
     dts = np.diff(grid.times)
+    n = psi0.shape[0]
+    if n >= 20:  # formed before the path, so their temporaries do not stack on it
+        spec._norms
     out = np.empty((grid.times.size, *psi0.shape), dtype=complex)
     out[0] = psi0
     # measured crossover (scripts/march_crossover.py): with Taylor slices,
     # ||H dt||_1 <= 1/2, the slice kernel wins below N = 20 whatever M is;
     # real slices are chunked as 2N complex levels, to keep the memory peak
-    n = psi0.shape[0]
     for sl in _chunks(dts.size, 2 * n if n in _REAL_SLICES else n):
         frames = out[sl.start : sl.stop + 1]
         if n >= 20:
             _taylor_march(spec, mids[sl], dts[sl], frames)
         else:
             _slice_march(hamiltonian_path(spec, mids[sl]), dts[sl], frames)
-    out[1:] = loewdin_orthonormalize(out[1:])
+    frames = out[1:]
+    for sl in _chunks(dts.size, n):
+        frames[sl] = loewdin_orthonormalize(frames[sl])
     return out
 
 
@@ -451,7 +467,7 @@ def propagate_frame(
     planned per chunk from a bound on its largest ||H dt||_1 that the
     spec's cached per-sample norms give, each midpoint H formed right before
     its step. All agree to roundoff, and their frames are orthonormalized
-    once, by one batched Loewdin pass.
+    once, by one batched Loewdin pass, in place a chunk at a time.
     psi0 must have at least one column and orthonormal columns; the
     returned path starts at psi0 exactly and keeps orthonormality at every
     grid point.

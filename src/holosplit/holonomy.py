@@ -26,7 +26,8 @@ with and W = V^dag, so every function here takes the section alone, but
 separability_report, which takes that path beside it and refuses any other.
 decompose is the whole run: propagate, build the section, report. Every
 ordered exponential, the Anandan path and the three other endpoint factors
-alike, is one ordered_factor call.
+alike, is one ordered_factor call. The report gathers the witness frames a
+chunk at a time and the scan's pairs a block of A rows at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .dynamics import (
     FramePath,
     HamiltonianSpec,
     TimeGrid,
+    _chunks,
     dimension,
     propagate_frame,
 )
@@ -168,9 +170,12 @@ def max_commutator_scan(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
     the verdict comes from the exact bound over every grid pair.
     """
     idx = _scan_indices(a_mats.shape[0])
-    # every sampled pair (t, t') at once: a[:, None] k[None] is A(t) K(t')
+    # a[:, None] k[None] is A(t) K(t'), in blocks of A rows whose four stacks
+    # of len(idx) M x M matrices take a chunk's bytes: at M = 2 one block
     a, k = a_mats[idx][:, None], k_mats[idx][None]
-    return float(np.linalg.norm(products(a, k) - products(k, a), axis=(2, 3)).max())
+    m = k.shape[-1]
+    return float(max(np.linalg.norm(products(a[sl], k) - products(k, a[sl]), axis=(2, 3)).max()
+                     for sl in _chunks(len(idx), m, 4 * len(idx) * m)))
 
 
 def _commutator_bound(a_mats: np.ndarray, k_mats: np.ndarray) -> float:
@@ -205,8 +210,9 @@ def _constant_subspace(schrodinger: FramePath, tol: Tolerances) -> bool:
     A drift already formed, by a Fixed section's precondition, is read as
     it is."""
     if "drift" not in vars(schrodinger):
-        frames = schrodinger.frames
-        if subspace_gap(schrodinger.initial, frames[_scan_indices(len(frames))]).max() > tol.separation_tol:
+        frames, idx = schrodinger.frames, _scan_indices(len(schrodinger.frames))
+        if any(subspace_gap(schrodinger.initial, frames[idx[sl]]).max() > tol.separation_tol
+               for sl in _chunks(len(idx), schrodinger.n)):
             return False
     return schrodinger.drift <= tol.separation_tol
 

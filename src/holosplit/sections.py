@@ -21,7 +21,8 @@ section frame is formed. W, A and K have meaning only against the
 section's own evolution, so a function of a section takes the section
 alone.
 Subspace checks use the gap sqrt(2) ||b - a a^dag b||_F between orthonormal
-frames (linalg.subspace_gap).
+frames (linalg.subspace_gap). Each pass over the frame path (F, the step
+overlaps, a Fixed or Custom V and gap) goes a dynamics._chunks chunk at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Constant, FramePath, HamiltonianSpec, _chunks, _sandwich, hamiltonian_path
+from .dynamics import Constant, FramePath, HamiltonianSpec, _chunks, _frame_overlaps, _sandwich, hamiltonian_path
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -167,7 +168,7 @@ def _connection(schrodinger: FramePath, rule: SectionRule, v: np.ndarray,
     v = v if rotation is None else products(rotation, v)
 
     def step_overlaps(j, k):
-        return products(overlaps(v[j], overlaps(s[j], s[k])), v[k])
+        return products(overlaps(v[j], _frame_overlaps(s[j], s[k])), v[k])
 
     steps = step_overlaps(slice(0, n - 1), slice(1, n))
     g = _transport(steps)
@@ -257,7 +258,7 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
         s0 = schrodinger.initial
         gram = _time_last((npts, m, m))
         gram[...] = overlaps(s0, s0)
-        return _section(schrodinger, rule, overlaps(s, s0), gram, f)
+        return _section(schrodinger, rule, _frame_overlaps(s, s0), gram, f)
 
     if isinstance(rule, PhaseAnchored):
         u = overlaps(s[0], s)
@@ -281,12 +282,12 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
             raise SectionError("custom section grid differs from the evolution grid")
         if path.frames.shape != s.shape:
             raise SectionError("custom section shape does not match the evolution")
-        gap = float(subspace_gap(path.frames, s).max())
+        gap = max(float(subspace_gap(path.frames[sl], s[sl]).max()) for sl in _chunks(npts, schrodinger.n))
         if gap > 10 * tol.structure_tol:
             raise SectionError(f"custom section does not span the evolving subspace (gap {gap:.3e})")
         if frobenius(path.initial - schrodinger.initial) > 10 * tol.structure_tol:
             raise SectionError("custom section must start at the Schrodinger frame")
-        return _section(schrodinger, rule, overlaps(s, path.frames), overlaps(path.initial, path.frames), f)
+        return _section(schrodinger, rule, _frame_overlaps(s, path.frames), overlaps(path.initial, path.frames), f)
 
     raise TypeError(f"not a section rule: {type(rule).__name__}")
 

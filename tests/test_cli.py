@@ -435,6 +435,9 @@ class TestMatrixFileRoutes:
         # a pair with no real part
         ("[[[[0,0]]],[[[,0]]]]", False),
         ("[[[[0,0]]],[[[1,0]]],[[[2,0]]]]", False),
+        # a spaced close before a compact one: the span runs to the compact
+        # one, and the spaced one inside it breaks the marks
+        ("[[[[0,0]]],[[[1,0]] ] ]]]]]", False),
         ("[[[[0,0,0]]],[[[1,0,0]]]]", False),
         ("[[[0,0]],[[1,0]]]", False),
         ("[[[[0,null]]],[[[1,0]]]]", False),
@@ -455,6 +458,8 @@ class TestMatrixFileRoutes:
         '{"dimension": 1, "times": [true, 1], "matrices": [[[[0,0]]],[[[1,0]]]]}',
         '{"dimension": 1, "times": [0, 1, 2], "matrices": [[[[0,0]]],[[[1,0]]]]}',
         '{"dimension": 1, "times": [[0, 1]], "matrices": [[[[0,0]]],[[[1,0]]]]}',
+        # a close in nested times after the matrices ends the span there
+        '{"dimension": 1, "matrices": [[[[0,0]]],[[[1,0]]]], "times": [[[[0]]],[[[1]]]]}',
         '{"dimension": 1, "times": "01", "matrices": [[[[0,0]]],[[[1,0]]]]}',
         '{"dimension": 1, "times": [0, 1], "matr\\u0069ces": [[[[0,0]]],[[[1,0]]]]}',
         '{"dimension": 1, "times": [0, 1], "matrices": [[[[0,0]]],[[[1,0]]]], "extra": 1}',

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from holosplit.dynamics import (
     Sampled,
     TimeGrid,
     _chunks,
+    _frame_overlaps,
     _one_norms,
     _propagate,
     _sandwich,
@@ -32,6 +34,7 @@ from holosplit.linalg import (
     ordered_products,
     overlaps,
     products,
+    subspace_gap,
     unitary_stack,
 )
 
@@ -573,6 +576,60 @@ class TestChunkedPropagation:
         # beyond it
         with pytest.raises(ValueError, match="outside"):
             propagate_frame(spec, random_frame(24, 2, rng), TimeGrid.uniform(1.5, 2000))
+
+
+class TestChunkedFramePasses:
+    """Every pass over a whole frame path goes one _chunks chunk at a time;
+    the whole-path call is the reference, bit for bit, at any chunk size."""
+
+    @pytest.mark.parametrize("exponent", [12, 16, 22])
+    @pytest.mark.parametrize("n, m, k", [(4, 2, 2), (24, 2, 2), (24, 2, 3), (64, 4, 4)])
+    def test_frame_overlaps_match_the_whole_path(self, monkeypatch, exponent, n, m, k):
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**exponent)
+        rng = np.random.default_rng(n + m + k)
+        a = rng.standard_normal((301, n, m)) + 1j * rng.standard_normal((301, n, m))
+        b = rng.standard_normal((301, n, k)) + 1j * rng.standard_normal((301, n, k))
+        # a path against a path and against one frame
+        for other in (b, b[7]):
+            got = _frame_overlaps(a, other)
+            assert got.shape == (301, m, k)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(overlaps(a, other)).tobytes()
+
+    @pytest.mark.parametrize("exponent", [12, 16, 22])
+    @pytest.mark.parametrize("n, m", [(4, 2), (24, 2), (24, 3), (64, 4)])
+    def test_loewdin_pass_matches_the_whole_path(self, monkeypatch, exponent, n, m):
+        # the Taylor route from N = 20, the slice route at N = 4; the
+        # closed-form Loewdin at M = 2, the eigh one otherwise
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**exponent)
+        rng = np.random.default_rng(n * m)
+        spec = cosine_drive(random_hermitian(n, rng, 0.45), random_hermitian(n, rng, 0.45),
+                            TimeGrid.uniform(1.0, 300))
+        psi0 = random_frame(n, m, rng)
+        frames = _propagate(spec, psi0, spec.grid)
+        monkeypatch.setattr(dynamics, "loewdin_orthonormalize", lambda f: f)
+        marched = _propagate(spec, psi0, spec.grid)
+        assert len(_chunks(300, n)) > 1 or exponent == 22
+        ref = np.ascontiguousarray(loewdin_orthonormalize(marched[1:]))
+        assert frames[1:].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("exponent", [12, 16, 22])
+    def test_gram_check_reports_the_whole_path_residual(self, monkeypatch, exponent):
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**exponent)
+        rng = np.random.default_rng(5)
+        frames = np.stack([random_frame(24, 2, rng) for _ in range(200)])
+        frames[-1, :, 1] *= 1.0 + 1e-6
+        whole = np.linalg.norm(overlaps(frames, frames) - np.eye(2), axis=(1, 2)).max()
+        with pytest.raises(ValueError, match=re.escape(f"(residual {whole:.3e})")):
+            FramePath(TimeGrid.uniform(1.0, 199), frames)
+
+    @pytest.mark.parametrize("exponent", [12, 16, 22])
+    def test_drift_matches_the_whole_path(self, monkeypatch, exponent):
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**exponent)
+        rng = np.random.default_rng(6)
+        spec = cosine_drive(random_hermitian(24, rng, 0.45), random_hermitian(24, rng, 0.45),
+                            TimeGrid.uniform(1.0, 300))
+        path = propagate_frame(spec, random_frame(24, 2, rng), spec.grid)
+        assert path.drift == float(subspace_gap(path.initial, path.frames).max())
 
 
 class TestRealSlices:

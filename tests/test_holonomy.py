@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -564,10 +565,15 @@ class TestMaxCommutatorScan:
             assert idx[0] == 0 and idx[-1] == npts - 1, npts
             assert (np.diff(idx) > 0).all(), npts
 
+    @pytest.mark.parametrize("m", [2, 4])
     @pytest.mark.parametrize("npts", [1, 2, 63, 64, 65, 300, 4097])
-    def test_matches_the_deduplicated_scan_bitwise(self, npts):
+    def test_matches_the_deduplicated_scan_bitwise(self, npts, m):
         rng = np.random.default_rng(npts)
-        a, k = random_skew_stack(rng, npts, 2, 3), random_skew_stack(rng, npts, 2, 3)
+        a, k = random_skew_stack(rng, npts, m, 3), random_skew_stack(rng, npts, m, 3)
+        # the pairs are formed a block of A rows at a time: one block at
+        # M = 2, several at M = 4
+        blocks = dynamics._chunks(64, m, 4 * 64 * m)
+        assert len(blocks) == 1 if m == 2 else len(blocks) > 1
         idx = np.unique(np.linspace(0, npts - 1, min(COMMUTATOR_SCAN_LIMIT, npts)).round().astype(int))
         sa, sk = a[idx][:, None], k[idx][None]
         ref = float(np.linalg.norm(linalg.products(sa, sk) - linalg.products(sk, sa), axis=(2, 3)).max())
@@ -592,6 +598,40 @@ class TestMaxCommutatorScan:
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                              check=True, timeout=120)
         assert out.stdout.splitlines()[-1] == "0 False"
+
+
+class TestFramePathMemory:
+    """A decompose with N >> M holds the frame path once: every pass over
+    it goes one chunk at a time, so no stage holds a second copy. The run is
+    a 64 x 4 cosine drive at 512 steps, with the benchmark's wide_drive
+    parameters; the bounds are multiples of the path's T N M 16 bytes."""
+
+    def test_peaks_stay_near_the_frame_path(self):
+        n, m, steps = 64, 4, 512
+        rng = np.random.default_rng(1)
+        scale = 0.7 / np.sqrt(n)
+        h0, h1 = random_hermitian(n, rng, scale), random_hermitian(n, rng, scale)
+        psi0 = random_frame(n, m, rng)
+        grid = TimeGrid.uniform(1.0, steps)
+        spec = cosine_drive(h0, h1, grid)
+        path_bytes = len(grid) * n * m * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            schrod = propagate_frame(spec, psi0, grid)
+            propagate_peak = tracemalloc.get_traced_memory()[1] - base
+            section = build_section(PhaseAnchored(), schrod, spec)
+            live, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            separability_report(section, schrod, spec)
+            report_peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        decompose_peak = max(peak - base, live - base + report_peak)
+        # measured: 1.19, 0.27 and 1.59 times the path
+        assert propagate_peak <= 1.25 * path_bytes
+        assert report_peak <= 0.35 * path_bytes
+        assert decompose_peak <= 1.75 * path_bytes
 
 
 class TestDecomposeWork:

@@ -62,6 +62,17 @@ def test_first_read(monkeypatch, capsys):
     assert all(len(r) == 6 and all(float(x) > 0 for x in r[1:]) for r in rows)
 
 
+def test_stage_peaks(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["stage_peaks.py", "--n", "6", "--m", "2", "--steps", "16"])
+    assert _load("stage_peaks").main() == 0
+    title, header, *lines = capsys.readouterr().out.splitlines()
+    assert title == "frame path 0.003 MB: 17 x 6 x 2 complex"
+    assert header.split() == ["stage", "peak", "MB", "x", "path", "live", "MB", "x", "path"]
+    rows = [r.split() for r in lines]
+    assert [r[0] for r in rows] == ["propagate_frame", "build_section", "separability_report", "decompose"]
+    assert all(len(r) == 5 and all(float(x) > 0 for x in r[1:]) for r in rows)
+
+
 def test_march_crossover(monkeypatch, capsys):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")

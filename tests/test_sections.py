@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polar_decompose, refutation_run, run_case, section_frames
+from holosplit import dynamics, sections
 from holosplit.config import _load_custom_section, matrix_to_json
-from holosplit.dynamics import Constant, FramePath, TimeGrid, _sandwich, hamiltonian_path, propagate_frame
+from holosplit.dynamics import Constant, FramePath, Sampled, TimeGrid, _sandwich, hamiltonian_path, propagate_frame
 from holosplit.holonomy import separability_report
 from holosplit.instances import (
     cosine_drive,
@@ -370,6 +371,37 @@ def v_path_runs(tmp_path_factory):
     rule = _custom_from_file(tmp_path, schrod, frames)
     runs.append(("custom file", build_section(rule, schrod, spec), frames))
     return runs
+
+
+class TestChunkedFramePasses:
+    """build_section's passes over the frame path, the connection's step
+    overlaps and a Fixed or Custom rule's V, go one chunk at a time; with
+    whole-path overlaps in their place every array is the same, bit for bit."""
+
+    @pytest.mark.parametrize("exponent", [12, 16, 22])
+    @pytest.mark.parametrize("n, m", [(24, 2), (64, 4)])
+    def test_sections_match_whole_path_overlaps(self, monkeypatch, exponent, n, m):
+        rng = np.random.default_rng(n + m)
+        grid = TimeGrid.uniform(1.0, 300)
+        spec = cosine_drive(random_hermitian(n, rng, 0.45), random_hermitian(n, rng, 0.45), grid)
+        schrod = propagate_frame(spec, random_frame(n, m, rng), grid)
+        # a constant subspace for the Fixed rule: H block-diagonal on it
+        block = np.zeros((n, n), complex)
+        block[:m, :m], block[m:, m:] = random_hermitian(m, rng, 0.45), random_hermitian(n - m, rng, 0.45)
+        still = Sampled(grid, np.broadcast_to(block, (len(grid), n, n)))
+        runs = [(PhaseAnchored(), schrod, spec),
+                (Custom(FramePath(grid, _phase_anchored_frames(schrod.frames))), schrod, spec),
+                (Fixed(), propagate_frame(still, np.eye(n, m, dtype=complex), grid), still)]
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 2**exponent)
+        assert len(dynamics._chunks(300, n)) > 1 or exponent == 22
+        for rule, path, h in runs:
+            got = build_section(rule, path, h)
+            with monkeypatch.context() as mp:
+                mp.setattr(sections, "_frame_overlaps", overlaps)
+                ref = build_section(rule, path, h)
+            for name in ("v", "overlap", "f", "a", "k", "g"):
+                a, b = (np.ascontiguousarray(getattr(x, name)) for x in (got, ref))
+                assert a.tobytes() == b.tobytes(), (type(rule).__name__, name)
 
 
 class TestVPath:
