@@ -109,6 +109,9 @@ def _demo_lines(case: str, p: LambdaParams, report: DecompositionReport) -> list
 def cmd_demo(case: str, *, delta=1.0, omega0=np.sqrt(3.0), eta=np.pi / 3, tau=np.pi / 2, steps=4096) -> int:
     if case not in ("i", "ii", "iii"):
         return _fail(EXIT_CONFIG, f"unknown case {case!r}; expected i, ii or iii")
+    # a boolean goes on to TimeGrid.uniform, which refuses it as not a count
+    if not isinstance(steps, bool) and steps < 2:
+        return _fail(EXIT_CONFIG, f"demo setup failed: --steps must be at least 2, got {steps}")
     try:
         p = LambdaParams(omega0=omega0, delta=delta, tau=tau, eta=eta)
         spec, psi0, rule = case_setup(case, p)

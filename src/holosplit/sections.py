@@ -4,10 +4,10 @@ transformations.
 A section is a smooth choice of orthonormal frame spanning the same evolving
 subspace as the Schrodinger frame S(t), with L(0) = S(0), so it is
 L(t) = S(t) V(t) with V(t) an M x M unitary path and V(0) = I. A SectionPath
-holds S, V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t),
-which each rule forms from the Schrodinger overlaps it already takes; W(t) =
-L(t)^dag S(t) is V(t)^dag, so U = O W. It holds F = -i S^dag H S too, the
-run's one sandwich of H (for a Constant H taken once, at t = 0, as F is
+holds S, V and O(0,t) = L(0)^dag L(t) = U(t) V(t), U(t) = S(0)^dag S(t): a
+rule supplies only V, and build_section forms U once and O = U V for every
+rule. W(t) = L(t)^dag S(t) is V(t)^dag, so U = O W. It holds F = -i S^dag H S
+too, the run's one sandwich of H (for a Constant H taken once, at t = 0, as F is
 conserved), which a gauge transform rotates, and what the
 section forms once, in _section, shared by every rule and by
 gauge_transform: the generators of W, the connection A (the np.gradient
@@ -21,8 +21,8 @@ section frame is formed. W, A and K have meaning only against the
 section's own evolution, so a function of a section takes the section
 alone.
 Subspace checks use the gap sqrt(2) ||b - a a^dag b||_F between orthonormal
-frames (linalg.subspace_gap). Each pass over the frame path (F, the step
-overlaps, a Fixed or Custom V and gap) goes a dynamics._chunks chunk at a time.
+frames (linalg.subspace_gap). Passes that would copy the frame path (F, the
+step overlaps, a Custom V, the gap) go a dynamics._chunks chunk at a time.
 """
 
 from __future__ import annotations
@@ -226,8 +226,9 @@ def _section(schrodinger: FramePath, rule: SectionRule, v: np.ndarray, o: np.nda
 def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSpec, *,
                   tol: Tolerances = DEFAULT_TOL) -> SectionPath:
     """Construct the section L(t) = S(t) V(t) prescribed by rule for the
-    given evolution: V = S^dag S(0) for a Fixed rule, diag(exp(-i arg
-    <psi_j(0)|psi_j(t)>)) for PhaseAnchored, S^dag L for Custom. F =
+    given evolution. A rule supplies only V: U^dag for a Fixed rule,
+    diag(exp(-i arg diag U)) for PhaseAnchored and S^dag L for Custom, with
+    U = S(0)^dag S(t) and then O = U V, V(0) = I, formed once for any rule. F =
     skew(-i S^dag H S) is the run's one sandwich of H: a Sampled spec is
     sampled in chunks, each sandwiched between the Schrodinger frames while
     in cache. For a Constant spec S(t) = exp(-iHt) S(0), and exp(-iHt)
@@ -235,13 +236,16 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
     every grid point. schrodinger must be the evolution of spec (as
     propagate_frame gives it); F is not checked against it.
 
-    Raises SectionError when the rule's precondition fails: a Fixed rule on a
-    moving subspace, a PhaseAnchored rule whose anchor overlap collapses, or
-    a Custom path that does not span the Schrodinger subspace; also when the
-    grid is too coarse for the section's step-overlap product to keep full
-    rank, naming the step count and the smallest step cosine; ValueError,
-    naming both dimensions, when spec's dimension is not the frames' N.
+    Raises TypeError, before any pass over the path, when rule is not a section
+    rule; SectionError when the rule's precondition fails: a Fixed rule on a
+    moving subspace, a PhaseAnchored rule whose anchor overlap collapses, or a
+    Custom path that does not span the Schrodinger subspace; also when the grid
+    is too coarse for the section's step-overlap product to keep full rank,
+    naming the step count and the smallest step cosine; ValueError, naming both
+    dimensions, when spec's dimension is not the frames' N.
     """
+    if not isinstance(rule, SectionRule):
+        raise TypeError(f"not a section rule: {type(rule).__name__}")
     s, times = schrodinger.frames, schrodinger.grid.times
     npts, m = s.shape[0], s.shape[2]
     f = _time_last((npts, m, m))
@@ -250,18 +254,14 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
     else:
         for sl in _chunks(npts, schrodinger.n):
             f[sl] = _sandwich(hamiltonian_path(spec, times[sl]), s[sl])
+    u = overlaps(s[0], s)
 
     if isinstance(rule, Fixed):
         drift = schrodinger.drift
         if drift > 10 * tol.structure_tol:
             raise SectionError(f"fixed section requires a constant subspace; projector moved by {drift:.3e}")
-        s0 = schrodinger.initial
-        gram = _time_last((npts, m, m))
-        gram[...] = overlaps(s0, s0)
-        return _section(schrodinger, rule, _frame_overlaps(s, s0), gram, f)
-
-    if isinstance(rule, PhaseAnchored):
-        u = overlaps(s[0], s)
+        v = u.conj().swapaxes(1, 2)
+    elif isinstance(rule, PhaseAnchored):
         anchors = np.diagonal(u, axis1=1, axis2=2)
         weakest = float(np.abs(anchors).min())
         if weakest <= tol.positivity_tol:
@@ -271,12 +271,8 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
             )
         # exp(-i arg) is insensitive to the branch of arg, so no unwrap needed
         phases = np.exp(-1j * np.angle(anchors))
-        phases[0] = 1.0
         v = np.multiply(phases[:, :, None], np.eye(m), out=_time_last((npts, m, m)))
-        o = np.multiply(u, phases[:, None, :], out=_time_last((npts, m, m)))
-        return _section(schrodinger, rule, v, o, f)
-
-    if isinstance(rule, Custom):
+    else:
         path = rule.path
         if not np.array_equal(path.grid.times, schrodinger.grid.times):
             raise SectionError("custom section grid differs from the evolution grid")
@@ -287,9 +283,9 @@ def build_section(rule: SectionRule, schrodinger: FramePath, spec: HamiltonianSp
             raise SectionError(f"custom section does not span the evolving subspace (gap {gap:.3e})")
         if frobenius(path.initial - schrodinger.initial) > 10 * tol.structure_tol:
             raise SectionError("custom section must start at the Schrodinger frame")
-        return _section(schrodinger, rule, _frame_overlaps(s, path.frames), overlaps(path.initial, path.frames), f)
-
-    raise TypeError(f"not a section rule: {type(rule).__name__}")
+        v = _frame_overlaps(s, path.frames)
+    v[0] = np.eye(m)
+    return _section(schrodinger, rule, v, products(u, v), f)
 
 
 def w_path(section: SectionPath) -> np.ndarray:

@@ -815,6 +815,11 @@ class TestDecompose:
         assert capsys.readouterr().err == "config error: unknown keys in config.section: ['frame']\n"
         assert not (tmp_path / "report.json").exists()
 
+    def test_unwritable_report_is_io_error(self, case_ii_config, tmp_path, capsys):
+        assert cmd_decompose(str(case_ii_config), str(tmp_path / "no" / "r.json"), steps=64) == 4
+        out = capsys.readouterr()
+        assert out.err.startswith("cannot write report: ") and out.out == ""
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert cmd_decompose(str(tmp_path / "nope.json"), str(tmp_path / "o.json")) == 3
 
@@ -881,6 +886,12 @@ class TestDemo:
 
     def test_demo_rejects_unknown_case(self, capsys):
         assert cmd_demo("iv") == 3
+
+    @pytest.mark.parametrize("steps", [1, 0, -3])
+    def test_demo_rejects_fewer_than_two_steps(self, steps, capsys):
+        # the config's grid.steps floor; one step leaves A undefined
+        assert main(["demo", "--case", "ii", "--steps", str(steps)]) == 3
+        assert capsys.readouterr().err == f"demo setup failed: --steps must be at least 2, got {steps}\n"
 
     @pytest.mark.parametrize("steps", [100.5, True])
     def test_demo_rejects_a_non_integral_step_count(self, steps, capsys):
@@ -1349,6 +1360,32 @@ class TestExitCodes:
         assert cmd_separability(str(path)) == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{field} must be a number" in err
+
+    LAMBDA = {"kind": "lambda", "omega0": SQRT3, "delta": 1.0}
+    CONSTANT = {"kind": "constant", "matrix": matrix_to_json(np.eye(3))}
+    FRAME = {"matrix": matrix_to_json(np.eye(3, 2))}
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"system": {"kind": "spline"}}, "unknown system kind 'spline'"),
+        ({"subspace": {"lambda_case": "ii", **FRAME}}, "config.subspace needs exactly one of lambda_case or matrix"),
+        ({"subspace": {}}, "config.subspace needs exactly one of lambda_case or matrix"),
+        ({"system": CONSTANT}, "lambda_case subspace requires a lambda system"),
+        ({"subspace": {"lambda_case": "iv"}}, "unknown lambda case 'iv'"),
+        ({"subspace": {"matrix": matrix_to_json(np.eye(4, 2))}}, "subspace frame dimension does not match the system"),
+        ({"section": {"rule": "sideways"}}, "unknown section rule 'sideways'"),
+        ({"system": CONSTANT, "subspace": FRAME, "section": {"rule": "auto"}},
+         "section rule 'auto' requires a lambda_case subspace"),
+        ({"system": {**LAMBDA, "omega1": [1.0, 0.0, 0.0]}}, "config.system.omega1 must be a [re, im] pair"),
+        ({"system": {**LAMBDA, "omega1": 1.0}}, "config.system.omega1 must be a [re, im] pair"),
+        ({"system": {"kind": "sampled", "path": "."}}, "cannot read sampled Hamiltonian "),
+    ], ids=["unknown kind", "both subspace keys", "no subspace key", "lambda_case off a lambda system",
+            "unknown lambda_case", "frame dimension", "unknown rule", "auto off a lambda_case",
+            "omega1 of three", "omega1 a number", "sampled path a directory"])
+    def test_refused_config_exits_three(self, overrides, message, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", **overrides)
+        assert cmd_separability(str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     @pytest.mark.parametrize("name", ["separation_tol", "structure_tol"])
     @pytest.mark.parametrize("literal", ["1e999", "Infinity"])

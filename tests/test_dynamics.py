@@ -1028,6 +1028,31 @@ def test_structure_tol_rejects_nan_and_negative(build, bad):
     build(0.0)
 
 
+_GRID3 = TimeGrid.uniform(1.0, 2)
+_FRAMES3 = np.stack([np.eye(2)[:, :1]] * 3).astype(complex)
+_NAN_FRAMES = _FRAMES3.copy()
+_NAN_FRAMES[1, 0, 0] = np.nan
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Constant(np.zeros((2, 3))), ValueError, "Hamiltonian must be square"),
+    (lambda: Sampled(_GRID3, np.zeros((3, 2))), ValueError, r"samples must have shape \(npoints, n, n\)"),
+    (lambda: Sampled(_GRID3, np.zeros((3, 2, 3))), ValueError, r"samples must have shape \(npoints, n, n\)"),
+    (lambda: Sampled(_GRID3, np.zeros((4, 2, 2))), ValueError, "sample count must equal grid point count"),
+    (lambda: dimension(np.eye(2)), TypeError, "not a Hamiltonian spec: ndarray"),
+    (lambda: hamiltonian_path(np.eye(2), [0.0]), TypeError, "not a Hamiltonian spec: ndarray"),
+    (lambda: FramePath(_GRID3, _FRAMES3[:, :, 0]), ValueError, r"frames must have shape \(npoints, n, m\)"),
+    (lambda: FramePath(_GRID3, _FRAMES3[:2]), ValueError, "frame count must equal grid point count"),
+    (lambda: FramePath(_GRID3, _NAN_FRAMES), ValueError, "frame path contains non-finite entries"),
+    (lambda: propagate_frame(Constant(np.zeros((2, 2))), np.eye(2)[:, 0], _GRID3), ValueError,
+     "psi0 must be an N x M matrix"),
+], ids=["Constant not square", "Sampled 2-D", "Sampled not square", "Sampled count", "dimension of a non-spec",
+        "hamiltonian_path of a non-spec", "FramePath 2-D", "FramePath count", "FramePath nan", "psi0 1-D"])
+def test_refuses_malformed_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_dimension_dispatch():
     assert dimension(LambdaParams(1.0, 0.0, 1.0).spec) == 3
     assert dimension(Constant(np.zeros((5, 5)))) == 5

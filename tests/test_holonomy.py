@@ -356,6 +356,10 @@ class TestOrderedFactor:
         np.testing.assert_allclose(dyn, np.diag([1.0, -1.0]), atol=1e-10)
         np.testing.assert_allclose(hol @ dyn, np.diag([1.0, 1j]), atol=1e-6)
 
+    def test_rejects_a_path_off_the_grid(self, case_iii):
+        with pytest.raises(ValueError, match="generator path length does not match the grid"):
+            ordered_factor(case_iii.section.a[1:], case_iii.grid)
+
     def test_rejects_unknown_direction(self, case_iii):
         with pytest.raises(ValueError, match="direction"):
             ordered_factor(case_iii.section.a, case_iii.grid, "sideways")
@@ -604,14 +608,27 @@ class TestFramePathMemory:
     """A decompose with N >> M holds the frame path once: every pass over
     it goes one chunk at a time, so no stage holds a second copy. The run is
     a 64 x 4 cosine drive at 512 steps, with the benchmark's wide_drive
-    parameters; the bounds are multiples of the path's T N M 16 bytes."""
+    parameters; the bounds are multiples of the path's T N M 16 bytes. A
+    Fixed rule runs on a block-diagonal drive, which keeps the subspace of
+    the first M levels."""
 
-    def test_peaks_stay_near_the_frame_path(self):
+    @staticmethod
+    def block_diagonal(n, m, rng, scale):
+        h = np.zeros((n, n), complex)
+        h[:m, :m], h[m:, m:] = random_hermitian(m, rng, scale), random_hermitian(n - m, rng, scale)
+        return h
+
+    @pytest.mark.parametrize("rule", [PhaseAnchored(), Fixed()], ids=["phase_anchored", "fixed"])
+    def test_peaks_stay_near_the_frame_path(self, rule):
         n, m, steps = 64, 4, 512
         rng = np.random.default_rng(1)
         scale = 0.7 / np.sqrt(n)
-        h0, h1 = random_hermitian(n, rng, scale), random_hermitian(n, rng, scale)
-        psi0 = random_frame(n, m, rng)
+        if isinstance(rule, Fixed):
+            h0, h1 = self.block_diagonal(n, m, rng, scale), self.block_diagonal(n, m, rng, scale)
+            psi0 = np.eye(n, m, dtype=complex)
+        else:
+            h0, h1 = random_hermitian(n, rng, scale), random_hermitian(n, rng, scale)
+            psi0 = random_frame(n, m, rng)
         grid = TimeGrid.uniform(1.0, steps)
         spec = cosine_drive(h0, h1, grid)
         path_bytes = len(grid) * n * m * 16
@@ -620,7 +637,7 @@ class TestFramePathMemory:
             base = tracemalloc.get_traced_memory()[0]
             schrod = propagate_frame(spec, psi0, grid)
             propagate_peak = tracemalloc.get_traced_memory()[1] - base
-            section = build_section(PhaseAnchored(), schrod, spec)
+            section = build_section(rule, schrod, spec)
             live, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             separability_report(section, schrod, spec)
@@ -628,7 +645,7 @@ class TestFramePathMemory:
         finally:
             tracemalloc.stop()
         decompose_peak = max(peak - base, live - base + report_peak)
-        # measured: 1.19, 0.27 and 1.59 times the path
+        # measured: 1.19, 0.27 and 1.59 times the path for either rule
         assert propagate_peak <= 1.25 * path_bytes
         assert report_peak <= 0.35 * path_bytes
         assert decompose_peak <= 1.75 * path_bytes

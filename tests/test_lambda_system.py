@@ -45,6 +45,16 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             params(**{name: bad})
 
+    @pytest.mark.parametrize("name, bad, message", [
+        ("tau", 0.0, "tau must be positive"),
+        ("tau", -1.0, "tau must be positive"),
+        ("eta", -0.1, r"eta must lie in \[0, pi\]"),
+        ("eta", np.pi + 1e-12, r"eta must lie in \[0, pi\]"),
+    ])
+    def test_rejects_out_of_range_field(self, name, bad, message):
+        with pytest.raises(ValueError, match=message):
+            params(**{name: bad})
+
 
 class TestLambdaHamiltonian:
     def test_single_transition_structure(self):

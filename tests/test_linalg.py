@@ -14,6 +14,7 @@ from holosplit.linalg import (
     _TAYLOR_THETA,
     Tolerances,
     _time_last,
+    as_complex_matrix,
     expm_skew,
     frobenius,
     hermitian_part,
@@ -429,6 +430,15 @@ class TestCommutatorNorm:
         b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         assert commutator_norm(a, b) == commutator_norm(b, a)
         assert commutator_norm(a, scale * np.eye(dim)) <= 1e-12 * max(1, abs(scale)) * frobenius(a)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.ones(3), r"expected a matrix, got array of shape \(3,\)"),
+    ([[1.0, np.nan], [0.0, 1.0]], "matrix contains non-finite entries"),
+], ids=["1-D", "nan"])
+def test_as_complex_matrix_refusals(value, message):
+    with pytest.raises(ValueError, match=message):
+        as_complex_matrix(value)
 
 
 @given(st.sampled_from(["structure_tol", "positivity_tol", "separation_tol"]),

@@ -115,6 +115,27 @@ class TestBuildSection:
         for ns in (case_ii, case_iii):
             assert np.abs(section_frames(ns.section)[0] - ns.schrod.initial).max() == 0.0
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda grid, frames: (TimeGrid(grid.times * (1 + 1e-9)), frames), "grid differs"),
+        (lambda grid, frames: (grid, frames[:, :, :1]), "shape does not match"),
+        (lambda grid, frames: (grid, frames * np.exp(0.3j)), "must start at the Schrodinger frame"),
+    ], ids=["another grid", "another shape", "another start"])
+    def test_custom_path_refusals(self, case_ii, edit, message):
+        # each path spans the evolving subspace; only its grid, shape or
+        # start is wrong
+        grid, frames = edit(case_ii.grid, section_frames(case_ii.section))
+        with pytest.raises(SectionError, match=message):
+            build_section(Custom(FramePath(grid, frames)), case_ii.schrod, case_ii.spec)
+
+    def test_refuses_a_non_rule_before_any_pass(self, case_ii, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a pass over the frame path ran")
+
+        for name in ("hamiltonian_path", "_sandwich", "overlaps", "_frame_overlaps"):
+            monkeypatch.setattr(sections, name, no_pass)
+        with pytest.raises(TypeError, match="not a section rule: str"):
+            build_section("fixed", case_ii.schrod, case_ii.spec)
+
 
 class TestOverlapPath:
     def test_identity_at_zero(self, case_iii):
@@ -220,6 +241,10 @@ class TestGaugeTransform:
                             (len(case_ii.grid), 2, 2)).copy()
         with pytest.raises(ValueError, match="unitary"):
             gauge_transform(case_ii.section, v)
+
+    def test_rejects_a_path_of_the_wrong_shape(self, case_ii):
+        with pytest.raises(ValueError, match=r"gauge path must have shape \(4097, 2, 2\)"):
+            gauge_transform(case_ii.section, np.broadcast_to(np.eye(2), (4096, 2, 2)))
 
     def test_rejects_open_path(self, case_ii):
         times = case_ii.grid.times
@@ -424,12 +449,20 @@ class TestVPath:
             np.testing.assert_array_equal(w, sec.v.conj().swapaxes(1, 2), label)
 
     def test_o_is_u_v(self, v_path_runs):
+        # a rule supplies only V; build_section forms O = U V for every rule,
+        # so an unrotated section's O is that product bit for bit
+        rules = set()
         for label, sec, frames in v_path_runs:
             s = sec.schrodinger.frames
             rs = s if sec.rotation is None else products(s, sec.rotation)
             u = overlaps(rs[0], rs)
+            if sec.rotation is None:
+                rules.add(type(sec.rule))
+                got, want = (np.ascontiguousarray(x).tobytes() for x in (sec.overlap, products(u, sec.v)))
+                assert got == want, label
             assert np.abs(sec.overlap - products(u, sec.v)).max() <= 1e-14, label
             assert np.abs(sec.overlap - overlaps(frames[0], frames)).max() <= 1e-14, label
+        assert rules == {Fixed, PhaseAnchored, Custom}
 
     def test_gauge_composes_on_the_m_by_m_path(self, case_iii):
         g = random_closed_gauge(case_iii.grid.times, 2, np.random.default_rng(5))
